@@ -10,7 +10,7 @@
 //!   non-incremental baseline);
 //! * `warm_chain` — every revision warm-started from its predecessor's
 //!   result (`MwhvcSolver::solve_warm_with_arena`), exactly what
-//!   `SolveService::submit_delta` runs per revision.
+//!   `SolveService::submit_delta_with` runs per revision.
 //!
 //! Before any timing, the correctness gates run: an **empty-delta** warm
 //! solve must be bit-identical to the cold solve of the unchanged

@@ -7,10 +7,12 @@ pub mod serve;
 pub mod verify;
 
 use std::io::Read as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 use dcover_core::{
-    CoverResult, MwhvcConfig, MwhvcSolver, PartitionPolicy, SolveSession, Variant, WarmState,
+    CoverResult, MwhvcConfig, MwhvcSolver, PartitionPolicy, SolveService, Ticket, Variant,
+    WarmState,
 };
 use dcover_hypergraph::{format, Hypergraph};
 
@@ -290,11 +292,9 @@ fn solve_inner(parsed: &args::Parsed) -> Result<(), Failure> {
     Ok(())
 }
 
-/// `dcover batch FILE... [--eps E] [--threads N] [--variant V]
-/// [--partition P] [--json]`
+/// `dcover batch FILE... [--eps E] [--threads N] [--variant V] [--json]`
 pub fn batch(raw: &[String]) -> Result<(), Failure> {
-    let parsed =
-        args::parse(raw, &["json"], &["eps", "threads", "variant", "partition"]).map_err(usage)?;
+    let parsed = args::parse(raw, &["json"], &["eps", "threads", "variant"]).map_err(usage)?;
     if parsed.positional.is_empty() {
         return Err(usage("batch needs at least one instance file".to_string()));
     }
@@ -309,40 +309,36 @@ pub fn batch(raw: &[String]) -> Result<(), Failure> {
 
     // Parse everything up front; a file that does not parse is a failed
     // entry, not a fatal error (the serving layer must not be crashable by
-    // one bad input). Parsed instances move straight into the solvable
-    // list — only the per-file parse outcome is kept for re-alignment.
-    let mut solvable: Vec<Hypergraph> = Vec::new();
-    let mut parse_errors: Vec<Option<String>> = Vec::new();
-    for file in &parsed.positional {
-        match read_instance(file) {
-            Ok(g) => {
-                solvable.push(g);
-                parse_errors.push(None);
-            }
-            Err(Failure::Runtime(msg) | Failure::Usage(msg)) => {
-                parse_errors.push(Some(msg));
-            }
-        }
-    }
+    // one bad input).
+    let instances: Vec<Result<Hypergraph, String>> = parsed
+        .positional
+        .iter()
+        .map(|file| {
+            read_instance(file).map_err(|(Failure::Runtime(msg) | Failure::Usage(msg))| msg)
+        })
+        .collect();
 
-    let mut session = SolveSession::new(config, threads);
+    // Submit every parsed instance to one service — each solves
+    // sequentially on a pool worker, and a full queue blocks the submit —
+    // then redeem the tickets in input order.
+    let service = SolveService::new(config, threads);
     let start = Instant::now();
-    let solved = session.solve_batch_owned(solvable);
+    let tickets: Vec<Result<Ticket, String>> = instances
+        .into_iter()
+        .map(|g| service.submit(Arc::new(g?), eps).map_err(|e| e.to_string()))
+        .collect();
+    let entries: Vec<(&String, Result<CoverResult, String>)> = parsed
+        .positional
+        .iter()
+        .zip(tickets)
+        .map(|(file, ticket)| {
+            (
+                file,
+                ticket.and_then(|t| t.wait().map_err(|e| e.to_string())),
+            )
+        })
+        .collect();
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    // Re-align solved results with the original file list.
-    let mut solved_iter = solved.into_iter();
-    let mut entries: Vec<(String, Result<CoverResult, String>)> = Vec::new();
-    for (file, parse_error) in parsed.positional.iter().zip(&parse_errors) {
-        let outcome = match parse_error {
-            None => solved_iter
-                .next()
-                .expect("one result per parsed instance")
-                .map_err(|e| e.to_string()),
-            Some(msg) => Err(msg.clone()),
-        };
-        entries.push((file.clone(), outcome));
-    }
 
     let ok = entries.iter().filter(|(_, r)| r.is_ok()).count();
     let failed = entries.len() - ok;

@@ -16,7 +16,7 @@
 //! * `p delta <base> <r> <a> <w> [eps]` — a **revision** of the record
 //!   whose `seq` is `<base>`: the service applies the edge/weight delta
 //!   to the cached predecessor and **warm-starts** the re-solve from its
-//!   dual packing ([`SolveService::submit_delta`]). Deltas chain — a
+//!   dual packing ([`SolveService::submit_delta_with`]). Deltas chain — a
 //!   delta may reference an earlier delta's `seq`. If the base is still
 //!   in flight when its delta arrives, the reader waits for it (a
 //!   revision cannot be resolved before its predecessor). Result lines
@@ -202,8 +202,8 @@ fn parse_class(raw: &str) -> Result<RequestClass, String> {
 }
 
 /// `dcover serve [--eps E] [--threads N] [--queue C] [--variant V]
-/// [--partition P] [--class interactive|bulk] [--deadline-ms N]
-/// [--bulk-max-wait-ms N] [--shed-target-ms N] [--metrics]`
+/// [--class interactive|bulk] [--deadline-ms N] [--bulk-max-wait-ms N]
+/// [--shed-target-ms N] [--metrics]`
 pub fn serve(raw: &[String]) -> Result<(), Failure> {
     let parsed = args::parse(
         raw,
@@ -213,7 +213,6 @@ pub fn serve(raw: &[String]) -> Result<(), Failure> {
             "threads",
             "queue",
             "variant",
-            "partition",
             "class",
             "deadline-ms",
             "bulk-max-wait-ms",
@@ -697,8 +696,6 @@ fn class_json(c: &ClassMetrics) -> String {
         .num("shed", c.shed)
         .num("rejected", c.rejected)
         .num("panicked", c.panicked)
-        .num("intra_chunk_messages", c.intra_chunk_messages)
-        .num("cross_chunk_messages", c.cross_chunk_messages)
         .raw("queue_wait", &histogram_json(&c.queue_wait))
         .raw("solve_time", &histogram_json(&c.run_time))
         .build()

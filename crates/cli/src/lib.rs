@@ -16,8 +16,9 @@
 //!   instances with `p delta` **revision records** that reference an
 //!   earlier record's seq and are re-solved warm from its cached duals;
 //! * `dcover batch FILE...` — solve many pre-assembled files concurrently
-//!   on one [`SolveSession`](dcover_core::SolveSession) (persistent
-//!   worker pool, recycled engine arenas, per-instance error isolation);
+//!   through one [`SolveService`](dcover_core::SolveService): every file
+//!   is submitted up front, solved sequentially on a persistent pool
+//!   worker, and reported in input order (per-instance error isolation);
 //! * `dcover verify INSTANCE REPORT` — re-check a solve report's
 //!   cover/dual certificate from first principles, exiting non-zero on
 //!   violation;
@@ -54,9 +55,7 @@ USAGE:
     dcover solve FILE [--eps E] [--threads N] [--variant standard|half-bid]
                  [--partition contiguous|locality] [--warm-from REPORT] [--json]
     dcover serve [--eps E] [--threads N] [--queue C] [--variant standard|half-bid]
-                 [--partition contiguous|locality]
-    dcover batch FILE... [--eps E] [--threads N] [--variant standard|half-bid]
-                 [--partition contiguous|locality] [--json]
+    dcover batch FILE... [--eps E] [--threads N] [--variant standard|half-bid] [--json]
     dcover verify INSTANCE REPORT [--eps E] [--json]
     dcover gen FAMILY [family options] [--seed S]
                [--min-weight W] [--max-weight W] [--out FILE] [--json]
@@ -64,7 +63,7 @@ USAGE:
     FILE may be `-` for stdin. `solve --warm-from REPORT` seeds the solve
     from the duals/levels of a previous `--json` report of a (revision of
     the) same instance instead of starting cold; without --eps the
-    report's epsilon is inherited. `--partition` picks the parallel
+    report's epsilon is inherited. `solve --partition` picks the parallel
     scheduler's chunk placement (default `contiguous`; `locality`
     clusters connected nodes so most messages stay inside one worker's
     chunk — results are bit-identical either way, and the JSON reports
@@ -78,8 +77,8 @@ USAGE:
     backpressure, and one JSON line per result is printed in completion
     order with arrival-order `seq` ids (warm results carry `warm: true`
     and their `base` seq). `batch` defaults --threads to the
-    machine's available parallelism and serves all instances from one
-    persistent worker pool; failed instances are reported per entry and
+    machine's available parallelism and solves each instance sequentially
+    on one worker of a persistent pool; failed instances are reported per entry and
     make the exit code non-zero without aborting the rest. `verify`
     re-checks the cover and dual certificate inside a solve/serve JSON
     report against the instance and exits non-zero on any violation.

@@ -4,6 +4,8 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
+use dcover_cli::json::{parse, Value};
+
 fn dcover(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dcover"))
         .args(args)
@@ -119,6 +121,18 @@ fn batch_solves_many_files_and_isolates_failures() {
     assert!(text.contains("\"failed\": 0"), "{text}");
     assert!(text.contains("\"instances_per_sec\":"), "{text}");
 
+    // Every entry's `result` is exactly the `result` object that
+    // `dcover solve --json` prints for the same file.
+    let solo = dcover(&["solve", &sample, "--json"]);
+    assert!(solo.status.success(), "{solo:?}");
+    let solo = parse(stdout_of(&solo).trim()).unwrap();
+    let report = parse(text.trim()).unwrap();
+    let results = report.get("results").and_then(Value::as_array).unwrap();
+    assert_eq!(results.len(), 3, "{text}");
+    for entry in results {
+        assert_eq!(entry.get("result"), solo.get("result"), "{text}");
+    }
+
     // One missing file: its entry fails, the others still solve, and the
     // exit code is non-zero.
     let mixed = dcover(&[
@@ -133,6 +147,9 @@ fn batch_solves_many_files_and_isolates_failures() {
     let text = stdout_of(&mixed);
     assert!(text.contains("\"ok\": 1"), "{text}");
     assert!(text.contains("\"failed\": 1"), "{text}");
+    let report = parse(text.trim()).unwrap();
+    let results = report.get("results").and_then(Value::as_array).unwrap();
+    assert_eq!(results[0].get("result"), solo.get("result"), "{text}");
 }
 
 #[test]
@@ -701,6 +718,21 @@ fn usage_errors_exit_2() {
     assert_eq!(dcover(&["solve"]).status.code(), Some(2));
     assert_eq!(dcover(&["gen", "uniform"]).status.code(), Some(2));
     assert_eq!(dcover(&["solve", "x", "--nope"]).status.code(), Some(2));
+    // `--partition` only shapes the chunk-parallel `solve`; the serving
+    // commands solve each instance sequentially and refuse it.
+    let sample = sample_path();
+    assert_eq!(
+        dcover(&["batch", &sample, "--partition", "locality"])
+            .status
+            .code(),
+        Some(2)
+    );
+    assert_eq!(
+        dcover_stdin(&["serve", "--partition", "locality"], "")
+            .status
+            .code(),
+        Some(2)
+    );
     // Runtime failure (unreadable file) exits 1.
     assert_eq!(
         dcover(&["solve", "/nonexistent.mwhvc"]).status.code(),

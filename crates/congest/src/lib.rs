@@ -52,10 +52,10 @@
 //! For workloads of many independent instances, a [`SimPool`] keeps one
 //! set of worker threads pulling from one **shared bounded multi-class
 //! task queue**, with a free list of reusable [`EngineArena`]s, alive
-//! across solves: hand the pool to [`ParallelSimulator::with_pool`] for a
-//! single chunk-parallel solve, or submit whole-instance closures through
-//! a [`TaskQueue`] handle as requests arrive — each submission yields a
-//! [`TaskTicket`], a full queue reports backpressure
+//! across solves: submit whole-instance closures through a [`TaskQueue`]
+//! handle as requests arrive — each submission yields a [`TaskTicket`], a
+//! full queue blocks [`TaskQueue::submit`] and makes
+//! [`TaskQueue::try_submit`] report backpressure
 //! ([`TrySubmitError::Full`]), and each task runs a sequential
 //! [`Simulator::with_arena`] solve against a recycled arena. Submissions
 //! carry a [`TaskClass`] (interactive tasks dequeue before bulk, FIFO

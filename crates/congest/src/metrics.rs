@@ -349,8 +349,6 @@ struct ClassCounters {
     rejected: AtomicU64,
     shed: AtomicU64,
     panicked: AtomicU64,
-    intra_chunk_msgs: AtomicU64,
-    cross_chunk_msgs: AtomicU64,
     queue_wait: AtomicHistogram,
     run_time: AtomicHistogram,
 }
@@ -453,15 +451,6 @@ pub struct ClassMetrics {
     pub shed: u64,
     /// Tasks whose closure panicked on a worker.
     pub panicked: u64,
-    /// Simulator messages delivered within their sending chunk across
-    /// this class's completed solves (recorded by a serving layer via
-    /// [`SchedMetrics::record_cut`] from each solve's
-    /// [`SimReport`] split).
-    pub intra_chunk_messages: u64,
-    /// Simulator messages that crossed a chunk boundary across this
-    /// class's completed solves — the cut the locality partition policy
-    /// minimizes.
-    pub cross_chunk_messages: u64,
     /// Queue-wait (enqueue → dequeue) distribution; includes expired
     /// tasks, whose wait ended at the discard.
     pub queue_wait: LatencyHistogram,
@@ -474,11 +463,10 @@ pub struct ClassMetrics {
 /// jobs. Every recording is a handful of relaxed atomic adds — no
 /// allocation, no locks — so it sits on the serving hot path for free.
 ///
-/// A pool created with [`SimPool::with_queue_capacity`] owns a fresh
-/// instance; hand one pool's handle (or a long-lived one of your own) to
-/// [`SimPool::with_metrics`] to aggregate across pool rebuilds. Round
-/// jobs are not clocked (the chunk-parallel round loop stays free of
-/// timer calls); `busy` covers task jobs only.
+/// A pool created with [`SimPool::new`] owns a fresh instance; hand one
+/// long-lived handle to [`SimPool::with_policy`] to aggregate across pool
+/// rebuilds. Round jobs are not clocked (the chunk-parallel round loop
+/// stays free of timer calls); `busy` covers task jobs only.
 ///
 /// # Counter identities
 ///
@@ -492,8 +480,8 @@ pub struct ClassMetrics {
 /// `rejected` and `shed` count submissions that never entered the queue,
 /// so they sit outside the identity.
 ///
-/// [`SimPool::with_queue_capacity`]: crate::SimPool::with_queue_capacity
-/// [`SimPool::with_metrics`]: crate::SimPool::with_metrics
+/// [`SimPool::new`]: crate::SimPool::new
+/// [`SimPool::with_policy`]: crate::SimPool::with_policy
 #[derive(Debug, Default)]
 pub struct SchedMetrics {
     classes: [ClassCounters; TaskClass::COUNT],
@@ -525,8 +513,6 @@ impl SchedMetrics {
             rejected: c.rejected.load(Ordering::Relaxed),
             shed: c.shed.load(Ordering::Relaxed),
             panicked: c.panicked.load(Ordering::Relaxed),
-            intra_chunk_messages: c.intra_chunk_msgs.load(Ordering::Relaxed),
-            cross_chunk_messages: c.cross_chunk_msgs.load(Ordering::Relaxed),
             queue_wait: c.queue_wait.snapshot(),
             run_time: c.run_time.snapshot(),
         }
@@ -570,21 +556,6 @@ impl SchedMetrics {
         self.classes[class.index()]
             .shed
             .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Folds a finished solve's chunk-placement message split (from its
-    /// [`SimReport`]) into this class's cumulative counters. Called by a
-    /// serving layer after each successful solve; metrics-only — these
-    /// counters sit outside the ledger identity and outside the
-    /// model-checked scenarios.
-    pub fn record_cut(&self, class: TaskClass, intra: u64, cross: u64) {
-        let c = &self.classes[class.index()];
-        // relaxed: independent monotonic counter for observability only
-        // (outside the ledger identity; never a synchronization carrier —
-        // snapshots tolerate observing the two adds in any order).
-        c.intra_chunk_msgs.fetch_add(intra, Ordering::Relaxed);
-        // relaxed: same argument as the intra-chunk counter above.
-        c.cross_chunk_msgs.fetch_add(cross, Ordering::Relaxed);
     }
 
     pub(crate) fn record_submitted(&self, class: TaskClass, depth_now: usize) {
@@ -705,17 +676,5 @@ mod sched_tests {
         assert_eq!(bulk.shed, 2);
         assert_eq!(bulk.rejected, 1);
         assert_eq!(m.class(TaskClass::Interactive).shed, 0);
-    }
-
-    #[test]
-    fn cut_counters_accumulate_per_class() {
-        let m = SchedMetrics::new();
-        m.record_cut(TaskClass::Interactive, 10, 2);
-        m.record_cut(TaskClass::Interactive, 5, 0);
-        let i = m.class(TaskClass::Interactive);
-        assert_eq!(i.intra_chunk_messages, 15);
-        assert_eq!(i.cross_chunk_messages, 2);
-        assert_eq!(m.class(TaskClass::Bulk).intra_chunk_messages, 0);
-        assert_eq!(m.class(TaskClass::Bulk).cross_chunk_messages, 0);
     }
 }

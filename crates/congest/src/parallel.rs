@@ -9,17 +9,13 @@
 //! Workers are spawned **once** and block on the pool's shared job queue
 //! between rounds — there is no per-round thread spawn (the old engine
 //! paid a `crossbeam::thread::scope` per round). The pool is a
-//! [`SimPool`]: either spawned privately by [`ParallelSimulator::new`],
-//! or handed in by a serving layer via [`ParallelSimulator::with_pool`]
-//! and recovered — together with the engine arenas, capacity intact — via
-//! [`ParallelSimulator::into_pool`], so a stream of solves reuses both the
-//! threads and the arenas. Round jobs are pushed with priority (ahead of
-//! any queued task submissions) and carry their chunk *by value*: the
-//! scheduler moves the boxed [`ChunkState`] to whichever worker pulls the
-//! job and receives it back tagged with its chunk index, so all mutation
-//! is single-owner and the steady-state round loop allocates nothing (the
-//! queue and reply channel reuse their buffers; chunk moves are
-//! pointer-sized).
+//! private [`SimPool`], spawned by [`ParallelSimulator::with_partition`]
+//! and shut down with the simulator. Round jobs carry their chunk *by
+//! value*: the scheduler moves the boxed [`ChunkState`] to whichever
+//! worker pulls the job and receives it back tagged with its chunk index,
+//! so all mutation is single-owner and the steady-state round loop
+//! allocates nothing (the queue and reply channel reuse their buffers;
+//! chunk moves are pointer-sized).
 //!
 //! Per round the scheduler routes the buckets staged in the previous
 //! round to their destination chunks (swapping each fresh bucket for last
@@ -74,9 +70,8 @@ pub struct ParallelSimulator<P: Process + 'static> {
     topo: Topology,
     /// The node arrangement and chunk cuts this instance runs under.
     part: Partition,
-    /// Chunk states; `None` while a chunk is out at a worker. At most
-    /// `pool.workers()` chunks exist; a small instance on a big pool uses
-    /// only the first `chunks.len()` workers.
+    /// Chunk states, one per pool worker; `None` while a chunk is out at
+    /// a worker.
     chunks: Vec<Option<Box<ChunkState<P>>>>,
     /// Reusable per-destination inbound containers (capacity `chunks`).
     inbound_pool: Vec<Option<Buckets<P::Msg>>>,
@@ -119,6 +114,9 @@ impl<P: Process + 'static> ParallelSimulator<P> {
     /// only which worker steps a node and how much mail crosses chunks
     /// (see [`SimReport::cross_fraction`]).
     ///
+    /// The instance is split into `min(threads, nodes.len())` chunks, one
+    /// per pool worker.
+    ///
     /// # Panics
     ///
     /// Panics if `nodes.len() != topo.len()` or `threads == 0`.
@@ -133,47 +131,13 @@ impl<P: Process + 'static> ParallelSimulator<P> {
         // `# Panics`) on a caller-supplied thread count — never reached
         // from round or solve state.
         assert!(threads > 0, "need at least one worker thread");
-        let workers = threads.min(nodes.len()).max(1);
-        Self::with_pool_partition(topo, nodes, SimPool::new(workers), policy)
-    }
-
-    /// Creates a parallel simulator on an **existing** pool, recycling the
-    /// workers' engine arenas as this instance's chunks (mailbox slots,
-    /// dirty lists, worklists and staging buckets keep their capacity from
-    /// previous solves). Recover the pool — and the arenas — with
-    /// [`into_pool`](Self::into_pool).
-    ///
-    /// The instance is split into `min(pool.workers(), nodes.len())`
-    /// chunks; on a pool larger than the instance the surplus workers stay
-    /// parked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len() != topo.len()`.
-    #[must_use]
-    pub fn with_pool(topo: Topology, nodes: Vec<P>, pool: SimPool<P>) -> Self {
-        Self::with_pool_partition(topo, nodes, pool, PartitionPolicy::Contiguous)
-    }
-
-    /// Like [`with_pool`](Self::with_pool), but chunking the instance
-    /// under an explicit [`PartitionPolicy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len() != topo.len()`.
-    #[must_use]
-    pub fn with_pool_partition(
-        topo: Topology,
-        nodes: Vec<P>,
-        pool: SimPool<P>,
-        policy: PartitionPolicy,
-    ) -> Self {
         // invariant: documented construction-time precondition (see
         // `# Panics`) tying the caller's program vector to its topology —
         // checked before any chunk state exists.
         assert_eq!(nodes.len(), topo.len(), "need exactly one program per node");
         let n = nodes.len();
-        let workers = pool.workers().min(n).max(1);
+        let workers = threads.min(n).max(1);
+        let pool = SimPool::new(workers);
         let part = Partition::new(&topo, workers, policy);
         let mut chunks = Vec::with_capacity(workers);
         if part.is_identity() {
@@ -190,7 +154,7 @@ impl<P: Process + 'static> ParallelSimulator<P> {
         } else {
             // Permuted arrangement: gather each chunk's programs by
             // position. `global_ids` remembers the inverse for
-            // [`into_pool`](Self::into_pool)'s scatter.
+            // [`into_parts`](Self::into_parts)'s scatter.
             let mut slots: Vec<Option<P>> = nodes.into_iter().map(Some).collect();
             for index in 0..workers {
                 let mut arena = pool.take_arena();
@@ -243,7 +207,7 @@ impl<P: Process + 'static> ParallelSimulator<P> {
     /// round boundary where it has fired — identical semantics to
     /// [`Simulator::with_interrupt`](crate::Simulator::with_interrupt).
     /// Chunks stay home at that point, so
-    /// [`into_pool`](Self::into_pool) still recovers the pool and arenas.
+    /// [`into_parts`](Self::into_parts) still recovers every node program.
     #[must_use]
     pub fn with_interrupt(mut self, interrupt: Interrupt) -> Self {
         self.interrupt = Some(interrupt);
@@ -289,19 +253,9 @@ impl<P: Process + 'static> ParallelSimulator<P> {
     }
 
     /// Consumes the simulator, returning node programs (ascending id order)
-    /// and the report. The pool (and its arenas) are dropped; use
-    /// [`into_pool`](Self::into_pool) to keep them.
+    /// and the report. The worker pool shuts down with it.
     #[must_use]
-    pub fn into_parts(self) -> (Vec<P>, SimReport) {
-        let (nodes, report, _pool) = self.into_pool();
-        (nodes, report)
-    }
-
-    /// Consumes the simulator, returning the node programs (ascending id
-    /// order), the report, and the worker pool with every engine arena
-    /// parked back in place — ready for the next solve.
-    #[must_use]
-    pub fn into_pool(mut self) -> (Vec<P>, SimReport, SimPool<P>) {
+    pub fn into_parts(mut self) -> (Vec<P>, SimReport) {
         let n = self.part.len();
         let nodes = if self.part.is_identity() {
             let mut nodes = Vec::with_capacity(n);
@@ -335,10 +289,9 @@ impl<P: Process + 'static> ParallelSimulator<P> {
                 .map(|slot| slot.expect("every node returned"))
                 .collect()
         };
-        let mut report = self.report.clone();
+        let mut report = std::mem::take(&mut self.report);
         report.all_halted = self.active == 0;
-        let Self { pool, .. } = self;
-        (nodes, report, pool)
+        (nodes, report)
     }
 
     /// Executes one synchronous round on the worker pool.
@@ -577,39 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_solves_reuse_threads_and_stay_identical() {
-        // One pool, a stream of different-topology instances: results must
-        // match a fresh ParallelSimulator (and thus the sequential
-        // scheduler) on every solve.
-        let mut pool: SimPool<Gossip> = SimPool::new(4);
-        for round_trip in 0..6 {
-            let n = 11 + 3 * round_trip;
-            let make_nodes = || -> Vec<Gossip> {
-                (0..n)
-                    .map(|i| Gossip {
-                        value: (i * 7 + round_trip) as u64,
-                        acc: 0,
-                        hops: 4,
-                    })
-                    .collect()
-            };
-            let mut fresh = ParallelSimulator::new(ring(n), make_nodes(), 4);
-            let fresh_report = fresh.run(100).unwrap();
-
-            let mut pooled = ParallelSimulator::with_pool(ring(n), make_nodes(), pool);
-            let pooled_report = pooled.run(100).unwrap();
-            assert_eq!(pooled_report, fresh_report, "solve {round_trip}");
-            let (pooled_nodes, _, recovered) = pooled.into_pool();
-            let (fresh_nodes, _) = fresh.into_parts();
-            for (a, b) in pooled_nodes.iter().zip(&fresh_nodes) {
-                assert_eq!(a.acc, b.acc);
-            }
-            pool = recovered;
-            assert_eq!(pool.workers(), 4);
-        }
-    }
-
-    #[test]
     fn budget_enforced_in_parallel() {
         struct Big;
         impl Process for Big {
@@ -667,11 +587,10 @@ mod tests {
             }
         );
         // The interrupt lands between dispatches, so the chunks are home
-        // and the pool (with its arenas) is still recoverable.
-        let (nodes, report, pool) = sim.into_pool();
+        // and every node program is still recoverable.
+        let (nodes, report) = sim.into_parts();
         assert_eq!(nodes.len(), 3);
         assert!(!report.all_halted);
-        assert_eq!(pool.workers(), 2);
     }
 
     #[test]
@@ -692,7 +611,6 @@ mod tests {
 
     #[test]
     fn big_pool_small_instance_uses_prefix_of_workers() {
-        let pool: SimPool<Gossip> = SimPool::new(8);
         let n = 3;
         let nodes: Vec<Gossip> = (0..n)
             .map(|i| Gossip {
@@ -701,12 +619,11 @@ mod tests {
                 hops: 2,
             })
             .collect();
-        let mut sim = ParallelSimulator::with_pool(ring(n), nodes, pool);
+        let mut sim =
+            ParallelSimulator::with_partition(ring(n), nodes, 8, PartitionPolicy::Contiguous);
         assert_eq!(sim.workers(), 3);
         let report = sim.run(10).unwrap();
         assert!(report.all_halted);
-        let (_, _, pool) = sim.into_pool();
-        assert_eq!(pool.workers(), 8);
     }
 
     #[test]
@@ -891,48 +808,6 @@ mod tests {
             let (nodes, _) = loc.into_parts();
             for (i, node) in nodes.iter().enumerate() {
                 assert_eq!(node.value, (i * 13) as u64 % 101, "id order after scatter");
-            }
-        }
-    }
-
-    /// Arenas recycled through a pool must rebuild cleanly when solves
-    /// alternate partition policies (routing tables, global-id tables and
-    /// node gathering all change shape between policies).
-    #[test]
-    fn pooled_arena_reuse_across_policies_stays_identical() {
-        let g = dcover_hypergraph::generators::path(16);
-        let topo = || Topology::bipartite_incidence(&g);
-        let n = topo().len();
-        let make_nodes = || -> Vec<Gossip> {
-            (0..n)
-                .map(|i| Gossip {
-                    value: (i * 7) as u64,
-                    acc: 0,
-                    hops: 4,
-                })
-                .collect()
-        };
-        let mut pool: SimPool<Gossip> = SimPool::new(3);
-        let mut expected: Option<Vec<u64>> = None;
-        for (i, policy) in [
-            PartitionPolicy::Contiguous,
-            PartitionPolicy::Locality,
-            PartitionPolicy::Contiguous,
-            PartitionPolicy::Locality,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let mut sim =
-                ParallelSimulator::with_pool_partition(topo(), make_nodes(), pool, policy);
-            sim.run(100).unwrap();
-            let (nodes, report, recovered) = sim.into_pool();
-            pool = recovered;
-            assert!(report.all_halted);
-            let accs: Vec<u64> = nodes.iter().map(|g| g.acc).collect();
-            match &expected {
-                Some(e) => assert_eq!(&accs, e, "solve {i} under {policy}"),
-                None => expected = Some(accs),
             }
         }
     }

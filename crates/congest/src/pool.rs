@@ -1,17 +1,15 @@
-//! The persistent worker pool shared by the parallel round scheduler and
-//! the queue-based serving layer.
+//! The persistent worker pool behind the parallel round scheduler and the
+//! queue-based serving layer.
 //!
 //! One [`SimPool`] owns a set of worker threads that all pull from a
 //! **single shared job queue** (a small multi-class scheduler built from
 //! `Mutex` + `Condvar` — std only). Three kinds of work flow through it,
 //! in strict priority order:
 //!
-//! * **Round jobs** — [`ParallelSimulator`](crate::ParallelSimulator)
-//!   pushes one job per engine chunk per round (chunk-level parallelism
-//!   within one instance). Round jobs have **absolute priority** over
-//!   every task class, so an in-flight chunk-parallel solve is never
-//!   starved behind a backlog of task submissions, and they never count
-//!   against the task-queue capacity.
+//! * **Round jobs** — a [`ParallelSimulator`](crate::ParallelSimulator)
+//!   pushes one job per engine chunk per round onto the pool it spawned
+//!   (chunk-level parallelism within one instance). Round jobs are served
+//!   before any task and never count against the task-queue capacity.
 //! * **[`TaskClass::Interactive`] task jobs** — latency-sensitive
 //!   whole-closure work items. They dequeue **before** every queued bulk
 //!   task, FIFO among themselves.
@@ -22,14 +20,14 @@
 //!   ahead of the interactive lane (anti-starvation under sustained
 //!   interactive load).
 //!
-//! Task jobs are submitted through a [`TaskQueue`] handle (plain
-//! [`TaskQueue::submit`] enqueues a bulk task;
-//! [`TaskQueue::submit_with`] picks a [`TaskClass`] and an optional
-//! **deadline** via [`TaskOptions`]). Each submission yields a
-//! [`TaskTicket`] that resolves when some worker finishes the task; the
-//! queue is **bounded** across both classes, so
-//! [`TaskQueue::try_submit`] reports [`TrySubmitError::Full`]
-//! (backpressure) instead of growing without limit.
+//! Task jobs are submitted through a [`TaskQueue`] handle, each under
+//! [`TaskOptions`] that pick its [`TaskClass`], an optional **deadline**
+//! and an optional cancel token. Each submission yields a [`TaskTicket`]
+//! that resolves when some worker finishes the task; the queue is
+//! **bounded** across both classes, so the blocking [`TaskQueue::submit`]
+//! waits for a free slot while [`TaskQueue::try_submit`] reports
+//! [`TrySubmitError::Full`] (backpressure) instead of growing without
+//! limit.
 //!
 //! # Deadlines and cancellation
 //!
@@ -53,8 +51,8 @@
 //! ([`LatencyHistogram`](crate::LatencyHistogram)), the queue-depth
 //! high-water mark, and total
 //! worker busy time across task jobs. Recording is a handful of atomic
-//! adds — **zero allocation on the hot path**. Pass your own handle with
-//! [`SimPool::with_metrics`] to aggregate across pool rebuilds (round
+//! adds — **zero allocation on the hot path**. Pass one long-lived handle
+//! to [`SimPool::with_policy`] to aggregate across pool rebuilds (round
 //! jobs are deliberately not clocked so the round hot path stays free of
 //! timer calls). Per-ticket timings are additionally available from
 //! [`TaskTicket::wait_timed`] as a [`TaskTiming`].
@@ -160,7 +158,7 @@ impl std::fmt::Display for TaskClass {
 }
 
 /// Scheduling options for one task submission
-/// ([`TaskQueue::submit_with`] / [`TaskQueue::try_submit_with`]).
+/// ([`TaskQueue::submit`] / [`TaskQueue::try_submit`]).
 #[derive(Clone, Debug, Default)]
 pub struct TaskOptions {
     /// The scheduling class ([`TaskClass::Bulk`] by default).
@@ -185,8 +183,8 @@ impl TaskOptions {
         }
     }
 
-    /// Options for a bulk-class submission without a deadline (what the
-    /// plain [`TaskQueue::submit`] uses).
+    /// Options for a bulk-class submission without a deadline (the
+    /// default).
     #[must_use]
     pub fn bulk() -> Self {
         TaskOptions::default()
@@ -582,10 +580,8 @@ impl<P: Process> Shared<P> {
     }
 
     /// Returns an arena to the free list. At the bound, the *smallest*
-    /// arena is evicted rather than the incoming one: when task traffic
-    /// refills the list while a chunk-parallel solve is out with the big
-    /// warmed arenas, those arenas must not be dropped on return — their
-    /// grown capacity is exactly what the next solve wants to reuse.
+    /// arena is evicted rather than the incoming one, so the list keeps
+    /// the grown capacity the next solve wants to reuse.
     fn put_arena(&self, arena: EngineArena<P>) {
         let mut arenas = self.arenas_locked();
         if arenas.len() < self.max_arenas {
@@ -856,31 +852,16 @@ impl<P: Process> std::fmt::Debug for TaskQueue<P> {
 }
 
 impl<P: Process + 'static> TaskQueue<P> {
-    /// Submits a bulk-class task without a deadline, **blocking while the
-    /// queue is at capacity**, and returns the ticket to redeem for its
-    /// result. The closure receives a recycled [`EngineArena`] (see the
-    /// module docs).
+    /// Submits a task under `opts` (class, optional deadline and cancel
+    /// token), **blocking while the queue is at capacity**, and returns
+    /// the ticket to redeem for its result. The closure receives a
+    /// recycled [`EngineArena`] (see the module docs).
     ///
     /// # Errors
     ///
     /// Returns [`QueueClosed`] (dropping the closure unrun) if the pool
     /// has shut down.
-    pub fn submit<T, F>(&self, f: F) -> Result<TaskTicket<T>, QueueClosed>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut EngineArena<P>) -> T + Send + 'static,
-    {
-        self.submit_with(TaskOptions::default(), f)
-    }
-
-    /// Submits a task under explicit [`TaskOptions`] (class and optional
-    /// deadline), blocking while the queue is at capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueClosed`] (dropping the closure unrun) if the pool
-    /// has shut down.
-    pub fn submit_with<T, F>(&self, opts: TaskOptions, f: F) -> Result<TaskTicket<T>, QueueClosed>
+    pub fn submit<T, F>(&self, opts: TaskOptions, f: F) -> Result<TaskTicket<T>, QueueClosed>
     where
         T: Send + 'static,
         F: FnOnce(&mut EngineArena<P>) -> T + Send + 'static,
@@ -892,7 +873,7 @@ impl<P: Process + 'static> TaskQueue<P> {
         }
     }
 
-    /// Non-blocking bulk-class submission: enqueues the task only if a
+    /// Non-blocking submission under `opts`: enqueues the task only if a
     /// capacity slot is free **right now**.
     ///
     /// # Errors
@@ -900,24 +881,7 @@ impl<P: Process + 'static> TaskQueue<P> {
     /// Returns [`TrySubmitError::Full`] (backpressure) when the queue is
     /// at capacity, or [`TrySubmitError::Closed`] when the pool has shut
     /// down; the closure is dropped unrun in both cases.
-    pub fn try_submit<T, F>(&self, f: F) -> Result<TaskTicket<T>, TrySubmitError>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut EngineArena<P>) -> T + Send + 'static,
-    {
-        self.try_submit_with(TaskOptions::default(), f)
-    }
-
-    /// Non-blocking submission under explicit [`TaskOptions`].
-    ///
-    /// # Errors
-    ///
-    /// As [`try_submit`](Self::try_submit).
-    pub fn try_submit_with<T, F>(
-        &self,
-        opts: TaskOptions,
-        f: F,
-    ) -> Result<TaskTicket<T>, TrySubmitError>
+    pub fn try_submit<T, F>(&self, opts: TaskOptions, f: F) -> Result<TaskTicket<T>, TrySubmitError>
     where
         T: Send + 'static,
         F: FnOnce(&mut EngineArena<P>) -> T + Send + 'static,
@@ -991,27 +955,19 @@ where
 /// across solves.
 ///
 /// Threads spawn once, at construction, and block on the queue between
-/// jobs. The pool serves two modes, freely interleaved:
-///
-/// * **Single instance, chunk-parallel** — hand the pool to
-///   [`ParallelSimulator::with_pool`](crate::ParallelSimulator::with_pool);
-///   the simulator recycles pooled arenas as its engine chunks, pushes
-///   one (priority) round job per chunk per round, and returns everything
-///   (capacity intact) via
-///   [`into_pool`](crate::ParallelSimulator::into_pool).
-/// * **Many instances, task-parallel** — submit closures through
-///   [`queue`](SimPool::queue) / [`submit`](SimPool::submit) as they
-///   arrive; whichever worker frees up first takes the oldest waiting
-///   task of the highest-priority class. A task that runs a whole
-///   sequential solve (see
-///   [`Simulator::with_arena`](crate::Simulator::with_arena)) reuses
-///   mailbox-slot, dirty-list, worklist and staging capacity from the
-///   arena it checks out.
+/// jobs. Submit closures through a [`queue`](SimPool::queue) handle as
+/// they arrive; whichever worker frees up first takes the oldest waiting
+/// task of the highest-priority class. A task that runs a whole
+/// sequential solve (see
+/// [`Simulator::with_arena`](crate::Simulator::with_arena)) reuses
+/// mailbox-slot, dirty-list, worklist and staging capacity from the arena
+/// it checks out. A [`ParallelSimulator`](crate::ParallelSimulator)
+/// spawns a pool of its own for its round jobs.
 ///
 /// # Examples
 ///
 /// ```
-/// use dcover_congest::{EngineArena, SimPool};
+/// use dcover_congest::{EngineArena, SimPool, TaskOptions};
 /// use dcover_congest::{Ctx, Process, Status};
 ///
 /// struct Nop;
@@ -1023,8 +979,13 @@ where
 /// }
 ///
 /// let pool: SimPool<Nop> = SimPool::new(4);
+/// let queue = pool.queue();
 /// let tickets: Vec<_> = (0..16u64)
-///     .map(|i| pool.submit(move |_arena: &mut EngineArena<Nop>| i * i).unwrap())
+///     .map(|i| {
+///         queue
+///             .submit(TaskOptions::default(), move |_arena: &mut EngineArena<Nop>| i * i)
+///             .unwrap()
+///     })
 ///     .collect();
 /// let squares: Vec<u64> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
 /// assert_eq!(squares[7], 49);
@@ -1047,14 +1008,20 @@ impl<P: Process> std::fmt::Debug for SimPool<P> {
 
 impl<P: Process + 'static> SimPool<P> {
     /// Spawns a pool of `threads` persistent workers with the default
-    /// task-queue capacity of `4 × threads` waiting tasks.
+    /// task-queue capacity of `4 × threads` waiting tasks, a fresh
+    /// [`SchedMetrics`] sink and the default [`QueuePolicy`].
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0`.
     #[must_use]
     pub fn new(threads: usize) -> Self {
-        Self::with_queue_capacity(threads, 4 * threads.max(1))
+        Self::with_policy(
+            threads,
+            4 * threads.max(1),
+            Arc::new(SchedMetrics::new()),
+            QueuePolicy::default(),
+        )
     }
 
     /// Spawns a pool of `threads` persistent workers whose shared task
@@ -1062,30 +1029,10 @@ impl<P: Process + 'static> SimPool<P> {
     /// has picked up no longer count; the bound is shared across both
     /// task classes). A full queue makes
     /// [`try_submit`](TaskQueue::try_submit) report backpressure and the
-    /// blocking [`submit`](TaskQueue::submit) wait.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or `capacity == 0`.
-    #[must_use]
-    pub fn with_queue_capacity(threads: usize, capacity: usize) -> Self {
-        Self::with_metrics(threads, capacity, Arc::new(SchedMetrics::new()))
-    }
-
-    /// Like [`with_queue_capacity`](Self::with_queue_capacity), recording
-    /// into a caller-supplied [`SchedMetrics`] — use one long-lived
-    /// handle to aggregate scheduling metrics across pool rebuilds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or `capacity == 0`.
-    #[must_use]
-    pub fn with_metrics(threads: usize, capacity: usize, metrics: Arc<SchedMetrics>) -> Self {
-        Self::with_policy(threads, capacity, metrics, QueuePolicy::default())
-    }
-
-    /// Like [`with_metrics`](Self::with_metrics), with explicit
-    /// scheduling-policy knobs ([`QueuePolicy`]) — notably bulk aging.
+    /// blocking [`submit`](TaskQueue::submit) wait. The pool records into
+    /// `metrics` — hand every rebuild one long-lived handle to aggregate
+    /// scheduling metrics across pools — under the scheduling-policy
+    /// knobs of `policy`, notably bulk aging.
     ///
     /// # Panics
     ///
@@ -1169,114 +1116,6 @@ impl<P: Process + 'static> SimPool<P> {
         TaskQueue {
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// Submits one bulk-class task (blocking while the queue is full);
-    /// shorthand for [`queue()`](Self::queue)`.submit(f)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueClosed`] if the pool has shut down (impossible
-    /// while you hold the pool itself).
-    pub fn submit<T, F>(&self, f: F) -> Result<TaskTicket<T>, QueueClosed>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut EngineArena<P>) -> T + Send + 'static,
-    {
-        self.queue().submit(f)
-    }
-
-    /// Submits one task under explicit [`TaskOptions`]; shorthand for
-    /// [`queue()`](Self::queue)`.submit_with(opts, f)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueClosed`] if the pool has shut down.
-    pub fn submit_with<T, F>(&self, opts: TaskOptions, f: F) -> Result<TaskTicket<T>, QueueClosed>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut EngineArena<P>) -> T + Send + 'static,
-    {
-        self.queue().submit_with(opts, f)
-    }
-
-    /// Non-blocking bulk-class submission; shorthand for
-    /// [`queue()`](Self::queue)`.try_submit(f)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrySubmitError::Full`] under backpressure.
-    pub fn try_submit<T, F>(&self, f: F) -> Result<TaskTicket<T>, TrySubmitError>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut EngineArena<P>) -> T + Send + 'static,
-    {
-        self.queue().try_submit(f)
-    }
-
-    /// Non-blocking submission under explicit [`TaskOptions`]; shorthand
-    /// for [`queue()`](Self::queue)`.try_submit_with(opts, f)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrySubmitError::Full`] under backpressure.
-    pub fn try_submit_with<T, F>(
-        &self,
-        opts: TaskOptions,
-        f: F,
-    ) -> Result<TaskTicket<T>, TrySubmitError>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut EngineArena<P>) -> T + Send + 'static,
-    {
-        self.queue().try_submit_with(opts, f)
-    }
-
-    /// Runs every task on the pool and returns the results in task order:
-    /// submits them all through the shared queue, then waits on the
-    /// tickets. Workers pull tasks dynamically, so a mixed batch (cheap
-    /// and expensive tasks) load-balances itself.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first task panic (in task order) on the calling
-    /// thread, after every task has run (the pool stays usable
-    /// afterwards).
-    pub fn run_tasks<T, F>(&mut self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut EngineArena<P>) -> T + Send + 'static,
-    {
-        let queue = self.queue();
-        // invariant: `&mut self` proves the pool is alive — `submit` only
-        // fails after the destructor sets `stop`, which cannot run while
-        // this borrow exists.
-        let tickets: Vec<TaskTicket<T>> = tasks
-            .into_iter()
-            .map(|f| queue.submit(f).expect("own pool is open"))
-            .collect();
-        let mut results = Vec::with_capacity(tickets.len());
-        let mut panic_payload: Option<PanicPayload> = None;
-        for ticket in tickets {
-            match ticket.wait() {
-                Ok(value) => results.push(value),
-                Err(TaskError::Panicked(payload)) => {
-                    if panic_payload.is_none() {
-                        panic_payload = Some(payload);
-                    }
-                }
-                Err(TaskError::Expired { .. }) | Err(TaskError::Cancelled { .. }) => {
-                    // invariant: `run_tasks` submits with
-                    // `TaskOptions::default()` — no deadline and no
-                    // cancel token — so neither resolution can occur.
-                    unreachable!("run_tasks submits without deadlines or cancel tokens")
-                }
-            }
-        }
-        if let Some(payload) = panic_payload {
-            std::panic::resume_unwind(payload);
-        }
-        results
     }
 
     /// Checks an arena out of the pool's free list (or builds a fresh
@@ -1405,9 +1244,34 @@ mod tests {
         }
     }
 
+    /// A default-policy pool with an explicit task-queue capacity.
+    fn bounded(threads: usize, capacity: usize) -> SimPool<Echo> {
+        SimPool::with_policy(
+            threads,
+            capacity,
+            Arc::new(SchedMetrics::new()),
+            QueuePolicy::default(),
+        )
+    }
+
+    /// Submits every task through the shared queue and returns the
+    /// results in task order.
+    fn run_all<T, F>(pool: &SimPool<Echo>, tasks: Vec<F>) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: FnOnce(&mut EngineArena<Echo>) -> T + Send + 'static,
+    {
+        let queue = pool.queue();
+        let tickets: Vec<TaskTicket<T>> = tasks
+            .into_iter()
+            .map(|f| queue.submit(TaskOptions::default(), f).unwrap())
+            .collect();
+        tickets.into_iter().map(|t| t.wait().unwrap()).collect()
+    }
+
     #[test]
     fn tasks_return_in_task_order_and_load_balance() {
-        let mut pool: SimPool<Echo> = SimPool::new(3);
+        let pool: SimPool<Echo> = SimPool::new(3);
         let tasks: Vec<_> = (0..20u64)
             .map(|i| {
                 move |_arena: &mut EngineArena<Echo>| {
@@ -1421,13 +1285,13 @@ mod tests {
                 }
             })
             .collect();
-        let out = pool.run_tasks(tasks);
+        let out = run_all(&pool, tasks);
         assert_eq!(out, (0..20u64).map(|i| i * 10).collect::<Vec<_>>());
     }
 
     #[test]
     fn arenas_are_reused_across_tasks_for_whole_solves() {
-        let mut pool: SimPool<Echo> = SimPool::new(2);
+        let pool: SimPool<Echo> = SimPool::new(2);
         let tasks: Vec<_> = (0..8)
             .map(|t| {
                 move |arena: &mut EngineArena<Echo>| {
@@ -1444,7 +1308,7 @@ mod tests {
                 }
             })
             .collect();
-        let out = pool.run_tasks(tasks);
+        let out = run_all(&pool, tasks);
         for (t, (rounds, heard)) in out.into_iter().enumerate() {
             assert_eq!(rounds, 2, "task {t}");
             let n = 4 + t % 3;
@@ -1455,54 +1319,74 @@ mod tests {
 
     #[test]
     fn empty_task_list_is_fine() {
-        let mut pool: SimPool<Echo> = SimPool::new(2);
-        let out: Vec<u32> = pool.run_tasks(Vec::<fn(&mut EngineArena<Echo>) -> u32>::new());
+        let pool: SimPool<Echo> = SimPool::new(2);
+        let out: Vec<u32> = run_all(&pool, Vec::<fn(&mut EngineArena<Echo>) -> u32>::new());
         assert!(out.is_empty());
     }
 
     #[test]
     fn more_workers_than_tasks() {
-        let mut pool: SimPool<Echo> = SimPool::new(8);
+        let pool: SimPool<Echo> = SimPool::new(8);
         let tasks: Vec<_> = (0..3u32)
             .map(|i| move |_a: &mut EngineArena<Echo>| i)
             .collect();
-        assert_eq!(pool.run_tasks(tasks), vec![0, 1, 2]);
+        assert_eq!(run_all(&pool, tasks), vec![0, 1, 2]);
     }
 
     #[test]
     fn task_panic_propagates_and_pool_survives() {
-        let mut pool: SimPool<Echo> = SimPool::new(2);
-        let tasks: Vec<_> = (0..6u32)
+        let pool: SimPool<Echo> = SimPool::new(2);
+        let queue = pool.queue();
+        let tickets: Vec<_> = (0..6u32)
             .map(|i| {
-                move |_a: &mut EngineArena<Echo>| {
-                    assert!(i != 3, "task 3 exploded");
-                    i
-                }
+                queue
+                    .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                        assert!(i != 3, "task 3 exploded");
+                        i
+                    })
+                    .unwrap()
             })
             .collect();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.run_tasks(tasks)))
-            .expect_err("task panic must surface");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
-            .unwrap_or_default();
-        assert!(msg.contains("task 3 exploded"), "got: {msg}");
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let outcome = ticket.wait();
+            if i != 3 {
+                assert_eq!(outcome.unwrap(), i as u32);
+                continue;
+            }
+            let err = outcome
+                .expect_err("task panic must surface")
+                .into_panic_payload()
+                .expect("panic, not expiry");
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .unwrap_or_default();
+            assert!(msg.contains("task 3 exploded"), "got: {msg}");
+        }
         // The pool remains usable: the lost arena is rebuilt lazily.
         let tasks: Vec<_> = (0..4u32)
             .map(|i| move |_a: &mut EngineArena<Echo>| i + 100)
             .collect();
-        assert_eq!(pool.run_tasks(tasks), vec![100, 101, 102, 103]);
+        assert_eq!(run_all(&pool, tasks), vec![100, 101, 102, 103]);
     }
 
     #[test]
     fn panic_fails_only_its_own_ticket() {
         let pool: SimPool<Echo> = SimPool::new(2);
         let boom = pool
-            .submit(|_a: &mut EngineArena<Echo>| -> u32 { panic!("isolated boom") })
+            .queue()
+            .submit(
+                TaskOptions::default(),
+                |_a: &mut EngineArena<Echo>| -> u32 { panic!("isolated boom") },
+            )
             .unwrap();
         let fine: Vec<_> = (0..4u32)
-            .map(|i| pool.submit(move |_a: &mut EngineArena<Echo>| i).unwrap())
+            .map(|i| {
+                pool.queue()
+                    .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| i)
+                    .unwrap()
+            })
             .collect();
         let payload = boom
             .wait()
@@ -1520,23 +1404,31 @@ mod tests {
         // One worker, capacity 2. Gate the worker, fill the queue: the
         // third try_submit must fail *immediately* with Full.
         let gate = Gate::new();
-        let pool: SimPool<Echo> = SimPool::with_queue_capacity(1, 2);
+        let pool: SimPool<Echo> = bounded(1, 2);
         let busy = {
             let gate = Arc::clone(&gate);
-            pool.submit(move |_a: &mut EngineArena<Echo>| {
-                gate.arrive_and_wait();
-                0u32
-            })
-            .unwrap()
+            pool.queue()
+                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                    gate.arrive_and_wait();
+                    0u32
+                })
+                .unwrap()
         };
         // Wait (condvar, no spinning) until the worker has *dequeued* the
         // gate task, so exactly two capacity slots are open.
         gate.await_arrivals(1);
-        let q1 = pool.try_submit(|_a: &mut EngineArena<Echo>| 1u32).unwrap();
-        let q2 = pool.try_submit(|_a: &mut EngineArena<Echo>| 2u32).unwrap();
+        let q1 = pool
+            .queue()
+            .try_submit(TaskOptions::default(), |_a: &mut EngineArena<Echo>| 1u32)
+            .unwrap();
+        let q2 = pool
+            .queue()
+            .try_submit(TaskOptions::default(), |_a: &mut EngineArena<Echo>| 2u32)
+            .unwrap();
         let start = std::time::Instant::now();
         let err = pool
-            .try_submit(|_a: &mut EngineArena<Echo>| 3u32)
+            .queue()
+            .try_submit(TaskOptions::default(), |_a: &mut EngineArena<Echo>| 3u32)
             .expect_err("queue is full");
         assert_eq!(err, TrySubmitError::Full);
         assert!(
@@ -1561,11 +1453,14 @@ mod tests {
         // tasks. Completion order must be: gate task, every interactive
         // task (submission order), every bulk task (submission order).
         let gate = Gate::new();
-        let pool: SimPool<Echo> = SimPool::with_queue_capacity(1, 8);
+        let pool: SimPool<Echo> = bounded(1, 8);
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
         let busy = {
             let gate = Arc::clone(&gate);
-            pool.submit(move |_a: &mut EngineArena<Echo>| gate.arrive_and_wait())
+            pool.queue()
+                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                    gate.arrive_and_wait()
+                })
                 .unwrap()
         };
         gate.await_arrivals(1);
@@ -1573,22 +1468,24 @@ mod tests {
         for name in ["b1", "b2"] {
             let order = Arc::clone(&order);
             tickets.push(
-                pool.submit_with(TaskOptions::bulk(), move |_a: &mut EngineArena<Echo>| {
-                    order.lock().unwrap().push(name);
-                })
-                .unwrap(),
+                pool.queue()
+                    .submit(TaskOptions::bulk(), move |_a: &mut EngineArena<Echo>| {
+                        order.lock().unwrap().push(name);
+                    })
+                    .unwrap(),
             );
         }
         for name in ["i1", "i2"] {
             let order = Arc::clone(&order);
             tickets.push(
-                pool.submit_with(
-                    TaskOptions::interactive(),
-                    move |_a: &mut EngineArena<Echo>| {
-                        order.lock().unwrap().push(name);
-                    },
-                )
-                .unwrap(),
+                pool.queue()
+                    .submit(
+                        TaskOptions::interactive(),
+                        move |_a: &mut EngineArena<Echo>| {
+                            order.lock().unwrap().push(name);
+                        },
+                    )
+                    .unwrap(),
             );
         }
         gate.release();
@@ -1605,21 +1502,26 @@ mod tests {
         // while it waits: it must resolve as Expired without running, and
         // a queued task without a deadline must still run.
         let gate = Gate::new();
-        let pool: SimPool<Echo> = SimPool::with_queue_capacity(1, 4);
+        let pool: SimPool<Echo> = bounded(1, 4);
         let busy = {
             let gate = Arc::clone(&gate);
-            pool.submit(move |_a: &mut EngineArena<Echo>| gate.arrive_and_wait())
+            pool.queue()
+                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                    gate.arrive_and_wait()
+                })
                 .unwrap()
         };
         gate.await_arrivals(1);
         let doomed = pool
-            .submit_with(
+            .queue()
+            .submit(
                 TaskOptions::interactive().deadline_in(Duration::ZERO),
                 |_a: &mut EngineArena<Echo>| panic!("expired task must not run"),
             )
             .unwrap();
         let alive = pool
-            .submit_with(TaskOptions::bulk(), |_a: &mut EngineArena<Echo>| 7u32)
+            .queue()
+            .submit(TaskOptions::bulk(), |_a: &mut EngineArena<Echo>| 7u32)
             .unwrap();
         gate.release();
         busy.wait().unwrap();
@@ -1640,7 +1542,8 @@ mod tests {
     fn a_deadline_in_the_future_does_not_expire() {
         let pool: SimPool<Echo> = SimPool::new(1);
         let t = pool
-            .submit_with(
+            .queue()
+            .submit(
                 TaskOptions::interactive().deadline_in(Duration::from_secs(3600)),
                 |_a: &mut EngineArena<Echo>| 11u32,
             )
@@ -1657,20 +1560,25 @@ mod tests {
     #[test]
     fn drop_drains_queued_tasks_and_resolves_all_tickets() {
         let gate = Gate::new();
-        let pool: SimPool<Echo> = SimPool::with_queue_capacity(1, 8);
+        let pool: SimPool<Echo> = bounded(1, 8);
         let mut tickets = Vec::new();
         {
             let gate = Arc::clone(&gate);
             tickets.push(
-                pool.submit(move |_a: &mut EngineArena<Echo>| {
-                    gate.arrive_and_wait();
-                    0u32
-                })
-                .unwrap(),
+                pool.queue()
+                    .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                        gate.arrive_and_wait();
+                        0u32
+                    })
+                    .unwrap(),
             );
         }
         for i in 1..5u32 {
-            tickets.push(pool.submit(move |_a: &mut EngineArena<Echo>| i).unwrap());
+            tickets.push(
+                pool.queue()
+                    .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| i)
+                    .unwrap(),
+            );
         }
         let queue = pool.queue();
         // Wait (condvar, no sleep) until the worker is parked inside the
@@ -1693,33 +1601,41 @@ mod tests {
         // And the queue handle now refuses work.
         assert_eq!(
             queue
-                .try_submit(|_a: &mut EngineArena<Echo>| 9u32)
+                .try_submit(TaskOptions::default(), |_a: &mut EngineArena<Echo>| 9u32)
                 .expect_err("closed"),
             TrySubmitError::Closed
         );
-        assert!(queue.submit(|_a: &mut EngineArena<Echo>| 9u32).is_err());
+        assert!(queue
+            .submit(TaskOptions::default(), |_a: &mut EngineArena<Echo>| 9u32)
+            .is_err());
     }
 
     #[test]
     fn drop_drains_both_classes_and_expires_stale_deadlines() {
         let gate = Gate::new();
-        let pool: SimPool<Echo> = SimPool::with_queue_capacity(1, 8);
+        let pool: SimPool<Echo> = bounded(1, 8);
         let busy = {
             let gate = Arc::clone(&gate);
-            pool.submit(move |_a: &mut EngineArena<Echo>| gate.arrive_and_wait())
+            pool.queue()
+                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                    gate.arrive_and_wait()
+                })
                 .unwrap()
         };
         gate.await_arrivals(1);
         let bulk = pool
-            .submit_with(TaskOptions::bulk(), |_a: &mut EngineArena<Echo>| 1u32)
+            .queue()
+            .submit(TaskOptions::bulk(), |_a: &mut EngineArena<Echo>| 1u32)
             .unwrap();
         let interactive = pool
-            .submit_with(TaskOptions::interactive(), |_a: &mut EngineArena<Echo>| {
+            .queue()
+            .submit(TaskOptions::interactive(), |_a: &mut EngineArena<Echo>| {
                 2u32
             })
             .unwrap();
         let doomed = pool
-            .submit_with(
+            .queue()
+            .submit(
                 TaskOptions::bulk().deadline_in(Duration::ZERO),
                 |_a: &mut EngineArena<Echo>| 3u32,
             )
@@ -1747,8 +1663,7 @@ mod tests {
     fn put_arena_keeps_the_biggest_arenas_at_the_bound() {
         // Free list at its bound (1 worker => 1 slot, filled at spawn):
         // returning a *bigger* arena must evict the small one, not be
-        // dropped (the chunk-parallel solve path returns warmed arenas
-        // while task traffic may have refilled the list).
+        // dropped.
         let pool: SimPool<Echo> = SimPool::new(1);
         let mut big = EngineArena::<Echo>::new();
         big.chunk.cur.reserve(4096);
@@ -1773,13 +1688,17 @@ mod tests {
         // First task blocks on the gate; the second finishes immediately.
         let slow = {
             let gate = Arc::clone(&gate);
-            pool.submit(move |_a: &mut EngineArena<Echo>| {
-                gate.arrive_and_wait();
-                "slow"
-            })
-            .unwrap()
+            pool.queue()
+                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                    gate.arrive_and_wait();
+                    "slow"
+                })
+                .unwrap()
         };
-        let fast = pool.submit(|_a: &mut EngineArena<Echo>| "fast").unwrap();
+        let fast = pool
+            .queue()
+            .submit(TaskOptions::default(), |_a: &mut EngineArena<Echo>| "fast")
+            .unwrap();
         let fast = fast.wait().unwrap();
         assert_eq!(fast, "fast");
         assert!(!slow.is_done(), "slow task still gated");
@@ -1793,22 +1712,27 @@ mod tests {
         // it waits: it must resolve as Cancelled without running, and a
         // later task must still run.
         let gate = Gate::new();
-        let pool: SimPool<Echo> = SimPool::with_queue_capacity(1, 4);
+        let pool: SimPool<Echo> = bounded(1, 4);
         let busy = {
             let gate = Arc::clone(&gate);
-            pool.submit(move |_a: &mut EngineArena<Echo>| gate.arrive_and_wait())
+            pool.queue()
+                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                    gate.arrive_and_wait()
+                })
                 .unwrap()
         };
         gate.await_arrivals(1);
         let token = CancelToken::new();
         let doomed = pool
-            .submit_with(
+            .queue()
+            .submit(
                 TaskOptions::interactive().with_cancel(token.clone()),
                 |_a: &mut EngineArena<Echo>| panic!("cancelled task must not run"),
             )
             .unwrap();
         let alive = pool
-            .submit_with(TaskOptions::bulk(), |_a: &mut EngineArena<Echo>| 7u32)
+            .queue()
+            .submit(TaskOptions::bulk(), |_a: &mut EngineArena<Echo>| 7u32)
             .unwrap();
         token.cancel();
         gate.release();
@@ -1829,17 +1753,21 @@ mod tests {
     #[test]
     fn cancel_beats_deadline_when_both_hold() {
         let gate = Gate::new();
-        let pool: SimPool<Echo> = SimPool::with_queue_capacity(1, 4);
+        let pool: SimPool<Echo> = bounded(1, 4);
         let busy = {
             let gate = Arc::clone(&gate);
-            pool.submit(move |_a: &mut EngineArena<Echo>| gate.arrive_and_wait())
+            pool.queue()
+                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                    gate.arrive_and_wait()
+                })
                 .unwrap()
         };
         gate.await_arrivals(1);
         let token = CancelToken::new();
         token.cancel();
         let doomed = pool
-            .submit_with(
+            .queue()
+            .submit(
                 TaskOptions::bulk()
                     .deadline_in(Duration::ZERO)
                     .with_cancel(token),
@@ -1864,14 +1792,15 @@ mod tests {
         let token = CancelToken::new();
         let running = {
             let gate = Arc::clone(&gate);
-            pool.submit_with(
-                TaskOptions::bulk().with_cancel(token.clone()),
-                move |_a: &mut EngineArena<Echo>| {
-                    gate.arrive_and_wait();
-                    42u32
-                },
-            )
-            .unwrap()
+            pool.queue()
+                .submit(
+                    TaskOptions::bulk().with_cancel(token.clone()),
+                    move |_a: &mut EngineArena<Echo>| {
+                        gate.arrive_and_wait();
+                        42u32
+                    },
+                )
+                .unwrap()
         };
         gate.await_arrivals(1);
         token.cancel();
@@ -1889,7 +1818,8 @@ mod tests {
         let pool: SimPool<Echo> = SimPool::new(1);
         for _ in 0..32 {
             let t = pool
-                .submit_with(
+                .queue()
+                .submit(
                     TaskOptions::bulk().deadline_in(Duration::ZERO),
                     |_a: &mut EngineArena<Echo>| 1u32,
                 )
@@ -1913,7 +1843,10 @@ mod tests {
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
         let busy = {
             let gate = Arc::clone(&gate);
-            pool.submit(move |_a: &mut EngineArena<Echo>| gate.arrive_and_wait())
+            pool.queue()
+                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                    gate.arrive_and_wait()
+                })
                 .unwrap()
         };
         gate.await_arrivals(1);
@@ -1925,10 +1858,11 @@ mod tests {
         ] {
             let order = Arc::clone(&order);
             tickets.push(
-                pool.submit_with(opts, move |_a: &mut EngineArena<Echo>| {
-                    order.lock().unwrap().push(name);
-                })
-                .unwrap(),
+                pool.queue()
+                    .submit(opts, move |_a: &mut EngineArena<Echo>| {
+                        order.lock().unwrap().push(name);
+                    })
+                    .unwrap(),
             );
         }
         gate.release();
@@ -1951,7 +1885,10 @@ mod tests {
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
         let busy = {
             let gate = Arc::clone(&gate);
-            pool.submit(move |_a: &mut EngineArena<Echo>| gate.arrive_and_wait())
+            pool.queue()
+                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                    gate.arrive_and_wait()
+                })
                 .unwrap()
         };
         gate.await_arrivals(1);
@@ -1962,10 +1899,11 @@ mod tests {
         ] {
             let order = Arc::clone(&order);
             tickets.push(
-                pool.submit_with(opts, move |_a: &mut EngineArena<Echo>| {
-                    order.lock().unwrap().push(name);
-                })
-                .unwrap(),
+                pool.queue()
+                    .submit(opts, move |_a: &mut EngineArena<Echo>| {
+                        order.lock().unwrap().push(name);
+                    })
+                    .unwrap(),
             );
         }
         gate.release();

@@ -26,8 +26,8 @@ use std::time::Duration;
 use dcover_conccheck::{explore, Config};
 use dcover_congest::sync::thread;
 use dcover_congest::{
-    CancelToken, Ctx, EngineArena, Process, SchedMetrics, SimPool, Status, TaskClass, TaskError,
-    TaskOptions, TaskTicket, TrySubmitError,
+    CancelToken, Ctx, EngineArena, Process, QueuePolicy, SchedMetrics, SimPool, Status, TaskClass,
+    TaskError, TaskOptions, TaskTicket, TrySubmitError,
 };
 
 /// Minimal process type to instantiate the pool; the scenarios drive task
@@ -98,10 +98,12 @@ fn assert_identity(metrics: &SchedMetrics, class: TaskClass) {
 fn submit_cancel_race_resolves_exactly_once() {
     let total = explore_at_least(FLOOR, 0xC0FFEE, || {
         let metrics = Arc::new(SchedMetrics::new());
-        let pool: SimPool<Nop> = SimPool::with_metrics(1, 4, Arc::clone(&metrics));
+        let pool: SimPool<Nop> =
+            SimPool::with_policy(1, 4, Arc::clone(&metrics), QueuePolicy::default());
         let token = CancelToken::new();
         let ticket = pool
-            .submit_with(
+            .queue()
+            .submit(
                 TaskOptions::bulk().with_cancel(token.clone()),
                 |_a: &mut EngineArena<Nop>| 7u32,
             )
@@ -130,15 +132,18 @@ fn submit_cancel_race_resolves_exactly_once() {
 fn zero_deadline_expiry_races_dequeue() {
     let total = explore_at_least(FLOOR, 0xDEAD11E, || {
         let metrics = Arc::new(SchedMetrics::new());
-        let pool: SimPool<Nop> = SimPool::with_metrics(1, 4, Arc::clone(&metrics));
+        let pool: SimPool<Nop> =
+            SimPool::with_policy(1, 4, Arc::clone(&metrics), QueuePolicy::default());
         let doomed = pool
-            .submit_with(
+            .queue()
+            .submit(
                 TaskOptions::interactive().deadline_in(Duration::ZERO),
                 |_a: &mut EngineArena<Nop>| 1u32,
             )
             .unwrap();
         let live = pool
-            .submit_with(
+            .queue()
+            .submit(
                 TaskOptions::bulk().deadline_in(Duration::from_secs(86_400)),
                 |_a: &mut EngineArena<Nop>| 2u32,
             )
@@ -164,18 +169,25 @@ fn zero_deadline_expiry_races_dequeue() {
 fn shutdown_drain_races_in_flight_cancel() {
     let total = explore_at_least(FLOOR, 0x51DE0, || {
         let metrics = Arc::new(SchedMetrics::new());
-        let pool: SimPool<Nop> = SimPool::with_metrics(1, 4, Arc::clone(&metrics));
+        let pool: SimPool<Nop> =
+            SimPool::with_policy(1, 4, Arc::clone(&metrics), QueuePolicy::default());
         let queue = pool.queue();
         let token = CancelToken::new();
         let victim = pool
-            .submit_with(
+            .queue()
+            .submit(
                 TaskOptions::bulk().with_cancel(token.clone()),
                 |_a: &mut EngineArena<Nop>| 1u32,
             )
             .unwrap();
-        let bystander = pool.submit(|_a: &mut EngineArena<Nop>| 2u32).unwrap();
+        let bystander = pool
+            .queue()
+            .submit(TaskOptions::default(), |_a: &mut EngineArena<Nop>| 2u32)
+            .unwrap();
         let canceller = thread::spawn(move || token.cancel());
-        let late = thread::spawn(move || queue.try_submit(|_a: &mut EngineArena<Nop>| 3u32));
+        let late = thread::spawn(move || {
+            queue.try_submit(TaskOptions::default(), |_a: &mut EngineArena<Nop>| 3u32)
+        });
         drop(pool);
         canceller.join().unwrap();
         match resolved(victim) {

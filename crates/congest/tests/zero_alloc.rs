@@ -3,44 +3,88 @@
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! phase (early rounds grow staging-bucket and dirty-list capacity), the
 //! steady-state round loop of both schedulers must perform exactly zero
-//! heap allocations. Run with `--test-threads=1` semantics in mind: the
-//! counter is global, so each test snapshots the counter around its own
-//! measured region and the workloads do not allocate in other threads —
-//! for the parallel test the workers themselves are the measured region.
+//! heap allocations. The counter is process-global, while libtest runs
+//! separate tests (and its own bookkeeping) on concurrent threads, so only
+//! allocations on *counting* threads are tallied — the running test's own
+//! thread and every engine worker that steps one of its nodes — and the
+//! tests take turns (see [`Counting::start`]). For the parallel tests the
+//! pool's workers are part of the measured region.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use dcover_congest::{
     Ctx, ParallelSimulator, PartitionPolicy, Process, Simulator, Status, Topology,
 };
 
-/// System allocator wrapper that counts allocations (and reallocations).
-struct Counting;
+/// System allocator wrapper that counts allocations (and reallocations)
+/// made on counting threads.
+struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are tallied. Const-initialised
+    /// and drop-free, so reading it from the allocator never allocates.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_one() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        // relaxed: allocation tally; one test counts at a time and reads
+        // only its own window, no ordering needed (see `allocs`).
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY-FREE NOTE: implementing `GlobalAlloc` requires `unsafe` by design;
 // this is test-only code, delegating straight to `System`.
-unsafe impl GlobalAlloc for Counting {
+unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // relaxed: allocation tally; each test reads only its own
-        // thread's window, no ordering needed (see `allocs`).
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // relaxed: allocation tally, as in `alloc` above.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Serialises the tests: each tallies all of its counting threads, so two
+/// running at once would count each other's allocations.
+static TURN: Mutex<()> = Mutex::new(());
+
+/// A test's turn at the counter; the calling thread counts until drop.
+struct Counting {
+    _turn: MutexGuard<'static, ()>,
+}
+
+impl Counting {
+    /// Waits for the turn, then makes the calling thread count. Declare
+    /// it first in a test, so the engine (and its workers) is dropped
+    /// before the turn passes on.
+    fn start() -> Self {
+        let turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
+        COUNTED.set(true);
+        Self { _turn: turn }
+    }
+}
+
+impl Drop for Counting {
+    fn drop(&mut self) {
+        // Stop counting before the turn passes on: libtest's own
+        // bookkeeping on this thread after the test must not be tallied.
+        COUNTED.set(false);
+    }
+}
 
 fn allocs() -> u64 {
     // relaxed: the measured region runs on the reading thread (or joins
@@ -58,6 +102,9 @@ struct Flood {
 impl Process for Flood {
     type Msg = u64;
     fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Status {
+        // The thread stepping this node — the test's own, or a pool
+        // worker of a parallel engine — is part of the measured region.
+        COUNTED.set(true);
         for item in ctx.inbox() {
             self.acc = self.acc.wrapping_add(item.msg);
         }
@@ -95,7 +142,20 @@ fn flood_nodes(n: usize, rounds: u64) -> Vec<Flood> {
 }
 
 #[test]
+fn warmup_allocations_are_bounded() {
+    // Sanity check on the harness itself: construction does allocate.
+    let _counting = Counting::start();
+    let before = allocs();
+    let topo = grid_topology(10, 10);
+    let n = topo.len();
+    let mut sim = Simulator::new(topo, flood_nodes(n, 50));
+    sim.run(100).unwrap();
+    assert!(allocs() > before, "allocation counter must be live");
+}
+
+#[test]
 fn sequential_steady_state_allocates_nothing() {
+    let _counting = Counting::start();
     let topo = grid_topology(20, 20);
     let n = topo.len();
     let mut sim = Simulator::new(topo, flood_nodes(n, 200));
@@ -116,6 +176,7 @@ fn sequential_steady_state_allocates_nothing() {
 
 #[test]
 fn parallel_steady_state_allocates_nothing() {
+    let _counting = Counting::start();
     let topo = grid_topology(20, 20);
     let n = topo.len();
     let mut sim = ParallelSimulator::new(topo, flood_nodes(n, 400), 4);
@@ -135,6 +196,7 @@ fn parallel_steady_state_allocates_nothing() {
 
 #[test]
 fn locality_fast_path_steady_state_allocates_nothing() {
+    let _counting = Counting::start();
     // Under the locality policy most grid neighbours land in the same
     // chunk, so the measured loop exercises the intra-chunk fast path
     // (direct mailbox writes + dirty-list pushes) rather than the
@@ -157,15 +219,4 @@ fn locality_fast_path_steady_state_allocates_nothing() {
         during, 0,
         "locality fast-path round loop allocated {during} times in 100 steady-state rounds"
     );
-}
-
-#[test]
-fn warmup_allocations_are_bounded() {
-    // Sanity check on the harness itself: construction does allocate.
-    let before = allocs();
-    let topo = grid_topology(10, 10);
-    let n = topo.len();
-    let mut sim = Simulator::new(topo, flood_nodes(n, 50));
-    sim.run(100).unwrap();
-    assert!(allocs() > before, "allocation counter must be live");
 }

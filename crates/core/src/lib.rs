@@ -29,14 +29,11 @@
 //!   (Theorem 8/9) used to validate measured complexity.
 //! * [`SolveService`] — the asynchronous serving layer: a bounded
 //!   submission queue with backpressure in front of one persistent worker
-//!   pool. [`SolveService::submit`] takes a shared `Arc<Hypergraph>`
+//!   pool, each instance solved sequentially on one worker.
+//!   [`SolveService::submit`] takes a shared `Arc<Hypergraph>`
 //!   (zero-copy) and returns a [`Ticket`] to redeem for the result;
-//!   [`SolveService::try_submit`] sheds load instead of blocking;
+//!   [`SolveService::try_submit_with`] sheds load instead of blocking;
 //!   [`SolveService::shutdown`] drains gracefully.
-//! * [`SolveSession`] — the batch-shaped façade over the same service:
-//!   [`SolveSession::solve_batch`] submits many independent instances and
-//!   redeems their tickets in input order (bit-identical to per-instance
-//!   solves).
 //!
 //! # Example
 //!
@@ -72,7 +69,6 @@ mod params;
 pub mod protocol;
 mod reference;
 mod service;
-mod session;
 mod solver;
 mod warm;
 
@@ -98,6 +94,5 @@ pub use protocol::{
 };
 pub use reference::{solve_reference, ReferenceResult};
 pub use service::{ServiceMetrics, SolveService, SubmitError, SubmitOptions, Ticket};
-pub use session::SolveSession;
 pub use solver::{CoverResult, MwhvcSolver};
 pub use warm::WarmState;

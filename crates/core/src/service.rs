@@ -1,23 +1,25 @@
 //! The asynchronous solve service: a submission queue with backpressure
 //! in front of one persistent worker pool.
 //!
-//! [`SolveSession::solve_batch`](crate::SolveSession::solve_batch) serves
-//! *pre-assembled* batches; a real server receives instances **as they
-//! arrive**. [`SolveService`] is that front door:
+//! A real server receives instances **as they arrive**; [`SolveService`]
+//! is that front door. Each instance is solved sequentially on one pool
+//! worker — chunk parallelism within one instance belongs to
+//! [`MwhvcSolver::solve_parallel`](crate::MwhvcSolver::solve_parallel):
 //!
 //! * [`submit`](SolveService::submit) hands in one shared read-only
 //!   instance (`Arc<Hypergraph>` — **never deep-copied**, see below) and
 //!   returns a [`Ticket`] immediately; the solve runs on whichever pool
 //!   worker frees up first. When the bounded queue is full, `submit`
 //!   blocks until a slot opens.
-//! * [`try_submit`](SolveService::try_submit) never blocks: a full queue
-//!   is reported as [`SubmitError::Backpressure`], so an ingestion loop
-//!   can shed or defer load instead of stalling.
+//! * [`try_submit_with`](SolveService::try_submit_with) never blocks: a
+//!   full queue is reported as [`SubmitError::Backpressure`], so an
+//!   ingestion loop can shed or defer load instead of stalling.
 //! * [`Ticket::wait`] / [`Ticket::try_wait`] redeem a submission for its
 //!   [`CoverResult`], which is **bit-identical** to what a standalone
 //!   [`MwhvcSolver::solve`](crate::MwhvcSolver::solve) returns for the
 //!   same instance and ε.
-//! * [`submit_delta`](SolveService::submit_delta) hands in a **revision**
+//! * [`submit_delta_with`](SolveService::submit_delta_with) hands in a
+//!   **revision**
 //!   of an earlier submission (an
 //!   [`InstanceDelta`](dcover_hypergraph::InstanceDelta) referencing its
 //!   [`Ticket::seq`]): the service resolves the cached predecessor, applies
@@ -37,18 +39,17 @@
 //! [`submit_delta_with`](SolveService::submit_delta_with) take
 //! [`SubmitOptions`] carrying a [`RequestClass`](crate::RequestClass)
 //! (`Interactive` submissions dequeue before every queued `Bulk` one,
-//! FIFO within a class; chunk-parallel round jobs keep absolute priority)
-//! and an optional **full-lifecycle deadline**: a submission still
-//! queued when its deadline passes resolves its ticket with the typed
+//! FIFO within a class) and an optional **full-lifecycle deadline**: a
+//! submission still queued when its deadline passes resolves its ticket
+//! with the typed
 //! [`SolveError::Expired`] instead of occupying a worker, and a solve
 //! already **running** when it passes stops cooperatively at its next
 //! round boundary and resolves the same way. [`Ticket::cancel`] abandons
 //! a submission with identical mechanics ([`SolveError::Cancelled`]).
 //! Every ticket still resolves exactly once; a cancel that races
 //! completion simply loses and the ticket resolves with the finished
-//! result. The plain `submit`/`try_submit`/`submit_delta` enqueue
-//! bulk-class work without a deadline — exactly the pre-class FIFO
-//! behaviour.
+//! result. The plain `submit` enqueues bulk-class work without a
+//! deadline — exactly the pre-class FIFO behaviour.
 //!
 //! # Overload protection
 //!
@@ -74,7 +75,8 @@
 //! ([`LatencyHistogram`](crate::LatencyHistogram)), the queue-depth
 //! high-water mark, and total worker busy time. Recording costs a few
 //! relaxed atomic adds per solve — zero allocation on the hot path — and
-//! survives pool rebuilds and [`shutdown`](SolveService::shutdown).
+//! survives the [`with_bulk_max_wait`](SolveService::with_bulk_max_wait)
+//! pool rebuild and [`shutdown`](SolveService::shutdown).
 //! Per-ticket timings come from [`Ticket::wait_timed`] /
 //! [`Ticket::try_wait_timed`] as [`TaskTiming`] values.
 //!
@@ -136,7 +138,8 @@ use crate::solver::{CoverResult, MwhvcSolver};
 use crate::warm::WarmState;
 
 /// Default number of completed solves the service retains for
-/// [`submit_delta`](SolveService::submit_delta) to warm-start against.
+/// [`submit_delta_with`](SolveService::submit_delta_with) to warm-start
+/// against.
 const DEFAULT_RESULT_CACHE: usize = 256;
 
 /// Why a submission was refused at the service door. (Problems *inside*
@@ -146,9 +149,9 @@ const DEFAULT_RESULT_CACHE: usize = 256;
 #[non_exhaustive]
 pub enum SubmitError {
     /// The bounded submission queue is at capacity
-    /// ([`try_submit`](SolveService::try_submit) only — the blocking
-    /// [`submit`](SolveService::submit) waits instead). Retry later, shed
-    /// the request, or fall back to blocking submission.
+    /// ([`try_submit_with`](SolveService::try_submit_with) only — the
+    /// blocking submits wait instead). Retry later, shed the request, or
+    /// fall back to blocking submission.
     Backpressure {
         /// The queue capacity that was exhausted.
         capacity: usize,
@@ -172,8 +175,8 @@ pub enum SubmitError {
     /// The request itself is invalid (e.g. ε outside `(0, 1]`); nothing
     /// was enqueued.
     Invalid(SolveError),
-    /// A [`submit_delta`](SolveService::submit_delta) referenced a base
-    /// revision the service does not hold: the sequence id was never
+    /// A [`submit_delta_with`](SolveService::submit_delta_with) referenced
+    /// a base revision the service does not hold: the sequence id was never
     /// issued, its solve failed or has not completed yet, or its entry
     /// was evicted from the bounded result cache.
     UnknownBase {
@@ -229,7 +232,7 @@ impl std::error::Error for SubmitError {
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SubmitOptions {
     /// The request class ([`RequestClass::Bulk`](crate::RequestClass) by
-    /// default — what the plain `submit`/`try_submit` use).
+    /// default — what the plain `submit` uses).
     pub class: TaskClass,
     /// If set, the submission's **full-lifecycle** deadline, measured
     /// from the submit call. A solve still queued past it is discarded
@@ -303,6 +306,15 @@ struct SubmissionEnvelope {
     submitted: Instant,
 }
 
+/// What a submission does when the bounded queue is full.
+#[derive(Copy, Clone)]
+enum OnFull {
+    /// Block until a worker frees a slot.
+    Wait,
+    /// Refuse with [`SubmitError::Backpressure`].
+    Refuse,
+}
+
 /// A point-in-time snapshot of the service's scheduling metrics, from
 /// [`SolveService::metrics`].
 ///
@@ -320,8 +332,7 @@ pub struct ServiceMetrics {
     /// Highest number of submissions ever waiting in the queue at once
     /// (both classes combined).
     pub queue_depth_high_water: u64,
-    /// Total time workers spent running solve tasks (chunk-parallel round
-    /// jobs are not clocked).
+    /// Total time workers spent running solve tasks.
     pub worker_busy: Duration,
     /// Rolling p99 of recent interactive queue waits — the SLO signal
     /// admission control sheds on
@@ -362,7 +373,7 @@ impl Ticket {
     /// serve` shape) is exactly arrival order, letting a caller that
     /// redeems tickets in completion order re-associate results with
     /// requests. This id is also the handle
-    /// [`submit_delta`](SolveService::submit_delta) resolves a revision's
+    /// [`submit_delta_with`](SolveService::submit_delta_with) resolves a revision's
     /// predecessor by. When several threads submit concurrently, ids stay
     /// unique but the interleaving between threads is unspecified. The id
     /// is drawn from an atomic counter *before* the enqueue (the solve
@@ -465,7 +476,7 @@ struct CacheEntry {
 
 /// Bounded seq-keyed store of completed solves, evicting the
 /// oldest-inserted entry at capacity. Workers insert on completion;
-/// [`SolveService::submit_delta`] resolves predecessors out of it.
+/// [`SolveService::submit_delta_with`] resolves predecessors out of it.
 /// A `BTreeMap` rather than a hash map: eviction order comes from the
 /// explicit `order` deque either way, but the determinism lint bans hash
 /// collections in result-producing crates outright — deterministic
@@ -534,13 +545,7 @@ pub struct SolveService {
     base: MwhvcConfig,
     threads: usize,
     queue_capacity: usize,
-    /// The pool; `None` after [`shutdown`](Self::shutdown), transiently
-    /// while a [`SolveSession`](crate::SolveSession) borrows it for a
-    /// chunk-parallel solve, or after a poisoned solve destroyed it (a
-    /// node-program panic unwinds through the borrowed pool). Submission
-    /// handles are derived from the *current* pool per call — see
-    /// [`current_queue`](Self::current_queue) — so the service revives
-    /// itself after a poisoning instead of going permanently stale.
+    /// The pool; `None` only after [`shutdown`](Self::shutdown).
     pool: Mutex<Option<SimPool<MwhvcNode>>>,
     /// Next sequence id.
     seq: AtomicU64,
@@ -550,12 +555,9 @@ pub struct SolveService {
     /// Shared with the in-flight solve tasks (they insert on success).
     cache: Arc<Mutex<ResultCache>>,
     /// Scheduler metrics, shared with every pool this service builds (the
-    /// initial one, revivals, and take_pool rebuilds) so counters
-    /// accumulate across pool lifetimes.
+    /// initial one and the [`with_bulk_max_wait`](Self::with_bulk_max_wait)
+    /// rebuild) so counters accumulate across pool lifetimes.
     metrics: Arc<SchedMetrics>,
-    /// Queue policy handed to every pool this service builds (bulk
-    /// anti-starvation aging; see [`with_bulk_max_wait`](Self::with_bulk_max_wait)).
-    policy: QueuePolicy,
     /// SLO-driven admission control: when set, bulk submissions are shed
     /// with [`SubmitError::Overloaded`] while the interactive queue-wait
     /// signal (rolling dequeue p99, or the oldest queued interactive
@@ -598,7 +600,7 @@ impl SolveService {
     /// Starts a service whose bounded queue holds at most `capacity`
     /// **waiting** instances (instances a worker has started solving no
     /// longer count). A full queue blocks [`submit`](Self::submit) and
-    /// makes [`try_submit`](Self::try_submit) report
+    /// makes [`try_submit_with`](Self::try_submit_with) report
     /// [`SubmitError::Backpressure`].
     ///
     /// # Panics
@@ -606,35 +608,31 @@ impl SolveService {
     /// Panics if `threads == 0` or `capacity == 0`.
     #[must_use]
     pub fn with_queue_capacity(config: MwhvcConfig, threads: usize, capacity: usize) -> Self {
-        // invariant: documented construction-time precondition (see
-        // `# Panics`) on a caller-supplied thread count — never reached
-        // from queue or solve state. (capacity == 0 panics one frame
-        // down, in `SimPool::with_policy`, with the same justification.)
-        assert!(threads > 0, "need at least one worker thread");
+        // `SimPool::with_policy` enforces the `# Panics` preconditions.
         let metrics = Arc::new(SchedMetrics::new());
-        let service = Self {
+        let pool = SimPool::with_policy(
+            threads,
+            capacity,
+            Arc::clone(&metrics),
+            QueuePolicy::default(),
+        );
+        Self {
             base: config,
             threads,
             queue_capacity: capacity,
-            pool: Mutex::new(None),
+            pool: Mutex::new(Some(pool)),
             seq: AtomicU64::new(0),
             open: AtomicBool::new(true),
             cache: Arc::new(Mutex::new(ResultCache::new(DEFAULT_RESULT_CACHE))),
             metrics,
-            policy: QueuePolicy::default(),
             shed_target: None,
             #[cfg(test)]
             pre_solve: Mutex::new(PreSolveHook::default()),
-        };
-        // invariant: the service was constructed in the statement above
-        // and has never been shared — no other thread can hold (let
-        // alone poison) its pool mutex.
-        *service.pool.lock().expect("pool mutex") = Some(service.build_pool());
-        service
+        }
     }
 
     /// Resizes the result cache backing
-    /// [`submit_delta`](Self::submit_delta) (default:
+    /// [`submit_delta_with`](Self::submit_delta_with) (default:
     /// 256 completed solves; 0 disables retention entirely, making every
     /// delta submission fail with [`SubmitError::UnknownBase`]).
     /// Shrinking below the current population evicts the oldest-inserted
@@ -658,13 +656,16 @@ impl SolveService {
     /// that has waited at least `bound` is dequeued ahead of younger
     /// interactive work (strict class priority otherwise — the default,
     /// equivalent to no bound). Consuming builder style — call before
-    /// submitting; the bound applies to every pool the service builds
-    /// from here on (including revivals), and the current idle pool is
-    /// rebuilt on the spot.
+    /// submitting: the idle pool is rebuilt on the spot under the new
+    /// policy, recording into the same metrics sink.
     #[must_use]
-    pub fn with_bulk_max_wait(mut self, bound: Duration) -> Self {
-        self.policy = self.policy.with_bulk_max_wait(bound);
-        let rebuilt = self.build_pool();
+    pub fn with_bulk_max_wait(self, bound: Duration) -> Self {
+        let rebuilt = SimPool::with_policy(
+            self.threads,
+            self.queue_capacity,
+            Arc::clone(&self.metrics),
+            QueuePolicy::new().with_bulk_max_wait(bound),
+        );
         // Recover a poisoned slot rather than panic: the slot is a plain
         // `Option` (coherent after any unwind) and it is being
         // overwritten wholesale anyway.
@@ -746,8 +747,9 @@ impl SolveService {
     /// A point-in-time snapshot of the service's scheduling metrics:
     /// per-class counters and queue-wait/solve-time latency histograms,
     /// the queue-depth high-water mark, and total worker busy time.
-    /// Counters accumulate for the lifetime of the service (across pool
-    /// revivals) and remain readable after
+    /// Counters accumulate for the lifetime of the service (across the
+    /// [`with_bulk_max_wait`](Self::with_bulk_max_wait) pool rebuild) and
+    /// remain readable after
     /// [`shutdown`](Self::shutdown).
     #[must_use]
     pub fn metrics(&self) -> ServiceMetrics {
@@ -760,20 +762,29 @@ impl SolveService {
         }
     }
 
-    /// Admission control (the shed gate): refuses a bulk-class submission
-    /// while the interactive queue-wait signal is above the configured
-    /// target. Interactive work always passes.
+    /// The door every submission passes through: builds the per-request
+    /// solver (the base configuration with `epsilon` swapped in; every
+    /// other setting is inherited), then runs admission control — the
+    /// shed gate refuses a bulk-class submission while the interactive
+    /// queue-wait signal is above the configured target. Interactive work
+    /// always passes the gate.
     ///
     /// The signal is the larger of the rolling dequeue-side p99 and the
     /// age of the oldest still-queued interactive submission — the
     /// rolling view alone stalls under starvation (nothing dequeues, so
     /// nothing is recorded) precisely when shedding is most needed.
-    fn admit(&self, class: TaskClass) -> Result<(), SubmitError> {
+    fn admit(&self, epsilon: f64, class: TaskClass) -> Result<MwhvcSolver, SubmitError> {
+        let config = self
+            .base
+            .clone()
+            .with_epsilon(epsilon)
+            .map_err(SubmitError::Invalid)?;
+        let solver = MwhvcSolver::new(config);
         if class != TaskClass::Bulk {
-            return Ok(());
+            return Ok(solver);
         }
         let Some(target) = self.shed_target else {
-            return Ok(());
+            return Ok(solver);
         };
         let rolling = self.metrics.interactive_wait_p99();
         let queued_head = self
@@ -787,7 +798,7 @@ impl SolveService {
                     interactive_wait_p99: signal,
                 })
             }
-            _ => Ok(()),
+            _ => Ok(solver),
         }
     }
 
@@ -800,98 +811,56 @@ impl SolveService {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Invalid`] for a bad ε, [`SubmitError::ShutDown`]
-    /// after [`shutdown`](Self::shutdown), [`SubmitError::Overloaded`]
-    /// while admission control is shedding bulk work. (Never
-    /// [`SubmitError::Backpressure`] — this variant waits instead.)
+    /// As [`submit_with`](Self::submit_with).
     pub fn submit(&self, g: Arc<Hypergraph>, epsilon: f64) -> Result<Ticket, SubmitError> {
         self.submit_with(g, epsilon, SubmitOptions::default())
     }
 
     /// Submits one instance under explicit [`SubmitOptions`] (request
-    /// class and optional queue deadline), blocking while the queue is at
+    /// class and optional deadline), blocking while the queue is at
     /// capacity.
     ///
     /// # Errors
     ///
-    /// As [`submit`](Self::submit), plus [`SubmitError::Overloaded`] for
-    /// a bulk submission shed by admission control
-    /// ([`with_shed_target`](Self::with_shed_target)). A deadline miss is
-    /// *not* a submission error — it resolves the ticket with
-    /// [`SolveError::Expired`].
+    /// [`SubmitError::Invalid`] for a bad ε, [`SubmitError::ShutDown`]
+    /// after [`shutdown`](Self::shutdown), and [`SubmitError::Overloaded`]
+    /// for a bulk submission shed by admission control
+    /// ([`with_shed_target`](Self::with_shed_target)). Never
+    /// [`SubmitError::Backpressure`] — this call waits instead. A
+    /// deadline miss is *not* a submission error — it resolves the
+    /// ticket with [`SolveError::Expired`].
     pub fn submit_with(
         &self,
         g: Arc<Hypergraph>,
         epsilon: f64,
         opts: SubmitOptions,
     ) -> Result<Ticket, SubmitError> {
-        let solver = self.solver_for(epsilon)?;
-        self.admit(opts.class)?;
-        let seq = self.next_seq();
-        let envelope = opts.envelope();
-        let token = envelope.token.clone();
-        let task = self.recorded_solve(seq, g, epsilon, solver, None, &envelope);
-        let inner = self
-            .current_queue()?
-            .submit_with(envelope.task, task)
-            .map_err(|_| SubmitError::ShutDown)?;
-        Ok(Ticket {
-            seq,
-            inner,
-            cancel: token,
-        })
+        let solver = self.admit(epsilon, opts.class)?;
+        self.enqueue(solver, g, None, opts, OnFull::Wait)
     }
 
-    /// Non-blocking bulk-class submission: enqueues only if a queue slot
-    /// is free right now. The `Arc` handle is cloned (a refcount
-    /// increment — the instance data is never copied), so the caller
-    /// keeps its handle for a later retry. Shorthand for
-    /// [`try_submit_with`](Self::try_submit_with) with default
-    /// [`SubmitOptions`].
+    /// Non-blocking submission under explicit [`SubmitOptions`]: enqueues
+    /// only if a queue slot is free right now. The `Arc` handle is cloned
+    /// (a refcount increment — the instance data is never copied), so the
+    /// caller keeps its handle for a later retry.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Backpressure`] when the queue is full, otherwise as
-    /// [`submit`](Self::submit).
-    pub fn try_submit(&self, g: &Arc<Hypergraph>, epsilon: f64) -> Result<Ticket, SubmitError> {
-        self.try_submit_with(g, epsilon, SubmitOptions::default())
-    }
-
-    /// Non-blocking submission under explicit [`SubmitOptions`].
-    ///
-    /// # Errors
-    ///
-    /// As [`try_submit`](Self::try_submit).
+    /// [`submit_with`](Self::submit_with).
     pub fn try_submit_with(
         &self,
         g: &Arc<Hypergraph>,
         epsilon: f64,
         opts: SubmitOptions,
     ) -> Result<Ticket, SubmitError> {
-        let solver = self.solver_for(epsilon)?;
-        self.admit(opts.class)?;
-        let seq = self.next_seq();
-        let envelope = opts.envelope();
-        let token = envelope.token.clone();
-        let task = self.recorded_solve(seq, Arc::clone(g), epsilon, solver, None, &envelope);
-        let inner = self
-            .current_queue()?
-            .try_submit_with(envelope.task, task)
-            .map_err(|e| match e {
-                TrySubmitError::Full => SubmitError::Backpressure {
-                    capacity: self.queue_capacity,
-                },
-                TrySubmitError::Closed => SubmitError::ShutDown,
-            })?;
-        Ok(Ticket {
-            seq,
-            inner,
-            cancel: token,
-        })
+        let solver = self.admit(epsilon, opts.class)?;
+        self.enqueue(solver, Arc::clone(g), None, opts, OnFull::Refuse)
     }
 
-    /// Submits a **revision** of an earlier submission: the delta is
-    /// applied to the cached base instance and the re-solve is
+    /// Submits a **revision** of an earlier submission under explicit
+    /// [`SubmitOptions`] (request class and optional deadline): the delta
+    /// is applied to the cached base instance and the re-solve is
     /// **warm-started** from the base's dual packing
     /// ([`MwhvcSolver::solve_warm`]) instead of solving from scratch.
     /// Returns the ticket plus the revised instance (shared — deltas can
@@ -904,29 +873,15 @@ impl SolveService {
     /// `(f + ε)` guarantee across a revision chain.
     ///
     /// Blocks while the queue is at capacity, like
-    /// [`submit`](Self::submit).
+    /// [`submit_with`](Self::submit_with).
     ///
     /// # Errors
     ///
     /// [`SubmitError::UnknownBase`] if `base_seq` cannot be resolved,
     /// [`SubmitError::Invalid`] if the delta does not apply to the base
-    /// instance or the ε override is invalid, and
-    /// [`SubmitError::ShutDown`] after shutdown.
-    pub fn submit_delta(
-        &self,
-        base_seq: u64,
-        delta: &InstanceDelta,
-        epsilon: Option<f64>,
-    ) -> Result<(Ticket, Arc<Hypergraph>), SubmitError> {
-        self.submit_delta_with(base_seq, delta, epsilon, SubmitOptions::default())
-    }
-
-    /// [`submit_delta`](Self::submit_delta) under explicit
-    /// [`SubmitOptions`] (request class and optional queue deadline).
-    ///
-    /// # Errors
-    ///
-    /// As [`submit_delta`](Self::submit_delta); a deadline miss resolves
+    /// instance or the ε override is invalid, [`SubmitError::Overloaded`]
+    /// for a bulk revision shed by admission control, and
+    /// [`SubmitError::ShutDown`] after shutdown. A deadline miss resolves
     /// the ticket with [`SolveError::Expired`].
     pub fn submit_delta_with(
         &self,
@@ -939,38 +894,21 @@ impl SolveService {
         // as the typed `UnknownBase` rather than a second panic: the
         // base entry genuinely cannot be *trusted* to be resolvable, and
         // the caller's recovery — resubmit from scratch via `submit` —
-        // is the same as for an evicted base. (Formerly an
-        // `expect("result cache mutex")`.)
+        // is the same as for an evicted base.
         let entry = self
             .cache
             .lock()
             .map_err(|_| SubmitError::UnknownBase { seq: base_seq })?
             .get(base_seq)
             .ok_or(SubmitError::UnknownBase { seq: base_seq })?;
-        let epsilon = epsilon.unwrap_or(entry.epsilon);
-        let solver = self.solver_for(epsilon)?;
-        self.admit(opts.class)?;
+        let solver = self.admit(epsilon.unwrap_or(entry.epsilon), opts.class)?;
         let outcome = delta
             .apply(&entry.graph)
             .map_err(|e| SubmitError::Invalid(SolveError::Delta(e)))?;
         let warm = WarmState::for_delta(&entry.result, &outcome);
         let g = Arc::new(outcome.graph);
-        let seq = self.next_seq();
-        let envelope = opts.envelope();
-        let token = envelope.token.clone();
-        let task = self.recorded_solve(seq, Arc::clone(&g), epsilon, solver, Some(warm), &envelope);
-        let inner = self
-            .current_queue()?
-            .submit_with(envelope.task, task)
-            .map_err(|_| SubmitError::ShutDown)?;
-        Ok((
-            Ticket {
-                seq,
-                inner,
-                cancel: token,
-            },
-            g,
-        ))
+        let ticket = self.enqueue(solver, Arc::clone(&g), Some(warm), opts, OnFull::Wait)?;
+        Ok((ticket, g))
     }
 
     /// Gracefully shuts the service down: close the queue (subsequent
@@ -992,53 +930,53 @@ impl SolveService {
         drop(pool);
     }
 
-    /// The per-request solver: base configuration with `epsilon` swapped
-    /// in.
-    fn solver_for(&self, epsilon: f64) -> Result<MwhvcSolver, SubmitError> {
-        let config = self
-            .base
-            .clone()
-            .with_epsilon(epsilon)
-            .map_err(SubmitError::Invalid)?;
-        Ok(MwhvcSolver::new(config))
-    }
-
-    /// A submission handle to the **current** pool's queue, reviving the
-    /// pool if it is gone while the service is still open (a node-program
-    /// panic during a chunk-parallel solve unwinds through the borrowed
-    /// pool and destroys it — the service must not stay wedged). The
-    /// handle is cloned out under the lock; the potentially-blocking
-    /// submit itself runs with no service lock held.
+    /// A submission handle to the pool's queue, cloned out under the lock
+    /// so the potentially-blocking submit itself runs with no service lock
+    /// held. The slot is empty only after [`shutdown`](Self::shutdown).
     fn current_queue(&self) -> Result<TaskQueue<MwhvcNode>, SubmitError> {
-        // A poisoned pool mutex (a thread panicked while holding the
-        // slot — e.g. a worker-spawn failure during a revive) refuses
-        // the submission with the typed `ShutDown` instead of
-        // propagating the panic to every subsequent submitter. (Formerly
-        // an `expect("pool mutex")`.)
-        let mut slot = self.pool.lock().map_err(|_| SubmitError::ShutDown)?;
-        // Checked under the pool lock so a revive cannot race a
-        // concurrent shutdown's pool takedown.
-        if !self.is_open() {
-            return Err(SubmitError::ShutDown);
-        }
-        if let Some(pool) = slot.as_ref() {
-            return Ok(pool.queue());
-        }
-        let pool = self.build_pool();
-        let queue = pool.queue();
-        *slot = Some(pool);
-        Ok(queue)
+        // A poisoned pool mutex refuses the submission with the typed
+        // `ShutDown` instead of propagating the panic to every subsequent
+        // submitter.
+        self.pool
+            .lock()
+            .map_err(|_| SubmitError::ShutDown)?
+            .as_ref()
+            .map(SimPool::queue)
+            .ok_or(SubmitError::ShutDown)
     }
 
-    /// Builds a pool wired to this service's long-lived metrics sink, so
-    /// scheduling counters accumulate across pool rebuilds.
-    fn build_pool(&self) -> SimPool<MwhvcNode> {
-        SimPool::with_policy(
-            self.threads,
-            self.queue_capacity,
-            Arc::clone(&self.metrics),
-            self.policy,
-        )
+    /// The steps every admitted submission shares: draw the seq, anchor
+    /// the envelope, build the solve task, enqueue it — waiting for or
+    /// refusing on a full queue, per `on_full` — and hand out the
+    /// [`Ticket`].
+    fn enqueue(
+        &self,
+        solver: MwhvcSolver,
+        g: Arc<Hypergraph>,
+        warm: Option<WarmState>,
+        opts: SubmitOptions,
+        on_full: OnFull,
+    ) -> Result<Ticket, SubmitError> {
+        let seq = self.next_seq();
+        let envelope = opts.envelope();
+        let task = self.recorded_solve(seq, g, solver, warm, &envelope);
+        let queue = self.current_queue()?;
+        let inner = match on_full {
+            OnFull::Wait => queue
+                .submit(envelope.task, task)
+                .map_err(|_| SubmitError::ShutDown)?,
+            OnFull::Refuse => queue.try_submit(envelope.task, task).map_err(|e| match e {
+                TrySubmitError::Full => SubmitError::Backpressure {
+                    capacity: self.queue_capacity,
+                },
+                TrySubmitError::Closed => SubmitError::ShutDown,
+            })?,
+        };
+        Ok(Ticket {
+            seq,
+            inner,
+            cancel: envelope.token,
+        })
     }
 
     /// Draws the next sequence id. Ids are allocated before the enqueue so
@@ -1062,15 +1000,13 @@ impl SolveService {
         &self,
         seq: u64,
         g: Arc<Hypergraph>,
-        epsilon: f64,
         solver: MwhvcSolver,
         warm: Option<WarmState>,
         envelope: &SubmissionEnvelope,
     ) -> impl FnOnce(&mut EngineArena<MwhvcNode>) -> Result<CoverResult, SolveError> + Send + 'static
     {
         let cache = Arc::clone(&self.cache);
-        let metrics = Arc::clone(&self.metrics);
-        let class = envelope.task.class;
+        let epsilon = solver.config().epsilon();
         let solver = solver.with_interrupt(envelope.interrupt.clone());
         let submitted = envelope.submitted;
         #[cfg(test)]
@@ -1099,11 +1035,6 @@ impl SolveService {
                 other => other,
             };
             if let Ok(r) = &result {
-                metrics.record_cut(
-                    class,
-                    r.report.intra_chunk_messages,
-                    r.report.cross_chunk_messages,
-                );
                 // Check the capacity before paying for the result copy, so
                 // a service with retention disabled (`with_result_cache(0)`)
                 // adds nothing to the pure-streaming hot path beyond one
@@ -1149,15 +1080,14 @@ impl SolveService {
     {
         let seq = self.next_seq();
         let envelope = opts.envelope();
-        let token = envelope.token.clone();
         let inner = self
             .current_queue()?
-            .submit_with(envelope.task, f)
+            .submit(envelope.task, f)
             .map_err(|_| SubmitError::ShutDown)?;
         Ok(Ticket {
             seq,
             inner,
-            cancel: token,
+            cancel: envelope.token,
         })
     }
 
@@ -1167,29 +1097,6 @@ impl SolveService {
     #[cfg(test)]
     fn set_pre_solve(&self, hook: impl Fn() + Send + Sync + 'static) {
         self.pre_solve.lock().expect("pre-solve hook mutex").0 = Some(Arc::new(hook));
-    }
-
-    /// Borrows the worker pool for a chunk-parallel single-instance solve
-    /// (see [`SolveSession::solve`](crate::SolveSession::solve)). Queued
-    /// task submissions keep flowing to the workers meanwhile — round
-    /// jobs take priority in the shared queue. Rebuilds the pool if it is
-    /// gone (after a shutdown the rebuilt pool serves round jobs only;
-    /// the closed submission queue stays closed).
-    pub(crate) fn take_pool(&self) -> SimPool<MwhvcNode> {
-        // Recover a poisoned slot rather than panic: the slot is a plain
-        // `Option`, coherent after any unwind, and an empty one just
-        // means a fresh pool is built — the normal revive path.
-        self.pool
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-            .unwrap_or_else(|| self.build_pool())
-    }
-
-    /// Returns the pool after a chunk-parallel solve.
-    pub(crate) fn put_pool(&self, pool: SimPool<MwhvcNode>) {
-        // Same poison-recovery argument as `take_pool`.
-        *self.pool.lock().unwrap_or_else(PoisonError::into_inner) = Some(pool);
     }
 }
 
@@ -1271,10 +1178,16 @@ mod tests {
         let service = SolveService::with_queue_capacity(MwhvcConfig::new(0.5).unwrap(), 1, 2);
         let busy = occupy_workers(&service, &gate);
         let g = tiny();
-        let q1 = service.try_submit(&g, 0.5).unwrap();
-        let q2 = service.try_submit(&g, 0.5).unwrap();
+        let q1 = service
+            .try_submit_with(&g, 0.5, SubmitOptions::default())
+            .unwrap();
+        let q2 = service
+            .try_submit_with(&g, 0.5, SubmitOptions::default())
+            .unwrap();
         let start = std::time::Instant::now();
-        let err = service.try_submit(&g, 0.5).expect_err("queue is full");
+        let err = service
+            .try_submit_with(&g, 0.5, SubmitOptions::default())
+            .expect_err("queue is full");
         assert_eq!(err, SubmitError::Backpressure { capacity: 2 });
         assert!(
             start.elapsed() < std::time::Duration::from_secs(1),
@@ -1325,7 +1238,9 @@ mod tests {
             SubmitError::ShutDown
         );
         assert_eq!(
-            service.try_submit(&g, 0.5).expect_err("closed"),
+            service
+                .try_submit_with(&g, 0.5, SubmitOptions::default())
+                .expect_err("closed"),
             SubmitError::ShutDown
         );
         // Idempotent.
@@ -1397,7 +1312,7 @@ mod tests {
             Err(SubmitError::Invalid(SolveError::InvalidEpsilon { .. }))
         ));
         assert!(matches!(
-            service.try_submit(&g, 7.0),
+            service.try_submit_with(&g, 7.0, SubmitOptions::default()),
             Err(SubmitError::Invalid(SolveError::InvalidEpsilon { .. }))
         ));
     }
@@ -1424,11 +1339,15 @@ mod tests {
         let service = SolveService::with_queue_capacity(MwhvcConfig::new(0.5).unwrap(), 1, 1);
         let busy = occupy_workers(&service, &gate);
         let g = tiny();
-        let t1 = service.try_submit(&g, 0.5).unwrap();
+        let t1 = service
+            .try_submit_with(&g, 0.5, SubmitOptions::default())
+            .unwrap();
         // A rejected submission leaves a gap (the id is drawn before the
         // enqueue so the task can record its result under it), but never
         // a duplicate.
-        assert!(service.try_submit(&g, 0.5).is_err());
+        assert!(service
+            .try_submit_with(&g, 0.5, SubmitOptions::default())
+            .is_err());
         gate.release();
         let t2 = service.submit(Arc::clone(&g), 0.5).unwrap();
         assert_eq!(t1.seq(), busy.len() as u64);
@@ -1438,30 +1357,6 @@ mod tests {
         }
         t1.wait().unwrap();
         t2.wait().unwrap();
-    }
-
-    #[test]
-    fn service_revives_after_a_poisoned_chunk_parallel_solve() {
-        // A node-program panic inside SolveSession::solve unwinds through
-        // the borrowed pool and destroys it. Replicate that (take the
-        // pool out and drop it without putting one back): the service
-        // must revive on the next submission, not stay wedged rejecting
-        // everything while is_open() still says true.
-        let service = SolveService::with_epsilon(0.5, 2).unwrap();
-        drop(service.take_pool());
-        assert!(service.is_open());
-        assert_eq!(service.queued(), 0);
-        let g = tiny();
-        let t = service.submit(Arc::clone(&g), 0.5).unwrap();
-        assert!(t.wait().unwrap().cover.is_cover_of(&g));
-        let t = service.try_submit(&g, 0.5).unwrap();
-        assert!(t.wait().is_ok());
-        // Shutdown still closes the revived pool for good.
-        service.shutdown();
-        assert_eq!(
-            service.submit(g, 0.5).expect_err("closed"),
-            SubmitError::ShutDown
-        );
     }
 
     #[test]
@@ -1488,7 +1383,9 @@ mod tests {
             add_edges: vec![vec![VertexId::new(1), VertexId::new(4)]],
             set_weights: vec![(VertexId::new(2), 50)],
         };
-        let (ticket, revised) = service.submit_delta(base_seq, &delta, None).unwrap();
+        let (ticket, revised) = service
+            .submit_delta_with(base_seq, &delta, None, SubmitOptions::default())
+            .unwrap();
         let revised_seq = ticket.seq();
         let served = ticket.wait().unwrap();
 
@@ -1509,7 +1406,9 @@ mod tests {
             set_weights: vec![(VertexId::new(9), 1)],
             ..InstanceDelta::empty()
         };
-        let (ticket2, revised2) = service.submit_delta(revised_seq, &delta2, None).unwrap();
+        let (ticket2, revised2) = service
+            .submit_delta_with(revised_seq, &delta2, None, SubmitOptions::default())
+            .unwrap();
         let chained = ticket2.wait().unwrap();
         assert!(chained.cover.is_cover_of(&revised2));
     }
@@ -1523,7 +1422,7 @@ mod tests {
         // Unknown base: never submitted.
         assert_eq!(
             service
-                .submit_delta(99, &InstanceDelta::empty(), None)
+                .submit_delta_with(99, &InstanceDelta::empty(), None, SubmitOptions::default())
                 .unwrap_err(),
             SubmitError::UnknownBase { seq: 99 }
         );
@@ -1538,13 +1437,18 @@ mod tests {
             ..InstanceDelta::empty()
         };
         assert!(matches!(
-            service.submit_delta(seq, &bad, None),
+            service.submit_delta_with(seq, &bad, None, SubmitOptions::default()),
             Err(SubmitError::Invalid(SolveError::Delta(_)))
         ));
 
         // A bad ε override is refused at the door, like submit's.
         assert!(matches!(
-            service.submit_delta(seq, &InstanceDelta::empty(), Some(0.0)),
+            service.submit_delta_with(
+                seq,
+                &InstanceDelta::empty(),
+                Some(0.0),
+                SubmitOptions::default()
+            ),
             Err(SubmitError::Invalid(SolveError::InvalidEpsilon { .. }))
         ));
 
@@ -1555,7 +1459,12 @@ mod tests {
         assert!(bad_ticket.wait().is_err());
         assert_eq!(
             service
-                .submit_delta(bad_seq, &InstanceDelta::empty(), None)
+                .submit_delta_with(
+                    bad_seq,
+                    &InstanceDelta::empty(),
+                    None,
+                    SubmitOptions::default()
+                )
                 .unwrap_err(),
             SubmitError::UnknownBase { seq: bad_seq }
         );
@@ -1563,7 +1472,7 @@ mod tests {
         // After shutdown the door is closed for deltas too.
         service.shutdown();
         assert!(matches!(
-            service.submit_delta(seq, &InstanceDelta::empty(), None),
+            service.submit_delta_with(seq, &InstanceDelta::empty(), None, SubmitOptions::default()),
             Err(SubmitError::ShutDown)
         ));
     }
@@ -1586,13 +1495,18 @@ mod tests {
         // Oldest entry evicted; the two newest still resolve.
         assert_eq!(
             service
-                .submit_delta(seqs[0], &InstanceDelta::empty(), None)
+                .submit_delta_with(
+                    seqs[0],
+                    &InstanceDelta::empty(),
+                    None,
+                    SubmitOptions::default()
+                )
                 .unwrap_err(),
             SubmitError::UnknownBase { seq: seqs[0] }
         );
         for &seq in &seqs[1..] {
             let (t, _) = service
-                .submit_delta(seq, &InstanceDelta::empty(), None)
+                .submit_delta_with(seq, &InstanceDelta::empty(), None, SubmitOptions::default())
                 .unwrap();
             t.wait().unwrap();
         }
@@ -1607,7 +1521,7 @@ mod tests {
         let seq = base.seq();
         let cold = base.wait().unwrap();
         let (t, _) = service
-            .submit_delta(seq, &InstanceDelta::empty(), None)
+            .submit_delta_with(seq, &InstanceDelta::empty(), None, SubmitOptions::default())
             .unwrap();
         let warm = t.wait().unwrap();
         // Same ε as the base (0.25), not the service base ε (1.0): the
@@ -1853,7 +1767,7 @@ mod tests {
         // The rolling p99 now reflects the ≥10 ms wait: bulk is shed on
         // every submission path, interactive still passes.
         assert!(matches!(
-            service.try_submit(&g, 0.5),
+            service.try_submit_with(&g, 0.5, SubmitOptions::default()),
             Err(SubmitError::Overloaded { .. })
         ));
         assert!(matches!(
@@ -1861,7 +1775,12 @@ mod tests {
             Err(SubmitError::Overloaded { .. })
         ));
         assert!(matches!(
-            service.submit_delta(base_seq, &InstanceDelta::empty(), None),
+            service.submit_delta_with(
+                base_seq,
+                &InstanceDelta::empty(),
+                None,
+                SubmitOptions::default()
+            ),
             Err(SubmitError::Overloaded { .. })
         ));
         service
@@ -1895,7 +1814,7 @@ mod tests {
         // age alone exceeds the 5 ms shed target.
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(service.metrics().interactive_wait_p99.is_none());
-        match service.try_submit(&g, 0.5) {
+        match service.try_submit_with(&g, 0.5, SubmitOptions::default()) {
             Err(SubmitError::Overloaded {
                 interactive_wait_p99,
             }) => assert!(interactive_wait_p99 >= std::time::Duration::from_millis(5)),
@@ -1931,7 +1850,9 @@ mod tests {
             t.wait().unwrap();
         }
         slow.wait().unwrap();
-        let t = service.try_submit(&g, 0.5).expect("no shedding configured");
+        let t = service
+            .try_submit_with(&g, 0.5, SubmitOptions::default())
+            .expect("no shedding configured");
         t.wait().unwrap();
         assert_eq!(service.metrics().bulk.shed, 0);
     }
@@ -2007,18 +1928,17 @@ mod tests {
     }
 
     #[test]
-    fn metrics_accumulate_across_pool_revival() {
-        // Regression (node-program-panic shape): a panic during a
-        // chunk-parallel solve unwinds through the borrowed pool and
-        // destroys it; the revived pool must keep recording into the
-        // same shared SchedMetrics sink, and every counter recorded
-        // before the revival — including the cancellation and shedding
-        // counters — must survive it.
+    fn metrics_accumulate_across_pool_rebuild() {
+        // `with_bulk_max_wait` rebuilds the idle pool under the new
+        // policy; the rebuilt pool must keep recording into the same
+        // shared SchedMetrics sink, and every counter recorded before the
+        // rebuild — including the cancellation and shedding counters —
+        // must survive it.
         let gate = Gate::new();
         let service = SolveService::with_epsilon(0.5, 2).unwrap();
         let g = tiny();
         service.submit(Arc::clone(&g), 0.5).unwrap().wait().unwrap();
-        // A queued interactive cancel and a shed, recorded pre-revival.
+        // A queued interactive cancel and a shed, recorded pre-rebuild.
         let busy = occupy_workers(&service, &gate);
         let doomed = service
             .submit_with(Arc::clone(&g), 0.5, SubmitOptions::interactive())
@@ -2030,9 +1950,7 @@ mod tests {
             t.wait().unwrap();
         }
         assert!(matches!(doomed.wait(), Err(SolveError::Cancelled)));
-        // Destroy the pool (the poisoned-solve shape); the revived pool
-        // must keep recording into the same metrics sink.
-        drop(service.take_pool());
+        let service = service.with_bulk_max_wait(std::time::Duration::from_secs(3600));
         service.submit(Arc::clone(&g), 0.5).unwrap().wait().unwrap();
         let m = service.metrics();
         // occupy_workers injected `threads` bulk tasks alongside the two
@@ -2052,7 +1970,9 @@ mod tests {
         let service = SolveService::with_queue_capacity(MwhvcConfig::new(0.5).unwrap(), 1, 1);
         let busy = occupy_workers(&service, &gate);
         let g = tiny();
-        let q = service.try_submit(&g, 0.5).unwrap();
+        let q = service
+            .try_submit_with(&g, 0.5, SubmitOptions::default())
+            .unwrap();
         assert!(matches!(
             service.try_submit_with(&g, 0.5, SubmitOptions::interactive()),
             Err(SubmitError::Backpressure { .. })
@@ -2088,14 +2008,19 @@ mod tests {
         for &seq in &seqs[..2] {
             assert_eq!(
                 service
-                    .submit_delta(seq, &InstanceDelta::empty(), None)
+                    .submit_delta_with(seq, &InstanceDelta::empty(), None, SubmitOptions::default())
                     .unwrap_err(),
                 SubmitError::UnknownBase { seq },
                 "entry {seq} must have been evicted by the shrink"
             );
         }
         let (t, _) = service
-            .submit_delta(seqs[2], &InstanceDelta::empty(), None)
+            .submit_delta_with(
+                seqs[2],
+                &InstanceDelta::empty(),
+                None,
+                SubmitOptions::default(),
+            )
             .unwrap();
         let delta_seq = t.seq();
         t.wait().unwrap();
@@ -2105,7 +2030,7 @@ mod tests {
         for seq in [seqs[2], delta_seq] {
             assert_eq!(
                 service
-                    .submit_delta(seq, &InstanceDelta::empty(), None)
+                    .submit_delta_with(seq, &InstanceDelta::empty(), None, SubmitOptions::default())
                     .unwrap_err(),
                 SubmitError::UnknownBase { seq }
             );
@@ -2115,7 +2040,7 @@ mod tests {
         t.wait().unwrap();
         assert_eq!(
             service
-                .submit_delta(seq, &InstanceDelta::empty(), None)
+                .submit_delta_with(seq, &InstanceDelta::empty(), None, SubmitOptions::default())
                 .unwrap_err(),
             SubmitError::UnknownBase { seq },
             "capacity 0 retains nothing"
@@ -2134,7 +2059,7 @@ mod tests {
         t.wait().unwrap();
         let service = service.with_result_cache(64);
         let (t, _) = service
-            .submit_delta(seq, &InstanceDelta::empty(), None)
+            .submit_delta_with(seq, &InstanceDelta::empty(), None, SubmitOptions::default())
             .unwrap();
         t.wait().unwrap();
     }

@@ -1,7 +1,9 @@
 //! The user-facing solver: runs the distributed protocol on the CONGEST
 //! simulator and assembles the result.
 
-use dcover_congest::{BitBudget, EngineArena, Interrupt, ParallelSimulator, SimReport, Simulator};
+use dcover_congest::{
+    BitBudget, EngineArena, Interrupt, ParallelSimulator, SimReport, Simulator, Topology,
+};
 use dcover_hypergraph::{Cover, Hypergraph};
 
 use crate::analysis;
@@ -153,8 +155,8 @@ impl MwhvcSolver {
     /// across calls (mailbox slots, dirty lists, worklists and staging
     /// buckets keep their capacity), which is what a serving loop wants.
     /// Results are bit-identical to [`solve`](Self::solve).
-    /// [`SolveSession::solve_batch`](crate::SolveSession::solve_batch)
-    /// drives this from a worker pool with one arena per worker.
+    /// [`SolveService`](crate::SolveService) drives this from its worker
+    /// pool with one arena per worker.
     ///
     /// # Errors
     ///
@@ -169,20 +171,7 @@ impl MwhvcSolver {
         if g.n() == 0 {
             return Ok(CoverResult::empty());
         }
-        let (topo, nodes) = build_network(g, &self.config);
-        let limit = self.round_limit(g);
-        let taken = std::mem::take(arena);
-        let mut sim = Simulator::with_arena(topo, nodes, taken)
-            .with_budget(self.budget_for(g))
-            .with_trace(self.config.trace());
-        if let Some(interrupt) = &self.interrupt {
-            sim = sim.with_interrupt(interrupt.clone());
-        }
-        let run = sim.run(limit);
-        let (nodes, report, recovered) = sim.into_arena();
-        *arena = recovered;
-        run?;
-        Ok(self.assemble(g, &nodes, report))
+        self.run_sequential(g, build_network(g, &self.config), arena)
     }
 
     /// Warm-started solve: runs the protocol **seeded** with a previous
@@ -258,10 +247,22 @@ impl MwhvcSolver {
         }
         let z = z_levels(g.rank().max(1), self.config.epsilon());
         let (duals, levels) = clamped_seed(g, warm, z);
-        let (topo, nodes) = build_network_warm(g, &self.config, &duals, &levels);
+        let network = build_network_warm(g, &self.config, &duals, &levels);
+        self.run_sequential(g, network, arena)
+    }
+
+    /// Runs a built network on the sequential scheduler over `arena`'s
+    /// recycled buffers and assembles the result — the shared tail of the
+    /// cold and warm arena solves. The arena is recovered (and reusable)
+    /// even when the run fails.
+    fn run_sequential(
+        &self,
+        g: &Hypergraph,
+        (topo, nodes): (Topology, Vec<MwhvcNode>),
+        arena: &mut EngineArena<MwhvcNode>,
+    ) -> Result<CoverResult, SolveError> {
         let limit = self.round_limit(g);
-        let taken = std::mem::take(arena);
-        let mut sim = Simulator::with_arena(topo, nodes, taken)
+        let mut sim = Simulator::with_arena(topo, nodes, std::mem::take(arena))
             .with_budget(self.budget_for(g))
             .with_trace(self.config.trace());
         if let Some(interrupt) = &self.interrupt {
@@ -361,7 +362,7 @@ impl MwhvcSolver {
     /// at construction, but the α policy setters are infallible) and
     /// weights beyond the exact-`f64` range before any solve, so no
     /// user-supplied parameter can panic a solve path.
-    pub(crate) fn validate(&self, g: &Hypergraph) -> Result<(), SolveError> {
+    fn validate(&self, g: &Hypergraph) -> Result<(), SolveError> {
         self.config.validate()?;
         for v in g.vertices() {
             let w = g.weight(v);
@@ -377,7 +378,7 @@ impl MwhvcSolver {
 
     /// The bit budget used for `g` (configured override or the CONGEST
     /// convention for the bipartite communication network).
-    pub(crate) fn budget_for(&self, g: &Hypergraph) -> BitBudget {
+    fn budget_for(&self, g: &Hypergraph) -> BitBudget {
         self.config
             .budget()
             .unwrap_or_else(|| BitBudget::congest(g.n() + g.m(), 32))
@@ -385,12 +386,7 @@ impl MwhvcSolver {
 
     /// Extracts the cover, levels, and per-edge duals from the final node
     /// states.
-    pub(crate) fn assemble(
-        &self,
-        g: &Hypergraph,
-        nodes: &[MwhvcNode],
-        report: SimReport,
-    ) -> CoverResult {
+    fn assemble(&self, g: &Hypergraph, nodes: &[MwhvcNode], report: SimReport) -> CoverResult {
         let n = g.n();
         let mut cover = Cover::empty(n);
         let mut levels = vec![0u32; n];

@@ -1,6 +1,7 @@
 //! End-to-end tests of the asynchronous serving stack through its public
-//! API: `SolveService` submission/backpressure/shutdown semantics and the
-//! `SolveSession` batch wrappers layered on top.
+//! API: `SolveService` submission/backpressure/shutdown semantics, and
+//! served results bit-identical to per-instance solves across
+//! configurations, workload families and repeated rounds on one service.
 //!
 //! (Deterministic queue-state tests — gated workers, panic injection —
 //! live in `crates/core/src/service.rs` where tasks can be fabricated;
@@ -10,12 +11,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dcover_core::{
-    MwhvcSolver, RequestClass, SolveError, SolveService, SolveSession, SubmitError, SubmitOptions,
+    CoverResult, MwhvcConfig, MwhvcSolver, RequestClass, SolveError, SolveService, SubmitError,
+    SubmitOptions, Variant,
 };
-use dcover_hypergraph::generators::{random_uniform, RandomUniform, WeightDist};
+use dcover_hypergraph::generators::{
+    random_mixed_rank, random_uniform, structured, RandomUniform, WeightDist,
+};
 use dcover_hypergraph::Hypergraph;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn mixed_instances(count: usize, seed: u64) -> Vec<Arc<Hypergraph>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -33,6 +37,80 @@ fn mixed_instances(count: usize, seed: u64) -> Vec<Arc<Hypergraph>> {
                 },
                 &mut rng,
             ))
+        })
+        .collect()
+}
+
+/// A mixed serving workload: uniform and mixed-rank random instances of
+/// varying size, plus structured extremal shapes.
+fn workload(count: usize, seed: u64) -> Vec<Arc<Hypergraph>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..count)
+        .map(|i| {
+            Arc::new(match i % 4 {
+                0 | 1 => random_uniform(
+                    &RandomUniform {
+                        n: 20 + (i * 11) % 60,
+                        m: 30 + (i * 17) % 120,
+                        rank: 2 + i % 3,
+                        weights: WeightDist::Uniform {
+                            min: 1,
+                            max: 4 + (i as u64 * 3) % 40,
+                        },
+                    },
+                    &mut rng,
+                ),
+                2 => random_mixed_rank(
+                    15 + (i * 7) % 35,
+                    25 + (i * 5) % 50,
+                    1,
+                    4,
+                    &WeightDist::Uniform { min: 1, max: 9 },
+                    &mut rng,
+                ),
+                _ => {
+                    if rng.gen_bool(0.5) {
+                        structured::star(6 + i % 20, 3, 1 + (i as u64 % 5))
+                    } else {
+                        structured::cycle(5 + i % 25)
+                    }
+                }
+            })
+        })
+        .collect()
+}
+
+fn assert_bit_identical(a: &CoverResult, b: &CoverResult, ctx: &str) {
+    assert_eq!(a.cover, b.cover, "{ctx}: covers differ");
+    assert_eq!(a.duals, b.duals, "{ctx}: duals differ");
+    assert_eq!(a.levels, b.levels, "{ctx}: levels differ");
+    assert_eq!(a.weight, b.weight, "{ctx}: weights differ");
+    assert_eq!(
+        a.dual_total.to_bits(),
+        b.dual_total.to_bits(),
+        "{ctx}: dual totals differ"
+    );
+    assert_eq!(a.iterations, b.iterations, "{ctx}: iteration counts differ");
+    assert_eq!(a.report, b.report, "{ctx}: reports differ");
+}
+
+/// Submits every instance up front (the blocking submit absorbs queue
+/// overflow), then redeems the tickets in submission order.
+fn serve_in_order(
+    service: &SolveService,
+    instances: &[Arc<Hypergraph>],
+    eps: f64,
+) -> Vec<CoverResult> {
+    let tickets: Vec<_> = instances
+        .iter()
+        .map(|g| service.submit(Arc::clone(g), eps).unwrap())
+        .collect();
+    tickets
+        .into_iter()
+        .enumerate()
+        .map(|(i, t)| {
+            t.wait()
+                .unwrap_or_else(|e| panic!("instance {i} failed: {e}"))
         })
         .collect()
 }
@@ -56,6 +134,46 @@ fn streamed_submissions_are_bit_identical_to_sequential_solves() {
         assert_eq!(served.duals, solo.duals, "instance {i}");
         assert_eq!(served.levels, solo.levels, "instance {i}");
         assert_eq!(served.report, solo.report, "instance {i}");
+    }
+
+    // Mixed-rank and structured families, across ε / worker-count pairs.
+    let instances = workload(24, 42);
+    for (eps, threads) in [(1.0, 1usize), (0.5, 4), (0.25, 8)] {
+        let solver = MwhvcSolver::with_epsilon(eps).unwrap();
+        let service = SolveService::with_epsilon(eps, threads).unwrap();
+        let served = serve_in_order(&service, &instances, eps);
+        for (i, (g, s)) in instances.iter().zip(&served).enumerate() {
+            let ctx = format!("eps={eps} t={threads} i={i}");
+            assert_bit_identical(s, &solver.solve(g).unwrap(), &ctx);
+        }
+    }
+
+    // A non-default configuration: served == solve == solve_parallel.
+    let cfg = MwhvcConfig::new(0.5)
+        .unwrap()
+        .with_variant(Variant::HalfBid);
+    let solver = MwhvcSolver::new(cfg.clone());
+    let service = SolveService::new(cfg, 4);
+    let instances = workload(8, 99);
+    let served = serve_in_order(&service, &instances, 0.5);
+    for (i, (g, s)) in instances.iter().zip(&served).enumerate() {
+        let solo = solver.solve(g).unwrap();
+        let parallel = solver.solve_parallel(g, 4).unwrap();
+        assert_bit_identical(&parallel, &solo, &format!("solve_parallel i={i}"));
+        assert_bit_identical(s, &solo, &format!("half-bid i={i}"));
+    }
+
+    // Repeated rounds on one service: the worker arenas carry capacity
+    // from earlier rounds, never state.
+    let solver = MwhvcSolver::with_epsilon(0.5).unwrap();
+    let service = SolveService::with_epsilon(0.5, 4).unwrap();
+    for round in 0..3 {
+        let instances = workload(10, 7_000 + round);
+        let served = serve_in_order(&service, &instances, 0.5);
+        for (i, (g, s)) in instances.iter().zip(&served).enumerate() {
+            let ctx = format!("round={round} i={i}");
+            assert_bit_identical(s, &solver.solve(g).unwrap(), &ctx);
+        }
     }
 }
 
@@ -135,7 +253,7 @@ fn try_submit_backpressure_surfaces_under_load() {
     let mut tickets = Vec::new();
     let mut rejections = 0usize;
     for _ in 0..12 {
-        match service.try_submit(g, 0.5) {
+        match service.try_submit_with(g, 0.5, SubmitOptions::default()) {
             Ok(t) => tickets.push(t),
             Err(SubmitError::Backpressure { capacity }) => {
                 assert_eq!(capacity, 1);
@@ -148,26 +266,6 @@ fn try_submit_backpressure_surfaces_under_load() {
     assert!(rejections > 0, "a 1-deep queue must push back on a burst");
     for t in tickets {
         assert!(t.wait().unwrap().cover.is_cover_of(g));
-    }
-}
-
-#[test]
-fn batch_wrappers_match_direct_service_submission() {
-    let instances = mixed_instances(10, 5);
-    let mut session = SolveSession::with_epsilon(0.5, 3).unwrap();
-    let direct: Vec<_> = {
-        let tickets: Vec<_> = instances
-            .iter()
-            .map(|g| session.service().submit(Arc::clone(g), 0.5).unwrap())
-            .collect();
-        tickets.into_iter().map(|t| t.wait().unwrap()).collect()
-    };
-    let batched = session.solve_batch_shared(&instances);
-    for (i, (d, b)) in direct.iter().zip(&batched).enumerate() {
-        let b = b.as_ref().unwrap();
-        assert_eq!(d.cover, b.cover, "instance {i}");
-        assert_eq!(d.duals, b.duals, "instance {i}");
-        assert_eq!(d.report, b.report, "instance {i}");
     }
 }
 

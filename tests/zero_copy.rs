@@ -1,18 +1,18 @@
 //! Proves every serving path is **zero-copy**: submitting an instance to
-//! the solve service — shared, batched, or borrowed from a slice — never
-//! copies the hypergraph payload.
+//! the solve service — shared, or borrowed from a slice — never copies
+//! the hypergraph payload.
 //!
 //! `dcover_hypergraph::clone_count()` counts every deep `Hypergraph`
 //! payload copy process-wide. Since the CSR payload moved behind a shared
 //! allocation, `Hypergraph::clone` itself is a refcount bump, which is
-//! what lets the borrowed-slice `solve_batch` path (pinned at 1
-//! copy/instance in PR 3) tighten to **0**. The counter is global, so
-//! this file holds exactly one test: the no-copy window must not race
-//! with other tests that legitimately deep-copy.
+//! what lets a borrowed instance reach the service as a fresh `Arc` at
+//! **0** copies. The counter is global, so this file holds exactly one
+//! test: the no-copy window must not race with other tests that
+//! legitimately deep-copy.
 
 use std::sync::Arc;
 
-use dcover_core::{MwhvcSolver, SolveService, SolveSession};
+use dcover_core::{MwhvcSolver, SolveService, SubmitOptions};
 use dcover_hypergraph::clone_count;
 use dcover_hypergraph::generators::{random_uniform, RandomUniform, WeightDist};
 use rand::rngs::StdRng;
@@ -35,7 +35,7 @@ fn arc_submission_paths_never_clone_the_instance_payload() {
         .solve(&g)
         .expect("reference solve");
 
-    // --- SolveService::submit / try_submit: zero deep clones. ---
+    // --- SolveService::submit / try_submit_with: zero deep clones. ---
     let service = SolveService::with_epsilon(0.5, 4).unwrap();
     let before = clone_count();
     let tickets: Vec<_> = (0..16)
@@ -43,7 +43,9 @@ fn arc_submission_paths_never_clone_the_instance_payload() {
             if i % 2 == 0 {
                 service.submit(Arc::clone(&g), 0.5).unwrap()
             } else {
-                service.try_submit(&g, 0.5).unwrap()
+                service
+                    .try_submit_with(&g, 0.5, SubmitOptions::default())
+                    .unwrap()
             }
         })
         .collect();
@@ -58,37 +60,41 @@ fn arc_submission_paths_never_clone_the_instance_payload() {
         "service submission deep-cloned an Arc'd instance"
     );
 
-    // --- SolveSession::solve_batch_shared: zero deep clones. ---
-    let mut session = SolveSession::with_epsilon(0.5, 4).unwrap();
+    // --- The caller's shared handles, submitted and redeemed in input
+    // order (the `dcover batch` shape): zero deep clones. ---
+    let batch_service = SolveService::with_epsilon(0.5, 4).unwrap();
     let shared: Vec<Arc<dcover_hypergraph::Hypergraph>> = (0..8).map(|_| Arc::clone(&g)).collect();
     let before = clone_count();
-    let results = session.solve_batch_shared(&shared);
-    for r in &results {
-        assert_eq!(r.as_ref().unwrap().cover, reference.cover);
+    let tickets: Vec<_> = shared
+        .iter()
+        .map(|g| batch_service.submit(Arc::clone(g), 0.5).unwrap())
+        .collect();
+    for t in tickets {
+        assert_eq!(t.wait().unwrap().cover, reference.cover);
     }
     assert_eq!(
         clone_count() - before,
         0,
-        "solve_batch_shared deep-cloned an Arc'd instance"
+        "in-order submission deep-cloned an Arc'd instance"
     );
     drop(shared);
     drop(service);
-    drop(session);
+    drop(batch_service);
 
     // Every Arc handle the serving layers took has been released: the
     // caller's handle is the only one left (no hidden retained copies —
     // including the service's delta result cache, which dies with it).
     assert_eq!(Arc::strong_count(&g), 1);
 
-    // The borrowed-slice batch is now zero-copy too: each borrowed
-    // instance is Arc-wrapped as a shared handle (the payload lives
-    // behind its own shared allocation), closing PR 3's documented
-    // "1 clone/instance" limitation.
-    let mut session = SolveSession::with_epsilon(0.5, 2).unwrap();
+    // A borrowed instance is zero-copy too: it reaches the service as a
+    // fresh shared handle around the same payload.
+    let slice_service = SolveService::with_epsilon(0.5, 2).unwrap();
     let slice = [Arc::try_unwrap(g).expect("sole owner")];
     let before = clone_count();
-    let results = session.solve_batch(&slice);
-    assert!(results[0].is_ok());
+    let ticket = slice_service
+        .submit(Arc::new(slice[0].clone()), 0.5)
+        .unwrap();
+    assert!(ticket.wait().is_ok());
     assert_eq!(
         clone_count() - before,
         0,

@@ -2,7 +2,7 @@
 //!
 //! Two phases. First, every `.rs` file is read, classified, and run
 //! through the per-file rules. Then the parsed set is assembled into a
-//! [`Workspace`](crate::sym::Workspace) symbol table and the global
+//! [`Workspace`] symbol table and the global
 //! (cross-function) rules run over it. Waiver use is tracked across both
 //! phases, so `waiver-unused` — emitted last — only fires for waivers
 //! that suppressed nothing anywhere.
