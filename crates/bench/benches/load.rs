@@ -148,7 +148,11 @@ struct Arrival {
     index: usize,
 }
 
-#[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+#[expect(
+    clippy::cast_sign_loss,
+    clippy::cast_possible_truncation,
+    reason = "a non-negative count of arrivals in a bench window"
+)]
 fn arrival_count(window: Duration, hz: f64) -> usize {
     (window.as_secs_f64() * hz).floor() as usize
 }
@@ -171,7 +175,11 @@ fn schedule(window: Duration, bulk_hz: f64, interactive_hz: f64) -> Vec<Arrival>
         });
     }
     let bulk_count = arrival_count(window, bulk_hz);
-    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_sign_loss,
+        clippy::cast_possible_truncation,
+        reason = "a small non-negative count of burst periods"
+    )]
     let periods = (window.as_secs_f64() / BURST_PERIOD.as_secs_f64()).ceil() as usize;
     let per_period = bulk_count.div_ceil(periods);
     for i in 0..bulk_count {
@@ -202,7 +210,11 @@ struct ModeStat {
 /// observation at ⌈q·n⌉).
 fn percentile(sorted: &[Duration], q: f64) -> Duration {
     assert!(!sorted.is_empty());
-    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_sign_loss,
+        clippy::cast_possible_truncation,
+        reason = "q is in [0, 1], so the rank is in [0, len]"
+    )]
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
 }

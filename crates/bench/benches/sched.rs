@@ -140,7 +140,11 @@ fn serve_round(
 /// observation at ⌈q·n⌉).
 fn percentile(sorted: &[Duration], q: f64) -> Duration {
     assert!(!sorted.is_empty());
-    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_sign_loss,
+        clippy::cast_possible_truncation,
+        reason = "q is in [0, 1], so the rank is in [0, len]"
+    )]
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
 }

@@ -91,7 +91,7 @@
 //! frees a slot — stdin is simply consumed more slowly instead of
 //! buffering without limit.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::BufRead as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -177,7 +177,7 @@ struct Stream {
     next_seq: u64,
     pending: Vec<Pending>,
     /// Bounded at [`OUTCOME_RETENTION`]; insertion order in `outcome_log`.
-    outcomes: HashMap<u64, Outcome>,
+    outcomes: BTreeMap<u64, Outcome>,
     outcome_log: VecDeque<u64>,
     totals: Totals,
 }
@@ -270,7 +270,7 @@ pub fn serve(raw: &[String]) -> Result<(), Failure> {
         defaults: SubmitOptions { class, deadline },
         next_seq: 0,
         pending: Vec::new(),
-        outcomes: HashMap::new(),
+        outcomes: BTreeMap::new(),
         outcome_log: VecDeque::new(),
         totals: Totals::default(),
     };

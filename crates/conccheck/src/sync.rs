@@ -167,7 +167,10 @@ pub struct Condvar {
 }
 
 impl Condvar {
-    #[allow(clippy::new_without_default)]
+    #[expect(
+        clippy::new_without_default,
+        reason = "mirrors std::sync::Condvar, whose constructor is `new`"
+    )]
     pub fn new() -> Self {
         Condvar {
             reg: OnceLock::new(),

@@ -295,7 +295,11 @@ impl LatencyHistogram {
         if count == 0 || !(0.0..=1.0).contains(&q) {
             return None;
         }
-        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+        #[expect(
+            clippy::cast_sign_loss,
+            clippy::cast_possible_truncation,
+            reason = "q is in [0, 1], so the rank is in [0, count]"
+        )]
         let target = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
@@ -396,7 +400,10 @@ impl WaitWindow {
         let micros = u64::try_from(waited.as_micros()).unwrap_or(u64::MAX - 1);
         // relaxed: the fetch_add only claims a unique slot (atomicity
         // suffices); the sample itself is published below with Release.
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the remainder is below WAIT_WINDOW, a usize"
+        )]
         let slot = (self.cursor.fetch_add(1, Ordering::Relaxed) % WAIT_WINDOW as u64) as usize;
         self.samples[slot].store(micros.saturating_add(1), Ordering::Release);
     }

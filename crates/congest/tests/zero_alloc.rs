@@ -10,6 +10,8 @@
 //! tests take turns (see [`Counting::start`]). For the parallel tests the
 //! pool's workers are part of the measured region.
 
+#![expect(unsafe_code, reason = "test-only counting global allocator")]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,18 +41,26 @@ fn count_one() {
     }
 }
 
-// SAFETY-FREE NOTE: implementing `GlobalAlloc` requires `unsafe` by design;
-// this is test-only code, delegating straight to `System`.
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counting around the calls
+// neither allocates nor touches the memory being managed.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        // SAFETY: the caller guarantees `layout` has non-zero size, as
+        // `System.alloc` requires.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller guarantees `ptr` came from this allocator,
+        // which is `System`, with this same `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        // SAFETY: the caller guarantees `ptr` came from `System` with
+        // `layout`, and that `new_size` is non-zero and does not overflow
+        // when rounded up to `layout.align()`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

@@ -288,7 +288,10 @@ pub fn solve_reference(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "forwards one iteration's full state to the observer"
+)]
 fn emit(
     observer: &mut dyn Observer,
     g: &Hypergraph,

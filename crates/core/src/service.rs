@@ -425,14 +425,20 @@ impl Ticket {
     /// Non-blocking redemption: `Ok(result)` if the solve has finished,
     /// `Err(self)` (the ticket, still valid) if it is still queued or
     /// running.
-    #[allow(clippy::missing_errors_doc)] // Err is "not ready", not a failure
+    #[expect(
+        clippy::missing_errors_doc,
+        reason = "Err is \"not ready\", not a failure"
+    )]
     pub fn try_wait(self) -> Result<Result<CoverResult, SolveError>, Ticket> {
         self.try_wait_timed().map(|(result, _)| result)
     }
 
     /// Like [`try_wait`](Self::try_wait), additionally reporting the
     /// ticket's [`TaskTiming`] on completion.
-    #[allow(clippy::missing_errors_doc)] // Err is "not ready", not a failure
+    #[expect(
+        clippy::missing_errors_doc,
+        reason = "Err is \"not ready\", not a failure"
+    )]
     pub fn try_wait_timed(self) -> Result<(Result<CoverResult, SolveError>, TaskTiming), Ticket> {
         let seq = self.seq;
         let cancel = self.cancel.clone();

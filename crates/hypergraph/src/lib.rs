@@ -53,7 +53,6 @@ mod delta;
 mod error;
 pub mod format;
 pub mod generators;
-#[allow(clippy::module_inception)]
 mod hypergraph;
 mod ids;
 mod set_system;

@@ -51,7 +51,6 @@ mod binary;
 mod error;
 mod exact;
 mod generators;
-#[allow(clippy::module_inception)]
 mod ilp;
 mod solve;
 mod zero_one;

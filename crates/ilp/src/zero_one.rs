@@ -9,7 +9,7 @@
 //! sound and shrinks the instance; even so the reduction is exponential in
 //! the row support, exactly as Lemma 14's `Δ' < 2^{f(A)}·Δ(A)` bound says.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use dcover_hypergraph::{Cover, Hypergraph, HypergraphBuilder, VertexId};
 
@@ -74,7 +74,7 @@ pub fn reduce_zero_one(
         b.add_vertex(w);
     }
 
-    let mut seen: HashSet<Vec<u32>> = HashSet::new();
+    let mut seen: BTreeSet<Vec<u32>> = BTreeSet::new();
     let mut enumerated = 0usize;
     for i in 0..ilp.num_constraints() {
         let (terms, bi) = ilp.constraint(i);
@@ -105,9 +105,11 @@ pub fn reduce_zero_one(
             }
             enumerated += 1;
             // Keep only minimal masks (no kept mask is a subset of it).
-            // `kept & mask == kept` tests subset-ness, not equality, so
-            // clippy's `contains` suggestion would change the meaning.
-            #[allow(clippy::manual_contains)]
+            #[expect(
+                clippy::manual_contains,
+                reason = "`kept & mask == kept` tests subset-ness, not equality; \
+                          `contains` would change the meaning"
+            )]
             if minimal_complements.iter().any(|&kept| kept & mask == kept) {
                 continue;
             }

@@ -1,26 +1,40 @@
-//! Ratchet baseline for Info-level inventories.
+//! The inventory ratchet.
 //!
-//! Info diagnostics never fail the build, so on their own they can creep
-//! upward unnoticed. The baseline file (`xtask/baseline.json`, checked
-//! in) pins the current counts — the slice-indexing panic-surface
-//! inventory and every `impl Message` worst-case bit-width — and
-//! `lint --baseline <path>` compares a fresh run against it:
+//! Info diagnostics never fail the build, so on their own they could
+//! creep upward unnoticed. The constants below pin the current
+//! inventories — the slice-indexing panic-surface count and every
+//! `impl Message` worst-case bit-width — and every full `xtask lint` run
+//! compares against them:
 //!
 //! * any growth (more slice-index sites, a wider message, a new message
-//!   type) is an **Error** — the ratchet only turns one way;
-//! * any shrink is a **Warning** prompting a baseline refresh
-//!   (`lint --baseline <path> --write-baseline`), so the pinned numbers
-//!   never lag reality.
+//!   type) is an **Error** whose message names the value to commit here;
+//! * any shrink is a **Warning** naming the smaller value to commit, so
+//!   an improvement is locked in rather than quietly regressing back.
 //!
-//! The file format is a flat hand-rolled JSON object (xtask stays
-//! dependency-free); parsing is tolerant of whitespace but nothing else.
-
-use std::fmt::Write as _;
+//! A refresh is therefore an edit to this file, reviewed like any other.
 
 use crate::diag::{Diagnostic, Report, Severity};
 
-/// Rule id used for ratchet findings (not waivable — fix or refresh).
+/// Rule id used for ratchet findings.
 pub const ID: &str = "ratchet";
+
+/// Where the pinned values live; ratchet findings point here.
+const PINNED_IN: &str = "xtask/src/baseline.rs";
+
+/// Direct slice-index sites in the serving-path modules.
+pub const SLICE_INDEX_SITES: usize = 72;
+
+/// Worst-case payload width, in bits, of every `impl Message` type.
+pub const MESSAGE_BITS: &[(&str, u64)] = &[
+    ("()", 1),
+    ("DoublingMsg", 131),
+    ("KvyMsg", 130),
+    ("MatchMsg", 2),
+    ("MwhvcMsg", 196),
+    ("bool", 1),
+    ("u32", 32),
+    ("u64", 64),
+];
 
 /// Count of slice-indexing inventory entries in a report.
 pub fn slice_index_count(report: &Report) -> usize {
@@ -35,140 +49,68 @@ pub fn slice_index_count(report: &Report) -> usize {
         .count()
 }
 
-/// Render the baseline for `report` (stable field order: sorted types).
-pub fn render(report: &Report) -> String {
-    let mut out = String::from("{\n  \"version\": 1,\n");
-    let _ = writeln!(
-        out,
-        "  \"slice_index_sites\": {},",
-        slice_index_count(report)
-    );
-    out.push_str("  \"message_bits\": {\n");
-    for (i, m) in report.message_bits.iter().enumerate() {
-        let _ = write!(out, "    \"{}\": {}", m.type_name, m.bits);
-        out.push_str(if i + 1 < report.message_bits.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  }\n}\n");
-    out
+/// Compare a full run's inventories against the pinned values.
+pub fn check(report: &Report) -> Vec<Diagnostic> {
+    check_against(report, SLICE_INDEX_SITES, MESSAGE_BITS)
 }
 
-/// Compare `report` against the baseline `text`; diagnostics are
-/// anchored to the baseline file itself.
-pub fn check(report: &Report, text: &str, path: &str) -> Vec<Diagnostic> {
+/// Compare `report` against explicit pinned values.
+pub fn check_against(report: &Report, slices: usize, widths: &[(&str, u64)]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let diag = |sev: Severity, msg: String| Diagnostic::new(ID, sev, path, 1, 1, msg, "");
-    let Some(base_slices) = read_number(text, "slice_index_sites") else {
-        out.push(diag(
-            Severity::Error,
-            "baseline is missing `slice_index_sites` — regenerate with --write-baseline".into(),
-        ));
-        return out;
+    let mut diag = |sev: Severity, msg: String| {
+        out.push(Diagnostic::new(ID, sev, PINNED_IN, 1, 1, msg, ""));
     };
-    let cur_slices = slice_index_count(report) as u64;
-    if cur_slices > base_slices {
-        out.push(diag(
+    let cur = slice_index_count(report);
+    if cur > slices {
+        diag(
             Severity::Error,
             format!(
-                "slice-index inventory grew: {cur_slices} sites vs {base_slices} in the \
-                 baseline — convert the new sites to checked access or justify them, \
-                 then refresh with --write-baseline"
+                "slice-index inventory grew to {cur} sites (pinned: {slices}) — convert the \
+                 new sites to checked access, or justify them and commit \
+                 `SLICE_INDEX_SITES = {cur}`"
             ),
-        ));
-    } else if cur_slices < base_slices {
-        out.push(diag(
+        );
+    } else if cur < slices {
+        diag(
             Severity::Warning,
             format!(
-                "slice-index inventory shrank: {cur_slices} sites vs {base_slices} — \
-                 refresh the baseline with --write-baseline to lock in the improvement"
+                "slice-index inventory shrank to {cur} sites (pinned: {slices}) — commit \
+                 `SLICE_INDEX_SITES = {cur}` to lock in the improvement"
             ),
-        ));
+        );
     }
-    let base_bits = read_object(text, "message_bits");
     for m in &report.message_bits {
-        match base_bits.iter().find(|(n, _)| n == &m.type_name) {
-            None => out.push(diag(
+        let (name, bits) = (&m.type_name, m.bits);
+        match widths.iter().find(|(n, _)| n == name) {
+            None => diag(
                 Severity::Error,
                 format!(
-                    "new Message type `{}` ({} bits) not in the baseline — review its \
-                     width, then refresh with --write-baseline",
-                    m.type_name, m.bits
+                    "new Message type `{name}` ({bits} bits) — review its width, then add \
+                     `(\"{name}\", {bits})` to MESSAGE_BITS"
                 ),
-            )),
-            Some((_, b)) if m.bits > *b => out.push(diag(
+            ),
+            Some(&(_, b)) if bits > b => diag(
                 Severity::Error,
                 format!(
-                    "`{}` widened: {} bits vs {} in the baseline — shrink the payload \
-                     or justify and refresh with --write-baseline",
-                    m.type_name, m.bits, b
+                    "`{name}` widened to {bits} bits (pinned: {b}) — shrink the payload, or \
+                     justify it and commit `(\"{name}\", {bits})`"
                 ),
-            )),
-            Some((_, b)) if m.bits < *b => out.push(diag(
+            ),
+            Some(&(_, b)) if bits < b => diag(
                 Severity::Warning,
-                format!(
-                    "`{}` narrowed: {} bits vs {} — refresh the baseline with \
-                     --write-baseline",
-                    m.type_name, m.bits, b
-                ),
-            )),
+                format!("`{name}` narrowed to {bits} bits (pinned: {b}) — commit `(\"{name}\", {bits})`"),
+            ),
             _ => {}
         }
     }
-    for (name, _) in &base_bits {
-        if !report.message_bits.iter().any(|m| &m.type_name == name) {
-            out.push(diag(
+    for (name, _) in widths {
+        if !report.message_bits.iter().any(|m| m.type_name == *name) {
+            diag(
                 Severity::Warning,
                 format!(
-                    "baseline entry `{name}` no longer exists — refresh with \
-                     --write-baseline"
+                    "pinned Message type `{name}` no longer exists — remove it from MESSAGE_BITS"
                 ),
-            ));
-        }
-    }
-    out
-}
-
-/// Read `"key": <u64>` anywhere in `text`.
-fn read_number(text: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\"");
-    let at = text.find(&pat)?;
-    let rest = text[at + pat.len()..].trim_start().strip_prefix(':')?;
-    let digits: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Read `"key": { "name": <u64>, … }` anywhere in `text`.
-fn read_object(text: &str, key: &str) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    let pat = format!("\"{key}\"");
-    let Some(at) = text.find(&pat) else {
-        return out;
-    };
-    let rest = &text[at + pat.len()..];
-    let Some(open) = rest.find('{') else {
-        return out;
-    };
-    let Some(close) = rest[open..].find('}') else {
-        return out;
-    };
-    let body = &rest[open + 1..open + close];
-    for part in body.split(',') {
-        let Some((name, val)) = part.split_once(':') else {
-            continue;
-        };
-        let name = name.trim().trim_matches('"');
-        let Ok(v) = val.trim().parse::<u64>() else {
-            continue;
-        };
-        if !name.is_empty() {
-            out.push((name.to_owned(), v));
+            );
         }
     }
     out
@@ -195,8 +137,6 @@ mod tests {
         for (name, bits) in widths {
             r.message_bits.push(MessageWidth {
                 type_name: (*name).to_owned(),
-                file: "m.rs".into(),
-                line: 1,
                 bits: *bits,
             });
         }
@@ -204,33 +144,33 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_render() {
-        let r = report(3, &[("MsgA", 42), ("MsgB", 7)]);
-        let text = render(&r);
-        assert!(check(&r, &text, "baseline.json").is_empty(), "{text}");
+    fn unchanged_inventories_are_silent() {
+        let pinned = [("MsgA", 42), ("MsgB", 7)];
+        assert!(check_against(&report(3, &pinned), 3, &pinned).is_empty());
     }
 
     #[test]
     fn growth_is_an_error_shrink_a_warning() {
-        let base = render(&report(3, &[("MsgA", 42)]));
-        let grown = report(4, &[("MsgA", 48)]);
-        let d = check(&grown, &base, "baseline.json");
+        let pinned = [("MsgA", 42)];
+        let d = check_against(&report(4, &[("MsgA", 48)]), 3, &pinned);
         assert_eq!(
             d.iter().filter(|x| x.severity == Severity::Error).count(),
             2,
             "slice growth and width growth: {d:?}"
         );
-        let shrunk = report(2, &[("MsgA", 40)]);
-        let d = check(&shrunk, &base, "baseline.json");
+        assert!(
+            d.iter()
+                .any(|x| x.message.contains("SLICE_INDEX_SITES = 4")),
+            "names the value to commit: {d:?}"
+        );
+        let d = check_against(&report(2, &[("MsgA", 40)]), 3, &pinned);
         assert!(d.iter().all(|x| x.severity == Severity::Warning), "{d:?}");
         assert_eq!(d.len(), 2);
     }
 
     #[test]
     fn new_and_stale_types_are_flagged() {
-        let base = render(&report(0, &[("Gone", 8)]));
-        let cur = report(0, &[("Fresh", 8)]);
-        let d = check(&cur, &base, "baseline.json");
+        let d = check_against(&report(0, &[("Fresh", 8)]), 0, &[("Gone", 8)]);
         assert!(d
             .iter()
             .any(|x| x.severity == Severity::Error && x.message.contains("Fresh")));

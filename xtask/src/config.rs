@@ -11,21 +11,13 @@ pub struct LintConfig {
     /// Modules ported to the `dcover_congest::sync` facade
     /// (rule `sync-facade`).
     pub facade_files: Vec<String>,
-    /// Files allowed to contain `unsafe` (rule `unsafe-code`).
-    pub unsafe_allow: Vec<String>,
     /// Serving-path modules (rule `panic-surface`).
     pub serving_files: Vec<String>,
-    /// Protocol-implementation dirs held to the CONGEST model contract
+    /// Protocol-implementation dirs that must not read a clock
     /// (rule `congest-conformance`).
     pub conformance_dirs: Vec<String>,
-    /// Result-producing dirs where hash collections are banned
-    /// (rule `determinism`).
-    pub determinism_dirs: Vec<String>,
-    /// Files exempt from the determinism pass (explicit allowlist; prefer
-    /// per-site waivers for single sites).
-    pub determinism_allow: Vec<String>,
     /// Path prefixes exempt from style rules (offline dependency shims
-    /// mirroring upstream APIs); the `unsafe-code` rule still applies.
+    /// mirroring upstream APIs).
     pub shim_prefixes: Vec<String>,
     /// Directory *names* never scanned anywhere in the tree.
     pub skip_dir_names: Vec<String>,
@@ -52,11 +44,6 @@ impl LintConfig {
                 "crates/congest/src/metrics.rs".into(),
                 "crates/core/src/service.rs".into(),
             ],
-            unsafe_allow: vec![
-                // Test-only global allocator used by the zero-allocation
-                // assertions.
-                "crates/congest/tests/zero_alloc.rs".into(),
-            ],
             serving_files: vec![
                 "crates/congest/src/engine.rs".into(),
                 "crates/congest/src/sim.rs".into(),
@@ -70,12 +57,6 @@ impl LintConfig {
                 "crates/core/src/protocol/".into(),
                 "crates/baselines/src/".into(),
             ],
-            determinism_dirs: vec![
-                "crates/congest/src/".into(),
-                "crates/core/src/".into(),
-                "crates/hypergraph/src/".into(),
-            ],
-            determinism_allow: vec![],
             shim_prefixes: vec!["crates/shims/".into()],
             // `fixtures` holds deliberately-violating lint-test inputs —
             // data, not sources.

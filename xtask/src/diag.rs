@@ -1,13 +1,13 @@
-//! Diagnostics: spans, severities, stable rule ids, human and JSON output.
+//! Diagnostics: spans, severities, stable rule ids, human output.
 
 use std::fmt::Write as _;
 
 /// How a diagnostic affects the lint exit status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Inventory only — reported in `--json` (and `--verbose` human
-    /// output), never fails the build. Used for the slice-indexing
-    /// panic-surface inventory.
+    /// Inventory only — printed with `--verbose`, never fails the build
+    /// (growth is caught by the ratchet in [`crate::baseline`]). Used for
+    /// the slice-indexing and message-width inventories.
     Info,
     /// Should be fixed but does not fail the build.
     Warning,
@@ -78,14 +78,10 @@ impl Diagnostic {
 }
 
 /// One entry of the per-type message-width inventory produced by the
-/// `message-bits` pass (and consumed by the ratchet baseline).
+/// `message-bits` pass (and checked by the ratchet in [`crate::baseline`]).
 #[derive(Debug, Clone)]
 pub struct MessageWidth {
     pub type_name: String,
-    /// Repo-relative path of the `impl Message` block.
-    pub file: String,
-    /// 1-based line of the `impl` keyword.
-    pub line: usize,
     /// Worst-case payload width in bits.
     pub bits: u64,
 }
@@ -104,10 +100,7 @@ pub struct Report {
 
 impl Report {
     pub fn error_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count()
+        self.count(Severity::Error)
     }
 
     pub fn count(&self, severity: Severity) -> usize {
@@ -149,86 +142,11 @@ impl Report {
         );
         out
     }
-
-    /// Machine-readable JSON (hand-rolled; the workspace is offline and
-    /// xtask stays dependency-free).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"version\": 2,\n  \"diagnostics\": [\n");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"rule\": {}, \"severity\": {}, \"file\": {}, \"line\": {}, \"col\": {}, \"message\": {}, \"snippet\": {}}}",
-                json_str(d.rule),
-                json_str(d.severity.as_str()),
-                json_str(&d.file),
-                d.line,
-                d.col,
-                json_str(&d.message),
-                json_str(&d.snippet),
-            );
-            out.push_str(if i + 1 < self.diagnostics.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n  \"message_bits\": [\n");
-        for (i, m) in self.message_bits.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"type\": {}, \"file\": {}, \"line\": {}, \"bits\": {}}}",
-                json_str(&m.type_name),
-                json_str(&m.file),
-                m.line,
-                m.bits,
-            );
-            out.push_str(if i + 1 < self.message_bits.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        let _ = write!(
-            out,
-            "  ],\n  \"summary\": {{\"files_scanned\": {}, \"errors\": {}, \"warnings\": {}, \"info\": {}}}\n}}\n",
-            self.files_scanned,
-            self.error_count(),
-            self.count(Severity::Warning),
-            self.count(Severity::Info),
-        );
-        out
-    }
-}
-
-/// JSON string escaping (control chars, quotes, backslashes).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escapes() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
 
     #[test]
     fn report_counts_and_sort() {
@@ -254,8 +172,6 @@ mod tests {
         r.sort();
         assert_eq!(r.diagnostics[0].file, "a.rs");
         assert_eq!(r.error_count(), 1);
-        let j = r.render_json();
-        assert!(j.contains("\"errors\": 1"));
-        assert!(j.contains("\"info\": 1"));
+        assert_eq!(r.count(Severity::Info), 1);
     }
 }

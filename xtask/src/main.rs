@@ -1,15 +1,11 @@
-//! `cargo run -p xtask -- lint [--json] [--verbose] [--rule <id>]
-//! [--lock-graph <path>] [--baseline <path> [--write-baseline]]`
+//! `cargo run -p xtask -- lint [--verbose] [--rule <id>] [--lock-graph <path>]`
 //!
 //! Thin CLI over the [`xtask`] library: exit code 1 iff any
-//! Error-severity diagnostic was produced. `--json` prints the
-//! machine-readable report to stdout (human text goes to stderr so the
-//! JSON stream stays clean); `--verbose` includes the Info-severity
-//! inventories in human output; `--rule` restricts to one pass for
-//! focused runs. `--lock-graph` writes the static lock acquisition graph
-//! as GraphViz DOT. `--baseline` compares the run's Info inventories
-//! against the checked-in ratchet file (growth is an error);
-//! `--write-baseline` regenerates that file instead.
+//! Error-severity diagnostic was produced. `--verbose` includes the
+//! Info-severity inventories in the output; `--rule` restricts to one
+//! pass for focused runs. `--lock-graph` writes the static lock
+//! acquisition graph as GraphViz DOT. A full run (no `--rule`) also
+//! checks the inventories against the ratchet in [`xtask::baseline`].
 
 #![forbid(unsafe_code)]
 
@@ -25,8 +21,7 @@ fn main() -> ExitCode {
         Some("lint") => lint(&args[1..]),
         _ => {
             eprintln!(
-                "usage: cargo run -p xtask -- lint [--json] [--verbose] [--rule <id>] \
-                 [--lock-graph <path>] [--baseline <path> [--write-baseline]]"
+                "usage: cargo run -p xtask -- lint [--verbose] [--rule <id>] [--lock-graph <path>]"
             );
             ExitCode::FAILURE
         }
@@ -34,16 +29,12 @@ fn main() -> ExitCode {
 }
 
 fn lint(args: &[String]) -> ExitCode {
-    let mut json = false;
     let mut verbose = false;
     let mut only_rule = None;
     let mut lock_graph: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut write_baseline = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--json" => json = true,
             "--verbose" => verbose = true,
             "--rule" => match it.next() {
                 Some(r) => only_rule = Some(r.clone()),
@@ -59,14 +50,6 @@ fn lint(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--baseline" => match it.next() {
-                Some(p) => baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--baseline needs a path (e.g. xtask/baseline.json)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--write-baseline" => write_baseline = true,
             other => {
                 eprintln!("unknown flag `{other}`");
                 return ExitCode::FAILURE;
@@ -82,13 +65,10 @@ fn lint(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if write_baseline && baseline.is_none() {
-        eprintln!("--write-baseline needs --baseline <path> to know where to write");
-        return ExitCode::FAILURE;
-    }
 
     let root = repo_root();
     let cfg = LintConfig::repo();
+    let full_run = only_rule.is_none();
     let mut report = run(&root, &cfg, &LintOptions { only_rule });
 
     if let Some(path) = &lock_graph {
@@ -107,39 +87,15 @@ fn lint(args: &[String]) -> ExitCode {
         }
     }
 
-    if let Some(path) = &baseline {
-        if write_baseline {
-            let rendered = xtask::baseline::render(&report);
-            if let Err(e) = std::fs::write(path, rendered) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("baseline written to {}", path.display());
-        } else {
-            let rel = path.to_string_lossy().replace('\\', "/");
-            match std::fs::read_to_string(path) {
-                Ok(text) => {
-                    let findings = xtask::baseline::check(&report, &text, &rel);
-                    report.diagnostics.extend(findings);
-                    report.sort();
-                }
-                Err(e) => {
-                    eprintln!(
-                        "cannot read baseline {}: {e} (generate it with --write-baseline)",
-                        path.display()
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+    // A focused run sees partial inventories, so only a full run can
+    // compare them against the pinned values.
+    if full_run {
+        let findings = xtask::baseline::check(&report);
+        report.diagnostics.extend(findings);
+        report.sort();
     }
 
-    if json {
-        print!("{}", report.render_json());
-        eprint!("{}", report.render_human(false));
-    } else {
-        print!("{}", report.render_human(verbose));
-    }
+    print!("{}", report.render_human(verbose));
     if report.error_count() == 0 {
         ExitCode::SUCCESS
     } else {

@@ -41,10 +41,9 @@ pub fn check(ws: &Workspace<'_>, cfg: &LintConfig, report: &mut Report) {
         let Some(info) = &model.info[fi] else {
             continue;
         };
-        for (ci, held, callees) in &info.calls {
+        for (_, held, callees) in &info.calls {
             let mut next: BTreeSet<String> = inc.clone();
             next.extend(held.iter().cloned());
-            let _ = ci;
             for &g in callees {
                 if model.info.get(g).map(Option::is_none).unwrap_or(true) {
                     continue;
@@ -65,14 +64,11 @@ pub fn check(ws: &Workspace<'_>, cfg: &LintConfig, report: &mut Report) {
             continue;
         };
         let f = &ws.fns[fi];
-        let sf = &ws.files[f.file].sf;
+        let sf = &ws.files[f.file];
         for b in &info.blocking {
             let mut held: BTreeSet<String> = inc.clone();
             held.extend(b.held.iter().cloned());
             if held.is_empty() {
-                continue;
-            }
-            if ws.files[f.file].waivers.allows(ID, b.pos.line) {
                 continue;
             }
             // Witness path from the worker entry.
@@ -91,7 +87,7 @@ pub fn check(ws: &Workspace<'_>, cfg: &LintConfig, report: &mut Report) {
                 Severity::Error,
                 &sf.rel,
                 b.pos.line + 1,
-                sf.col(b.pos.line, b.pos.col),
+                b.pos.col + 1,
                 format!(
                     "worker path {} blocks in {} while holding {}: a parked worker \
                      pins these locks and can stall every peer that needs them",

@@ -1,45 +1,27 @@
-//! `congest-conformance`: protocol implementations must stay inside the
-//! CONGEST model contract the paper's bounds are proved in — deterministic
-//! rounds, one `O(log n)`-bit message per link per round. This pass is the
-//! static complement to the runtime `BitBudget`:
+//! `congest-conformance`: protocol code reads no clock.
 //!
-//! * **No wall-clock reads** (`Instant::now`, `SystemTime`): round count is
-//!   the only clock a CONGEST protocol has.
-//! * **No hash collections** (`HashMap`/`HashSet`): iteration order is
-//!   randomized per process, which breaks the bit-identity contract the
-//!   scheduler-equivalence tests pin.
-//! * **No `static mut` global state**: nodes communicate only by messages.
-//! * **No unbounded payload fields** (`Vec`, `VecDeque`, `String`,
-//!   `Box<[…]>`, `BTreeMap`, `BTreeSet`) in any type `impl Message`: a
-//!   growable payload has no a-priori bit bound, so the `O(log n)` claim
-//!   silently degrades to whatever the field holds. Waive with a budget
-//!   justification if a bounded encoding is enforced elsewhere.
+//! The paper's bounds are proved in the CONGEST model, where the round
+//! count is the only clock a protocol has. A wall-clock read
+//! (`Instant::now`, `SystemTime`) in a protocol implementation would make
+//! its behaviour depend on scheduling, so this pass bans both in the
+//! configured protocol dirs (`crates/core/src/protocol/`,
+//! `crates/baselines/src/`), test code excepted. Clippy's
+//! `disallowed-methods` has no per-directory scope, which is why this
+//! check stays here.
 //!
-//! The payload check resolves `impl Message for T` against `struct T` /
-//! `enum T` definitions *in the same file* — protocol message types and
-//! their impls are co-located in this workspace, and ANALYSIS.md documents
-//! the limitation.
+//! The rest of the model contract is checked elsewhere: hash collections
+//! by `clippy.toml`, `static mut` by the `unsafe_code` lint (every access
+//! needs `unsafe`), and unbounded payloads by `message-bits`.
 
 use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Severity};
-use crate::rules::find_tokens;
 use crate::scan::SourceFile;
-use crate::waiver::Waivers;
 
 pub const ID: &str = "congest-conformance";
 
 const WALL_CLOCK: &[&str] = &["Instant::now", "SystemTime"];
-const HASH: &[&str] = &["HashMap", "HashSet"];
-const PAYLOAD: &[&str] = &[
-    "Vec<",
-    "VecDeque<",
-    "String",
-    "Box<[",
-    "BTreeMap<",
-    "BTreeSet<",
-];
 
-pub fn check(sf: &SourceFile, cfg: &LintConfig, waivers: &Waivers, out: &mut Vec<Diagnostic>) {
+pub fn check(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
     if !LintConfig::in_dirs(&cfg.conformance_dirs, &sf.rel) {
         return;
     }
@@ -47,143 +29,21 @@ pub fn check(sf: &SourceFile, cfg: &LintConfig, waivers: &Waivers, out: &mut Vec
         if sf.test_lines[i] {
             continue;
         }
-        // `allows` is consulted per finding (not as a line pre-filter)
-        // so waiver use-tracking only fires on real suppressions.
         for pat in WALL_CLOCK {
             if let Some(at) = code.find(pat) {
-                if waivers.allows(ID, i) {
-                    continue;
-                }
                 out.push(Diagnostic::new(
                     ID,
                     Severity::Error,
                     &sf.rel,
                     i + 1,
-                    sf.col(i, at),
-                    format!("wall-clock read `{pat}` in protocol code: rounds are the only clock in the CONGEST model"),
+                    at + 1,
+                    format!(
+                        "wall-clock read `{pat}` in protocol code: rounds are the only clock \
+                         in the CONGEST model"
+                    ),
                     &sf.lines[i],
                 ));
             }
         }
-        for pat in HASH {
-            for at in find_tokens(code, pat) {
-                if waivers.allows(ID, i) {
-                    continue;
-                }
-                out.push(Diagnostic::new(
-                    ID,
-                    Severity::Error,
-                    &sf.rel,
-                    i + 1,
-                    sf.col(i, at),
-                    format!("`{pat}` in protocol code: randomized iteration order breaks the bit-identity contract (use BTreeMap/sorted Vec)"),
-                    &sf.lines[i],
-                ));
-            }
-        }
-        if let Some(at) = code.find("static mut") {
-            if waivers.allows(ID, i) {
-                continue;
-            }
-            out.push(Diagnostic::new(
-                ID,
-                Severity::Error,
-                &sf.rel,
-                i + 1,
-                sf.col(i, at),
-                "`static mut` global state in protocol code: nodes may only communicate by messages".into(),
-                &sf.lines[i],
-            ));
-        }
     }
-    check_message_payloads(sf, waivers, out);
-}
-
-/// Flag unbounded payload fields in types implementing `Message`.
-fn check_message_payloads(sf: &SourceFile, waivers: &Waivers, out: &mut Vec<Diagnostic>) {
-    let mut msg_types: Vec<String> = Vec::new();
-    for code in &sf.masked {
-        if let Some(at) = code.find("impl Message for ") {
-            let rest = &code[at + "impl Message for ".len()..];
-            let name: String = rest
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if !name.is_empty() {
-                msg_types.push(name);
-            }
-        }
-    }
-    for ty in &msg_types {
-        let Some((start, end)) = type_def_region(sf, ty) else {
-            continue;
-        };
-        for i in start..end {
-            if sf.test_lines[i] {
-                continue;
-            }
-            let code = &sf.masked[i];
-            for pat in PAYLOAD {
-                let hits = if pat.ends_with('<') || pat.ends_with('[') {
-                    match code.find(pat) {
-                        Some(at) => vec![at],
-                        None => vec![],
-                    }
-                } else {
-                    find_tokens(code, pat)
-                };
-                for at in hits {
-                    if waivers.allows(ID, i) {
-                        continue;
-                    }
-                    out.push(Diagnostic::new(
-                        ID,
-                        Severity::Error,
-                        &sf.rel,
-                        i + 1,
-                        sf.col(i, at),
-                        format!(
-                            "unbounded payload `{}` in Message type `{ty}`: the CONGEST \
-                             O(log n)-bit bound needs a fixed-size encoding (or a waiver \
-                             citing the enforced budget)",
-                            pat.trim_end_matches(['<', '['])
-                        ),
-                        &sf.lines[i],
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// 0-based line range of the `struct`/`enum` definition of `ty` in this
-/// file: from the def line through the matching close of its first brace
-/// or paren block (or the terminating `;` for unit/tuple structs).
-fn type_def_region(sf: &SourceFile, ty: &str) -> Option<(usize, usize)> {
-    let def_line = sf.masked.iter().position(|code| {
-        (code.contains("struct ") || code.contains("enum "))
-            && find_tokens(code, ty).iter().any(|&at| {
-                let before = code[..at].trim_end();
-                before.ends_with("struct") || before.ends_with("enum")
-            })
-    })?;
-    let mut depth: i64 = 0;
-    let mut opened = false;
-    for j in def_line..sf.masked.len() {
-        for c in sf.masked[j].chars() {
-            match c {
-                '{' | '(' => {
-                    depth += 1;
-                    opened = true;
-                }
-                '}' | ')' => depth -= 1,
-                ';' if !opened && depth == 0 => return Some((def_line, j + 1)),
-                _ => {}
-            }
-        }
-        if opened && depth <= 0 {
-            return Some((def_line, j + 1));
-        }
-    }
-    Some((def_line, sf.masked.len()))
 }

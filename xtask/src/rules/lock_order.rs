@@ -11,10 +11,8 @@
 //! different nodes can each hold the lock the other wants.
 //!
 //! Every cycle is reported with the full witness call chain for each
-//! edge. A refuted cycle (e.g. one whose interleavings a conccheck
-//! scenario exhausts, or one excluded by a single-thread invariant) can
-//! be waived with `// lint: allow(lock-order) — <scenario / invariant>`
-//! on any line contributing an edge.
+//! edge. The fix is to take the locks in one global order, or to release
+//! the first before taking the second.
 //!
 //! The graph itself is always rendered to DOT (`lint --lock-graph
 //! lock-graph.dot`) so the doc can embed it and the conccheck scenarios
@@ -45,7 +43,7 @@ pub fn check(ws: &Workspace<'_>, cfg: &LintConfig, report: &mut Report) {
     }
     for cycle in cycles(&model.locks, &edge_set) {
         // Anchor the diagnostic at the lexically-first witness edge of
-        // the cycle, and honor a waiver on *any* contributing edge line.
+        // the cycle.
         let mut witnesses: Vec<&LockEdge> = Vec::new();
         for k in 0..cycle.len() {
             let from = &cycle[k];
@@ -54,17 +52,11 @@ pub fn check(ws: &Workspace<'_>, cfg: &LintConfig, report: &mut Report) {
                 witnesses.extend(es.iter().copied());
             }
         }
-        let waived = witnesses
-            .iter()
-            .any(|e| ws.files[e.file].waivers.allows(ID, e.pos.line));
-        if waived {
-            continue;
-        }
         let anchor = witnesses
             .iter()
-            .min_by_key(|e| (&ws.files[e.file].sf.rel, e.pos))
+            .min_by_key(|e| (&ws.files[e.file].rel, e.pos))
             .expect("cycle has at least one edge");
-        let sf = &ws.files[anchor.file].sf;
+        let sf = &ws.files[anchor.file];
         let mut msg = format!(
             "lock-order cycle ({}) — a potential ABBA inversion; edges:",
             cycle
@@ -85,21 +77,18 @@ pub fn check(ws: &Workspace<'_>, cfg: &LintConfig, report: &mut Report) {
                     from,
                     to,
                     e.via,
-                    ws.files[e.file].sf.rel,
+                    ws.files[e.file].rel,
                     e.pos.line + 1
                 );
             }
         }
-        msg.push_str(
-            "; refute with a conccheck scenario or single-thread invariant and \
-             waive the contributing edge (`lint: allow(lock-order) — <why>`)",
-        );
+        msg.push_str("; take the locks in one global order");
         report.diagnostics.push(Diagnostic::new(
             ID,
             Severity::Error,
             &sf.rel,
             anchor.pos.line + 1,
-            sf.col(anchor.pos.line, anchor.pos.col),
+            anchor.pos.col + 1,
             msg,
             sf.lines
                 .get(anchor.pos.line)
@@ -132,16 +121,34 @@ fn cycles(
             adj[f].push(t);
         }
     }
-    let sccs = tarjan(n, &adj);
+    // `reach[u]`: the nodes reachable from `u` in one or more steps. The
+    // graphs here have a handful of nodes, so a walk per node is cheap.
+    let reach: Vec<BTreeSet<usize>> = (0..n)
+        .map(|u| {
+            let mut seen = BTreeSet::new();
+            let mut stack = adj[u].clone();
+            while let Some(v) = stack.pop() {
+                if seen.insert(v) {
+                    stack.extend(&adj[v]);
+                }
+            }
+            seen
+        })
+        .collect();
+    let mut done: BTreeSet<usize> = BTreeSet::new();
     let mut out = Vec::new();
-    for scc in sccs {
-        let set: BTreeSet<usize> = scc.iter().copied().collect();
-        let nontrivial = scc.len() > 1 || (scc.len() == 1 && adj[scc[0]].contains(&scc[0]));
-        if !nontrivial {
+    for start in 0..n {
+        if done.contains(&start) || !reach[start].contains(&start) {
             continue;
         }
-        // Walk a cycle inside the SCC starting from its smallest node.
-        let start = *set.iter().next().expect("non-empty SCC");
+        // `start` is the smallest node of its strongly connected component.
+        let set: BTreeSet<usize> = reach[start]
+            .iter()
+            .copied()
+            .filter(|&v| reach[v].contains(&start))
+            .collect();
+        done.extend(&set);
+        // Walk a cycle inside the component from its smallest node.
         let mut path = vec![start];
         let mut seen = BTreeSet::from([start]);
         let mut cur = start;
@@ -161,64 +168,6 @@ fn cycles(
         out.push(path.into_iter().map(|i| locks[i].clone()).collect());
     }
     out
-}
-
-/// Tarjan's strongly-connected components (iterative).
-fn tarjan(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut sccs = Vec::new();
-    // (node, child cursor)
-    let mut call: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        call.push((root, 0));
-        index[root] = next_index;
-        low[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        while let Some(&mut (v, ref mut cursor)) = call.last_mut() {
-            if *cursor < adj[v].len() {
-                let w = adj[v][*cursor];
-                *cursor += 1;
-                if index[w] == usize::MAX {
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("stack non-empty at SCC root");
-                        on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    scc.sort_unstable();
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
-    sccs
 }
 
 /// Render the lock graph as GraphViz DOT with acquiring-fn annotations.

@@ -23,12 +23,12 @@
 //!   rejected outright: they have no a-priori bound.
 //!
 //! Every successfully-computed width is emitted as an Info inventory
-//! entry and recorded in the `--json` report's `message_bits` array
-//! (which the ratchet baseline pins).
+//! entry and recorded in [`Report::message_bits`], which the ratchet in
+//! [`crate::baseline`] pins.
 
 use crate::config::LintConfig;
 use crate::diag::{Diagnostic, MessageWidth, Report, Severity};
-use crate::sym::{strip_generics, TypeDef, TypeKind, Workspace};
+use crate::sym::{split_top_commas, strip_generics, TypeDef, TypeKind, Workspace};
 
 pub const ID: &str = "message-bits";
 
@@ -41,59 +41,43 @@ pub fn check(ws: &Workspace<'_>, cfg: &LintConfig, report: &mut Report) {
         if imp.trait_name.as_deref() != Some("Message") || imp.test {
             continue;
         }
-        let rel = &ws.files[imp.file].sf.rel;
+        let sf = &ws.files[imp.file];
+        let rel = &sf.rel;
         if cfg.is_shim(rel) || rel.contains("/tests/") {
             continue;
         }
-        let sf = &ws.files[imp.file].sf;
         let snippet = sf.lines.get(imp.line).map(String::as_str).unwrap_or("");
         let mut stack = Vec::new();
         match width_of(ws, &imp.type_name, imp.file, &mut stack) {
             Ok(bits) => {
                 report.message_bits.push(MessageWidth {
                     type_name: imp.type_name.clone(),
-                    file: rel.clone(),
-                    line: imp.line + 1,
                     bits,
                 });
-                if bits > cfg.max_message_bits {
-                    if ws.files[imp.file].waivers.allows(ID, imp.line) {
-                        continue;
-                    }
-                    report.diagnostics.push(Diagnostic::new(
-                        ID,
-                        Severity::Error,
-                        rel,
-                        imp.line + 1,
-                        1,
-                        format!(
-                            "`{}` worst-case payload is {bits} bits, over the CONGEST \
-                             budget of {} (`max_message_bits`)",
-                            imp.type_name, cfg.max_message_bits
-                        ),
-                        snippet,
-                    ));
+                let (name, budget) = (&imp.type_name, cfg.max_message_bits);
+                let (severity, message) = if bits > budget {
+                    let why = format!(
+                        "`{name}` worst-case payload is {bits} bits, over the CONGEST budget \
+                         of {budget} (`max_message_bits`)"
+                    );
+                    (Severity::Error, why)
                 } else {
-                    report.diagnostics.push(Diagnostic::new(
-                        ID,
-                        Severity::Info,
-                        rel,
-                        imp.line + 1,
-                        1,
-                        format!(
-                            "`{}` worst-case payload: {bits} bits (budget {})",
-                            imp.type_name, cfg.max_message_bits
-                        ),
-                        snippet,
-                    ));
-                }
+                    let inv = format!("`{name}` worst-case payload: {bits} bits (budget {budget})");
+                    (Severity::Info, inv)
+                };
+                report.diagnostics.push(Diagnostic::new(
+                    ID,
+                    severity,
+                    rel,
+                    imp.line + 1,
+                    1,
+                    message,
+                    snippet,
+                ));
             }
             Err((why, at)) => {
                 let (efile, eline) = at.unwrap_or((imp.file, imp.line));
-                if ws.files[efile].waivers.allows(ID, eline) {
-                    continue;
-                }
-                let esf = &ws.files[efile].sf;
+                let esf = &ws.files[efile];
                 report.diagnostics.push(Diagnostic::new(
                     ID,
                     Severity::Error,
@@ -146,7 +130,7 @@ fn width_of(
             return Ok(1);
         }
         let mut sum = 0u64;
-        for part in split_top(inner, ',') {
+        for part in split_top_commas(inner) {
             sum += width_of(ws, part.trim(), prefer_file, stack)?;
         }
         return Ok(sum);
@@ -237,30 +221,13 @@ fn width_of_def(
 fn generic_arg(t: &str) -> Option<String> {
     let open = t.find('<')?;
     let inner = t[open + 1..].strip_suffix('>')?;
-    Some(split_top(inner, ',').into_iter().next()?.trim().to_owned())
-}
-
-/// Split on `sep` at bracket depth 0.
-fn split_top(s: &str, sep: char) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut buf = String::new();
-    let mut depth = 0i32;
-    for c in s.chars() {
-        match c {
-            '<' | '(' | '[' => depth += 1,
-            '>' | ')' | ']' => depth -= 1,
-            c if c == sep && depth == 0 => {
-                out.push(std::mem::take(&mut buf));
-                continue;
-            }
-            _ => {}
-        }
-        buf.push(c);
-    }
-    if !buf.trim().is_empty() {
-        out.push(buf);
-    }
-    out
+    Some(
+        split_top_commas(inner)
+            .into_iter()
+            .next()?
+            .trim()
+            .to_owned(),
+    )
 }
 
 #[cfg(test)]

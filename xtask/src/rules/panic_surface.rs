@@ -14,19 +14,17 @@
 //! `unimplemented!`, `assert!`, `assert_eq!`, `assert_ne!`
 //! (`debug_assert*` is exempt: compiled out of release serving builds).
 //! Direct slice indexing (`buf[i]`) is *inventoried* at Info severity —
-//! reported in `--json`/`--verbose`, never failing the build — because the
-//! flat-arena engine indexes by construction-validated position tables and
-//! annotating each of hundreds of sites would bury the signal. The
-//! inventory keeps the count visible so growth is reviewable.
+//! printed with `--verbose`, never failing the build on its own — because
+//! the flat-arena engine indexes by construction-validated position tables
+//! and annotating each of dozens of sites would bury the signal. The
+//! ratchet in [`crate::baseline`] fails the build when the count grows.
 //!
 //! Test code (`#[cfg(test)]`-gated items) is out of scope: tests are not
 //! the serving path and panics are their failure mechanism.
 
 use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Severity};
-use crate::rules::{find_left_bounded, find_tokens};
-use crate::scan::SourceFile;
-use crate::waiver::{marker_coverage, Waivers};
+use crate::scan::{find_tokens, marker_coverage, SourceFile};
 
 pub const ID: &str = "panic-surface";
 
@@ -42,7 +40,7 @@ const PANIC_MACROS: &[&str] = &[
     "assert_ne!",
 ];
 
-pub fn check(sf: &SourceFile, cfg: &LintConfig, waivers: &Waivers, out: &mut Vec<Diagnostic>) {
+pub fn check(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
     if !cfg.serving_files.iter().any(|f| f == &sf.rel) {
         return;
     }
@@ -51,11 +49,13 @@ pub fn check(sf: &SourceFile, cfg: &LintConfig, waivers: &Waivers, out: &mut Vec
         if sf.test_lines[i] {
             continue;
         }
+        // A method call follows any receiver (`x.unwrap()`,
+        // `f().unwrap()`), so there is no left boundary to check.
         let mut sites: Vec<(usize, String)> = Vec::new();
-        for at in find_left_bounded(code, ".unwrap()") {
+        for (at, _) in code.match_indices(".unwrap()") {
             sites.push((at, ".unwrap()".into()));
         }
-        for at in find_left_bounded(code, ".expect(") {
+        for (at, _) in code.match_indices(".expect(") {
             sites.push((at, ".expect(…)".into()));
         }
         for pat in PANIC_MACROS {
@@ -69,7 +69,7 @@ pub fn check(sf: &SourceFile, cfg: &LintConfig, waivers: &Waivers, out: &mut Vec
             }
         }
         for (at, what) in sites {
-            if justified[i] || waivers.allows(ID, i) {
+            if justified[i] {
                 continue;
             }
             out.push(Diagnostic::new(
@@ -77,7 +77,7 @@ pub fn check(sf: &SourceFile, cfg: &LintConfig, waivers: &Waivers, out: &mut Vec
                 Severity::Error,
                 &sf.rel,
                 i + 1,
-                sf.col(i, at),
+                at + 1,
                 format!(
                     "serving-path panic site `{what}`: justify with `// invariant: <why>` \
                      or convert to a typed error"
@@ -97,7 +97,7 @@ pub fn check(sf: &SourceFile, cfg: &LintConfig, waivers: &Waivers, out: &mut Vec
                     Severity::Info,
                     &sf.rel,
                     i + 1,
-                    sf.col(i, at),
+                    at + 1,
                     "direct slice index (inventory: panics on out-of-bounds)".into(),
                     &sf.lines[i],
                 ));

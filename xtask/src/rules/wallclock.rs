@@ -6,20 +6,19 @@
 
 use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Severity};
-use crate::rules::find_left_bounded;
-use crate::scan::SourceFile;
-use crate::waiver::{marker_coverage, Waivers};
+use crate::scan::{marker_coverage, SourceFile};
 
 pub const ID: &str = "wall-clock-sleep";
 
-pub fn check(sf: &SourceFile, cfg: &LintConfig, waivers: &Waivers, out: &mut Vec<Diagnostic>) {
+pub fn check(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
     if cfg.is_shim(&sf.rel) {
         return;
     }
     let justified = marker_coverage(sf, "wall-clock:");
     for (i, code) in sf.masked.iter().enumerate() {
-        for at in find_left_bounded(code, "thread::sleep") {
-            if justified[i] || waivers.allows(ID, i) {
+        // Also matches `thread::sleep_ms` and any `…thread::sleep` path.
+        for (at, _) in code.match_indices("thread::sleep") {
+            if justified[i] {
                 continue;
             }
             out.push(Diagnostic::new(
@@ -27,7 +26,7 @@ pub fn check(sf: &SourceFile, cfg: &LintConfig, waivers: &Waivers, out: &mut Vec
                 Severity::Error,
                 &sf.rel,
                 i + 1,
-                sf.col(i, at),
+                at + 1,
                 "thread::sleep without `// wall-clock: <why>` (use the condvar Gate for \
                  synchronization)"
                     .into(),

@@ -1,11 +1,9 @@
-//! Lint orchestration: collect files, parse, collect waivers, run passes.
+//! Lint orchestration: collect files, parse, run passes.
 //!
 //! Two phases. First, every `.rs` file is read, classified, and run
 //! through the per-file rules. Then the parsed set is assembled into a
-//! [`Workspace`] symbol table and the global
-//! (cross-function) rules run over it. Waiver use is tracked across both
-//! phases, so `waiver-unused` — emitted last — only fires for waivers
-//! that suppressed nothing anywhere.
+//! [`Workspace`] symbol table and the global (cross-function) rules run
+//! over it.
 
 use std::path::{Path, PathBuf};
 
@@ -13,16 +11,12 @@ use crate::config::LintConfig;
 use crate::diag::{Report, Severity};
 use crate::rules;
 use crate::scan::SourceFile;
-use crate::sym::{ParsedFile, Workspace};
-use crate::waiver;
+use crate::sym::Workspace;
 
 /// Options for one lint run.
 #[derive(Debug, Default)]
 pub struct LintOptions {
-    /// Restrict to one rule id (plus waiver-syntax checking, which always
-    /// runs — a broken waiver must never silently mask a real finding).
-    /// Focused runs skip `waiver-unused`: with most passes disabled, a
-    /// waiver's lack of suppressions proves nothing.
+    /// Restrict to one rule id.
     pub only_rule: Option<String>,
 }
 
@@ -37,11 +31,10 @@ pub fn run(root: &Path, cfg: &LintConfig, opts: &LintOptions) -> Report {
         files_scanned: files.len(),
         ..Report::default()
     };
-    let all_rules = rules::all();
-    let known = rules::known_ids();
+    let selected = |id: &str| opts.only_rule.as_deref().is_none_or(|only| only == id);
 
     // Phase 1: parse everything, run the per-file rules.
-    let mut parsed: Vec<ParsedFile> = Vec::with_capacity(files.len());
+    let mut parsed: Vec<SourceFile> = Vec::with_capacity(files.len());
     for rel in &files {
         let path = root.join(rel);
         let text = match std::fs::read_to_string(&path) {
@@ -60,45 +53,16 @@ pub fn run(root: &Path, cfg: &LintConfig, opts: &LintOptions) -> Report {
             }
         };
         let sf = SourceFile::parse(rel, &text);
-        let waivers = waiver::collect(&sf, &known, &mut report.diagnostics);
-        for rule in &all_rules {
-            if let Some(only) = &opts.only_rule {
-                if rule.id != only {
-                    continue;
-                }
-            }
-            (rule.check)(&sf, cfg, &waivers, &mut report.diagnostics);
+        for (_, check) in rules::PER_FILE.iter().filter(|r| selected(r.0)) {
+            check(&sf, cfg, &mut report.diagnostics);
         }
-        parsed.push(ParsedFile { sf, waivers });
+        parsed.push(sf);
     }
 
     // Phase 2: whole-workspace symbol table, global rules.
     let ws = Workspace::build(&parsed);
-    for rule in rules::all_global() {
-        if let Some(only) = &opts.only_rule {
-            if rule.id != only {
-                continue;
-            }
-        }
-        (rule.check)(&ws, cfg, &mut report);
-    }
-
-    // Meta-pass: waivers that suppressed nothing across all passes.
-    if opts.only_rule.is_none() {
-        for pf in &parsed {
-            for decl in pf.waivers.unused() {
-                report.diagnostics.push(crate::diag::Diagnostic::new(
-                    "waiver-unused",
-                    Severity::Warning,
-                    &pf.sf.rel,
-                    decl.line + 1,
-                    decl.col,
-                    "waiver suppresses no diagnostic — remove it (stale allows hide real findings)"
-                        .into(),
-                    &decl.snippet,
-                ));
-            }
-        }
+    for (_, check) in rules::GLOBAL.iter().filter(|r| selected(r.0)) {
+        check(&ws, cfg, &mut report);
     }
     report.sort();
     report

@@ -1,18 +1,16 @@
 //! Token-aware Rust source scanner.
 //!
-//! The old linter matched patterns on raw lines with a naive `find("//")`
-//! comment strip, so a forbidden token inside a string literal or doc
-//! comment produced a false positive (documented at the time as "fine for
-//! this repo" — until it wasn't). This module classifies every character of
-//! a source file as code, comment, doc comment, or literal, and hands the
-//! rule passes three synchronized per-line views:
+//! This module classifies every character of a source file as code,
+//! comment, doc comment, or literal, so a forbidden token inside a string
+//! literal or doc comment never produces a finding, and hands the rule
+//! passes three synchronized per-line views:
 //!
 //! * `masked` — code only; comments, string/char literals, and doc comments
 //!   are replaced by spaces (one space per character, so within a line the
 //!   column of a match in `masked` is the character column in the source).
 //! * `comments` — the text of *regular* comments (`//` and `/* */`) per
 //!   line. Doc comments (`///`, `//!`, `/** */`, `/*! */`) are excluded:
-//!   they document the API and must never carry lint markers or waivers.
+//!   they document the API and must never carry lint markers.
 //! * `test_lines` — whether the line falls inside a `#[cfg(test)]`-gated
 //!   item; rules whose scope is production code skip those lines.
 //!
@@ -79,13 +77,6 @@ impl SourceFile {
             comments,
             test_lines,
         }
-    }
-
-    /// 1-based character column of byte offset `at` within `masked[line]`.
-    /// `masked` holds one byte per source character, so the byte offset in
-    /// the masked line *is* the character column (0-based).
-    pub fn col(&self, _line: usize, at: usize) -> usize {
-        at + 1
     }
 }
 
@@ -361,7 +352,7 @@ fn mark_test_lines(masked: &[String]) -> Vec<bool> {
         // field/item terminator.
         let mut paren: i64 = 0;
         let mut opened = false;
-        while j < n {
+        'item: while j < n {
             out[j] = true;
             for c in masked[j].chars() {
                 match c {
@@ -372,9 +363,7 @@ fn mark_test_lines(masked: &[String]) -> Vec<bool> {
                     '}' => depth -= 1,
                     '(' | '[' => paren += 1,
                     ')' | ']' => paren -= 1,
-                    ';' | ',' if !opened && depth == 0 && paren == 0 => {
-                        return mark_rest(out, masked, j + 1);
-                    }
+                    ';' | ',' if !opened && depth == 0 && paren == 0 => break 'item,
                     _ => {}
                 }
             }
@@ -388,12 +377,28 @@ fn mark_test_lines(masked: &[String]) -> Vec<bool> {
     out
 }
 
-/// Continue marking from `from` (tail recursion as a helper keeps borrowck
-/// simple for the bodiless-item early return).
-fn mark_rest(mut out: Vec<bool>, masked: &[String], from: usize) -> Vec<bool> {
-    let tail = mark_test_lines(&masked[from..]);
-    for (k, v) in tail.into_iter().enumerate() {
-        out[from + k] = out[from + k] || v;
+/// Byte offsets of `pat` in `line` where the match is token-delimited:
+/// the characters immediately before and after the match must not be
+/// identifier characters (so `assert!` does not match inside
+/// `debug_assert!`, and `Relaxed` does not match `RelaxedLike`).
+pub fn find_tokens(line: &str, pat: &str) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut from = 0;
+    while let Some(rel) = line[from..].find(pat) {
+        let at = from + rel;
+        let left_ok = at == 0
+            || !line[..at]
+                .chars()
+                .next_back()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_');
+        let right_ok = !line[at + pat.len()..]
+            .chars()
+            .next()
+            .is_some_and(|c| c.is_alphanumeric() || c == '_');
+        if left_ok && right_ok {
+            out.push(at);
+        }
+        from = at + pat.len();
     }
     out
 }
@@ -408,9 +413,7 @@ fn mark_rest(mut out: Vec<bool>, masked: &[String], from: usize) -> Vec<bool> {
 /// covers every field through the closing brace — but the first
 /// `;`-terminated statement seals the reach, so a justification can never
 /// leak onto the *next* statement. A blank line before any code ends the
-/// reach immediately. This is the tightened replacement for the old
-/// "contiguous non-blank run" rule, which let one justification leak
-/// across arbitrarily many unrelated statements.
+/// reach immediately.
 pub fn marker_reach(sf: &SourceFile, line: usize) -> std::ops::Range<usize> {
     let n = sf.lines.len();
     let mut depth: i64 = 0;
@@ -448,6 +451,27 @@ pub fn marker_reach(sf: &SourceFile, line: usize) -> std::ops::Range<usize> {
         }
     }
     line..end
+}
+
+/// Per-line coverage of a domain marker (`relaxed:`, `wall-clock:`,
+/// `invariant:`): `true` where a marker with a non-empty justification
+/// reaches (see [`marker_reach`]). Markers inside doc comments never
+/// count (the comment view already excludes them).
+pub fn marker_coverage(sf: &SourceFile, marker: &str) -> Vec<bool> {
+    let mut covered = vec![false; sf.lines.len()];
+    for (i, comment) in sf.comments.iter().enumerate() {
+        let Some(pos) = comment.find(marker) else {
+            continue;
+        };
+        // Require justification text after the marker word.
+        if comment[pos + marker.len()..].trim().is_empty() {
+            continue;
+        }
+        for line in marker_reach(sf, i) {
+            covered[line] = true;
+        }
+    }
+    covered
 }
 
 #[cfg(test)]
@@ -603,5 +627,20 @@ mod tests {
         let f = sf("// relaxed: orphan\n\nlet a = x.load(R);\n");
         let r = marker_reach(&f, 0);
         assert_eq!(r, 0..1);
+    }
+
+    #[test]
+    fn marker_requires_text() {
+        let f = sf("// invariant:\nx.unwrap();\n// invariant: slot filled at spawn\ny.unwrap();\n");
+        let cov = marker_coverage(&f, "invariant:");
+        assert!(!cov[1]);
+        assert!(cov[3]);
+    }
+
+    #[test]
+    fn marker_in_doc_comment_ignored() {
+        let f = sf("/// invariant: this is documentation\nx.unwrap();\n");
+        let cov = marker_coverage(&f, "invariant:");
+        assert!(!cov[1]);
     }
 }

@@ -41,15 +41,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use crate::config::LintConfig;
-use crate::scan::SourceFile;
-use crate::waiver::Waivers;
-
-/// A parsed file plus its waiver index. The runner parses each file once
-/// and shares the result between per-file and global passes.
-pub struct ParsedFile {
-    pub sf: SourceFile,
-    pub waivers: Waivers,
-}
+use crate::scan::{find_tokens, SourceFile};
 
 /// Position of a token: 0-based line, byte column into the masked line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -119,9 +111,7 @@ pub struct Field {
 
 #[derive(Debug)]
 pub struct Variant {
-    pub name: String,
     pub fields: Vec<Field>,
-    pub line: usize,
 }
 
 #[derive(Debug)]
@@ -129,8 +119,6 @@ pub struct TypeDef {
     pub file: usize,
     pub name: String,
     pub kind: TypeKind,
-    /// 0-based line of the `struct`/`enum` keyword.
-    pub line: usize,
     /// Struct fields (tuple fields are named "0", "1", …).
     pub fields: Vec<Field>,
     /// Enum variants.
@@ -151,24 +139,25 @@ pub struct ImplBlock {
     pub test: bool,
 }
 
-/// The whole-workspace symbol table.
+/// The whole-workspace symbol table. The runner parses each file once
+/// and shares the result between per-file and global passes.
 pub struct Workspace<'a> {
-    pub files: &'a [ParsedFile],
+    pub files: &'a [SourceFile],
     pub fns: Vec<FnItem>,
     pub types: Vec<TypeDef>,
     pub impls: Vec<ImplBlock>,
 }
 
 impl<'a> Workspace<'a> {
-    pub fn build(files: &'a [ParsedFile]) -> Self {
+    pub fn build(files: &'a [SourceFile]) -> Self {
         let mut ws = Workspace {
             files,
             fns: Vec::new(),
             types: Vec::new(),
             impls: Vec::new(),
         };
-        for (fi, pf) in files.iter().enumerate() {
-            extract_file(fi, &pf.sf, &mut ws.fns, &mut ws.types, &mut ws.impls);
+        for (fi, sf) in files.iter().enumerate() {
+            extract_file(fi, sf, &mut ws.fns, &mut ws.types, &mut ws.impls);
         }
         ws
     }
@@ -325,17 +314,7 @@ impl<'a> Workspace<'a> {
             } else {
                 let owner = strip_generics(cur.as_deref()?);
                 if is_call {
-                    let site = CallSite {
-                        name: base.to_owned(),
-                        kind: CallKind::Method {
-                            receiver: String::new(),
-                        },
-                        pos: Pos { line: 0, col: 0 },
-                        first_arg: None,
-                        spawned: false,
-                    };
                     let cands = self.methods_of(&owner, base);
-                    let _ = site;
                     if cands.len() != 1 {
                         return None;
                     }
@@ -441,21 +420,10 @@ fn unwrap_ok(ty: &str) -> Option<String> {
     let inner = t
         .strip_prefix("Result<")
         .or_else(|| t.strip_prefix("Option<"))?;
-    let inner = inner.strip_suffix('>')?;
-    let mut depth = 0i32;
-    let mut end = inner.len();
-    for (i, c) in inner.char_indices() {
-        match c {
-            '<' | '(' | '[' => depth += 1,
-            '>' | ')' | ']' => depth -= 1,
-            ',' if depth == 0 => {
-                end = i;
-                break;
-            }
-            _ => {}
-        }
-    }
-    Some(inner[..end].trim().to_owned())
+    let first = split_top_commas(inner.strip_suffix('>')?)
+        .into_iter()
+        .next()?;
+    Some(first.trim().to_owned())
 }
 
 // ---------------------------------------------------------------------
@@ -701,7 +669,7 @@ fn parse_fn_sig(ch: &[(char, Pos)], mut i: usize, sig_line: usize) -> Option<(Pe
         k += 1;
     }
     let mut ret = tail.trim().to_owned();
-    if let Some(w) = find_word(&ret, "where") {
+    if let Some(&w) = find_tokens(&ret, "where").first() {
         ret.truncate(w);
     }
     let ret = ret
@@ -718,24 +686,6 @@ fn parse_fn_sig(ch: &[(char, Pos)], mut i: usize, sig_line: usize) -> Option<(Pe
         },
         end,
     ))
-}
-
-/// Byte offset of `word` as its own token in `s`.
-fn find_word(s: &str, word: &str) -> Option<usize> {
-    let mut from = 0;
-    while let Some(rel) = s[from..].find(word) {
-        let at = from + rel;
-        let left = at == 0 || !s[..at].chars().next_back().is_some_and(is_ident_char);
-        let right = !s[at + word.len()..]
-            .chars()
-            .next()
-            .is_some_and(is_ident_char);
-        if left && right {
-            return Some(at);
-        }
-        from = at + word.len();
-    }
-    None
 }
 
 fn parse_params(text: &str) -> Vec<(String, String)> {
@@ -763,20 +713,7 @@ fn parse_params(text: &str) -> Vec<(String, String)> {
             continue;
         }
         // `pat: Type` with the colon at nesting depth 0.
-        let mut depth = 0i32;
-        let mut colon = None;
-        for (i, c) in p.char_indices() {
-            match c {
-                '<' | '(' | '[' => depth += 1,
-                '>' | ')' | ']' => depth -= 1,
-                ':' if depth == 0 => {
-                    colon = Some(i);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let Some(cp) = colon else { continue };
+        let Some(cp) = top_colon(p) else { continue };
         let pat = p[..cp].trim();
         let ty = p[cp + 1..].trim();
         let pat = pat.strip_prefix("mut ").unwrap_or(pat).trim();
@@ -787,7 +724,23 @@ fn parse_params(text: &str) -> Vec<(String, String)> {
     out
 }
 
-fn split_top_commas(text: &str) -> Vec<String> {
+/// Offset of the first `:` at bracket depth 0 (`name: Type`).
+fn top_colon(p: &str) -> Option<usize> {
+    let mut depth = 0i32;
+    for (i, c) in p.char_indices() {
+        match c {
+            '<' | '(' | '[' => depth += 1,
+            '>' | ')' | ']' => depth -= 1,
+            ':' if depth == 0 => return Some(i),
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Split on `,` at bracket depth 0 (`<>`, `()`, `[]`, `{}`; `->` is not
+/// a bracket).
+pub(crate) fn split_top_commas(text: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut buf = String::new();
     let mut depth = 0i32;
@@ -820,7 +773,6 @@ fn parse_type_def(
     mut i: usize,
     is_enum: bool,
     file: usize,
-    kw_line: usize,
 ) -> Option<(TypeDef, usize)> {
     i = next_nonws(ch, i)?;
     if !is_ident_start(ch[i].0) {
@@ -840,7 +792,6 @@ fn parse_type_def(
         } else {
             TypeKind::Struct
         },
-        line: kw_line,
         fields: Vec::new(),
         variants: Vec::new(),
     };
@@ -935,12 +886,7 @@ fn split_inner(inner: &[(char, Pos)]) -> Vec<(String, usize)> {
 fn named_fields(inner: &[(char, Pos)]) -> Vec<Field> {
     let mut out = Vec::new();
     for (part, line) in split_inner(inner) {
-        let p = part.trim();
-        if p.starts_with('#') {
-            // Attribute glued to the field text; strip `#[...]` heads.
-            // (Masked attributes stay in the stream.)
-        }
-        let p = strip_attrs(p);
+        let p = strip_attrs(part.trim());
         let p = p.trim().strip_prefix("pub").map(|r| {
             let r = r.trim_start();
             r.strip_prefix('(')
@@ -948,20 +894,7 @@ fn named_fields(inner: &[(char, Pos)]) -> Vec<Field> {
                 .unwrap_or(r)
         });
         let p = p.unwrap_or(part.trim()).trim();
-        let mut depth = 0i32;
-        let mut colon = None;
-        for (i, c) in p.char_indices() {
-            match c {
-                '<' | '(' | '[' => depth += 1,
-                '>' | ')' | ']' => depth -= 1,
-                ':' if depth == 0 => {
-                    colon = Some(i);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let Some(cp) = colon else { continue };
+        let Some(cp) = top_colon(p) else { continue };
         let name = p[..cp].trim();
         let ty = p[cp + 1..].trim();
         if name.chars().all(is_ident_char) && !name.is_empty() {
@@ -1044,7 +977,7 @@ fn parse_variants(inner: &[(char, Pos)]) -> Vec<Variant> {
         } else {
             Vec::new()
         };
-        out.push(Variant { name, fields, line });
+        out.push(Variant { fields });
     }
     out
 }
@@ -1065,6 +998,17 @@ fn extract_file(
     let mut pending_fn: Option<PendingFn> = None;
     // (fns index, open depth, index of the `{`).
     let mut fn_stack: Vec<(usize, i32, usize)> = Vec::new();
+    let new_fn = |pf: PendingFn, impl_stack: &[(String, Option<String>, i32)]| FnItem {
+        file,
+        name: pf.name,
+        impl_type: impl_stack.last().map(|(t, _, _)| t.clone()),
+        sig_line: pf.sig_line,
+        body: None,
+        params: pf.params,
+        ret: pf.ret,
+        test: sf.test_lines.get(pf.sig_line).copied().unwrap_or(false),
+        calls: Vec::new(),
+    };
     while i < n {
         let (c, pos) = ch[i];
         if is_ident_start(c) {
@@ -1086,8 +1030,7 @@ fn extract_file(
                     }
                 }
                 "struct" | "enum" if !inside_fn => {
-                    if let Some((td, end)) = parse_type_def(&ch, j, word == "enum", file, pos.line)
-                    {
+                    if let Some((td, end)) = parse_type_def(&ch, j, word == "enum", file) {
                         types.push(td);
                         i = end;
                         continue;
@@ -1118,19 +1061,8 @@ fn extract_file(
                         depth,
                     ));
                 } else if let Some(pf) = pending_fn.take() {
-                    let idx = fns.len();
-                    fns.push(FnItem {
-                        file,
-                        name: pf.name,
-                        impl_type: impl_stack.last().map(|(t, _, _)| t.clone()),
-                        sig_line: pf.sig_line,
-                        body: None,
-                        params: pf.params,
-                        ret: pf.ret,
-                        test: sf.test_lines.get(pf.sig_line).copied().unwrap_or(false),
-                        calls: Vec::new(),
-                    });
-                    fn_stack.push((idx, depth, i));
+                    fn_stack.push((fns.len(), depth, i));
+                    fns.push(new_fn(pf, &impl_stack));
                 }
             }
             '}' => {
@@ -1150,17 +1082,7 @@ fn extract_file(
             }
             ';' => {
                 if let Some(pf) = pending_fn.take() {
-                    fns.push(FnItem {
-                        file,
-                        name: pf.name,
-                        impl_type: impl_stack.last().map(|(t, _, _)| t.clone()),
-                        sig_line: pf.sig_line,
-                        body: None,
-                        params: pf.params,
-                        ret: pf.ret,
-                        test: sf.test_lines.get(pf.sig_line).copied().unwrap_or(false),
-                        calls: Vec::new(),
-                    });
+                    fns.push(new_fn(pf, &impl_stack));
                 }
             }
             _ => {}
@@ -1402,7 +1324,6 @@ pub struct LockModel {
     pub edges: Vec<LockEdge>,
     /// Sorted node set (every acquired lock).
     pub locks: Vec<String>,
-    how: BTreeMap<(usize, String), Origin>,
 }
 
 #[derive(Debug)]
@@ -1421,7 +1342,7 @@ impl LockModel {
             .map(|f| {
                 cfg.lock_order_files
                     .iter()
-                    .any(|p| p == &ws.files[f.file].sf.rel)
+                    .any(|p| p == &ws.files[f.file].rel)
                     && !f.test
                     && f.body.is_some()
             })
@@ -1551,13 +1472,7 @@ impl LockModel {
             info,
             edges,
             locks: locks.into_iter().collect(),
-            how,
         }
-    }
-
-    /// Human call chain from `fi` down to the acquisition of `lock`.
-    pub fn chain(&self, ws: &Workspace<'_>, fi: usize, lock: &str) -> String {
-        chain_string(ws, &self.how, fi, lock, 0)
     }
 }
 
@@ -1585,7 +1500,7 @@ fn chain_string(
             format!(
                 "`{}` ({}:{})",
                 fn_label(ws, fi),
-                ws.files[f.file].sf.rel,
+                ws.files[f.file].rel,
                 pos.line + 1
             )
         }
@@ -1668,7 +1583,7 @@ fn analyze_fn(
     direct: &[Vec<String>],
 ) -> FnLockInfo {
     let f = &ws.fns[fi];
-    let sf = &ws.files[f.file].sf;
+    let sf = &ws.files[f.file];
     let body = f.body.clone().expect("in-scope fns have bodies");
     let mut out = FnLockInfo::default();
     let mut held: Vec<HeldLock> = Vec::new();
@@ -1909,7 +1824,10 @@ fn guard_chain_only(text: &str, from: usize) -> bool {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one step of the per-fn held-lock machine; its state is these locals"
+)]
 fn flush_stmt(
     ws: &Workspace<'_>,
     fi: usize,
@@ -2133,13 +2051,10 @@ mod tests {
     use super::*;
     use crate::scan::SourceFile;
 
-    fn ws_of(files: &[(&str, &str)]) -> Vec<ParsedFile> {
+    fn ws_of(files: &[(&str, &str)]) -> Vec<SourceFile> {
         files
             .iter()
-            .map(|(rel, text)| ParsedFile {
-                sf: SourceFile::parse(rel, text),
-                waivers: Waivers::default(),
-            })
+            .map(|(rel, text)| SourceFile::parse(rel, text))
             .collect()
     }
 

@@ -1,19 +1,10 @@
-//! Fixture: CONGEST violations.
-use std::collections::HashMap;
+//! Fixture: wall-clock reads in protocol code.
 use std::time::Instant;
 
-static mut ROUNDS: u64 = 0;
-
-pub struct Gossip {
-    pub seen: Vec<u32>,
+fn now_secs(start: Instant) -> u64 {
+    Instant::now().duration_since(start).as_secs()
 }
 
-impl Message for Gossip {}
-
-fn now_secs(_start: Instant) -> u64 {
-    Instant::now().elapsed().as_secs()
-}
-
-fn index() -> HashMap<u32, u32> {
-    HashMap::new()
+fn epoch() -> std::time::SystemTime {
+    std::time::SystemTime::UNIX_EPOCH
 }

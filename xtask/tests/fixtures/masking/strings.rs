@@ -11,5 +11,5 @@ pub fn describe() -> &'static str {
 }
 
 pub fn raw() -> &'static str {
-    r#"lint: allow(no-such-rule) inside a raw string is data"#
+    r#"use std::sync::Mutex; "quoted" Relaxed inside a raw string is data"#
 }

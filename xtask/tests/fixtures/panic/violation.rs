@@ -7,3 +7,7 @@ fn first(v: &[u8]) -> u8 {
 fn second(v: &[u8]) -> u8 {
     v[1]
 }
+
+fn third(x: Option<u8>) -> u8 {
+    x.unwrap()
+}

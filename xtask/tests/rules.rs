@@ -5,10 +5,7 @@
 //!
 //! * a **clean** fixture, which must produce no diagnostics,
 //! * a **violating** fixture, asserted down to the exact rule id, line,
-//!   and column,
-//! * where waivers make sense, a **waived** fixture (reasoned waiver
-//!   honored) — plus the two bad-waiver forms (missing reason, unknown
-//!   rule id), which are themselves diagnostics.
+//!   and column.
 //!
 //! The fixtures directory is excluded from production lint runs by
 //! `LintConfig::repo()`'s `skip_dir_names` ("fixtures"), so the
@@ -31,28 +28,21 @@ fn fixture_cfg() -> LintConfig {
         facade_files: vec![
             "facade/clean.rs".into(),
             "facade/violation.rs".into(),
-            "facade/waived.rs".into(),
             "masking/strings.rs".into(),
         ],
-        unsafe_allow: vec!["unsafe/allowed.rs".into()],
         serving_files: vec![
             "panic/clean.rs".into(),
             "panic/violation.rs".into(),
-            "panic/waived.rs".into(),
             "masking/strings.rs".into(),
         ],
-        conformance_dirs: vec!["conformance/".into()],
-        determinism_dirs: vec!["determinism/".into()],
-        determinism_allow: vec![],
+        conformance_dirs: vec!["conformance/".into(), "masking/".into()],
         shim_prefixes: vec![],
         skip_dir_names: vec![],
         lock_order_files: vec![
             "lockorder/clean.rs".into(),
             "lockorder/violation.rs".into(),
-            "lockorder/waived.rs".into(),
             "blocking/clean.rs".into(),
             "blocking/violation.rs".into(),
-            "blocking/waived.rs".into(),
         ],
         worker_entry_fns: vec!["worker_main".into()],
         max_message_bits: 64,
@@ -64,7 +54,7 @@ fn lint_all() -> Report {
     run(&fixture_root(), &fixture_cfg(), &LintOptions::default())
 }
 
-/// Focused run: one rule (plus waiver-syntax, which always runs).
+/// Focused run: one rule.
 fn lint_rule(rule: &str) -> Report {
     run(
         &fixture_root(),
@@ -97,23 +87,26 @@ fn facade_clean_violating_waived() {
     assert!(errors_in(&r, "facade/clean.rs").is_empty());
 
     let v = errors_in(&r, "facade/violation.rs");
-    assert_eq!(v.len(), 1, "exactly one facade violation: {v:?}");
-    assert_eq!(v[0].rule, "sync-facade");
-    assert_eq!((v[0].line, v[0].col), (2, 5), "span of `std::sync::Mutex`");
-
+    assert!(v.iter().all(|d| d.rule == "sync-facade"));
+    let spans: Vec<(usize, usize)> = v.iter().map(|d| (d.line, d.col)).collect();
+    assert_eq!(
+        spans,
+        vec![(2, 5), (3, 22), (3, 54), (14, 5), (17, 14), (17, 39)],
+        "`std::sync::Mutex`; the renamed `Mutex` and `RwLock` of a grouped \
+         import; `thread::spawn` and a renamed atomic module through a \
+         multi-line import: {v:?}"
+    );
+    assert!(v[3].message.contains("std::thread::spawn"), "{v:?}");
     assert!(
-        errors_in(&r, "facade/waived.rs").is_empty(),
-        "reasoned waiver must be honored"
+        v[4].message.contains("std::sync::atomic::AtomicBool"),
+        "{v:?}"
     );
 }
 
 #[test]
-fn rule_filter_restricts_to_one_pass_plus_waiver_syntax() {
+fn rule_filter_restricts_to_one_pass() {
     let r = lint_rule("sync-facade");
-    assert!(r
-        .diagnostics
-        .iter()
-        .all(|d| d.rule == "sync-facade" || d.rule == "waiver-syntax"));
+    assert!(r.diagnostics.iter().all(|d| d.rule == "sync-facade"));
 }
 
 #[test]
@@ -122,9 +115,14 @@ fn relaxed_clean_and_violating() {
     assert!(errors_in(&r, "relaxed/clean.rs").is_empty());
 
     let v = errors_in(&r, "relaxed/violation.rs");
-    assert_eq!(v.len(), 1);
-    assert_eq!(v[0].rule, "relaxed-order");
-    assert_eq!(v[0].line, 5);
+    assert!(v.iter().all(|d| d.rule == "relaxed-order"));
+    let spans: Vec<(usize, usize)> = v.iter().map(|d| (d.line, d.col)).collect();
+    assert_eq!(
+        spans,
+        vec![(5, 30), (14, 12), (14, 33), (14, 51)],
+        "`Ordering::Relaxed`, then a bare `Relaxed`, `O::Relaxed` and the \
+         `Lax` rename, none covered by the marker on their import: {v:?}"
+    );
 }
 
 #[test]
@@ -150,20 +148,6 @@ fn wallclock_clean_and_violating() {
 }
 
 #[test]
-fn unsafe_flagged_outside_allowlist_only() {
-    let r = lint_rule("unsafe-code");
-    let v = errors_in(&r, "unsafe/violation.rs");
-    assert_eq!(v.len(), 1);
-    assert_eq!(v[0].rule, "unsafe-code");
-    assert_eq!((v[0].line, v[0].col), (3, 5));
-
-    assert!(
-        errors_in(&r, "unsafe/allowed.rs").is_empty(),
-        "allowlisted file may contain unsafe"
-    );
-}
-
-#[test]
 fn panic_surface_clean_violating_waived() {
     let r = lint_rule("panic-surface");
     assert!(
@@ -172,12 +156,15 @@ fn panic_surface_clean_violating_waived() {
     );
 
     let v = errors_in(&r, "panic/violation.rs");
-    assert_eq!(v.len(), 2, "bare assert! and .unwrap(): {v:?}");
+    assert_eq!(v.len(), 3, "bare assert! and two .unwrap()s: {v:?}");
     assert_eq!((v[0].line, v[0].col), (3, 5), "assert! span");
     assert_eq!(v[1].line, 4, ".unwrap() line");
+    assert_eq!(
+        (v[2].line, v[2].col),
+        (12, 6),
+        ".unwrap() straight after an identifier"
+    );
     assert!(v.iter().all(|d| d.rule == "panic-surface"));
-
-    assert!(errors_in(&r, "panic/waived.rs").is_empty());
 }
 
 #[test]
@@ -201,75 +188,25 @@ fn conformance_flags_every_violation_class() {
     assert!(errors_in(&r, "conformance/clean.rs").is_empty());
 
     let v = errors_in(&r, "conformance/violation.rs");
-    let lines: Vec<usize> = v.iter().map(|d| d.line).collect();
     assert!(v.iter().all(|d| d.rule == "congest-conformance"));
-    assert!(
-        v.iter()
-            .any(|d| d.line == 5 && d.message.contains("static mut")),
-        "static mut flagged: {v:?}"
-    );
-    assert!(
-        v.iter()
-            .any(|d| d.line == 14 && d.message.contains("Instant::now")),
-        "wall-clock read flagged: {v:?}"
-    );
-    assert!(
-        v.iter()
-            .any(|d| d.line == 8 && d.message.contains("unbounded payload `Vec`")),
-        "Vec payload in a Message type flagged: {v:?}"
-    );
-    let hash_lines: Vec<usize> = v
+    let reads: Vec<(usize, bool)> = v
         .iter()
-        .filter(|d| d.message.contains("`HashMap`"))
-        .map(|d| d.line)
+        .map(|d| (d.line, d.message.contains("Instant::now")))
         .collect();
-    assert_eq!(hash_lines, vec![2, 17, 18], "all HashMap sites: {lines:?}");
-    assert_eq!(v.len(), 6, "no spurious extras: {v:?}");
-}
-
-#[test]
-fn determinism_clean_violating_waived() {
-    let r = lint_rule("determinism");
-    assert!(errors_in(&r, "determinism/clean.rs").is_empty());
-
-    let v = errors_in(&r, "determinism/violation.rs");
-    assert_eq!(v.len(), 3, "use, signature, constructor: {v:?}");
-    assert_eq!(v.iter().map(|d| d.line).collect::<Vec<_>>(), vec![2, 4, 5]);
-    assert!(v.iter().all(|d| d.rule == "determinism"));
-
-    assert!(
-        errors_in(&r, "determinism/waived.rs").is_empty(),
-        "reasoned keyed-access waiver honored"
+    assert_eq!(
+        reads,
+        vec![(5, true), (8, false), (9, false)],
+        "`Instant::now` once, `SystemTime` on both lines that name it: {v:?}"
     );
-}
-
-#[test]
-fn waiver_without_reason_is_rejected() {
-    let r = lint_all();
-    let v = errors_in(&r, "waiver/bad_missing_reason.rs");
-    assert_eq!(v.len(), 1);
-    assert_eq!(v[0].rule, "waiver-syntax");
-    assert_eq!(v[0].line, 2);
-    assert!(v[0].message.contains("without a reason"));
-}
-
-#[test]
-fn waiver_with_unknown_rule_is_rejected() {
-    let r = lint_all();
-    let v = errors_in(&r, "waiver/bad_unknown_rule.rs");
-    assert_eq!(v.len(), 1);
-    assert_eq!(v[0].rule, "waiver-syntax");
-    assert_eq!(v[0].line, 2);
-    assert!(v[0].message.contains("unknown rule"));
 }
 
 #[test]
 fn string_literals_and_doc_comments_are_invisible_to_every_pass() {
     // Regression for the scanner's literal/doc-comment blindness: the
     // masking fixture names every forbidden token inside strings and doc
-    // comments (and a fake waiver inside a raw string) and is wired into
-    // the facade and serving-path scopes — yet no pass may produce any
-    // diagnostic, of any severity, for it.
+    // comments (and a fake import inside a raw string) and is wired into
+    // the facade, serving-path and protocol scopes — yet no pass may
+    // produce any diagnostic, of any severity, for it.
     let r = lint_all();
     let all: Vec<&Diagnostic> = r
         .diagnostics
@@ -295,16 +232,12 @@ fn full_fixture_run_flags_exactly_the_violating_files() {
         vec![
             "blocking/violation.rs",
             "conformance/violation.rs",
-            "determinism/violation.rs",
             "facade/violation.rs",
             "lockorder/violation.rs",
             "msgbits/violation.rs",
             "panic/violation.rs",
             "relaxed/leak.rs",
             "relaxed/violation.rs",
-            "unsafe/violation.rs",
-            "waiver/bad_missing_reason.rs",
-            "waiver/bad_unknown_rule.rs",
             "wallclock/violation.rs",
         ]
     );
@@ -332,11 +265,6 @@ fn lock_order_clean_violating_waived() {
         v[0].message.contains("A::f1") && v[0].message.contains("A::step2"),
         "witness call chain spans both fns: {}",
         v[0].message
-    );
-
-    assert!(
-        errors_in(&r, "lockorder/waived.rs").is_empty(),
-        "reasoned waiver on a contributing edge refutes the cycle"
     );
 }
 
@@ -371,8 +299,6 @@ fn message_bits_clean_violating_waived() {
             .any(|d| d.line == 11 && d.message.contains("growable")),
         "Vec field rejected at its own line: {v:?}"
     );
-
-    assert!(errors_in(&r, "msgbits/waived.rs").is_empty());
 }
 
 #[test]
@@ -390,11 +316,6 @@ fn message_bits_inventory_lands_in_the_report() {
         bits("BigMsg"),
         Some(129),
         "over-budget widths still inventoried"
-    );
-    assert_eq!(
-        bits("WideMsg"),
-        Some(256),
-        "waived widths still inventoried"
     );
     assert_eq!(
         bits("Vote"),
@@ -425,33 +346,6 @@ fn blocking_in_worker_clean_violating_waived() {
         "names the pinned lock and the worker path: {}",
         v[0].message
     );
-
-    assert!(errors_in(&r, "blocking/waived.rs").is_empty());
-}
-
-#[test]
-fn unused_waivers_are_flagged_in_full_runs_only() {
-    let r = lint_all();
-    let w: Vec<&Diagnostic> = r
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule == "waiver-unused")
-        .collect();
-    assert_eq!(w.len(), 1, "exactly the stale fixture waiver: {w:?}");
-    assert_eq!(w[0].file, "waiver/unused.rs");
-    assert_eq!(w[0].line, 1);
-    assert_eq!(
-        w[0].severity,
-        Severity::Warning,
-        "a nudge, not a build break"
-    );
-
-    // Focused runs prove nothing about waiver usefulness.
-    let focused = lint_rule("sync-facade");
-    assert!(focused
-        .diagnostics
-        .iter()
-        .all(|d| d.rule != "waiver-unused"));
 }
 
 #[test]
