@@ -94,52 +94,62 @@ impl Topology {
     /// ([`Hypergraph::incident_edges`]), and edge `e`'s port `j` is its
     /// `j`-th member vertex ([`Hypergraph::edge`]). Protocol code relies on
     /// this alignment.
+    ///
+    /// Built in one pass over the edge CSR: walking the edges in ascending
+    /// id order hands every vertex its incident edges in ascending order,
+    /// which is the order `incident_edges` guarantees, so a per-vertex
+    /// cursor yields the vertex-side port of each incidence and both
+    /// reciprocal entries are written at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network would have `2^32` ports or more, or if an
+    /// incident-edge list is not in ascending edge order (impossible for a
+    /// constructed [`Hypergraph`]).
     #[must_use]
     pub fn bipartite_incidence(g: &Hypergraph) -> Self {
         let n = g.n();
-        let links: Vec<(NodeId, NodeId)> = g
+        let mut offsets = Vec::with_capacity(n + g.m() + 1);
+        let mut acc = 0u32;
+        offsets.push(acc);
+        let sizes = g
             .vertices()
-            .flat_map(|v| {
-                g.incident_edges(v)
-                    .iter()
-                    .map(move |&e| (v.index(), n + e.index()))
-            })
-            .collect();
-        // from_links assigns vertex-side ports in incident_edges order
-        // (links are emitted per vertex in CSR order). Edge-side ports
-        // however follow link order, i.e. the order vertices mention the
-        // edge, which is CSR *vertex* order, not the edge's member order.
-        // Rebuild edge-side ports so they match g.edge(e) member order.
-        let mut topo = Self::from_links(n + g.m(), &links);
-        topo.realign_bipartite_edge_ports(g);
-        topo
-    }
-
-    /// See [`bipartite_incidence`](Self::bipartite_incidence): permute each
-    /// hyperedge node's ports so port `j` corresponds to member `j`.
-    fn realign_bipartite_edge_ports(&mut self, g: &Hypergraph) {
-        let n = g.n();
+            .map(|v| g.degree(v))
+            .chain(g.edges().map(|e| g.edge_size(e)));
+        for size in sizes {
+            acc = u32::try_from(size)
+                .ok()
+                .and_then(|size| acc.checked_add(size))
+                .expect("a topology has fewer than 2^32 ports");
+            offsets.push(acc);
+        }
+        let total = acc as usize;
+        let mut peers = vec![0u32; total];
+        let mut peer_ports = vec![0u32; total];
+        // Next unassigned port of each vertex.
+        let mut cursor = vec![0u32; n];
         for e in g.edges() {
             let node = n + e.index();
-            let base = self.offsets[node] as usize;
-            let members = g.edge(e);
-            let deg = members.len();
-            // Current peers at this node, in arbitrary order.
-            let current: Vec<(u32, u32)> = (0..deg)
-                .map(|p| (self.peers[base + p], self.peer_ports[base + p]))
-                .collect();
-            // Desired: port j ↔ members[j].
-            for (j, &v) in members.iter().enumerate() {
-                let (peer, peer_port) = *current
-                    .iter()
-                    .find(|&&(p, _)| p == v.raw())
-                    .expect("member must be adjacent");
-                self.peers[base + j] = peer;
-                self.peer_ports[base + j] = peer_port;
-                // Fix the reciprocal pointer on the vertex side.
-                let vslot = self.offsets[peer as usize] as usize + peer_port as usize;
-                self.peer_ports[vslot] = j as u32;
+            let base = offsets[node] as usize;
+            for (j, &v) in g.edge(e).iter().enumerate() {
+                let port = cursor[v.index()];
+                cursor[v.index()] += 1;
+                assert_eq!(
+                    g.incident_edges(v)[port as usize],
+                    e,
+                    "incident edges of {v} are not in ascending edge order"
+                );
+                let vslot = (offsets[v.index()] + port) as usize;
+                peers[vslot] = node as u32;
+                peer_ports[vslot] = j as u32;
+                peers[base + j] = v.raw();
+                peer_ports[base + j] = port;
             }
+        }
+        Self {
+            offsets,
+            peers,
+            peer_ports,
         }
     }
 

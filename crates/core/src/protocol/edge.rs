@@ -96,8 +96,8 @@ impl EdgeNode {
     /// the initial bid.
     fn round1(&mut self, ctx: &mut Ctx<'_, MwhvcMsg>) -> Status {
         debug_assert_eq!(ctx.inbox().len(), self.size);
-        let mut best: Option<(u64, u64)> = None;
-        let mut local_delta = 0u64;
+        let mut best: Option<(u64, u32)> = None;
+        let mut local_delta = 0u32;
         let mut halvings = 0u32;
         // Inbox is port-sorted, so "first strictly smaller wins" is the
         // lowest-port tie-break.
@@ -123,19 +123,16 @@ impl EdgeNode {
             match best {
                 None => best = Some((weight, degree)),
                 Some((bw, bd)) => {
-                    if norm_weight_less(weight, degree, bw, bd) {
+                    if norm_weight_less(weight, u64::from(degree), bw, u64::from(bd)) {
                         best = Some((weight, degree));
                     }
                 }
             }
         }
         let (weight, degree) = best.expect("edges have at least one member");
-        self.alpha = self.policy.resolve(
-            self.f,
-            self.eps,
-            u32::try_from(local_delta).unwrap_or(u32::MAX),
-            self.global_delta,
-        );
+        self.alpha = self
+            .policy
+            .resolve(self.f, self.eps, local_delta, self.global_delta);
         if self.warm {
             ctx.broadcast(MwhvcMsg::MinNormWarm {
                 weight,
@@ -208,7 +205,7 @@ mod tests {
         (status, out)
     }
 
-    fn weight_deg(port: usize, weight: u64, degree: u64) -> Incoming<MwhvcMsg> {
+    fn weight_deg(port: usize, weight: u64, degree: u32) -> Incoming<MwhvcMsg> {
         Incoming {
             port,
             msg: MwhvcMsg::WeightDeg { weight, degree },

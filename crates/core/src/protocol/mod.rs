@@ -87,9 +87,9 @@ pub fn iterations_of_rounds(rounds: u64) -> u64 {
 /// minimizes the normalized weight (§3.2 iteration 0).
 #[inline]
 #[must_use]
-pub(crate) fn initial_bid(weight: u64, degree: u64) -> f64 {
+pub(crate) fn initial_bid(weight: u64, degree: u32) -> f64 {
     debug_assert!(degree > 0);
-    weight as f64 / (2.0 * degree as f64)
+    weight as f64 / (2.0 * f64::from(degree))
 }
 
 /// Applies `count` halvings to a bid (step 3(d)ii). All replicas use exactly
@@ -177,6 +177,19 @@ mod tests {
         assert_eq!(apply_halvings(8.0, 3), 1.0);
         assert_eq!(apply_raise(1.5, 4), 6.0);
         assert_eq!(pow2_neg(3), 0.125);
+    }
+
+    #[test]
+    fn mailbox_slot_and_node_program_stay_small() {
+        let slot = std::mem::size_of::<Option<MwhvcMsg>>();
+        let node = std::mem::size_of::<MwhvcNode>();
+        assert!(
+            slot <= 24 && node <= 56,
+            "Option<MwhvcMsg> is {slot} B (limit 24) and MwhvcNode is {node} B (limit 56): \
+             these two sizes set how many bytes every round moves \
+             (congest.engine.slot_bytes is the mailbox slot, and each round steps \
+             every live node program)"
+        );
     }
 
     #[test]

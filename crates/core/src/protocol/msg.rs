@@ -9,6 +9,10 @@ const TAG_BITS: u64 = 4;
 /// paper's assumptions (weights and degrees polynomial in `n`, level deltas
 /// at most `z = O(log(f/ε))`), which the simulator's
 /// [`BitBudget`](dcover_congest::BitBudget) verifies at runtime.
+///
+/// Degrees travel as `u32`: a hypergraph's CSR offsets are `u32`, so no
+/// degree exceeds it, and the narrower field keeps a mailbox slot
+/// (`Option<MwhvcMsg>`) at 24 bytes.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum MwhvcMsg {
     /// Round 0, vertex → edge: local weight and degree.
@@ -16,7 +20,7 @@ pub enum MwhvcMsg {
         /// `w(v)`.
         weight: u64,
         /// `|E(v)|`.
-        degree: u64,
+        degree: u32,
     },
     /// Round 1, edge → vertex: weight and degree of the minimum-normalized-
     /// weight member `v*`, plus the resolved multiplier `α(e)` (Appendix B
@@ -26,7 +30,7 @@ pub enum MwhvcMsg {
         /// `w(v*)`.
         weight: u64,
         /// `|E(v*)|`.
-        degree: u64,
+        degree: u32,
         /// `α(e)` under the configured policy.
         alpha: u32,
     },
@@ -38,7 +42,7 @@ pub enum MwhvcMsg {
         /// `w(v)`.
         weight: u64,
         /// `|E(v)|`.
-        degree: u64,
+        degree: u32,
         /// The seeded level `ℓ(v)` (≤ z).
         level: u32,
     },
@@ -51,7 +55,7 @@ pub enum MwhvcMsg {
         /// `w(v*)`.
         weight: u64,
         /// `|E(v*)|`.
-        degree: u64,
+        degree: u32,
         /// `α(e)` under the configured policy.
         alpha: u32,
         /// Total seeded halvings `Σ_{u∈e} ℓ(u)` (≤ f·z).
@@ -94,7 +98,7 @@ impl Message for MwhvcMsg {
         TAG_BITS
             + match *self {
                 MwhvcMsg::WeightDeg { weight, degree } => {
-                    bits_for_value(weight) + bits_for_value(degree)
+                    bits_for_value(weight) + bits_for_value(u64::from(degree))
                 }
                 MwhvcMsg::MinNorm {
                     weight,
@@ -102,7 +106,7 @@ impl Message for MwhvcMsg {
                     alpha,
                 } => {
                     bits_for_value(weight)
-                        + bits_for_value(degree)
+                        + bits_for_value(u64::from(degree))
                         + bits_for_value(u64::from(alpha))
                 }
                 MwhvcMsg::WeightDegWarm {
@@ -111,7 +115,7 @@ impl Message for MwhvcMsg {
                     level,
                 } => {
                     bits_for_value(weight)
-                        + bits_for_value(degree)
+                        + bits_for_value(u64::from(degree))
                         + bits_for_value(u64::from(level))
                 }
                 MwhvcMsg::MinNormWarm {
@@ -121,7 +125,7 @@ impl Message for MwhvcMsg {
                     halvings,
                 } => {
                     bits_for_value(weight)
-                        + bits_for_value(degree)
+                        + bits_for_value(u64::from(degree))
                         + bits_for_value(u64::from(alpha))
                         + bits_for_value(u64::from(halvings))
                 }

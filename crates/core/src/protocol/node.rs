@@ -74,10 +74,10 @@ impl MwhvcNode {
         }
     }
 
-    /// For vertex nodes: the per-port duals, aligned with
+    /// For vertex nodes: the per-port duals, in
     /// [`Hypergraph::incident_edges`] order.
     #[must_use]
-    pub fn port_duals(&self) -> Option<&[f64]> {
+    pub fn port_duals(&self) -> Option<impl ExactSizeIterator<Item = f64> + '_> {
         match &self.0 {
             Inner::Vertex(v) => Some(v.duals()),
             Inner::Edge(_) => None,
@@ -183,19 +183,13 @@ pub fn build_network_warm(
     let z = z_levels(f, eps);
     let mut nodes = Vec::with_capacity(g.n() + g.m());
     for v in g.vertices() {
-        let port_duals: Vec<f64> = g
-            .incident_edges(v)
-            .iter()
-            .map(|&e| duals[e.index()])
-            .collect();
         nodes.push(MwhvcNode(Inner::Vertex(VertexNode::new_warm(
             g.weight(v),
-            g.degree(v),
             b,
             z,
             config.variant(),
             levels[v.index()],
-            port_duals,
+            g.incident_edges(v).iter().map(|&e| duals[e.index()]),
         ))));
     }
     for e in g.edges() {

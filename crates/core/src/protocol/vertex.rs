@@ -25,84 +25,107 @@ pub(crate) enum VertexOutcome {
     AllCovered,
 }
 
+/// A vertex's state for one port (one incident edge `e`): its replicas of
+/// `bid(e)` and `δ(e)`, the multiplier `α(e)`, and whether `e` is still
+/// uncovered. One struct per port (24 bytes) rather than one array per
+/// field, because the V1 and V2 loops read all four fields of a port
+/// together.
+#[derive(Copy, Clone, Debug)]
+struct PortState {
+    bid: f64,
+    dual: f64,
+    alpha: u32,
+    live: bool,
+}
+
+impl PortState {
+    /// A fresh port: no bid yet, `δ(e)` seeded (0 for a cold run), `α` at
+    /// its floor of 2 until round 2 ships the edge's value.
+    fn new(dual: f64) -> Self {
+        Self {
+            bid: 0.0,
+            dual,
+            alpha: 2,
+            live: true,
+        }
+    }
+}
+
 /// Per-vertex program state.
 #[derive(Clone, Debug)]
 pub(crate) struct VertexNode {
     // ---- immutable local input ----
-    weight_int: u64,
-    weight: f64,
-    degree: usize,
+    weight: u64,
     beta: f64,
     z: u32,
     variant: Variant,
-    // ---- per-port replicas (index = port = position in E(v)) ----
-    bids: Vec<f64>,
-    duals: Vec<f64>,
-    alphas: Vec<u32>,
-    live: Vec<bool>,
-    live_count: usize,
+    // ---- per-port state (index = port = position in E(v)) ----
+    ports: Box<[PortState]>,
+    live_count: u32,
     // ---- scalars ----
     dual_sum: f64,
     level: u32,
     outcome: VertexOutcome,
-    /// Warm-started runs seed `duals`/`dual_sum`/`level` from a previous
-    /// solve and exchange the warm init messages instead of the cold ones.
+    /// Warm-started runs seed the port duals, `dual_sum` and `level` from a
+    /// previous solve and exchange the warm init messages instead of the
+    /// cold ones.
     warm: bool,
 }
 
 impl VertexNode {
     pub(crate) fn new(weight: u64, degree: usize, beta: f64, z: u32, variant: Variant) -> Self {
-        Self {
-            weight_int: weight,
-            weight: weight as f64,
-            degree,
+        Self::with_ports(
+            weight,
             beta,
             z,
             variant,
-            bids: vec![0.0; degree],
-            duals: vec![0.0; degree],
-            alphas: vec![2; degree],
-            live: vec![true; degree],
-            live_count: degree,
-            dual_sum: 0.0,
-            level: 0,
-            outcome: VertexOutcome::Undecided,
-            warm: false,
-        }
+            vec![PortState::new(0.0); degree].into_boxed_slice(),
+        )
     }
 
-    /// A vertex seeded from a previous solve: per-port duals (aligned with
-    /// `E(v)` order; new edges at 0) and the level carried over. The
-    /// caller (the solver's warm path) has already clamped the duals to a
-    /// feasible packing and the level to `≤ z`.
+    /// A vertex seeded from a previous solve: per-port duals (in `E(v)`
+    /// order; new edges at 0) and the level carried over. The caller (the
+    /// solver's warm path) has already clamped the duals to a feasible
+    /// packing and the level to `≤ z`.
     pub(crate) fn new_warm(
         weight: u64,
-        degree: usize,
         beta: f64,
         z: u32,
         variant: Variant,
         level: u32,
-        duals: Vec<f64>,
+        duals: impl Iterator<Item = f64>,
     ) -> Self {
-        debug_assert_eq!(duals.len(), degree);
         debug_assert!(level <= z);
-        let dual_sum = duals.iter().sum();
+        let ports: Box<[PortState]> = duals.map(PortState::new).collect();
+        // Summed in port order, as the cold protocol accumulates.
+        let dual_sum = ports.iter().map(|p| p.dual).sum();
         Self {
-            weight_int: weight,
-            weight: weight as f64,
-            degree,
+            dual_sum,
+            level,
+            warm: true,
+            ..Self::with_ports(weight, beta, z, variant, ports)
+        }
+    }
+
+    fn with_ports(
+        weight: u64,
+        beta: f64,
+        z: u32,
+        variant: Variant,
+        ports: Box<[PortState]>,
+    ) -> Self {
+        Self {
+            weight,
             beta,
             z,
             variant,
-            bids: vec![0.0; degree],
-            duals,
-            alphas: vec![2; degree],
-            live: vec![true; degree],
-            live_count: degree,
-            dual_sum,
-            level,
+            // A degree is bounded by the hypergraph's `u32` CSR offsets.
+            live_count: ports.len() as u32,
+            ports,
+            dual_sum: 0.0,
+            level: 0,
             outcome: VertexOutcome::Undecided,
-            warm: true,
+            warm: false,
         }
     }
 
@@ -116,9 +139,9 @@ impl VertexNode {
         self.level
     }
 
-    /// The final per-port duals (aligned with `E(v)` order).
-    pub(crate) fn duals(&self) -> &[f64] {
-        &self.duals
+    /// The final per-port duals (in `E(v)` order).
+    pub(crate) fn duals(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.ports.iter().map(|p| p.dual)
     }
 
     /// The final dual sum `Σ_{e∈E(v)} δ(e)`.
@@ -129,21 +152,22 @@ impl VertexNode {
     pub(crate) fn on_round(&mut self, ctx: &mut Ctx<'_, MwhvcMsg>) -> Status {
         let round = ctx.round();
         if round == 0 {
-            if self.degree == 0 {
+            if self.ports.is_empty() {
                 // Isolated vertex: nothing to cover, never in C.
                 self.outcome = VertexOutcome::AllCovered;
                 return Status::Halted;
             }
+            let degree = self.ports.len() as u32;
             if self.warm {
                 ctx.broadcast(MwhvcMsg::WeightDegWarm {
-                    weight: self.weight_int,
-                    degree: self.degree as u64,
+                    weight: self.weight,
+                    degree,
                     level: self.level,
                 });
             } else {
                 ctx.broadcast(MwhvcMsg::WeightDeg {
-                    weight: self.weight_int,
-                    degree: self.degree as u64,
+                    weight: self.weight,
+                    degree,
                 });
             }
             return Status::Running;
@@ -171,7 +195,7 @@ impl VertexNode {
             // seeded value IS the dual, and freshly inserted edges start
             // at δ = 0 and earn their first increment through the regular
             // raise cycle — keeping every replica in exact agreement.
-            debug_assert_eq!(ctx.inbox().len(), self.degree);
+            debug_assert_eq!(ctx.inbox().len(), self.ports.len());
             for item in ctx.inbox() {
                 let MwhvcMsg::MinNormWarm {
                     weight,
@@ -182,13 +206,14 @@ impl VertexNode {
                 else {
                     unreachable!("warm round 2 inbox must be MinNormWarm, got {:?}", item.msg);
                 };
-                self.bids[item.port] = apply_halvings(initial_bid(weight, degree), halvings);
-                self.alphas[item.port] = alpha;
+                let port = &mut self.ports[item.port];
+                port.bid = apply_halvings(initial_bid(weight, degree), halvings);
+                port.alpha = alpha;
             }
         } else if ctx.round() == INIT_ROUNDS {
             // Iteration 0 results: every edge reported its minimum
             // normalized weight; reconstruct bid0 and δ0 locally.
-            debug_assert_eq!(ctx.inbox().len(), self.degree);
+            debug_assert_eq!(ctx.inbox().len(), self.ports.len());
             for item in ctx.inbox() {
                 let MwhvcMsg::MinNorm {
                     weight,
@@ -199,9 +224,10 @@ impl VertexNode {
                     unreachable!("round 2 inbox must be MinNorm, got {:?}", item.msg);
                 };
                 let bid = initial_bid(weight, degree);
-                self.bids[item.port] = bid;
-                self.duals[item.port] = bid;
-                self.alphas[item.port] = alpha;
+                let port = &mut self.ports[item.port];
+                port.bid = bid;
+                port.dual = bid;
+                port.alpha = alpha;
                 self.dual_sum += bid;
             }
         } else {
@@ -211,22 +237,23 @@ impl VertexNode {
                 let MwhvcMsg::RaiseApplied { raised } = item.msg else {
                     unreachable!("V1 inbox must be RaiseApplied, got {:?}", item.msg);
                 };
-                let p = item.port;
-                debug_assert!(self.live[p]);
+                let port = &mut self.ports[item.port];
+                debug_assert!(port.live);
                 if raised {
-                    self.bids[p] = apply_raise(self.bids[p], self.alphas[p]);
+                    port.bid = apply_raise(port.bid, port.alpha);
                 }
                 let add = match self.variant {
-                    Variant::Standard => self.bids[p],
-                    Variant::HalfBid => self.bids[p] / 2.0,
+                    Variant::Standard => port.bid,
+                    Variant::HalfBid => port.bid / 2.0,
                 };
-                self.duals[p] += add;
+                port.dual += add;
                 self.dual_sum += add;
             }
         }
 
         // Step 3a: β-tightness.
-        if self.dual_sum >= (1.0 - self.beta) * self.weight {
+        let weight = self.weight as f64;
+        if self.dual_sum >= (1.0 - self.beta) * weight {
             self.outcome = VertexOutcome::InCover;
             self.send_live(ctx, MwhvcMsg::Join);
             return Status::Halted;
@@ -234,7 +261,7 @@ impl VertexNode {
 
         // Step 3d: climb levels while the slack has more than halved.
         let mut increments = 0u32;
-        while should_level_up(self.dual_sum, self.weight, self.level) {
+        while should_level_up(self.dual_sum, weight, self.level) {
             self.level += 1;
             increments += 1;
             debug_assert!(
@@ -254,20 +281,20 @@ impl VertexNode {
     /// V2: prune covered edges (3b/3c), apply halvings, raise/stuck (3e).
     fn phase_v2(&mut self, ctx: &mut Ctx<'_, MwhvcMsg>) -> Status {
         for item in ctx.inbox() {
-            let p = item.port;
+            let port = &mut self.ports[item.port];
             match item.msg {
                 MwhvcMsg::Covered => {
-                    debug_assert!(self.live[p]);
-                    self.live[p] = false;
+                    debug_assert!(port.live);
+                    port.live = false;
                     self.live_count -= 1;
                     // δ(e) stays frozen at its last value (paper: δ_i(e) =
                     // δ_{j-1}(e) for covered edges) and keeps contributing
                     // to dual_sum.
                 }
                 MwhvcMsg::Halved { count } => {
-                    debug_assert!(self.live[p]);
+                    debug_assert!(port.live);
                     if count > 0 {
-                        self.bids[p] = apply_halvings(self.bids[p], count);
+                        port.bid = apply_halvings(port.bid, count);
                     }
                 }
                 other => unreachable!("V2 inbox must be Covered/Halved, got {other:?}"),
@@ -282,13 +309,11 @@ impl VertexNode {
         // multiplier among live edges keeps Claim 1 intact.
         let mut alpha_max = 2u32;
         let mut bid_sum = 0.0;
-        for p in 0..self.degree {
-            if self.live[p] {
-                alpha_max = alpha_max.max(self.alphas[p]);
-                bid_sum += self.bids[p];
-            }
+        for port in self.ports.iter().filter(|p| p.live) {
+            alpha_max = alpha_max.max(port.alpha);
+            bid_sum += port.bid;
         }
-        let threshold = pow2_neg(self.level + 1) * self.weight / f64::from(alpha_max);
+        let threshold = pow2_neg(self.level + 1) * self.weight as f64 / f64::from(alpha_max);
         let msg = if bid_sum <= threshold {
             MwhvcMsg::Raise
         } else {
@@ -299,8 +324,8 @@ impl VertexNode {
     }
 
     fn send_live(&self, ctx: &mut Ctx<'_, MwhvcMsg>, msg: MwhvcMsg) {
-        for p in 0..self.degree {
-            if self.live[p] {
+        for (p, port) in self.ports.iter().enumerate() {
+            if port.live {
                 ctx.send(p, msg);
             }
         }
@@ -433,7 +458,7 @@ mod tests {
         let mut ctx = ctx_at(4, 2, &inbox, &mut out);
         assert_eq!(v.on_round(&mut ctx), Status::Running);
         assert_eq!(v.dual_sum(), dual_before, "duals frozen, not removed");
-        assert_eq!(v.bids[1], 2.5 * 0.25, "bid halved twice");
+        assert_eq!(v.ports[1].bid, 2.5 * 0.25, "bid halved twice");
         // Only the live port gets the raise/stuck message.
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, 1);

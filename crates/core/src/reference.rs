@@ -96,23 +96,18 @@ pub fn solve_reference(
     // ---- iteration 0 (§3.2 step 2) ----
     for e in g.edges() {
         let members = g.edge(e);
-        let mut best = (g.weight(members[0]), g.degree(members[0]) as u64);
-        let mut local_delta = 0u64;
+        let mut best = (g.weight(members[0]), g.degree(members[0]) as u32);
+        let mut local_delta = 0u32;
         for &v in members {
-            let cand = (g.weight(v), g.degree(v) as u64);
+            let cand = (g.weight(v), g.degree(v) as u32);
             local_delta = local_delta.max(cand.1);
-            if norm_weight_less(cand.0, cand.1, best.0, best.1) {
+            if norm_weight_less(cand.0, u64::from(cand.1), best.0, u64::from(best.1)) {
                 best = cand;
             }
         }
         bid[e.index()] = initial_bid(best.0, best.1);
         dual[e.index()] = bid[e.index()];
-        alpha[e.index()] = config.alpha().resolve(
-            f,
-            eps,
-            u32::try_from(local_delta).unwrap_or(u32::MAX),
-            g.max_degree(),
-        );
+        alpha[e.index()] = config.alpha().resolve(f, eps, local_delta, g.max_degree());
     }
     // Vertices absorb δ0 in port (= ascending edge id) order, matching the
     // distributed round-2 accumulation order exactly.

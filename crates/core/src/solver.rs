@@ -398,8 +398,7 @@ impl MwhvcSolver {
             }
             levels[v.index()] = node.level().expect("node 0..n is a vertex");
             let port_duals = node.port_duals().expect("node 0..n is a vertex");
-            for (port, &e) in g.incident_edges(v).iter().enumerate() {
-                let d = port_duals[port];
+            for (&e, d) in g.incident_edges(v).iter().zip(port_duals) {
                 let slot = &mut duals[e.index()];
                 if slot.is_nan() {
                     *slot = d;

@@ -170,6 +170,8 @@ impl Hypergraph {
         }
         let mut cursor: Vec<u32> = vertex_offsets[..n].to_vec();
         let mut vertex_edges = vec![EdgeId::from_raw(0); acc as usize];
+        // Filling in edge order keeps every incident-edge list ascending,
+        // as `incident_edges` guarantees.
         for (e, members) in edges.iter().enumerate() {
             for &v in members {
                 let slot = cursor[v.index()];
@@ -252,7 +254,13 @@ impl Hypergraph {
         &self.inner.edge_vertices[lo..hi]
     }
 
-    /// The hyperedges incident to vertex `v` (the set `E(v)` of the paper).
+    /// The hyperedges incident to vertex `v` (the set `E(v)` of the paper),
+    /// in ascending edge order.
+    ///
+    /// The order is guaranteed: every constructor fills the lists by
+    /// walking the edges in id order. The bipartite communication network
+    /// (`Topology::bipartite_incidence` in `dcover-congest`) relies on it
+    /// to assign vertex ports in one pass over the edges.
     ///
     /// # Panics
     ///

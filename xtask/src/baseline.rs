@@ -30,7 +30,7 @@ pub const MESSAGE_BITS: &[(&str, u64)] = &[
     ("DoublingMsg", 131),
     ("KvyMsg", 130),
     ("MatchMsg", 2),
-    ("MwhvcMsg", 196),
+    ("MwhvcMsg", 164),
     ("bool", 1),
     ("u32", 32),
     ("u64", 64),
