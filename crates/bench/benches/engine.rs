@@ -1,7 +1,7 @@
 //! **Engine throughput benchmark** — the round-engine perf trajectory.
 //!
-//! Pits the zero-allocation arena engine (sequential and 8-thread
-//! persistent-pool schedulers) against a faithful replica of the previous
+//! Pits the zero-allocation arena engine (one chunk, and 8 chunks on
+//! persistent worker threads) against a faithful replica of the previous
 //! engine design (per-round `thread::scope` spawn, per-node `Vec<Incoming>`
 //! inboxes, per-inbox `sort_by_key`) on a pathological round-heavy
 //! workload: a 100×100 grid (10,000 nodes) where a long-lived core of
@@ -18,7 +18,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dcover_congest::{Ctx, Incoming, ParallelSimulator, Process, Simulator, Status, Topology};
+use dcover_congest::{Ctx, Incoming, PartitionPolicy, Process, Simulator, Status, Topology};
 
 const ROUNDS: u64 = 400;
 const THREADS: usize = 8;
@@ -236,7 +236,8 @@ fn engine_stats(topo: &Topology) -> Vec<EngineStat> {
         (report.rounds, report.total_messages)
     });
     let (par_rps, par_mps) = measure(|| {
-        let mut sim = ParallelSimulator::new(topo.clone(), nodes(n), THREADS);
+        let mut sim =
+            Simulator::with_partition(topo.clone(), nodes(n), THREADS, PartitionPolicy::Contiguous);
         let report = sim.run(ROUNDS + 2).expect("terminates");
         (report.rounds, report.total_messages)
     });
@@ -283,7 +284,12 @@ fn bench_round_engines(c: &mut Criterion) {
     });
     group.bench_function("arena_pool_8t", |b| {
         b.iter(|| {
-            let mut sim = ParallelSimulator::new(topo.clone(), nodes(n), THREADS);
+            let mut sim = Simulator::with_partition(
+                topo.clone(),
+                nodes(n),
+                THREADS,
+                PartitionPolicy::Contiguous,
+            );
             sim.run(ROUNDS + 2).expect("terminates").total_messages
         });
     });

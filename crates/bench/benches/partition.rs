@@ -31,7 +31,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use dcover_congest::{ParallelSimulator, PartitionPolicy, SimReport};
+use dcover_congest::{PartitionPolicy, SimReport, Simulator};
 use dcover_core::{build_network, MwhvcConfig, MwhvcSolver};
 use dcover_hypergraph::generators::{
     complete_f_partite, coverage_instance, planted_cover, WeightDist,
@@ -94,7 +94,7 @@ fn timed_run(
     limit: u64,
 ) -> (f64, SimReport) {
     let (topo, nodes) = build_network(g, config);
-    let mut sim = ParallelSimulator::with_partition(topo, nodes, threads, policy);
+    let mut sim = Simulator::with_partition(topo, nodes, threads, policy);
     let t = Instant::now();
     let report = sim.run(limit).expect("protocol terminates");
     let secs = t.elapsed().as_secs_f64().max(1e-9);

@@ -2,11 +2,10 @@
 //!
 //! A [`CancelToken`] is a cloneable shared flag: one side holds a clone
 //! and calls [`CancelToken::cancel`], the other polls
-//! [`CancelToken::is_cancelled`] at safe points. The schedulers accept an
+//! [`CancelToken::is_cancelled`] at safe points. A simulator accepts an
 //! [`Interrupt`] — a token and/or an absolute deadline — via
-//! [`Simulator::with_interrupt`](crate::Simulator::with_interrupt) /
-//! [`ParallelSimulator::with_interrupt`](crate::ParallelSimulator::with_interrupt)
-//! and check it **once per round**, between rounds: a cancelled or
+//! [`Simulator::with_interrupt`](crate::Simulator::with_interrupt) and
+//! checks it **once per round**, between rounds: a cancelled or
 //! past-deadline run stops at the next round boundary and returns the
 //! typed [`SimError::Interrupted`](crate::SimError::Interrupted). The
 //! round loop itself never observes the flag mid-round, so determinism is
@@ -81,7 +80,7 @@ impl std::fmt::Display for InterruptReason {
 }
 
 /// The interrupt condition of one run: an optional [`CancelToken`] and an
-/// optional absolute deadline, checked by the schedulers once per round.
+/// optional absolute deadline, checked by the simulator once per round.
 ///
 /// The deadline check calls [`Instant::now`] only when a deadline is set,
 /// and the token check is one relaxed atomic load — an interrupt-free (or

@@ -1,4 +1,4 @@
-//! The zero-allocation round engine shared by both schedulers.
+//! The zero-allocation round engine behind [`Simulator`](crate::Simulator).
 //!
 //! # Mailbox arena
 //!
@@ -18,8 +18,8 @@
 //!
 //! # Chunks and the two phases
 //!
-//! Nodes are partitioned into chunks (one per worker; the sequential
-//! scheduler is the 1-chunk special case): a contiguous range of
+//! Nodes are partitioned into chunks (one per thread; a single chunk by
+//! default): a contiguous range of
 //! *positions* in the arrangement chosen by a
 //! [`Partition`](crate::partition::Partition) — the original id order
 //! under `PartitionPolicy::Contiguous`, a breadth-first locality
@@ -52,18 +52,19 @@
 //! applies the canonical halted-before-duplicate check and reports the
 //! identical typed error in the identical round.
 //!
-//! Writes are chunk-local in both phases, so the parallel scheduler needs
-//! no locks and no `unsafe`: chunk state simply moves to a worker and back.
+//! Writes are chunk-local in both phases, so running chunks on worker
+//! threads needs no locks and no `unsafe`: chunk state simply moves to a
+//! worker and back.
 //!
 //! # Determinism contract
 //!
 //! All per-round metrics are sums and maxima over sends, merged in
-//! ascending chunk order (= ascending node id, the sequential step order).
-//! Node programs observe identical inboxes in both schedulers because slot
-//! layout is structural. Therefore `Simulator` and `ParallelSimulator`
-//! produce **bit-identical** node states, [`RoundMetrics`], and
-//! [`SimReport`](crate::SimReport)s for any thread count — verified by
-//! property tests.
+//! ascending chunk order. Node programs observe identical inboxes under
+//! any chunking because slot layout is structural, and every round
+//! delivers its own mail before the scheduler checks delivery errors and
+//! then the budget. Therefore a `Simulator` produces **bit-identical**
+//! node states, [`RoundMetrics`], [`SimReport`](crate::SimReport)s and
+//! errors for any chunk count and placement — verified by property tests.
 //!
 //! # Steady-state allocation
 //!
@@ -235,47 +236,6 @@ impl<P: Process> ChunkState<P> {
     pub(crate) fn len(&self) -> usize {
         self.halted.len()
     }
-
-    /// Scans destination-local slot indices of *undelivered* staged mail
-    /// addressed to this chunk for a duplicate — exactly the check
-    /// [`phase_deliver`] would perform, including skipping halted
-    /// receivers. Used by the parallel scheduler on terminal paths (round
-    /// limit, all-halted) where the deferred delivery will never run, so a
-    /// final-round duplicate send still surfaces as
-    /// [`SimError::DuplicateSend`] instead of being masked.
-    pub(crate) fn scan_undelivered_duplicate(
-        &self,
-        staged_slots: impl Iterator<Item = u32>,
-        sent_round: u64,
-    ) -> Option<SimError> {
-        let mut seen = vec![false; self.cur.len()];
-        // Intra-chunk fast-path messages from `sent_round` were written
-        // straight into `nxt` during the step phase; `dirty_nxt` lists
-        // exactly those slots at this point (the deferred delivery that
-        // would have swapped them away never ran). Seed them so a staged
-        // duplicate colliding with a fast-path delivery is still caught.
-        // Seeding halted receivers' slots is harmless: staged mail to
-        // halted receivers is skipped before `seen` is consulted.
-        for &lslot in &self.dirty_nxt {
-            seen[lslot as usize] = true;
-        }
-        for lslot in staged_slots {
-            let ls = lslot as usize;
-            let receiver = self.slot_node[ls] as usize;
-            if self.halted[receiver] {
-                continue;
-            }
-            if seen[ls] {
-                return Some(SimError::DuplicateSend {
-                    round: sent_round,
-                    receiver: self.global_ids[receiver] as usize,
-                    port: ls - self.local_offsets[receiver] as usize,
-                });
-            }
-            seen[ls] = true;
-        }
-        None
-    }
 }
 
 /// A reusable bundle of round-engine buffers: the mailbox slot arena (both
@@ -421,9 +381,8 @@ pub(crate) fn phase_deliver<P: Process>(
     std::mem::swap(&mut chunk.dirty_cur, &mut chunk.dirty_nxt);
 }
 
-/// Folds per-chunk tallies (in ascending chunk order) into the round's
-/// metrics, or a budget error. Shared by both schedulers so their reports
-/// are identical by construction.
+/// Turns the round's merged tally (folded in ascending chunk order) into
+/// its metrics, or a budget error.
 pub(crate) fn finish_round(
     topo: &Topology,
     merged: &SendTally,

@@ -61,15 +61,14 @@ pub enum SimError {
         /// Nodes still running when the run stopped.
         active: usize,
     },
-    /// The worker pool's round-reply channel closed mid-round: every
-    /// worker thread died without returning the dispatched chunks
-    /// (thread spawn teardown or a crash outside the per-task panic
-    /// containment). The simulator is poisoned — the in-flight chunks are
-    /// gone — but the *scheduler thread* survives with a typed error
-    /// instead of a panic, so a serving layer can fail the one solve and
-    /// rebuild its pool. (Formerly an `expect("worker pool alive")`.)
+    /// A channel to a multi-chunk simulator's chunk workers closed
+    /// mid-round: a worker thread died outside the simulator's panic
+    /// containment, taking its chunk with it. The simulator is poisoned
+    /// — the in-flight chunks are gone — but the caller's thread survives
+    /// with a typed error instead of a panic, so a serving layer can fail
+    /// the one solve and keep serving.
     SchedulerLost {
-        /// The round that was being dispatched when the pool vanished.
+        /// The round being run when the worker vanished.
         round: u64,
     },
 }
@@ -110,7 +109,7 @@ impl fmt::Display for SimError {
             ),
             SimError::SchedulerLost { round } => write!(
                 f,
-                "worker pool lost while dispatching round {round}: every worker died without replying"
+                "chunk worker lost while running round {round}"
             ),
         }
     }

@@ -12,40 +12,43 @@
 //!   ([`Topology::bipartite_incidence`]);
 //! * [`Process`] — the node-program trait, stepped once per round with an
 //!   inbox and an outbox ([`Ctx`]);
-//! * [`Simulator`] — the deterministic sequential scheduler;
-//! * [`ParallelSimulator`] — a persistent-thread-pool scheduler with
-//!   bit-identical semantics;
+//! * [`Simulator`] — the deterministic round scheduler, on one chunk or
+//!   split into chunks on persistent worker threads
+//!   ([`Simulator::with_partition`]) with bit-identical results;
 //! * bit accounting — every [`Message`] reports its encoded size; the
-//!   schedulers track per-link per-round maxima and can enforce a
+//!   simulator tracks per-link per-round maxima and can enforce a
 //!   [`BitBudget`], turning the `O(log n)` CONGEST constraint into a
 //!   checkable runtime property.
 //!
 //! # The round engine
 //!
-//! Both schedulers share a zero-allocation round engine built around a
+//! The simulator runs a zero-allocation round engine built around a
 //! **flat port-indexed mailbox arena**: one message slot per directed link
 //! endpoint, laid out in the topology's CSR port order and double-buffered
 //! across rounds. Delivery is an indexed write, a node's inbox is its
 //! contiguous slot range ([`Inbox`]), no per-inbox sorting ever happens
 //! (port order is structural), and halted nodes cost zero via per-chunk
-//! active worklists. The parallel scheduler keeps its workers parked on
-//! channels between rounds — no per-round thread spawning — and moves
-//! chunk state to workers by value, so the whole engine is safe Rust with
-//! no locks. See the `engine`-module documentation in the source for the
+//! active worklists. A multi-chunk simulator steps chunk 0 on the
+//! caller's thread and keeps one worker per further chunk parked on a
+//! channel between phases — no per-round thread spawning — moving chunk
+//! state to its worker by value, so the whole engine is safe Rust with no
+//! locks. See the `engine`-module documentation in the source for the
 //! layout, phase structure, determinism contract, and the steady-state
 //! zero-allocation guarantee (enforced by `tests/zero_alloc.rs`).
 //!
 //! # Determinism contract
 //!
-//! For any protocol and any thread count, [`Simulator`] and
-//! [`ParallelSimulator`] produce **bit-identical** node states,
+//! For any protocol, any chunk count and either [`PartitionPolicy`], a
+//! [`Simulator`] produces **bit-identical** node states,
 //! [`RoundMetrics`], and [`SimReport`]s: nodes are stepped against
 //! identical port-indexed inboxes, metrics are sums/maxima merged in
-//! ascending node order, and message delivery is structural. One message
+//! ascending chunk order, and message delivery is structural. One message
 //! per directed link per round is enforced (a duplicate same-port send
 //! aborts the run with the typed [`SimError::DuplicateSend`] — a bad node
-//! program yields an error, never a crash); mail addressed to halted nodes
-//! is charged exactly once — on the send side — and dropped at delivery.
+//! program yields an error, never a crash), and every chunk count reports
+//! the same error from the same [`Simulator::step`]; mail addressed to
+//! halted nodes is charged exactly once — on the send side — and dropped
+//! at delivery.
 //!
 //! # Serving many instances
 //!
@@ -56,16 +59,16 @@
 //! handle as requests arrive — each submission yields a [`TaskTicket`], a
 //! full queue blocks [`TaskQueue::submit`] and makes
 //! [`TaskQueue::try_submit`] report backpressure
-//! ([`TrySubmitError::Full`]), and each task runs a sequential
+//! ([`TrySubmitError::Full`]), and each task runs a single-chunk
 //! [`Simulator::with_arena`] solve against a recycled arena. Submissions
 //! carry a [`TaskClass`] (interactive tasks dequeue before bulk, FIFO
-//! within a class, round jobs first of all — with optional bulk **aging**
+//! within a class — with optional bulk **aging**
 //! via [`QueuePolicy`] so sustained interactive load cannot starve bulk
 //! traffic), an optional deadline after which a still-queued task
 //! resolves as the typed [`TaskError::Expired`], and an optional
 //! [`CancelToken`] ([`TaskOptions`]) that resolves a still-queued task as
 //! [`TaskError::Cancelled`]. In-flight solves cooperate too: hand the
-//! same token (and/or deadline) to a scheduler as an [`Interrupt`] and
+//! same token (and/or deadline) to a simulator as an [`Interrupt`] and
 //! the run stops at its next round boundary with the typed
 //! [`SimError::Interrupted`]. Every pool records per-class
 //! queue-wait/run-time [`LatencyHistogram`]s, counters (including
@@ -111,7 +114,6 @@ mod engine;
 mod error;
 mod message;
 mod metrics;
-mod parallel;
 mod partition;
 mod pool;
 mod process;
@@ -126,12 +128,17 @@ pub use message::{bits_for_range, bits_for_value, Message};
 pub use metrics::{
     BitBudget, ClassMetrics, LatencyHistogram, RoundMetrics, SchedMetrics, SimReport,
 };
-pub use parallel::ParallelSimulator;
 pub use partition::PartitionPolicy;
 pub use pool::{
     QueueClosed, QueuePolicy, SimPool, TaskClass, TaskError, TaskOptions, TaskQueue, TaskTicket,
     TaskTiming, TrySubmitError,
 };
 pub use process::{Ctx, Inbox, InboxIter, Incoming, Process, Status};
-pub use sim::Simulator;
+pub use sim::{ParallelSimulator, Simulator};
 pub use topology::{NodeId, Port, Topology};
+
+/// Tests of [`Simulator`] runs split into several chunks.
+#[cfg(test)]
+mod parallel {
+    mod tests;
+}

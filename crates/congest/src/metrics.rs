@@ -472,8 +472,7 @@ pub struct ClassMetrics {
 ///
 /// A pool created with [`SimPool::new`] owns a fresh instance; hand one
 /// long-lived handle to [`SimPool::with_policy`] to aggregate across pool
-/// rebuilds. Round jobs are not clocked (the chunk-parallel round loop
-/// stays free of timer calls); `busy` covers task jobs only.
+/// rebuilds.
 ///
 /// # Counter identities
 ///
@@ -533,8 +532,7 @@ impl SchedMetrics {
         self.depth_high_water.load(Ordering::Relaxed)
     }
 
-    /// Total time workers spent running task closures (round jobs are not
-    /// clocked).
+    /// Total time workers spent running task closures.
     #[must_use]
     pub fn busy(&self) -> Duration {
         // relaxed: monotonic sum read for reporting only.

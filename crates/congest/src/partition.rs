@@ -1,4 +1,4 @@
-//! Chunk partitioning policies for the parallel scheduler.
+//! Chunk partitioning policies for a multi-chunk simulator.
 //!
 //! The parallel engine splits the node set into per-worker chunks and cuts
 //! the flat mailbox arena along the same boundaries. A chunk is always a
@@ -28,7 +28,7 @@
 
 use crate::topology::Topology;
 
-/// How the parallel scheduler assigns nodes to worker chunks.
+/// How a multi-chunk simulator assigns nodes to chunks.
 ///
 /// Selects the node ordering that chunk boundaries are cut from:
 /// `Contiguous` cuts the original id order (on the bipartite incidence
@@ -38,8 +38,8 @@ use crate::topology::Topology;
 /// take the engine's intra-chunk fast path. The policy affects scheduling
 /// and the intra/cross-chunk message split reported by
 /// [`SimReport`](crate::SimReport) — never results: both policies are
-/// bit-identical to the sequential scheduler for any protocol and any
-/// thread count.
+/// bit-identical to a single-chunk run for any protocol and any chunk
+/// count.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PartitionPolicy {
     /// Cut chunks from the original node-id order.

@@ -1,26 +1,21 @@
-//! The persistent worker pool behind the parallel round scheduler and the
-//! queue-based serving layer.
+//! The persistent worker pool behind the queue-based serving layer.
 //!
 //! One [`SimPool`] owns a set of worker threads that all pull from a
-//! **single shared job queue** (a small multi-class scheduler built from
-//! `Mutex` + `Condvar` — std only). Three kinds of work flow through it,
-//! in strict priority order:
+//! **single shared task queue** (a small multi-class scheduler built from
+//! `Mutex` + `Condvar` — std only). Two classes of task flow through it,
+//! in priority order:
 //!
-//! * **Round jobs** — a [`ParallelSimulator`](crate::ParallelSimulator)
-//!   pushes one job per engine chunk per round onto the pool it spawned
-//!   (chunk-level parallelism within one instance). Round jobs are served
-//!   before any task and never count against the task-queue capacity.
-//! * **[`TaskClass::Interactive`] task jobs** — latency-sensitive
+//! * **[`TaskClass::Interactive`] tasks** — latency-sensitive
 //!   whole-closure work items. They dequeue **before** every queued bulk
 //!   task, FIFO among themselves.
-//! * **[`TaskClass::Bulk`] task jobs** — throughput traffic (the default
+//! * **[`TaskClass::Bulk`] tasks** — throughput traffic (the default
 //!   class). FIFO among themselves; only served while no interactive task
 //!   waits — unless a [`QueuePolicy::bulk_max_wait`] is configured, in
 //!   which case a bulk task that has aged past that bound is **promoted**
 //!   ahead of the interactive lane (anti-starvation under sustained
 //!   interactive load).
 //!
-//! Task jobs are submitted through a [`TaskQueue`] handle, each under
+//! Tasks are submitted through a [`TaskQueue`] handle, each under
 //! [`TaskOptions`] that pick its [`TaskClass`], an optional **deadline**
 //! and an optional cancel token. Each submission yields a [`TaskTicket`]
 //! that resolves when some worker finishes the task; the queue is
@@ -34,13 +29,13 @@
 //! A task submitted with a deadline that is still **queued** when the
 //! deadline passes resolves as the typed [`TaskError::Expired`] instead
 //! of occupying a worker: the worker that dequeues it spends O(1)
-//! discarding it and immediately pulls the next job. Likewise a task
+//! discarding it and immediately pulls the next task. Likewise a task
 //! whose [`CancelToken`] ([`TaskOptions::with_cancel`]) is cancelled
 //! while queued resolves as [`TaskError::Cancelled`] without running.
 //! Both are checked at dequeue time; the pool never aborts a closure a
 //! worker has already started — for in-flight cooperation, hand the same
 //! token to the simulation inside the closure as an
-//! [`Interrupt`](crate::Interrupt), which the schedulers check once per
+//! [`Interrupt`](crate::Interrupt), which the simulator checks once per
 //! round.
 //!
 //! # Scheduler metrics
@@ -50,17 +45,16 @@
 //! queue-wait and run-time **fixed-bucket latency histograms**
 //! ([`LatencyHistogram`](crate::LatencyHistogram)), the queue-depth
 //! high-water mark, and total
-//! worker busy time across task jobs. Recording is a handful of atomic
-//! adds — **zero allocation on the hot path**. Pass one long-lived handle
-//! to [`SimPool::with_policy`] to aggregate across pool rebuilds (round
-//! jobs are deliberately not clocked so the round hot path stays free of
-//! timer calls). Per-ticket timings are additionally available from
-//! [`TaskTicket::wait_timed`] as a [`TaskTiming`].
+//! worker busy time. Recording is a handful of atomic adds — **zero
+//! allocation on the hot path**. Pass one long-lived handle to
+//! [`SimPool::with_policy`] to aggregate across pool rebuilds. Per-ticket
+//! timings are additionally available from [`TaskTicket::wait_timed`] as
+//! a [`TaskTiming`].
 //!
 //! # Arena recycling
 //!
 //! The pool keeps a free list of [`EngineArena`]s (at most one per
-//! worker). A worker running a task job checks an arena out, lends it to
+//! worker). A worker running a task checks an arena out, lends it to
 //! the closure, and returns it afterwards, so mailbox-slot, dirty-list,
 //! worklist and staging capacity carries over from task to task. A task
 //! that panics forfeits its arena (its buffers may be mid-mutation); the
@@ -68,16 +62,14 @@
 //!
 //! # Panic recovery
 //!
-//! A panicking *task* resolves only its own ticket —
+//! A panicking task resolves only its own ticket —
 //! [`TaskTicket::wait`] returns [`TaskError::Panicked`] with the panic
-//! payload and every other queued or in-flight task proceeds untouched. A
-//! panicking *round job* is re-raised on the scheduler thread (the chunk
-//! is lost with it), exactly as in the sequential scheduler.
+//! payload and every other queued or in-flight task proceeds untouched.
 //!
 //! # Shutdown
 //!
 //! Dropping the [`SimPool`] is a **graceful drain**: submissions are
-//! refused from that point on ([`TrySubmitError::Closed`]), every job
+//! refused from that point on ([`TrySubmitError::Closed`]), every task
 //! already in the queue still runs (both classes; tasks past their
 //! deadline resolve as `Expired`), and the destructor joins the workers —
 //! so every issued ticket is resolved by the time `drop` returns.
@@ -85,21 +77,15 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::cancel::CancelToken;
-use crate::engine::{phase_deliver, phase_step, ChunkState, EngineArena};
-use crate::metrics::{BitBudget, SchedMetrics};
+use crate::engine::EngineArena;
+use crate::metrics::SchedMetrics;
 use crate::process::Process;
 use crate::sync::thread::JoinHandle;
 use crate::sync::{Condvar, Mutex, MutexGuard};
-
-/// Per-destination staging buckets: `buckets[s]` holds the messages chunk
-/// `s` staged for one destination chunk, as `(destination-local slot,
-/// payload)` pairs.
-pub(crate) type Buckets<M> = Vec<Vec<(u32, M)>>;
 
 /// Type-erased task result (downcast by [`TaskTicket::wait`]).
 type TaskResult = Box<dyn Any + Send>;
@@ -110,11 +96,11 @@ type PanicPayload = Box<dyn Any + Send>;
 /// A task closure run against a checked-out arena.
 type TaskFn<P> = Box<dyn FnOnce(&mut EngineArena<P>) -> TaskResult + Send>;
 
-/// The scheduling class of a submitted task job.
+/// The scheduling class of a submitted task.
 ///
-/// The pool's scheduler serves round jobs first, then every queued
-/// `Interactive` task (FIFO), then `Bulk` tasks (FIFO). The bounded task
-/// capacity is shared across both classes.
+/// The pool's scheduler serves every queued `Interactive` task (FIFO),
+/// then `Bulk` tasks (FIFO). The bounded task capacity is shared across
+/// both classes.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum TaskClass {
     /// Latency-sensitive traffic: dequeues before every queued bulk task.
@@ -299,21 +285,6 @@ pub struct TaskTiming {
     pub run: Duration,
 }
 
-/// A chunk-parallel round job (absolute priority over task jobs).
-struct RoundJob<P: Process> {
-    /// Which chunk slot of the scheduler this is (echoed in the reply;
-    /// with a shared queue any worker may run any chunk).
-    index: usize,
-    /// The chunk, moved to the worker for the duration of the round.
-    chunk: Box<ChunkState<P>>,
-    /// Buckets staged for this chunk in the previous round.
-    inbound: Buckets<P::Msg>,
-    /// The round being stepped.
-    round: u64,
-    /// Per-link bit budget, if enforced.
-    budget: Option<BitBudget>,
-}
-
 /// A task waiting in the shared queue: the closure plus the completion
 /// slot its [`TaskTicket`] is watching, and its scheduling envelope.
 struct QueuedTask<P: Process> {
@@ -325,40 +296,14 @@ struct QueuedTask<P: Process> {
     enqueued: Instant,
 }
 
-/// What a worker pulled from the queue.
-enum Popped<P: Process> {
-    Round(RoundJob<P>),
-    /// A live (non-expired) task plus its measured queue wait.
-    Task(QueuedTask<P>, Duration),
-}
-
-/// A finished round job (task jobs resolve through their ticket slots and
-/// never touch this channel).
-pub(crate) enum Reply<P: Process> {
-    /// The round ran to completion; chunk and drained buckets come home.
-    Done {
-        /// The chunk slot this belongs to (echoed from the job).
-        index: usize,
-        /// The chunk, back from the worker.
-        chunk: Box<ChunkState<P>>,
-        /// The drained buckets, capacity intact.
-        inbound: Buckets<P::Msg>,
-    },
-    /// The node program (or the engine's own protocol-bug assert) panicked
-    /// on the worker; the payload is re-raised on the scheduler thread.
-    /// Without this the scheduler would deadlock: the other workers stay
-    /// parked holding live reply senders, so `recv()` would never error.
-    Panicked(PanicPayload),
-}
-
 /// Scheduling-policy knobs for a [`SimPool`]'s shared queue
 /// ([`SimPool::with_policy`]).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueuePolicy {
     /// Bulk anti-starvation bound: a queued [`TaskClass::Bulk`] task
     /// that has waited at least this long is **promoted** — the next
-    /// free worker takes it ahead of the interactive lane (round jobs
-    /// keep absolute priority). `None` (the default) keeps strict
+    /// free worker takes it ahead of the interactive lane. `None` (the
+    /// default) keeps strict
     /// interactive-over-bulk priority, under which sustained
     /// interactive load can starve bulk traffic indefinitely.
     pub bulk_max_wait: Option<Duration>,
@@ -379,13 +324,11 @@ impl QueuePolicy {
     }
 }
 
-/// Mutex-guarded queue state: round jobs plus one FIFO lane per task
-/// class, scanned in [`TaskClass::ALL`] priority order.
+/// Mutex-guarded queue state: one FIFO lane per task class, scanned in
+/// [`TaskClass::ALL`] priority order.
 struct QueueState<P: Process> {
-    rounds: VecDeque<RoundJob<P>>,
     lanes: [VecDeque<QueuedTask<P>>; TaskClass::COUNT],
-    /// Number of tasks currently waiting across both lanes (round jobs
-    /// are not counted and not bounded).
+    /// Number of tasks currently waiting across both lanes.
     queued_tasks: usize,
     /// Set by the pool destructor: refuse new submissions, drain what is
     /// queued, then let the workers exit.
@@ -396,12 +339,12 @@ struct QueueState<P: Process> {
 /// the workers.
 struct Shared<P: Process> {
     state: Mutex<QueueState<P>>,
-    /// Signalled when a job is pushed (or stop is set).
+    /// Signalled when a task is pushed (or stop is set).
     not_empty: Condvar,
     /// Signalled when a queued task is taken by a worker (a capacity slot
     /// freed up).
     not_full: Condvar,
-    /// Maximum number of *waiting* task jobs across both classes (running
+    /// Maximum number of *waiting* tasks across both classes (running
     /// tasks don't count).
     capacity: usize,
     /// Scheduler metrics sink (shared; possibly outliving this pool).
@@ -411,7 +354,7 @@ struct Shared<P: Process> {
     /// Recycled engine arenas, at most `max_arenas` parked at once.
     arenas: Mutex<Vec<EngineArena<P>>>,
     /// Free-list bound (= worker count; more arenas than workers can
-    /// never be in use simultaneously by task jobs).
+    /// never be in use simultaneously).
     max_arenas: usize,
 }
 
@@ -440,20 +383,18 @@ impl<P: Process> Shared<P> {
         self.arenas.lock().expect("arena mutex")
     }
 
-    /// Blocking pop: the worker side of the queue. Returns `None` when
-    /// the pool is stopping and the queue has drained. Tasks whose
+    /// Blocking pop: the worker side of the queue. Returns the next live
+    /// task and its measured queue wait, or `None` when the pool is
+    /// stopping and the queue has drained. Tasks whose
     /// deadline passed — or whose cancel token was cancelled — while
     /// queued are resolved as [`TaskError::Expired`] /
     /// [`TaskError::Cancelled`] right here (their queue wait still
     /// recorded) and never returned. When the policy enables bulk aging,
     /// a bulk-lane head older than the bound is served ahead of the
     /// interactive lane.
-    fn pop(&self) -> Option<Popped<P>> {
+    fn pop(&self) -> Option<(QueuedTask<P>, Duration)> {
         let mut state = self.locked();
         loop {
-            if let Some(job) = state.rounds.pop_front() {
-                return Some(Popped::Round(job));
-            }
             // Anti-starvation: an aged bulk head jumps the interactive
             // lane. FIFO within the bulk lane means its head is the
             // oldest bulk task, so one front() check suffices.
@@ -511,7 +452,7 @@ impl<P: Process> Shared<P> {
                     state = self.locked();
                     continue;
                 }
-                return Some(Popped::Task(task, waited));
+                return Some((task, waited));
             }
             if state.stop {
                 return None;
@@ -521,15 +462,6 @@ impl<P: Process> Shared<P> {
             // code can poison.
             state = self.not_empty.wait(state).expect("queue mutex");
         }
-    }
-
-    /// Pushes a round job (priority over every queued task; never
-    /// bounded).
-    fn push_round(&self, job: RoundJob<P>) {
-        let mut state = self.locked();
-        state.rounds.push_back(job);
-        drop(state);
-        self.not_empty.notify_one();
     }
 
     /// Blocking task push: waits while the queue is at capacity. Returns
@@ -602,73 +534,44 @@ impl<P: Process> Shared<P> {
     }
 }
 
-/// The worker body: pull jobs until the pool drains and stops.
-fn worker_loop<P: Process>(shared: &Shared<P>, replies: &SyncSender<Reply<P>>) {
-    while let Some(job) = shared.pop() {
-        match job {
-            Popped::Round(RoundJob {
-                index,
-                mut chunk,
-                mut inbound,
-                round,
-                budget,
-            }) => {
-                // Catch node-program panics so they can be re-raised on
-                // the scheduler thread (state is discarded via the panic,
-                // so the unwind-safety assertion is sound).
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    phase_deliver(&mut chunk, &mut inbound, round.saturating_sub(1));
-                    phase_step(&mut chunk, round, budget);
-                }));
-                let reply = match run {
-                    Ok(()) => Reply::Done {
-                        index,
-                        chunk,
-                        inbound,
-                    },
-                    Err(payload) => Reply::Panicked(payload),
-                };
-                if replies.send(reply).is_err() {
-                    return;
-                }
+/// The worker body: run tasks until the pool drains and stops.
+fn worker_loop<P: Process>(shared: &Shared<P>) {
+    while let Some((
+        QueuedTask {
+            run, slot, class, ..
+        },
+        waited,
+    )) = shared.pop()
+    {
+        let arena = shared.take_arena();
+        let started = Instant::now();
+        // The arena moves into the closure: on panic it is torn down with
+        // the unwind (its buffers may be mid-mutation), on success it comes
+        // back out for the free list.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let mut arena = arena;
+            let result = run(&mut arena);
+            (result, arena)
+        }));
+        let ran = started.elapsed();
+        let result = match outcome {
+            Ok((result, arena)) => {
+                shared.put_arena(arena);
+                shared.metrics.record_ran(class, ran, false);
+                Ok(result)
             }
-            Popped::Task(
-                QueuedTask {
-                    run, slot, class, ..
-                },
-                waited,
-            ) => {
-                let arena = shared.take_arena();
-                let started = Instant::now();
-                // The arena moves into the closure: on panic it is torn
-                // down with the unwind (its buffers may be mid-mutation),
-                // on success it comes back out for the free list.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                    let mut arena = arena;
-                    let result = run(&mut arena);
-                    (result, arena)
-                }));
-                let ran = started.elapsed();
-                let result = match outcome {
-                    Ok((result, arena)) => {
-                        shared.put_arena(arena);
-                        shared.metrics.record_ran(class, ran, false);
-                        Ok(result)
-                    }
-                    Err(payload) => {
-                        shared.metrics.record_ran(class, ran, true);
-                        Err(TaskError::Panicked(payload))
-                    }
-                };
-                slot.fill(
-                    result,
-                    TaskTiming {
-                        queue: waited,
-                        run: ran,
-                    },
-                );
+            Err(payload) => {
+                shared.metrics.record_ran(class, ran, true);
+                Err(TaskError::Panicked(payload))
             }
-        }
+        };
+        slot.fill(
+            result,
+            TaskTiming {
+                queue: waited,
+                run: ran,
+            },
+        );
     }
 }
 
@@ -955,14 +858,14 @@ where
 /// across solves.
 ///
 /// Threads spawn once, at construction, and block on the queue between
-/// jobs. Submit closures through a [`queue`](SimPool::queue) handle as
+/// tasks. Submit closures through a [`queue`](SimPool::queue) handle as
 /// they arrive; whichever worker frees up first takes the oldest waiting
 /// task of the highest-priority class. A task that runs a whole
-/// sequential solve (see
+/// single-chunk solve (see
 /// [`Simulator::with_arena`](crate::Simulator::with_arena)) reuses
 /// mailbox-slot, dirty-list, worklist and staging capacity from the arena
-/// it checks out. A [`ParallelSimulator`](crate::ParallelSimulator)
-/// spawns a pool of its own for its round jobs.
+/// it checks out. A multi-chunk [`Simulator`](crate::Simulator) uses no
+/// pool: it runs its chunks on threads of its own.
 ///
 /// # Examples
 ///
@@ -992,7 +895,6 @@ where
 /// ```
 pub struct SimPool<P: Process + 'static> {
     shared: Arc<Shared<P>>,
-    rx: Receiver<Reply<P>>,
     handles: Vec<JoinHandle<()>>,
     workers: usize,
 }
@@ -1057,7 +959,6 @@ impl<P: Process + 'static> SimPool<P> {
         );
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
-                rounds: VecDeque::new(),
                 lanes: std::array::from_fn(|_| VecDeque::new()),
                 queued_tasks: 0,
                 stop: false,
@@ -1070,11 +971,9 @@ impl<P: Process + 'static> SimPool<P> {
             arenas: Mutex::new((0..threads).map(|_| EngineArena::new()).collect()),
             max_arenas: threads,
         });
-        let (reply_tx, rx) = sync_channel::<Reply<P>>(threads);
         let mut handles = Vec::with_capacity(threads);
         for w in 0..threads {
             let shared = Arc::clone(&shared);
-            let replies = reply_tx.clone();
             // invariant: OS thread spawn fails only on process-level
             // resource exhaustion, at pool *construction* (service
             // startup or explicit rebuild) — never mid-solve. There is
@@ -1083,13 +982,12 @@ impl<P: Process + 'static> SimPool<P> {
             handles.push(
                 crate::sync::thread::Builder::new()
                     .name(format!("congest-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, &replies))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn worker thread"),
             );
         }
         Self {
             shared,
-            rx,
             handles,
             workers: threads,
         }
@@ -1117,49 +1015,6 @@ impl<P: Process + 'static> SimPool<P> {
             shared: Arc::clone(&self.shared),
         }
     }
-
-    /// Checks an arena out of the pool's free list (or builds a fresh
-    /// one). Used by the parallel scheduler to seed its chunks.
-    pub(crate) fn take_arena(&self) -> EngineArena<P> {
-        self.shared.take_arena()
-    }
-
-    /// Parks an arena back in the free list.
-    pub(crate) fn put_arena(&self, arena: EngineArena<P>) {
-        self.shared.put_arena(arena)
-    }
-
-    /// Pushes one priority round job for chunk `index`.
-    pub(crate) fn send_round(
-        &self,
-        index: usize,
-        chunk: Box<ChunkState<P>>,
-        inbound: Buckets<P::Msg>,
-        round: u64,
-        budget: Option<BitBudget>,
-    ) {
-        self.shared.push_round(RoundJob {
-            index,
-            chunk,
-            inbound,
-            round,
-            budget,
-        });
-    }
-
-    /// Receives the next finished round job.
-    ///
-    /// # Errors
-    ///
-    /// `Err` means every worker thread has exited with round jobs still
-    /// outstanding — the dispatched chunks are gone and the pool cannot
-    /// finish the round. The parallel scheduler surfaces this as
-    /// [`SimError::SchedulerLost`](crate::SimError::SchedulerLost)
-    /// instead of panicking, so a serving layer can fail the one solve
-    /// and rebuild its pool.
-    pub(crate) fn recv_reply(&self) -> Result<Reply<P>, std::sync::mpsc::RecvError> {
-        self.rx.recv()
-    }
 }
 
 impl<P: Process + 'static> Drop for SimPool<P> {
@@ -1174,8 +1029,7 @@ impl<P: Process + 'static> Drop for SimPool<P> {
         self.shared.not_full.notify_all();
         for handle in self.handles.drain(..) {
             // Swallow worker panics during teardown: the panic that
-            // matters already surfaced through a ticket or the round-reply
-            // channel.
+            // matters already surfaced through a ticket.
             let _ = handle.join();
         }
     }
@@ -1668,17 +1522,17 @@ mod tests {
         let mut big = EngineArena::<Echo>::new();
         big.chunk.cur.reserve(4096);
         let want = big.chunk.cur.capacity();
-        pool.put_arena(big);
-        let got = pool.take_arena();
+        pool.shared.put_arena(big);
+        let got = pool.shared.take_arena();
         assert!(
             got.chunk.cur.capacity() >= want,
             "bound eviction must keep the warmed arena ({} < {want})",
             got.chunk.cur.capacity()
         );
         // And a smaller arena does not evict a bigger parked one.
-        pool.put_arena(got);
-        pool.put_arena(EngineArena::new());
-        assert!(pool.take_arena().chunk.cur.capacity() >= want);
+        pool.shared.put_arena(got);
+        pool.shared.put_arena(EngineArena::new());
+        assert!(pool.shared.take_arena().chunk.cur.capacity() >= want);
     }
 
     #[test]

@@ -1,24 +1,46 @@
-//! The deterministic sequential round scheduler.
+//! The deterministic round scheduler, for any number of chunks.
 //!
-//! Drives the shared [`engine`](crate::engine) as its single-chunk special
-//! case: per round, [`phase_step`](crate::engine::phase_step) steps active
-//! nodes against the flat mailbox arena and
-//! [`phase_deliver`](crate::engine::phase_deliver) scatters the staged
-//! messages and swaps the buffers. See the engine module docs for the
-//! arena layout, the determinism contract, and the zero-allocation
-//! guarantee.
+//! A [`Simulator`] drives the shared [`engine`](crate::engine) over `k`
+//! chunks of its nodes: one by default, or `k` cut by a
+//! [`PartitionPolicy`] ([`Simulator::with_partition`]). Chunk 0 runs on
+//! the caller's thread; chunks `1..k` run on `k − 1` worker threads that
+//! the simulator spawns once, one chunk pinned to each, and joins when it
+//! is dropped. A round is two phases, each ending in a barrier:
+//!
+//! 1. [`phase_step`](crate::engine::phase_step) on every chunk: active
+//!    nodes step; sends to the chunk's own nodes land straight in its
+//!    mailbox (the intra-chunk fast path), and the rest are staged per
+//!    destination chunk;
+//! 2. the caller routes the staged buckets to their destination chunks,
+//!    then [`phase_deliver`](crate::engine::phase_deliver) on every chunk
+//!    scatters them into its mailbox and swaps its buffers.
+//!
+//! Delivery errors, the tally merge and the budget check then run on the
+//! caller's thread in ascending chunk order, so every chunk count and
+//! placement yields the same report, and the same error from the same
+//! [`step`](Simulator::step). A chunk travels to its worker by value (a
+//! pointer-sized move) and comes back over one shared reply channel: all
+//! mutation is single-owner, with no locks and no `unsafe`, and a
+//! steady-state round allocates nothing. See the engine module docs for
+//! the arena layout and the determinism contract.
+
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::JoinHandle;
 
 use crate::cancel::Interrupt;
 use crate::engine::{finish_round, phase_deliver, phase_step, ChunkState, EngineArena};
 use crate::error::SimError;
 use crate::metrics::{BitBudget, RoundMetrics, SimReport};
-use crate::partition::Partition;
-use crate::process::Process;
+use crate::partition::{Partition, PartitionPolicy};
+use crate::process::{Process, SendTally};
 use crate::topology::{NodeId, Topology};
 
 /// Deterministic synchronous simulator: steps every running node once per
-/// round, delivers messages at the next round boundary, and records
-/// communication metrics.
+/// round, delivers messages at the round boundary, and records
+/// communication metrics — on one chunk, or split across worker threads
+/// with bit-identical results.
 ///
 /// # Examples
 ///
@@ -51,9 +73,17 @@ use crate::topology::{NodeId, Topology};
 /// # Ok::<(), dcover_congest::SimError>(())
 /// ```
 #[derive(Debug)]
-pub struct Simulator<P: Process> {
+pub struct Simulator<P: Process + 'static> {
     topo: Topology,
-    chunk: Box<ChunkState<P>>,
+    /// The node arrangement and chunk cuts this instance runs under.
+    part: Partition,
+    /// One per chunk; `None` only while the chunk is out at its worker.
+    chunks: Vec<Option<Box<ChunkState<P>>>>,
+    /// Per destination chunk, the buckets routed to it, one per source
+    /// chunk; travels with its chunk.
+    inbound: Vec<Buckets<P::Msg>>,
+    /// The threads running chunks `1..k`; `None` for a single chunk.
+    workers: Option<Workers<P>>,
     active: usize,
     round: u64,
     report: SimReport,
@@ -62,8 +92,27 @@ pub struct Simulator<P: Process> {
     interrupt: Option<Interrupt>,
 }
 
-impl<P: Process> Simulator<P> {
-    /// Creates a simulator over `topo` with one program per node.
+/// The name the benchmark harness (`perfbench/`) uses for a multi-chunk
+/// [`Simulator`].
+pub type ParallelSimulator<P> = Simulator<P>;
+
+/// Staging buckets, one per source chunk: `(destination-local slot,
+/// payload)` pairs.
+type Buckets<M> = Vec<Vec<(u32, M)>>;
+
+/// Unwraps a chunk slot.
+//
+// invariant: a slot is `None` only while its chunk is out at its worker
+// inside `run_phase`, which collects every reply before it returns; on
+// its early exits (a re-raised node panic, `SchedulerLost`) the
+// simulator is poisoned, as the `step` docs say.
+fn home<T>(slot: Option<T>) -> T {
+    slot.expect("chunk is home")
+}
+
+impl<P: Process + 'static> Simulator<P> {
+    /// Creates a single-chunk simulator over `topo` with one program per
+    /// node.
     ///
     /// # Panics
     ///
@@ -73,29 +122,80 @@ impl<P: Process> Simulator<P> {
         Self::with_arena(topo, nodes, EngineArena::new())
     }
 
-    /// Creates a simulator that recycles `arena`'s buffers — mailbox
-    /// slots, dirty lists, worklist, staging buckets and routing tables
-    /// all keep the capacity they grew in previous solves. Results are
-    /// bit-identical to [`Simulator::new`]; recover the arena afterwards
-    /// with [`into_arena`](Self::into_arena).
+    /// Creates a single-chunk simulator that recycles `arena`'s buffers —
+    /// mailbox slots, dirty lists, worklist, staging buckets and routing
+    /// tables all keep the capacity they grew in previous solves. Results
+    /// are bit-identical to [`Simulator::new`]; recover the arena
+    /// afterwards with [`into_arena`](Self::into_arena).
     ///
     /// # Panics
     ///
     /// Panics if `nodes.len() != topo.len()`.
     #[must_use]
     pub fn with_arena(topo: Topology, nodes: Vec<P>, arena: EngineArena<P>) -> Self {
+        let part = Partition::contiguous(&topo, 1);
+        Self::build(topo, nodes, part, arena)
+    }
+
+    /// Creates a simulator split into `min(threads, nodes.len())` chunks
+    /// cut under `policy`, with one worker thread per chunk after the
+    /// first. Placement never changes results — only which thread steps a
+    /// node and how much mail crosses chunks (see
+    /// [`SimReport::cross_fraction`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes.len() != topo.len()` or `threads == 0`.
+    #[must_use]
+    pub fn with_partition(
+        topo: Topology,
+        nodes: Vec<P>,
+        threads: usize,
+        policy: PartitionPolicy,
+    ) -> Self {
+        // invariant: documented construction-time precondition (see
+        // `# Panics`) on a caller-supplied thread count.
+        assert!(threads > 0, "need at least one worker thread");
+        let part = Partition::new(&topo, threads.min(nodes.len()).max(1), policy);
+        Self::build(topo, nodes, part, EngineArena::new())
+    }
+
+    /// Places `nodes` in `part`'s chunks, chunk 0 on `arena`'s buffers,
+    /// and spawns a worker for every further chunk.
+    fn build(topo: Topology, nodes: Vec<P>, part: Partition, arena: EngineArena<P>) -> Self {
         // invariant: documented construction-time precondition (see
         // `# Panics`) tying the caller's program vector to its topology —
         // checked before any engine state exists.
         assert_eq!(nodes.len(), topo.len(), "need exactly one program per node");
         let n = nodes.len();
-        let part = Partition::contiguous(&topo, 1);
-        let mut chunk = arena.chunk;
-        chunk.rebuild(&topo, &part, 0);
-        chunk.nodes = nodes;
+        let k = part.num_chunks();
+        let mut nodes = if part.is_identity() {
+            nodes
+        } else {
+            permuted(nodes, |pos| part.node_at(pos))
+        };
+        // Chunk ranges are position ranges: chunk 0 keeps the caller's
+        // vector and the others split off its tail, so chunk 0's programs
+        // never move (`into_arena` appends the others back to it).
+        let mut chunks = Vec::with_capacity(k);
+        chunks.push(arena.chunk);
+        chunks.extend((1..k).map(|_| Box::new(ChunkState::empty())));
+        for (index, chunk) in chunks.iter_mut().enumerate().rev() {
+            chunk.rebuild(&topo, &part, index);
+            chunk.nodes = if index == 0 {
+                std::mem::take(&mut nodes)
+            } else {
+                nodes.split_off(part.bounds()[index])
+            };
+        }
         Self {
             topo,
-            chunk,
+            part,
+            chunks: chunks.into_iter().map(Some).collect(),
+            inbound: (0..k)
+                .map(|_| (0..k).map(|_| Vec::new()).collect())
+                .collect(),
+            workers: (k > 1).then(|| Workers::spawn(k - 1)),
             active: n,
             round: 0,
             report: SimReport::default(),
@@ -124,9 +224,10 @@ impl<P: Process> Simulator<P> {
     /// deadline): [`run`](Self::run) checks it **once per round**, between
     /// rounds, and stops with [`SimError::Interrupted`] at the first round
     /// boundary where it has fired. Every completed round stays
-    /// bit-identical to an uninterrupted run; [`step`](Self::step) does
-    /// not check (callers driving rounds by hand poll the interrupt
-    /// themselves).
+    /// bit-identical to an uninterrupted run, and every chunk is home, so
+    /// [`into_parts`](Self::into_parts) still recovers every program;
+    /// [`step`](Self::step) does not check (callers driving rounds by hand
+    /// poll the interrupt themselves).
     #[must_use]
     pub fn with_interrupt(mut self, interrupt: Interrupt) -> Self {
         self.interrupt = Some(interrupt);
@@ -151,6 +252,13 @@ impl<P: Process> Simulator<P> {
         self.active == 0
     }
 
+    /// Number of chunks the instance is split into (the threads in use,
+    /// the caller's included).
+    #[must_use]
+    pub fn workers(&self) -> usize {
+        self.chunks.len()
+    }
+
     /// Read access to a node program (for assertions and result extraction).
     ///
     /// # Panics
@@ -158,13 +266,15 @@ impl<P: Process> Simulator<P> {
     /// Panics if `id` is out of range.
     #[must_use]
     pub fn node(&self, id: NodeId) -> &P {
-        &self.chunk.nodes[id]
+        let pos = self.part.position(id);
+        let bounds = self.part.bounds();
+        let c = bounds[1..].partition_point(|&b| b <= pos);
+        &home(self.chunks[c].as_ref()).nodes[pos - bounds[c]]
     }
 
-    /// Read access to all node programs.
-    #[must_use]
-    pub fn nodes(&self) -> &[P] {
-        &self.chunk.nodes
+    /// Read access to all node programs, in id order.
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = &P> + '_ {
+        (0..self.part.len()).map(move |id| self.node(id))
     }
 
     /// The accumulated report so far.
@@ -173,8 +283,8 @@ impl<P: Process> Simulator<P> {
         &self.report
     }
 
-    /// Consumes the simulator, returning the node programs (with their final
-    /// local state) and the report.
+    /// Consumes the simulator, returning the node programs (in id order,
+    /// with their final local state) and the report.
     #[must_use]
     pub fn into_parts(self) -> (Vec<P>, SimReport) {
         let (nodes, report, _arena) = self.into_arena();
@@ -182,37 +292,58 @@ impl<P: Process> Simulator<P> {
     }
 
     /// Consumes the simulator, returning the node programs, the report,
-    /// and the engine arena (every buffer's capacity intact) for reuse by
-    /// a later [`Simulator::with_arena`].
+    /// and chunk 0's engine buffers (every capacity intact) for reuse by a
+    /// later [`Simulator::with_arena`]. The workers are joined.
     #[must_use]
-    pub fn into_arena(mut self) -> (Vec<P>, SimReport, EngineArena<P>) {
-        let nodes = std::mem::take(&mut self.chunk.nodes);
+    pub fn into_arena(self) -> (Vec<P>, SimReport, EngineArena<P>) {
+        let mut chunks = self.chunks.into_iter().map(home);
+        // invariant: a partition has at least one chunk.
+        let mut first = chunks.next().expect("chunk 0");
+        let mut nodes = std::mem::take(&mut first.nodes);
+        for mut chunk in chunks {
+            nodes.append(&mut chunk.nodes);
+        }
+        if !self.part.is_identity() {
+            nodes = permuted(nodes, |id| self.part.position(id));
+        }
         let mut report = self.report;
         report.all_halted = self.active == 0;
-        (nodes, report, EngineArena { chunk: self.chunk })
+        (nodes, report, EngineArena { chunk: first })
     }
 
-    /// Executes one synchronous round.
+    /// Executes one synchronous round: every chunk steps, the staged mail
+    /// is routed and delivered, and the chunks' tallies are merged in
+    /// ascending chunk order.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::BudgetExceeded`] if a link overflows the
-    /// configured budget, or [`SimError::DuplicateSend`] if a node sent
-    /// two messages over one directed link this round.
+    /// Returns [`SimError::DuplicateSend`] if a node sent two messages
+    /// over one directed link this round (checked first), then
+    /// [`SimError::BudgetExceeded`] if a link overflows the configured
+    /// budget. Returns [`SimError::SchedulerLost`] if a worker thread is
+    /// gone; the simulator is poisoned afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a node program's panic on the caller's thread, whichever
+    /// chunk it ran on; the simulator is poisoned afterwards.
     pub fn step(&mut self) -> Result<RoundMetrics, SimError> {
         let active_at_start = self.active;
-        phase_step(&mut self.chunk, self.round, self.budget);
-        self.active -= self.chunk.newly_halted as usize;
-        // Single chunk: its one staging bucket is also its inbound bucket.
-        let mut inbound = std::mem::take(&mut self.chunk.stage);
-        phase_deliver(&mut self.chunk, &mut inbound, self.round);
-        self.chunk.stage = inbound;
-        if let Some(err) = self.chunk.delivery_error.clone() {
+        self.run_phase(Phase::Step)?;
+        self.route();
+        self.run_phase(Phase::Deliver)?;
+        let chunks = self.chunks.iter().map(|slot| home(slot.as_ref()));
+        if let Some(err) = chunks.clone().find_map(|c| c.delivery_error.clone()) {
             return Err(err);
+        }
+        let mut merged = SendTally::default();
+        for chunk in chunks {
+            merged.merge(&chunk.tally);
+            self.active -= chunk.newly_halted as usize;
         }
         let rm = finish_round(
             &self.topo,
-            &self.chunk.tally,
+            &merged,
             self.round,
             active_at_start,
             self.budget,
@@ -220,8 +351,55 @@ impl<P: Process> Simulator<P> {
         self.round += 1;
         self.report.absorb(rm, self.trace);
         self.report
-            .record_cut(self.chunk.tally.messages, self.chunk.tally.cross_messages);
+            .record_cut(merged.messages, merged.cross_messages);
         Ok(rm)
+    }
+
+    /// Runs `phase` on every chunk — chunks `1..k` at their workers while
+    /// chunk 0 runs here — and returns once every chunk is home.
+    fn run_phase(&mut self, phase: Phase) -> Result<(), SimError> {
+        let (round, budget) = (self.round, self.budget);
+        if let Some(workers) = &self.workers {
+            for (c, jobs) in (1..).zip(&workers.jobs) {
+                let chunk = home(self.chunks[c].take());
+                let inbound = std::mem::take(&mut self.inbound[c]);
+                jobs.send(Job {
+                    phase,
+                    chunk,
+                    inbound,
+                    round,
+                    budget,
+                })
+                .map_err(|_| SimError::SchedulerLost { round })?;
+            }
+        }
+        let first = home(self.chunks[0].as_mut());
+        phase.run(first, &mut self.inbound[0], round, budget);
+        if let Some(workers) = &self.workers {
+            for _ in &workers.jobs {
+                let (chunk, inbound) = workers
+                    .replies
+                    .recv()
+                    .map_err(|_| SimError::SchedulerLost { round })?
+                    .unwrap_or_else(|payload| resume_unwind(payload));
+                let c = chunk.chunk_index;
+                self.inbound[c] = inbound;
+                self.chunks[c] = Some(chunk);
+            }
+        }
+        Ok(())
+    }
+
+    /// Hands every staged bucket to its destination: `stage[d]` of chunk
+    /// `s` trades places with bucket `s` of chunk `d`'s inbound set, so
+    /// the chunk stages the next round into the bucket drained in this
+    /// one, its capacity intact.
+    fn route(&mut self) {
+        for (d, inbound) in self.inbound.iter_mut().enumerate() {
+            for (slot, bucket) in self.chunks.iter_mut().zip(inbound) {
+                std::mem::swap(&mut home(slot.as_mut()).stage[d], bucket);
+            }
+        }
     }
 
     /// Runs until every node halts.
@@ -229,8 +407,8 @@ impl<P: Process> Simulator<P> {
     /// # Errors
     ///
     /// Returns [`SimError::RoundLimit`] if not all nodes halted within
-    /// `max_rounds`, [`SimError::BudgetExceeded`] on a CONGEST violation,
-    /// or [`SimError::Interrupted`] when a configured
+    /// `max_rounds`, any error of [`step`](Self::step), or
+    /// [`SimError::Interrupted`] when a configured
     /// [`with_interrupt`](Self::with_interrupt) condition fires between
     /// rounds.
     pub fn run(&mut self, max_rounds: u64) -> Result<SimReport, SimError> {
@@ -253,6 +431,125 @@ impl<P: Process> Simulator<P> {
         let mut report = self.report.clone();
         report.all_halted = true;
         Ok(report)
+    }
+}
+
+/// Reorders `items` so that entry `i` is the old entry `at(i)`.
+fn permuted<T>(items: Vec<T>, at: impl Fn(usize) -> usize) -> Vec<T> {
+    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
+    // invariant: the callers pass a partition's position/id maps, which
+    // are mutually inverse permutations of `0..n` — each slot is taken
+    // exactly once.
+    (0..slots.len())
+        .map(|i| slots[at(i)].take().expect("a permutation"))
+        .collect()
+}
+
+/// Which half of a round a chunk runs.
+#[derive(Clone, Copy, Debug)]
+enum Phase {
+    Step,
+    Deliver,
+}
+
+impl Phase {
+    fn run<P: Process>(
+        self,
+        chunk: &mut ChunkState<P>,
+        inbound: &mut Buckets<P::Msg>,
+        round: u64,
+        budget: Option<BitBudget>,
+    ) {
+        match self {
+            Phase::Step => phase_step(chunk, round, budget),
+            Phase::Deliver => phase_deliver(chunk, inbound, round),
+        }
+    }
+}
+
+/// A chunk's trip to its worker.
+struct Job<P: Process> {
+    phase: Phase,
+    chunk: Box<ChunkState<P>>,
+    inbound: Buckets<P::Msg>,
+    round: u64,
+    budget: Option<BitBudget>,
+}
+
+/// A worker's answer: the chunk and its inbound buckets, or the payload of
+/// a node-program panic.
+type Reply<P> = Result<(Box<ChunkState<P>>, Buckets<<P as Process>::Msg>), Box<dyn Any + Send>>;
+
+/// The threads that run chunks `1..k`, one chunk pinned to each.
+#[derive(Debug)]
+struct Workers<P: Process + 'static> {
+    /// `jobs[i]` feeds the worker of chunk `i + 1`.
+    jobs: Vec<SyncSender<Job<P>>>,
+    /// Shared by every worker; it holds a reply from each, so a worker
+    /// never blocks on it, even when the caller stops reading.
+    replies: Receiver<Reply<P>>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl<P: Process + 'static> Workers<P> {
+    fn spawn(count: usize) -> Self {
+        let (reply_tx, replies) = sync_channel(count);
+        let mut jobs = Vec::with_capacity(count);
+        let mut handles = Vec::with_capacity(count);
+        for c in 1..=count {
+            let (job_tx, job_rx) = sync_channel(1);
+            let reply_tx = reply_tx.clone();
+            // invariant: OS thread spawn fails only on process-level
+            // resource exhaustion, at construction — never mid-solve, and
+            // with nothing to roll back.
+            handles.push(
+                std::thread::Builder::new()
+                    .name(format!("congest-chunk-{c}"))
+                    .spawn(move || chunk_worker(&job_rx, &reply_tx))
+                    .expect("spawn chunk worker"),
+            );
+            jobs.push(job_tx);
+        }
+        Self {
+            jobs,
+            replies,
+            handles,
+        }
+    }
+}
+
+impl<P: Process + 'static> Drop for Workers<P> {
+    fn drop(&mut self) {
+        // Closing the job channels lets every worker finish its job, if it
+        // has one, and exit.
+        self.jobs.clear();
+        for handle in self.handles.drain(..) {
+            // Workers catch node-program panics, so a join error has
+            // nothing left to report.
+            let _ = handle.join();
+        }
+    }
+}
+
+/// A worker's body: run each job's phase on its chunk and send the chunk
+/// back, until the simulator closes the job channel.
+fn chunk_worker<P: Process>(jobs: &Receiver<Job<P>>, replies: &SyncSender<Reply<P>>) {
+    while let Ok(Job {
+        phase,
+        mut chunk,
+        mut inbound,
+        round,
+        budget,
+    }) = jobs.recv()
+    {
+        // A panicking chunk is dropped with the payload and the
+        // simulator is poisoned, so no broken state is observed again.
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            phase.run(&mut chunk, &mut inbound, round, budget);
+        }));
+        if replies.send(ran.map(|()| (chunk, inbound))).is_err() {
+            return;
+        }
     }
 }
 

@@ -11,8 +11,9 @@
 //! interleavings (see `CONCURRENCY.md`).
 //!
 //! Deliberately *not* part of the facade: `std::sync::Arc` (no scheduling
-//! decisions inside) and `std::sync::mpsc` (used only by the
-//! chunk-parallel round path, which conc-check scenarios do not drive).
+//! decisions inside), and the `std::sync::mpsc` channels and
+//! `std::thread` workers of a multi-chunk `Simulator` (the round path,
+//! which conc-check scenarios do not drive).
 
 #[cfg(not(conc_check))]
 pub use std::sync::{Condvar, Mutex, MutexGuard};

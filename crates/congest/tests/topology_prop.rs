@@ -1,10 +1,10 @@
 //! Property tests for the simulator substrate: arbitrary topologies keep
-//! port reciprocity and slot-arena consistency, and the parallel scheduler
-//! is bit-identical to the sequential one under arbitrary
+//! port reciprocity and slot-arena consistency, and a multi-chunk
+//! simulator is bit-identical to a single-chunk one under arbitrary
 //! protocols-with-state. Runs seeded random cases (the offline equivalent
 //! of the previous proptest strategies).
 
-use dcover_congest::{Ctx, ParallelSimulator, Process, Simulator, Status, Topology};
+use dcover_congest::{Ctx, PartitionPolicy, Process, Simulator, Status, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -111,8 +111,13 @@ fn parallel_equals_sequential() {
         };
         let mut seq = Simulator::new(Topology::from_links(n, &links), make()).with_trace(true);
         let seq_report = seq.run(10 + u64::from(ttl)).unwrap();
-        let mut par = ParallelSimulator::new(Topology::from_links(n, &links), make(), threads)
-            .with_trace(true);
+        let mut par = Simulator::with_partition(
+            Topology::from_links(n, &links),
+            make(),
+            threads,
+            PartitionPolicy::Contiguous,
+        )
+        .with_trace(true);
         let par_report = par.run(10 + u64::from(ttl)).unwrap();
         assert_eq!(seq_report, par_report, "case {case} threads {threads}");
         for i in 0..n {

@@ -2,13 +2,14 @@
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! phase (early rounds grow staging-bucket and dirty-list capacity), the
-//! steady-state round loop of both schedulers must perform exactly zero
-//! heap allocations. The counter is process-global, while libtest runs
+//! steady-state round loop must perform exactly zero heap allocations, on
+//! one chunk and on several. The counter is process-global, while libtest runs
 //! separate tests (and its own bookkeeping) on concurrent threads, so only
 //! allocations on *counting* threads are tallied — the running test's own
 //! thread and every engine worker that steps one of its nodes — and the
-//! tests take turns (see [`Counting::start`]). For the parallel tests the
-//! pool's workers are part of the measured region.
+//! tests take turns (see [`Counting::start`]). For the multi-chunk tests
+//! the simulator's chunk workers, and the channel handoffs between them
+//! and the test thread, are part of the measured region.
 
 #![expect(unsafe_code, reason = "test-only counting global allocator")]
 
@@ -17,9 +18,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use dcover_congest::{
-    Ctx, ParallelSimulator, PartitionPolicy, Process, Simulator, Status, Topology,
-};
+use dcover_congest::{Ctx, PartitionPolicy, Process, Simulator, Status, Topology};
 
 /// System allocator wrapper that counts allocations (and reallocations)
 /// made on counting threads.
@@ -112,8 +111,9 @@ struct Flood {
 impl Process for Flood {
     type Msg = u64;
     fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Status {
-        // The thread stepping this node — the test's own, or a pool
-        // worker of a parallel engine — is part of the measured region.
+        // The thread stepping this node — the test's own, or the chunk
+        // worker of a multi-chunk simulator — is part of the measured
+        // region.
         COUNTED.set(true);
         for item in ctx.inbox() {
             self.acc = self.acc.wrapping_add(item.msg);
@@ -189,7 +189,8 @@ fn parallel_steady_state_allocates_nothing() {
     let _counting = Counting::start();
     let topo = grid_topology(20, 20);
     let n = topo.len();
-    let mut sim = ParallelSimulator::new(topo, flood_nodes(n, 400), 4);
+    let mut sim =
+        Simulator::with_partition(topo, flood_nodes(n, 400), 4, PartitionPolicy::Contiguous);
     for _ in 0..20 {
         sim.step().unwrap();
     }
@@ -216,7 +217,7 @@ fn locality_fast_path_steady_state_allocates_nothing() {
     let topo = grid_topology(20, 20);
     let n = topo.len();
     let mut sim =
-        ParallelSimulator::with_partition(topo, flood_nodes(n, 400), 4, PartitionPolicy::Locality);
+        Simulator::with_partition(topo, flood_nodes(n, 400), 4, PartitionPolicy::Locality);
     for _ in 0..20 {
         sim.step().unwrap();
     }

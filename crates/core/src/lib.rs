@@ -18,7 +18,7 @@
 //! # Entry points
 //!
 //! * [`MwhvcSolver`] — run the real distributed protocol on the CONGEST
-//!   simulator (sequential or thread-pool scheduler) and get a
+//!   simulator (on one thread or split across several) and get a
 //!   [`CoverResult`] with the cover, the dual certificate, and communication
 //!   metrics.
 //! * [`solve_reference`] — the centralized mirror of the same algorithm

@@ -1,9 +1,7 @@
 //! The user-facing solver: runs the distributed protocol on the CONGEST
 //! simulator and assembles the result.
 
-use dcover_congest::{
-    BitBudget, EngineArena, Interrupt, ParallelSimulator, SimReport, Simulator, Topology,
-};
+use dcover_congest::{BitBudget, EngineArena, Interrupt, SimReport, Simulator};
 use dcover_hypergraph::{Cover, Hypergraph};
 
 use crate::analysis;
@@ -128,8 +126,8 @@ impl MwhvcSolver {
     }
 
     /// Attaches a cooperative [`Interrupt`] (cancel token and/or absolute
-    /// deadline) to every solve made through this solver: the schedulers
-    /// check it once per CONGEST round, and a fired interrupt stops the
+    /// deadline) to every solve made through this solver: the simulator
+    /// checks it once per CONGEST round, and a fired interrupt stops the
     /// run at the next round boundary with the typed
     /// [`SolveError::Sim`]`(`[`SimError::Interrupted`](dcover_congest::SimError::Interrupted)`)`.
     /// Completed rounds stay bit-identical to an uninterrupted run.
@@ -139,7 +137,7 @@ impl MwhvcSolver {
         self
     }
 
-    /// Runs the protocol on the deterministic sequential scheduler.
+    /// Runs the protocol on a single chunk, on the calling thread.
     ///
     /// # Errors
     ///
@@ -171,7 +169,9 @@ impl MwhvcSolver {
         if g.n() == 0 {
             return Ok(CoverResult::empty());
         }
-        self.run_sequential(g, build_network(g, &self.config), arena)
+        let (topo, nodes) = build_network(g, &self.config);
+        let sim = Simulator::with_arena(topo, nodes, std::mem::take(arena));
+        self.run(g, sim, arena)
     }
 
     /// Warm-started solve: runs the protocol **seeded** with a previous
@@ -247,36 +247,14 @@ impl MwhvcSolver {
         }
         let z = z_levels(g.rank().max(1), self.config.epsilon());
         let (duals, levels) = clamped_seed(g, warm, z);
-        let network = build_network_warm(g, &self.config, &duals, &levels);
-        self.run_sequential(g, network, arena)
+        let (topo, nodes) = build_network_warm(g, &self.config, &duals, &levels);
+        let sim = Simulator::with_arena(topo, nodes, std::mem::take(arena));
+        self.run(g, sim, arena)
     }
 
-    /// Runs a built network on the sequential scheduler over `arena`'s
-    /// recycled buffers and assembles the result — the shared tail of the
-    /// cold and warm arena solves. The arena is recovered (and reusable)
-    /// even when the run fails.
-    fn run_sequential(
-        &self,
-        g: &Hypergraph,
-        (topo, nodes): (Topology, Vec<MwhvcNode>),
-        arena: &mut EngineArena<MwhvcNode>,
-    ) -> Result<CoverResult, SolveError> {
-        let limit = self.round_limit(g);
-        let mut sim = Simulator::with_arena(topo, nodes, std::mem::take(arena))
-            .with_budget(self.budget_for(g))
-            .with_trace(self.config.trace());
-        if let Some(interrupt) = &self.interrupt {
-            sim = sim.with_interrupt(interrupt.clone());
-        }
-        let run = sim.run(limit);
-        let (nodes, report, recovered) = sim.into_arena();
-        *arena = recovered;
-        run?;
-        Ok(self.assemble(g, &nodes, report))
-    }
-
-    /// Runs the protocol on the thread-pool scheduler with identical
-    /// semantics (and therefore identical results).
+    /// Runs the protocol split into `threads` chunks (cut under the
+    /// configured [`PartitionPolicy`](dcover_congest::PartitionPolicy)),
+    /// one per thread, with identical results.
     ///
     /// # Errors
     ///
@@ -296,16 +274,30 @@ impl MwhvcSolver {
             return Ok(CoverResult::empty());
         }
         let (topo, nodes) = build_network(g, &self.config);
-        let limit = self.round_limit(g);
-        let mut sim =
-            ParallelSimulator::with_partition(topo, nodes, threads, self.config.partition())
-                .with_budget(self.budget_for(g))
-                .with_trace(self.config.trace());
+        let sim = Simulator::with_partition(topo, nodes, threads, self.config.partition());
+        self.run(g, sim, &mut EngineArena::new())
+    }
+
+    /// Runs `sim` under this solver's budget, trace, interrupt and round
+    /// limit and assembles the result — the shared tail of every solve.
+    /// Chunk 0's engine buffers go back into `arena`, even when the run
+    /// fails.
+    fn run(
+        &self,
+        g: &Hypergraph,
+        sim: Simulator<MwhvcNode>,
+        arena: &mut EngineArena<MwhvcNode>,
+    ) -> Result<CoverResult, SolveError> {
+        let mut sim = sim
+            .with_budget(self.budget_for(g))
+            .with_trace(self.config.trace());
         if let Some(interrupt) = &self.interrupt {
             sim = sim.with_interrupt(interrupt.clone());
         }
-        sim.run(limit)?;
-        let (nodes, report) = sim.into_parts();
+        let run = sim.run(self.round_limit(g));
+        let (nodes, report, recovered) = sim.into_arena();
+        *arena = recovered;
+        run?;
         Ok(self.assemble(g, &nodes, report))
     }
 

@@ -72,7 +72,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Extract the result from the node states, as the solver facade does.
     let in_cover = sim
         .nodes()
-        .iter()
         .take(g.n())
         .filter(|node| node.in_cover() == Some(true))
         .count();

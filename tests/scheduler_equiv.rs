@@ -1,5 +1,5 @@
-//! Scheduler equivalence property tests: the sequential `Simulator` and the
-//! `ParallelSimulator` (at 1, 2, and 8 threads, under both chunk partition
+//! Scheduler equivalence property tests: a single-chunk `Simulator` and a
+//! chunked one (at 1, 2, and 8 threads, under both chunk partition
 //! policies) must produce bit-identical `SimReport`s, node states, covers,
 //! levels, and duals — on every generator family and on the full MWHVC
 //! protocol stack. This is the determinism contract of the zero-allocation
@@ -7,7 +7,7 @@
 //! which messages take the intra-chunk fast path, but never any result.
 
 use distributed_covering::congest::{
-    Ctx, ParallelSimulator, PartitionPolicy, Process, SimReport, Simulator, Status, Topology,
+    Ctx, PartitionPolicy, Process, SimReport, Simulator, Status, Topology,
 };
 use distributed_covering::core::{MwhvcConfig, MwhvcSolver};
 
@@ -55,7 +55,7 @@ impl Process for Churn {
 fn run_seq(topo: &Topology, nodes: Vec<Churn>) -> (SimReport, Vec<u64>) {
     let mut sim = Simulator::new(topo.clone(), nodes).with_trace(true);
     let report = sim.run(64).expect("terminates");
-    let states = sim.nodes().iter().map(|n| n.state).collect();
+    let states = sim.nodes().map(|n| n.state).collect();
     (report, states)
 }
 
@@ -65,8 +65,7 @@ fn run_par(
     threads: usize,
     policy: PartitionPolicy,
 ) -> (SimReport, Vec<u64>) {
-    let mut sim =
-        ParallelSimulator::with_partition(topo.clone(), nodes, threads, policy).with_trace(true);
+    let mut sim = Simulator::with_partition(topo.clone(), nodes, threads, policy).with_trace(true);
     let report = sim.run(64).expect("terminates");
     let (nodes, _) = sim.into_parts();
     let states = nodes.iter().map(|n| n.state).collect();

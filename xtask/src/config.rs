@@ -47,7 +47,6 @@ impl LintConfig {
             serving_files: vec![
                 "crates/congest/src/engine.rs".into(),
                 "crates/congest/src/sim.rs".into(),
-                "crates/congest/src/parallel.rs".into(),
                 "crates/congest/src/pool.rs".into(),
                 "crates/congest/src/cancel.rs".into(),
                 "crates/congest/src/metrics.rs".into(),
@@ -70,7 +69,6 @@ impl LintConfig {
                 "crates/congest/src/pool.rs".into(),
                 "crates/congest/src/cancel.rs".into(),
                 "crates/congest/src/metrics.rs".into(),
-                "crates/congest/src/parallel.rs".into(),
                 "crates/core/src/service.rs".into(),
             ],
             worker_entry_fns: vec!["worker_loop".into()],
