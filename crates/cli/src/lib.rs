@@ -55,6 +55,8 @@ USAGE:
     dcover solve FILE [--eps E] [--threads N] [--variant standard|half-bid]
                  [--partition contiguous|locality] [--warm-from REPORT] [--json]
     dcover serve [--eps E] [--threads N] [--queue C] [--variant standard|half-bid]
+                 [--class interactive|bulk] [--deadline-ms N] [--bulk-max-wait-ms N]
+                 [--shed-target-ms N] [--metrics]
     dcover batch FILE... [--eps E] [--threads N] [--variant standard|half-bid] [--json]
     dcover verify INSTANCE REPORT [--eps E] [--json]
     dcover gen FAMILY [family options] [--seed S]

@@ -51,6 +51,25 @@ fn help_prints_usage() {
 }
 
 #[test]
+fn help_lists_every_serve_flag() {
+    let out = dcover(&["--help"]);
+    assert!(out.status.success());
+    let usage = stdout_of(&out);
+    for flag in [
+        "--class",
+        "--deadline-ms",
+        "--bulk-max-wait-ms",
+        "--shed-target-ms",
+        "--metrics",
+    ] {
+        assert!(
+            usage.contains(flag),
+            "USAGE does not name `{flag}`:\n{usage}"
+        );
+    }
+}
+
+#[test]
 fn solve_sample_human_and_json() {
     let sample = sample_path();
     let human = dcover(&["solve", &sample, "--eps", "0.5"]);

@@ -247,8 +247,7 @@ impl<P: Process> ChunkState<P> {
 /// with [`Simulator::into_arena`](crate::Simulator::into_arena): every
 /// buffer keeps its capacity across solves, so a stream of solves on
 /// same-sized instances performs no steady-state arena allocations. A
-/// [`SimPool`](crate::SimPool) keeps one arena parked per worker for
-/// batch serving.
+/// [`SimPool`](crate::SimPool) worker owns one arena for batch serving.
 #[derive(Debug)]
 pub struct EngineArena<P: Process> {
     pub(crate) chunk: Box<ChunkState<P>>,

@@ -53,19 +53,18 @@
 //! # Serving many instances
 //!
 //! For workloads of many independent instances, a [`SimPool`] keeps one
-//! set of worker threads pulling from one **shared bounded multi-class
-//! task queue**, with a free list of reusable [`EngineArena`]s, alive
-//! across solves: submit whole-instance closures through a [`TaskQueue`]
-//! handle as requests arrive — each submission yields a [`TaskTicket`], a
-//! full queue blocks [`TaskQueue::submit`] and makes
-//! [`TaskQueue::try_submit`] report backpressure
-//! ([`TrySubmitError::Full`]), and each task runs a single-chunk
-//! [`Simulator::with_arena`] solve against a recycled arena. Submissions
-//! carry a [`TaskClass`] (interactive tasks dequeue before bulk, FIFO
-//! within a class — with optional bulk **aging**
-//! via [`QueuePolicy`] so sustained interactive load cannot starve bulk
-//! traffic), an optional deadline after which a still-queued task
-//! resolves as the typed [`TaskError::Expired`], and an optional
+//! set of worker threads, each owning a reusable [`EngineArena`], pulling
+//! from one **shared bounded multi-class task queue** alive across
+//! solves: submit whole-instance closures to the pool as requests arrive
+//! — each submission yields a [`TaskTicket`], a full queue blocks
+//! [`SimPool::submit`] and makes [`SimPool::try_submit`] report
+//! backpressure ([`TrySubmitError::Full`]), and each task runs a
+//! single-chunk [`Simulator::with_arena`] solve against its worker's
+//! arena. Submissions carry a [`TaskClass`] (interactive tasks dequeue
+//! before bulk, FIFO within a class — with optional bulk **aging** via
+//! [`SimPool::set_bulk_max_wait`] so sustained interactive load cannot
+//! starve bulk traffic), an optional deadline after which a still-queued
+//! task resolves as the typed [`TaskError::Expired`], and an optional
 //! [`CancelToken`] ([`TaskOptions`]) that resolves a still-queued task as
 //! [`TaskError::Cancelled`]. In-flight solves cooperate too: hand the
 //! same token (and/or deadline) to a simulator as an [`Interrupt`] and
@@ -75,8 +74,9 @@
 //! cancelled and shed), queue-depth high-water, worker busy time, and a
 //! rolling interactive queue-wait window
 //! ([`SchedMetrics::interactive_wait_p99`] — the SLO signal for admission
-//! control) into a shared [`SchedMetrics`] with zero allocation on the
-//! hot path.
+//! control) into its own [`SchedMetrics`] with zero allocation on the
+//! hot path. [`SimPool::shutdown`] drains the queue and joins the
+//! workers; every issued ticket still resolves.
 //!
 //! # Example: broadcast-and-halt
 //!
@@ -130,8 +130,7 @@ pub use metrics::{
 };
 pub use partition::PartitionPolicy;
 pub use pool::{
-    QueueClosed, QueuePolicy, SimPool, TaskClass, TaskError, TaskOptions, TaskQueue, TaskTicket,
-    TaskTiming, TrySubmitError,
+    QueueClosed, SimPool, TaskClass, TaskError, TaskOptions, TaskTicket, TaskTiming, TrySubmitError,
 };
 pub use process::{Ctx, Inbox, InboxIter, Incoming, Process, Status};
 pub use sim::{ParallelSimulator, Simulator};

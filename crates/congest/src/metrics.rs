@@ -470,9 +470,9 @@ pub struct ClassMetrics {
 /// jobs. Every recording is a handful of relaxed atomic adds — no
 /// allocation, no locks — so it sits on the serving hot path for free.
 ///
-/// A pool created with [`SimPool::new`] owns a fresh instance; hand one
-/// long-lived handle to [`SimPool::with_policy`] to aggregate across pool
-/// rebuilds.
+/// Every [`SimPool`] owns one instance for its whole life;
+/// [`SimPool::metrics`] hands out the shared handle, which stays readable
+/// after the pool shuts down.
 ///
 /// # Counter identities
 ///
@@ -486,8 +486,8 @@ pub struct ClassMetrics {
 /// `rejected` and `shed` count submissions that never entered the queue,
 /// so they sit outside the identity.
 ///
-/// [`SimPool::new`]: crate::SimPool::new
-/// [`SimPool::with_policy`]: crate::SimPool::with_policy
+/// [`SimPool`]: crate::SimPool
+/// [`SimPool::metrics`]: crate::SimPool::metrics
 #[derive(Debug, Default)]
 pub struct SchedMetrics {
     classes: [ClassCounters; TaskClass::COUNT],

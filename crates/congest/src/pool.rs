@@ -10,19 +10,18 @@
 //!   task, FIFO among themselves.
 //! * **[`TaskClass::Bulk`] tasks** — throughput traffic (the default
 //!   class). FIFO among themselves; only served while no interactive task
-//!   waits — unless a [`QueuePolicy::bulk_max_wait`] is configured, in
-//!   which case a bulk task that has aged past that bound is **promoted**
-//!   ahead of the interactive lane (anti-starvation under sustained
-//!   interactive load).
+//!   waits — unless an aging bound is set with
+//!   [`SimPool::set_bulk_max_wait`], in which case a bulk task that has
+//!   aged past that bound is **promoted** ahead of the interactive lane
+//!   (anti-starvation under sustained interactive load).
 //!
-//! Tasks are submitted through a [`TaskQueue`] handle, each under
-//! [`TaskOptions`] that pick its [`TaskClass`], an optional **deadline**
-//! and an optional cancel token. Each submission yields a [`TaskTicket`]
-//! that resolves when some worker finishes the task; the queue is
-//! **bounded** across both classes, so the blocking [`TaskQueue::submit`]
-//! waits for a free slot while [`TaskQueue::try_submit`] reports
-//! [`TrySubmitError::Full`] (backpressure) instead of growing without
-//! limit.
+//! Tasks are submitted to the pool itself, each under [`TaskOptions`]
+//! that pick its [`TaskClass`], an optional **deadline** and an optional
+//! cancel token. Each submission yields a [`TaskTicket`] that resolves
+//! when some worker finishes the task; the queue is **bounded** across
+//! both classes, so the blocking [`SimPool::submit`] waits for a free
+//! slot while [`SimPool::try_submit`] reports [`TrySubmitError::Full`]
+//! (backpressure) instead of growing without limit.
 //!
 //! # Deadlines and cancellation
 //!
@@ -40,25 +39,24 @@
 //!
 //! # Scheduler metrics
 //!
-//! Every pool records into a shared [`SchedMetrics`]: per-class
+//! Every pool records into its own [`SchedMetrics`]: per-class
 //! submitted/completed/expired/rejected/panicked counters, per-class
 //! queue-wait and run-time **fixed-bucket latency histograms**
 //! ([`LatencyHistogram`](crate::LatencyHistogram)), the queue-depth
 //! high-water mark, and total
 //! worker busy time. Recording is a handful of atomic adds — **zero
-//! allocation on the hot path**. Pass one long-lived handle to
-//! [`SimPool::with_policy`] to aggregate across pool rebuilds. Per-ticket
+//! allocation on the hot path**. [`SimPool::metrics`] hands out the
+//! shared handle, which stays readable after shutdown. Per-ticket
 //! timings are additionally available from [`TaskTicket::wait_timed`] as
 //! a [`TaskTiming`].
 //!
 //! # Arena recycling
 //!
-//! The pool keeps a free list of [`EngineArena`]s (at most one per
-//! worker). A worker running a task checks an arena out, lends it to
-//! the closure, and returns it afterwards, so mailbox-slot, dirty-list,
-//! worklist and staging capacity carries over from task to task. A task
-//! that panics forfeits its arena (its buffers may be mid-mutation); the
-//! free list simply refills with a fresh arena on demand.
+//! Each worker owns one [`EngineArena`] and lends it to every task it
+//! runs, so mailbox-slot, dirty-list, worklist and staging capacity
+//! carries over from task to task. After a task panics the worker
+//! replaces its arena with a fresh one (the old buffers may be
+//! mid-mutation).
 //!
 //! # Panic recovery
 //!
@@ -68,11 +66,12 @@
 //!
 //! # Shutdown
 //!
-//! Dropping the [`SimPool`] is a **graceful drain**: submissions are
-//! refused from that point on ([`TrySubmitError::Closed`]), every task
-//! already in the queue still runs (both classes; tasks past their
-//! deadline resolve as `Expired`), and the destructor joins the workers —
-//! so every issued ticket is resolved by the time `drop` returns.
+//! [`SimPool::shutdown`] (which dropping the pool also runs) is a
+//! **graceful drain**: submissions are refused from that point on
+//! ([`TrySubmitError::Closed`]), every task already in the queue still
+//! runs (both classes; tasks past their deadline resolve as `Expired`),
+//! and the workers are joined — so every issued ticket is resolved by the
+//! time `shutdown` returns. It is idempotent.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -93,7 +92,7 @@ type TaskResult = Box<dyn Any + Send>;
 /// Type-erased panic payload (what `catch_unwind` hands back).
 type PanicPayload = Box<dyn Any + Send>;
 
-/// A task closure run against a checked-out arena.
+/// A task closure run against its worker's arena.
 type TaskFn<P> = Box<dyn FnOnce(&mut EngineArena<P>) -> TaskResult + Send>;
 
 /// The scheduling class of a submitted task.
@@ -144,7 +143,7 @@ impl std::fmt::Display for TaskClass {
 }
 
 /// Scheduling options for one task submission
-/// ([`TaskQueue::submit`] / [`TaskQueue::try_submit`]).
+/// ([`SimPool::submit`] / [`SimPool::try_submit`]).
 #[derive(Clone, Debug, Default)]
 pub struct TaskOptions {
     /// The scheduling class ([`TaskClass::Bulk`] by default).
@@ -296,47 +295,26 @@ struct QueuedTask<P: Process> {
     enqueued: Instant,
 }
 
-/// Scheduling-policy knobs for a [`SimPool`]'s shared queue
-/// ([`SimPool::with_policy`]).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct QueuePolicy {
-    /// Bulk anti-starvation bound: a queued [`TaskClass::Bulk`] task
-    /// that has waited at least this long is **promoted** — the next
-    /// free worker takes it ahead of the interactive lane. `None` (the
-    /// default) keeps strict
-    /// interactive-over-bulk priority, under which sustained
-    /// interactive load can starve bulk traffic indefinitely.
-    pub bulk_max_wait: Option<Duration>,
-}
-
-impl QueuePolicy {
-    /// The default policy: strict class priority, no aging.
-    #[must_use]
-    pub fn new() -> Self {
-        QueuePolicy::default()
-    }
-
-    /// Returns the policy with bulk aging enabled at the given bound.
-    #[must_use]
-    pub fn with_bulk_max_wait(mut self, bound: Duration) -> Self {
-        self.bulk_max_wait = Some(bound);
-        self
-    }
-}
-
 /// Mutex-guarded queue state: one FIFO lane per task class, scanned in
 /// [`TaskClass::ALL`] priority order.
 struct QueueState<P: Process> {
     lanes: [VecDeque<QueuedTask<P>>; TaskClass::COUNT],
     /// Number of tasks currently waiting across both lanes.
     queued_tasks: usize,
-    /// Set by the pool destructor: refuse new submissions, drain what is
-    /// queued, then let the workers exit.
+    /// Set by [`SimPool::shutdown`]: refuse new submissions, drain what
+    /// is queued, then let the workers exit.
     stop: bool,
+    /// Bulk anti-starvation bound ([`SimPool::set_bulk_max_wait`]): a
+    /// queued bulk task that has waited at least this long is served
+    /// ahead of the interactive lane. `None` keeps strict class priority,
+    /// under which sustained interactive load can starve bulk traffic.
+    bulk_max_wait: Option<Duration>,
+    /// The workers' join handles, taken (and joined outside the lock) by
+    /// the first [`SimPool::shutdown`].
+    handles: Vec<JoinHandle<()>>,
 }
 
-/// State shared between the pool owner, every [`TaskQueue`] handle, and
-/// the workers.
+/// State shared between the pool and its workers.
 struct Shared<P: Process> {
     state: Mutex<QueueState<P>>,
     /// Signalled when a task is pushed (or stop is set).
@@ -349,13 +327,6 @@ struct Shared<P: Process> {
     capacity: usize,
     /// Scheduler metrics sink (shared; possibly outliving this pool).
     metrics: Arc<SchedMetrics>,
-    /// Scheduling-policy knobs (bulk aging).
-    policy: QueuePolicy,
-    /// Recycled engine arenas, at most `max_arenas` parked at once.
-    arenas: Mutex<Vec<EngineArena<P>>>,
-    /// Free-list bound (= worker count; more arenas than workers can
-    /// never be in use simultaneously).
-    max_arenas: usize,
 }
 
 impl<P: Process> Shared<P> {
@@ -373,24 +344,14 @@ impl<P: Process> Shared<P> {
         self.state.lock().expect("queue mutex")
     }
 
-    /// Locks the arena free list.
-    //
-    // invariant: the arena mutex cannot be poisoned — the critical
-    // sections below are Vec push/pop and capacity comparisons on owned
-    // arenas; user closures receive an arena only *after* it leaves the
-    // lock.
-    fn arenas_locked(&self) -> MutexGuard<'_, Vec<EngineArena<P>>> {
-        self.arenas.lock().expect("arena mutex")
-    }
-
     /// Blocking pop: the worker side of the queue. Returns the next live
     /// task and its measured queue wait, or `None` when the pool is
     /// stopping and the queue has drained. Tasks whose
     /// deadline passed — or whose cancel token was cancelled — while
     /// queued are resolved as [`TaskError::Expired`] /
     /// [`TaskError::Cancelled`] right here (their queue wait still
-    /// recorded) and never returned. When the policy enables bulk aging,
-    /// a bulk-lane head older than the bound is served ahead of the
+    /// recorded) and never returned. When bulk aging is enabled, a
+    /// bulk-lane head older than the bound is served ahead of the
     /// interactive lane.
     fn pop(&self) -> Option<(QueuedTask<P>, Duration)> {
         let mut state = self.locked();
@@ -399,7 +360,7 @@ impl<P: Process> Shared<P> {
             // lane. FIFO within the bulk lane means its head is the
             // oldest bulk task, so one front() check suffices.
             let mut task = None;
-            if let Some(bound) = self.policy.bulk_max_wait {
+            if let Some(bound) = state.bulk_max_wait {
                 let bulk = &mut state.lanes[TaskClass::Bulk.index()];
                 if bulk
                     .front()
@@ -505,37 +466,12 @@ impl<P: Process> Shared<P> {
         self.not_empty.notify_one();
         Ok(())
     }
-
-    /// Checks an arena out of the free list (or builds a fresh one).
-    fn take_arena(&self) -> EngineArena<P> {
-        self.arenas_locked().pop().unwrap_or_default()
-    }
-
-    /// Returns an arena to the free list. At the bound, the *smallest*
-    /// arena is evicted rather than the incoming one, so the list keeps
-    /// the grown capacity the next solve wants to reuse.
-    fn put_arena(&self, arena: EngineArena<P>) {
-        let mut arenas = self.arenas_locked();
-        if arenas.len() < self.max_arenas {
-            arenas.push(arena);
-            return;
-        }
-        let incoming = arena.chunk.cur.capacity();
-        if let Some((slot, smallest)) = arenas
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (i, a.chunk.cur.capacity()))
-            .min_by_key(|&(_, cap)| cap)
-        {
-            if incoming > smallest {
-                arenas[slot] = arena;
-            }
-        }
-    }
 }
 
-/// The worker body: run tasks until the pool drains and stops.
+/// The worker body: run tasks on the worker's own arena until the pool
+/// drains and stops.
 fn worker_loop<P: Process>(shared: &Shared<P>) {
+    let mut arena = EngineArena::new();
     while let Some((
         QueuedTask {
             run, slot, class, ..
@@ -543,24 +479,18 @@ fn worker_loop<P: Process>(shared: &Shared<P>) {
         waited,
     )) = shared.pop()
     {
-        let arena = shared.take_arena();
         let started = Instant::now();
-        // The arena moves into the closure: on panic it is torn down with
-        // the unwind (its buffers may be mid-mutation), on success it comes
-        // back out for the free list.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let mut arena = arena;
-            let result = run(&mut arena);
-            (result, arena)
-        }));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut arena)));
         let ran = started.elapsed();
         let result = match outcome {
-            Ok((result, arena)) => {
-                shared.put_arena(arena);
+            Ok(result) => {
                 shared.metrics.record_ran(class, ran, false);
                 Ok(result)
             }
             Err(payload) => {
+                // The panic may have left the arena's buffers
+                // mid-mutation: the next task starts from a fresh one.
+                arena = EngineArena::new();
                 shared.metrics.record_ran(class, ran, true);
                 Err(TaskError::Panicked(payload))
             }
@@ -690,13 +620,13 @@ impl<T> std::fmt::Debug for TaskTicket<T> {
     }
 }
 
-/// Why [`TaskQueue::try_submit`] refused a task.
+/// Why [`SimPool::try_submit`] refused a task.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum TrySubmitError {
     /// The queue is at capacity — backpressure. Retry later (or call the
-    /// blocking [`TaskQueue::submit`]).
+    /// blocking [`SimPool::submit`]).
     Full,
-    /// The pool has been dropped; no new work is accepted.
+    /// The pool has shut down; no new work is accepted.
     Closed,
 }
 
@@ -711,7 +641,7 @@ impl std::fmt::Display for TrySubmitError {
 
 impl std::error::Error for TrySubmitError {}
 
-/// The pool has been dropped; the blocking [`TaskQueue::submit`] cannot
+/// The pool has shut down; the blocking [`SimPool::submit`] cannot
 /// enqueue any more work.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct QueueClosed;
@@ -724,41 +654,180 @@ impl std::fmt::Display for QueueClosed {
 
 impl std::error::Error for QueueClosed {}
 
-/// A cloneable submission handle to a [`SimPool`]'s shared task queue.
+/// Boxes a typed closure into a queued task plus its ticket.
+fn package<P, T, F>(opts: TaskOptions, f: F) -> (QueuedTask<P>, TaskTicket<T>)
+where
+    P: Process,
+    T: Send + 'static,
+    F: FnOnce(&mut EngineArena<P>) -> T + Send + 'static,
+{
+    let slot = TaskSlot::new();
+    let task = QueuedTask {
+        run: Box::new(move |arena| Box::new(f(arena)) as TaskResult),
+        slot: Arc::clone(&slot),
+        class: opts.class,
+        deadline: opts.deadline,
+        cancel: opts.cancel,
+        enqueued: Instant::now(),
+    };
+    (
+        task,
+        TaskTicket {
+            slot,
+            _result: PhantomData,
+        },
+    )
+}
+
+/// A persistent simulation worker pool around one shared bounded
+/// multi-class task queue — the resource a serving layer keeps alive
+/// across solves.
 ///
-/// Any number of threads may hold handles and submit concurrently; the
-/// pool's workers pull interactive tasks before bulk tasks, FIFO within
-/// each class. The handle does not keep the workers alive — once the
-/// owning [`SimPool`] is dropped, submissions fail with [`QueueClosed`] /
-/// [`TrySubmitError::Closed`] (tickets issued before the drop still
-/// resolve, because the drop drains the queue).
-pub struct TaskQueue<P: Process> {
+/// Threads spawn once, at construction, and block on the queue between
+/// tasks. Submit closures with [`submit`](SimPool::submit) or
+/// [`try_submit`](SimPool::try_submit) as they arrive; whichever worker
+/// frees up first takes the oldest waiting task of the highest-priority
+/// class. A task that runs a whole single-chunk solve (see
+/// [`Simulator::with_arena`](crate::Simulator::with_arena)) reuses
+/// mailbox-slot, dirty-list, worklist and staging capacity from its
+/// worker's arena. A multi-chunk [`Simulator`](crate::Simulator) uses no
+/// pool: it runs its chunks on threads of its own.
+///
+/// # Examples
+///
+/// ```
+/// use dcover_congest::{EngineArena, SimPool, TaskOptions};
+/// use dcover_congest::{Ctx, Process, Status};
+///
+/// struct Nop;
+/// impl Process for Nop {
+///     type Msg = u64;
+///     fn on_round(&mut self, _ctx: &mut Ctx<'_, u64>) -> Status {
+///         Status::Halted
+///     }
+/// }
+///
+/// let pool: SimPool<Nop> = SimPool::new(4);
+/// let tickets: Vec<_> = (0..16u64)
+///     .map(|i| {
+///         pool.submit(TaskOptions::default(), move |_arena: &mut EngineArena<Nop>| i * i)
+///             .unwrap()
+///     })
+///     .collect();
+/// let squares: Vec<u64> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+/// assert_eq!(squares[7], 49);
+/// ```
+pub struct SimPool<P: Process + 'static> {
     shared: Arc<Shared<P>>,
+    workers: usize,
 }
 
-impl<P: Process> Clone for TaskQueue<P> {
-    fn clone(&self) -> Self {
-        TaskQueue {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<P: Process> std::fmt::Debug for TaskQueue<P> {
+impl<P: Process> std::fmt::Debug for SimPool<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let queued = self.shared.locked().queued_tasks;
-        f.debug_struct("TaskQueue")
-            .field("capacity", &self.shared.capacity)
-            .field("queued", &queued)
+        f.debug_struct("SimPool")
+            .field("workers", &self.workers)
+            .field("queue_capacity", &self.shared.capacity)
             .finish()
     }
 }
 
-impl<P: Process + 'static> TaskQueue<P> {
+impl<P: Process + 'static> SimPool<P> {
+    /// Spawns a pool of `threads` persistent workers with the default
+    /// task-queue capacity of `4 × threads` waiting tasks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0`.
+    #[must_use]
+    pub fn new(threads: usize) -> Self {
+        Self::with_capacity(threads, 4 * threads.max(1))
+    }
+
+    /// Spawns a pool of `threads` persistent workers whose shared task
+    /// queue holds at most `capacity` **waiting** tasks (tasks a worker
+    /// has picked up no longer count; the bound is shared across both
+    /// task classes). A full queue makes
+    /// [`try_submit`](SimPool::try_submit) report backpressure and the
+    /// blocking [`submit`](SimPool::submit) wait. Class priority is strict
+    /// until [`set_bulk_max_wait`](SimPool::set_bulk_max_wait) enables
+    /// bulk aging.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0` or `capacity == 0`.
+    #[must_use]
+    pub fn with_capacity(threads: usize, capacity: usize) -> Self {
+        // invariant: documented construction-time preconditions (see the
+        // `# Panics` sections on every constructor) on caller-supplied
+        // configuration — never reached from queue, round, or solve
+        // state.
+        assert!(threads > 0, "need at least one worker thread");
+        // invariant: same as above — a documented `# Panics`
+        // precondition on caller-supplied configuration.
+        assert!(
+            capacity > 0,
+            "task queue needs capacity for at least one task"
+        );
+        let shared = Arc::new(Shared {
+            state: Mutex::new(QueueState {
+                lanes: std::array::from_fn(|_| VecDeque::new()),
+                queued_tasks: 0,
+                stop: false,
+                bulk_max_wait: None,
+                handles: Vec::new(),
+            }),
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
+            capacity,
+            metrics: Arc::new(SchedMetrics::new()),
+        });
+        let handles = (0..threads)
+            .map(|w| {
+                let shared = Arc::clone(&shared);
+                // invariant: OS thread spawn fails only on process-level
+                // resource exhaustion, at pool *construction* (service
+                // startup) — never mid-solve. There is nothing to roll
+                // back and no caller that could meaningfully continue
+                // without its workers.
+                crate::sync::thread::Builder::new()
+                    .name(format!("congest-worker-{w}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn worker thread")
+            })
+            .collect();
+        Shared::locked(&shared).handles = handles;
+        Self {
+            shared,
+            workers: threads,
+        }
+    }
+
+    /// Number of worker threads.
+    #[must_use]
+    pub fn workers(&self) -> usize {
+        self.workers
+    }
+
+    /// The scheduler-metrics handle this pool records into (shared; stays
+    /// readable after shutdown).
+    #[must_use]
+    pub fn metrics(&self) -> Arc<SchedMetrics> {
+        Arc::clone(&self.shared.metrics)
+    }
+
+    /// Enables bulk **anti-starvation aging** on the live queue: from now
+    /// on a queued [`TaskClass::Bulk`] task that has waited at least
+    /// `bound` is served ahead of the interactive lane. Without a bound
+    /// (the default) class priority is strict, and sustained interactive
+    /// load can starve bulk traffic indefinitely.
+    pub fn set_bulk_max_wait(&self, bound: Duration) {
+        self.shared.locked().bulk_max_wait = Some(bound);
+    }
+
     /// Submits a task under `opts` (class, optional deadline and cancel
     /// token), **blocking while the queue is at capacity**, and returns
-    /// the ticket to redeem for its result. The closure receives a
-    /// recycled [`EngineArena`] (see the module docs).
+    /// the ticket to redeem for its result. The closure receives its
+    /// worker's [`EngineArena`] (see the module docs).
     ///
     /// # Errors
     ///
@@ -826,212 +895,40 @@ impl<P: Process + 'static> TaskQueue<P> {
             .front()
             .map(|head| head.enqueued.elapsed())
     }
-}
 
-/// Boxes a typed closure into a queued task plus its ticket.
-fn package<P, T, F>(opts: TaskOptions, f: F) -> (QueuedTask<P>, TaskTicket<T>)
-where
-    P: Process,
-    T: Send + 'static,
-    F: FnOnce(&mut EngineArena<P>) -> T + Send + 'static,
-{
-    let slot = TaskSlot::new();
-    let task = QueuedTask {
-        run: Box::new(move |arena| Box::new(f(arena)) as TaskResult),
-        slot: Arc::clone(&slot),
-        class: opts.class,
-        deadline: opts.deadline,
-        cancel: opts.cancel,
-        enqueued: Instant::now(),
-    };
-    (
-        task,
-        TaskTicket {
-            slot,
-            _result: PhantomData,
-        },
-    )
-}
-
-/// A persistent simulation worker pool around one shared bounded
-/// multi-class task queue — the resource a serving layer keeps alive
-/// across solves.
-///
-/// Threads spawn once, at construction, and block on the queue between
-/// tasks. Submit closures through a [`queue`](SimPool::queue) handle as
-/// they arrive; whichever worker frees up first takes the oldest waiting
-/// task of the highest-priority class. A task that runs a whole
-/// single-chunk solve (see
-/// [`Simulator::with_arena`](crate::Simulator::with_arena)) reuses
-/// mailbox-slot, dirty-list, worklist and staging capacity from the arena
-/// it checks out. A multi-chunk [`Simulator`](crate::Simulator) uses no
-/// pool: it runs its chunks on threads of its own.
-///
-/// # Examples
-///
-/// ```
-/// use dcover_congest::{EngineArena, SimPool, TaskOptions};
-/// use dcover_congest::{Ctx, Process, Status};
-///
-/// struct Nop;
-/// impl Process for Nop {
-///     type Msg = u64;
-///     fn on_round(&mut self, _ctx: &mut Ctx<'_, u64>) -> Status {
-///         Status::Halted
-///     }
-/// }
-///
-/// let pool: SimPool<Nop> = SimPool::new(4);
-/// let queue = pool.queue();
-/// let tickets: Vec<_> = (0..16u64)
-///     .map(|i| {
-///         queue
-///             .submit(TaskOptions::default(), move |_arena: &mut EngineArena<Nop>| i * i)
-///             .unwrap()
-///     })
-///     .collect();
-/// let squares: Vec<u64> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
-/// assert_eq!(squares[7], 49);
-/// ```
-pub struct SimPool<P: Process + 'static> {
-    shared: Arc<Shared<P>>,
-    handles: Vec<JoinHandle<()>>,
-    workers: usize,
-}
-
-impl<P: Process> std::fmt::Debug for SimPool<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimPool")
-            .field("workers", &self.workers)
-            .field("queue_capacity", &self.shared.capacity)
-            .finish()
-    }
-}
-
-impl<P: Process + 'static> SimPool<P> {
-    /// Spawns a pool of `threads` persistent workers with the default
-    /// task-queue capacity of `4 × threads` waiting tasks, a fresh
-    /// [`SchedMetrics`] sink and the default [`QueuePolicy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
+    /// Whether the pool still accepts submissions (false once
+    /// [`shutdown`](SimPool::shutdown) has begun).
     #[must_use]
-    pub fn new(threads: usize) -> Self {
-        Self::with_policy(
-            threads,
-            4 * threads.max(1),
-            Arc::new(SchedMetrics::new()),
-            QueuePolicy::default(),
-        )
+    pub fn is_open(&self) -> bool {
+        !self.shared.locked().stop
     }
 
-    /// Spawns a pool of `threads` persistent workers whose shared task
-    /// queue holds at most `capacity` **waiting** tasks (tasks a worker
-    /// has picked up no longer count; the bound is shared across both
-    /// task classes). A full queue makes
-    /// [`try_submit`](TaskQueue::try_submit) report backpressure and the
-    /// blocking [`submit`](TaskQueue::submit) wait. The pool records into
-    /// `metrics` — hand every rebuild one long-lived handle to aggregate
-    /// scheduling metrics across pools — under the scheduling-policy
-    /// knobs of `policy`, notably bulk aging.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or `capacity == 0`.
-    #[must_use]
-    pub fn with_policy(
-        threads: usize,
-        capacity: usize,
-        metrics: Arc<SchedMetrics>,
-        policy: QueuePolicy,
-    ) -> Self {
-        // invariant: documented construction-time preconditions (see the
-        // `# Panics` sections on every constructor) on caller-supplied
-        // configuration — never reached from queue, round, or solve
-        // state.
-        assert!(threads > 0, "need at least one worker thread");
-        // invariant: same as above — a documented `# Panics`
-        // precondition on caller-supplied configuration.
-        assert!(
-            capacity > 0,
-            "task queue needs capacity for at least one task"
-        );
-        let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState {
-                lanes: std::array::from_fn(|_| VecDeque::new()),
-                queued_tasks: 0,
-                stop: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity,
-            metrics,
-            policy,
-            arenas: Mutex::new((0..threads).map(|_| EngineArena::new()).collect()),
-            max_arenas: threads,
-        });
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let shared = Arc::clone(&shared);
-            // invariant: OS thread spawn fails only on process-level
-            // resource exhaustion, at pool *construction* (service
-            // startup or explicit rebuild) — never mid-solve. There is
-            // nothing to roll back and no caller that could meaningfully
-            // continue without its workers.
-            handles.push(
-                crate::sync::thread::Builder::new()
-                    .name(format!("congest-worker-{w}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker thread"),
-            );
-        }
-        Self {
-            shared,
-            handles,
-            workers: threads,
-        }
-    }
-
-    /// Number of worker threads.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The scheduler-metrics handle this pool records into (shared; stays
-    /// valid after the pool is dropped).
-    #[must_use]
-    pub fn metrics(&self) -> Arc<SchedMetrics> {
-        Arc::clone(&self.shared.metrics)
-    }
-
-    /// A cloneable submission handle to the shared task queue. Handles
-    /// may be held by any number of threads and outlive borrows of the
-    /// pool itself (submissions after the pool is dropped fail cleanly).
-    #[must_use]
-    pub fn queue(&self) -> TaskQueue<P> {
-        TaskQueue {
-            shared: Arc::clone(&self.shared),
+    /// Gracefully shuts the pool down: refuse new submissions, let the
+    /// workers drain every queued task (both classes), and join them.
+    /// Every ticket issued before this call resolves by the time it
+    /// returns. Idempotent (only the first call joins the workers);
+    /// dropping the pool calls it.
+    pub fn shutdown(&self) {
+        let handles = {
+            let mut state = self.shared.locked();
+            state.stop = true;
+            std::mem::take(&mut state.handles)
+        };
+        // Wake every parked worker (to observe `stop`) and every blocked
+        // submitter (to observe closure).
+        self.shared.not_empty.notify_all();
+        self.shared.not_full.notify_all();
+        for handle in handles {
+            // Swallow worker panics during teardown: the panic that
+            // matters already surfaced through a ticket.
+            let _ = handle.join();
         }
     }
 }
 
 impl<P: Process + 'static> Drop for SimPool<P> {
     fn drop(&mut self) {
-        {
-            let mut state = self.shared.locked();
-            state.stop = true;
-        }
-        // Wake every parked worker (to observe `stop`) and every blocked
-        // submitter (to observe closure).
-        self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
-        for handle in self.handles.drain(..) {
-            // Swallow worker panics during teardown: the panic that
-            // matters already surfaced through a ticket.
-            let _ = handle.join();
-        }
+        self.shutdown();
     }
 }
 
@@ -1098,16 +995,6 @@ mod tests {
         }
     }
 
-    /// A default-policy pool with an explicit task-queue capacity.
-    fn bounded(threads: usize, capacity: usize) -> SimPool<Echo> {
-        SimPool::with_policy(
-            threads,
-            capacity,
-            Arc::new(SchedMetrics::new()),
-            QueuePolicy::default(),
-        )
-    }
-
     /// Submits every task through the shared queue and returns the
     /// results in task order.
     fn run_all<T, F>(pool: &SimPool<Echo>, tasks: Vec<F>) -> Vec<T>
@@ -1115,10 +1002,9 @@ mod tests {
         T: Send + 'static,
         F: FnOnce(&mut EngineArena<Echo>) -> T + Send + 'static,
     {
-        let queue = pool.queue();
         let tickets: Vec<TaskTicket<T>> = tasks
             .into_iter()
-            .map(|f| queue.submit(TaskOptions::default(), f).unwrap())
+            .map(|f| pool.submit(TaskOptions::default(), f).unwrap())
             .collect();
         tickets.into_iter().map(|t| t.wait().unwrap()).collect()
     }
@@ -1190,15 +1076,13 @@ mod tests {
     #[test]
     fn task_panic_propagates_and_pool_survives() {
         let pool: SimPool<Echo> = SimPool::new(2);
-        let queue = pool.queue();
         let tickets: Vec<_> = (0..6u32)
             .map(|i| {
-                queue
-                    .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
-                        assert!(i != 3, "task 3 exploded");
-                        i
-                    })
-                    .unwrap()
+                pool.submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                    assert!(i != 3, "task 3 exploded");
+                    i
+                })
+                .unwrap()
             })
             .collect();
         for (i, ticket) in tickets.into_iter().enumerate() {
@@ -1218,7 +1102,7 @@ mod tests {
                 .unwrap_or_default();
             assert!(msg.contains("task 3 exploded"), "got: {msg}");
         }
-        // The pool remains usable: the lost arena is rebuilt lazily.
+        // The pool remains usable: the worker replaced its arena.
         let tasks: Vec<_> = (0..4u32)
             .map(|i| move |_a: &mut EngineArena<Echo>| i + 100)
             .collect();
@@ -1229,7 +1113,6 @@ mod tests {
     fn panic_fails_only_its_own_ticket() {
         let pool: SimPool<Echo> = SimPool::new(2);
         let boom = pool
-            .queue()
             .submit(
                 TaskOptions::default(),
                 |_a: &mut EngineArena<Echo>| -> u32 { panic!("isolated boom") },
@@ -1237,8 +1120,7 @@ mod tests {
             .unwrap();
         let fine: Vec<_> = (0..4u32)
             .map(|i| {
-                pool.queue()
-                    .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| i)
+                pool.submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| i)
                     .unwrap()
             })
             .collect();
@@ -1258,30 +1140,26 @@ mod tests {
         // One worker, capacity 2. Gate the worker, fill the queue: the
         // third try_submit must fail *immediately* with Full.
         let gate = Gate::new();
-        let pool: SimPool<Echo> = bounded(1, 2);
+        let pool: SimPool<Echo> = SimPool::with_capacity(1, 2);
         let busy = {
             let gate = Arc::clone(&gate);
-            pool.queue()
-                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
-                    gate.arrive_and_wait();
-                    0u32
-                })
-                .unwrap()
+            pool.submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                gate.arrive_and_wait();
+                0u32
+            })
+            .unwrap()
         };
         // Wait (condvar, no spinning) until the worker has *dequeued* the
         // gate task, so exactly two capacity slots are open.
         gate.await_arrivals(1);
         let q1 = pool
-            .queue()
             .try_submit(TaskOptions::default(), |_a: &mut EngineArena<Echo>| 1u32)
             .unwrap();
         let q2 = pool
-            .queue()
             .try_submit(TaskOptions::default(), |_a: &mut EngineArena<Echo>| 2u32)
             .unwrap();
         let start = std::time::Instant::now();
         let err = pool
-            .queue()
             .try_submit(TaskOptions::default(), |_a: &mut EngineArena<Echo>| 3u32)
             .expect_err("queue is full");
         assert_eq!(err, TrySubmitError::Full);
@@ -1307,39 +1185,36 @@ mod tests {
         // tasks. Completion order must be: gate task, every interactive
         // task (submission order), every bulk task (submission order).
         let gate = Gate::new();
-        let pool: SimPool<Echo> = bounded(1, 8);
+        let pool: SimPool<Echo> = SimPool::with_capacity(1, 8);
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
         let busy = {
             let gate = Arc::clone(&gate);
-            pool.queue()
-                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
-                    gate.arrive_and_wait()
-                })
-                .unwrap()
+            pool.submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                gate.arrive_and_wait()
+            })
+            .unwrap()
         };
         gate.await_arrivals(1);
         let mut tickets = Vec::new();
         for name in ["b1", "b2"] {
             let order = Arc::clone(&order);
             tickets.push(
-                pool.queue()
-                    .submit(TaskOptions::bulk(), move |_a: &mut EngineArena<Echo>| {
-                        order.lock().unwrap().push(name);
-                    })
-                    .unwrap(),
+                pool.submit(TaskOptions::bulk(), move |_a: &mut EngineArena<Echo>| {
+                    order.lock().unwrap().push(name);
+                })
+                .unwrap(),
             );
         }
         for name in ["i1", "i2"] {
             let order = Arc::clone(&order);
             tickets.push(
-                pool.queue()
-                    .submit(
-                        TaskOptions::interactive(),
-                        move |_a: &mut EngineArena<Echo>| {
-                            order.lock().unwrap().push(name);
-                        },
-                    )
-                    .unwrap(),
+                pool.submit(
+                    TaskOptions::interactive(),
+                    move |_a: &mut EngineArena<Echo>| {
+                        order.lock().unwrap().push(name);
+                    },
+                )
+                .unwrap(),
             );
         }
         gate.release();
@@ -1356,25 +1231,22 @@ mod tests {
         // while it waits: it must resolve as Expired without running, and
         // a queued task without a deadline must still run.
         let gate = Gate::new();
-        let pool: SimPool<Echo> = bounded(1, 4);
+        let pool: SimPool<Echo> = SimPool::with_capacity(1, 4);
         let busy = {
             let gate = Arc::clone(&gate);
-            pool.queue()
-                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
-                    gate.arrive_and_wait()
-                })
-                .unwrap()
+            pool.submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                gate.arrive_and_wait()
+            })
+            .unwrap()
         };
         gate.await_arrivals(1);
         let doomed = pool
-            .queue()
             .submit(
                 TaskOptions::interactive().deadline_in(Duration::ZERO),
                 |_a: &mut EngineArena<Echo>| panic!("expired task must not run"),
             )
             .unwrap();
         let alive = pool
-            .queue()
             .submit(TaskOptions::bulk(), |_a: &mut EngineArena<Echo>| 7u32)
             .unwrap();
         gate.release();
@@ -1396,7 +1268,6 @@ mod tests {
     fn a_deadline_in_the_future_does_not_expire() {
         let pool: SimPool<Echo> = SimPool::new(1);
         let t = pool
-            .queue()
             .submit(
                 TaskOptions::interactive().deadline_in(Duration::from_secs(3600)),
                 |_a: &mut EngineArena<Echo>| 11u32,
@@ -1414,52 +1285,48 @@ mod tests {
     #[test]
     fn drop_drains_queued_tasks_and_resolves_all_tickets() {
         let gate = Gate::new();
-        let pool: SimPool<Echo> = bounded(1, 8);
+        let pool: SimPool<Echo> = SimPool::with_capacity(1, 8);
         let mut tickets = Vec::new();
         {
             let gate = Arc::clone(&gate);
             tickets.push(
-                pool.queue()
-                    .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
-                        gate.arrive_and_wait();
-                        0u32
-                    })
-                    .unwrap(),
+                pool.submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                    gate.arrive_and_wait();
+                    0u32
+                })
+                .unwrap(),
             );
         }
         for i in 1..5u32 {
             tickets.push(
-                pool.queue()
-                    .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| i)
+                pool.submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| i)
                     .unwrap(),
             );
         }
-        let queue = pool.queue();
         // Wait (condvar, no sleep) until the worker is parked inside the
-        // gated task, then release from a helper thread while `drop`
+        // gated task, then release from a helper thread while `shutdown`
         // blocks on the drain. Whether the release lands before or after
-        // `drop` closes the queue, every ticket must resolve by the time
-        // `drop` returns.
+        // `shutdown` closes the queue, every ticket must resolve by the
+        // time `shutdown` returns.
         gate.await_arrivals(1);
         let releaser = {
             let gate = Arc::clone(&gate);
             crate::sync::thread::spawn(move || gate.release())
         };
-        drop(pool);
+        pool.shutdown();
         releaser.join().unwrap();
-        // Drop drained everything: every ticket resolves instantly.
+        // Shutdown drained everything: every ticket resolves instantly.
         for (i, t) in tickets.into_iter().enumerate() {
             let value = t.try_wait().expect("resolved by drain").unwrap();
             assert_eq!(value, i as u32);
         }
-        // And the queue handle now refuses work.
+        // And the pool now refuses work.
         assert_eq!(
-            queue
-                .try_submit(TaskOptions::default(), |_a: &mut EngineArena<Echo>| 9u32)
+            pool.try_submit(TaskOptions::default(), |_a: &mut EngineArena<Echo>| 9u32)
                 .expect_err("closed"),
             TrySubmitError::Closed
         );
-        assert!(queue
+        assert!(pool
             .submit(TaskOptions::default(), |_a: &mut EngineArena<Echo>| 9u32)
             .is_err());
     }
@@ -1467,28 +1334,24 @@ mod tests {
     #[test]
     fn drop_drains_both_classes_and_expires_stale_deadlines() {
         let gate = Gate::new();
-        let pool: SimPool<Echo> = bounded(1, 8);
+        let pool: SimPool<Echo> = SimPool::with_capacity(1, 8);
         let busy = {
             let gate = Arc::clone(&gate);
-            pool.queue()
-                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
-                    gate.arrive_and_wait()
-                })
-                .unwrap()
+            pool.submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                gate.arrive_and_wait()
+            })
+            .unwrap()
         };
         gate.await_arrivals(1);
         let bulk = pool
-            .queue()
             .submit(TaskOptions::bulk(), |_a: &mut EngineArena<Echo>| 1u32)
             .unwrap();
         let interactive = pool
-            .queue()
             .submit(TaskOptions::interactive(), |_a: &mut EngineArena<Echo>| {
                 2u32
             })
             .unwrap();
         let doomed = pool
-            .queue()
             .submit(
                 TaskOptions::bulk().deadline_in(Duration::ZERO),
                 |_a: &mut EngineArena<Echo>| 3u32,
@@ -1514,43 +1377,19 @@ mod tests {
     }
 
     #[test]
-    fn put_arena_keeps_the_biggest_arenas_at_the_bound() {
-        // Free list at its bound (1 worker => 1 slot, filled at spawn):
-        // returning a *bigger* arena must evict the small one, not be
-        // dropped.
-        let pool: SimPool<Echo> = SimPool::new(1);
-        let mut big = EngineArena::<Echo>::new();
-        big.chunk.cur.reserve(4096);
-        let want = big.chunk.cur.capacity();
-        pool.shared.put_arena(big);
-        let got = pool.shared.take_arena();
-        assert!(
-            got.chunk.cur.capacity() >= want,
-            "bound eviction must keep the warmed arena ({} < {want})",
-            got.chunk.cur.capacity()
-        );
-        // And a smaller arena does not evict a bigger parked one.
-        pool.shared.put_arena(got);
-        pool.shared.put_arena(EngineArena::new());
-        assert!(pool.shared.take_arena().chunk.cur.capacity() >= want);
-    }
-
-    #[test]
     fn tickets_resolve_in_completion_not_submission_order() {
         let gate = Gate::new();
         let pool: SimPool<Echo> = SimPool::new(2);
         // First task blocks on the gate; the second finishes immediately.
         let slow = {
             let gate = Arc::clone(&gate);
-            pool.queue()
-                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
-                    gate.arrive_and_wait();
-                    "slow"
-                })
-                .unwrap()
+            pool.submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                gate.arrive_and_wait();
+                "slow"
+            })
+            .unwrap()
         };
         let fast = pool
-            .queue()
             .submit(TaskOptions::default(), |_a: &mut EngineArena<Echo>| "fast")
             .unwrap();
         let fast = fast.wait().unwrap();
@@ -1566,26 +1405,23 @@ mod tests {
         // it waits: it must resolve as Cancelled without running, and a
         // later task must still run.
         let gate = Gate::new();
-        let pool: SimPool<Echo> = bounded(1, 4);
+        let pool: SimPool<Echo> = SimPool::with_capacity(1, 4);
         let busy = {
             let gate = Arc::clone(&gate);
-            pool.queue()
-                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
-                    gate.arrive_and_wait()
-                })
-                .unwrap()
+            pool.submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                gate.arrive_and_wait()
+            })
+            .unwrap()
         };
         gate.await_arrivals(1);
         let token = CancelToken::new();
         let doomed = pool
-            .queue()
             .submit(
                 TaskOptions::interactive().with_cancel(token.clone()),
                 |_a: &mut EngineArena<Echo>| panic!("cancelled task must not run"),
             )
             .unwrap();
         let alive = pool
-            .queue()
             .submit(TaskOptions::bulk(), |_a: &mut EngineArena<Echo>| 7u32)
             .unwrap();
         token.cancel();
@@ -1607,20 +1443,18 @@ mod tests {
     #[test]
     fn cancel_beats_deadline_when_both_hold() {
         let gate = Gate::new();
-        let pool: SimPool<Echo> = bounded(1, 4);
+        let pool: SimPool<Echo> = SimPool::with_capacity(1, 4);
         let busy = {
             let gate = Arc::clone(&gate);
-            pool.queue()
-                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
-                    gate.arrive_and_wait()
-                })
-                .unwrap()
+            pool.submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                gate.arrive_and_wait()
+            })
+            .unwrap()
         };
         gate.await_arrivals(1);
         let token = CancelToken::new();
         token.cancel();
         let doomed = pool
-            .queue()
             .submit(
                 TaskOptions::bulk()
                     .deadline_in(Duration::ZERO)
@@ -1646,15 +1480,14 @@ mod tests {
         let token = CancelToken::new();
         let running = {
             let gate = Arc::clone(&gate);
-            pool.queue()
-                .submit(
-                    TaskOptions::bulk().with_cancel(token.clone()),
-                    move |_a: &mut EngineArena<Echo>| {
-                        gate.arrive_and_wait();
-                        42u32
-                    },
-                )
-                .unwrap()
+            pool.submit(
+                TaskOptions::bulk().with_cancel(token.clone()),
+                move |_a: &mut EngineArena<Echo>| {
+                    gate.arrive_and_wait();
+                    42u32
+                },
+            )
+            .unwrap()
         };
         gate.await_arrivals(1);
         token.cancel();
@@ -1672,7 +1505,6 @@ mod tests {
         let pool: SimPool<Echo> = SimPool::new(1);
         for _ in 0..32 {
             let t = pool
-                .queue()
                 .submit(
                     TaskOptions::bulk().deadline_in(Duration::ZERO),
                     |_a: &mut EngineArena<Echo>| 1u32,
@@ -1688,20 +1520,15 @@ mod tests {
         // dequeue order becomes pure FIFO across classes. Without aging
         // the interactive task would always run first.
         let gate = Gate::new();
-        let pool: SimPool<Echo> = SimPool::with_policy(
-            1,
-            8,
-            Arc::new(SchedMetrics::new()),
-            QueuePolicy::new().with_bulk_max_wait(Duration::ZERO),
-        );
+        let pool: SimPool<Echo> = SimPool::with_capacity(1, 8);
+        pool.set_bulk_max_wait(Duration::ZERO);
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
         let busy = {
             let gate = Arc::clone(&gate);
-            pool.queue()
-                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
-                    gate.arrive_and_wait()
-                })
-                .unwrap()
+            pool.submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                gate.arrive_and_wait()
+            })
+            .unwrap()
         };
         gate.await_arrivals(1);
         let mut tickets = Vec::new();
@@ -1712,11 +1539,10 @@ mod tests {
         ] {
             let order = Arc::clone(&order);
             tickets.push(
-                pool.queue()
-                    .submit(opts, move |_a: &mut EngineArena<Echo>| {
-                        order.lock().unwrap().push(name);
-                    })
-                    .unwrap(),
+                pool.submit(opts, move |_a: &mut EngineArena<Echo>| {
+                    order.lock().unwrap().push(name);
+                })
+                .unwrap(),
             );
         }
         gate.release();
@@ -1730,20 +1556,15 @@ mod tests {
     #[test]
     fn a_generous_aging_bound_preserves_strict_priority() {
         let gate = Gate::new();
-        let pool: SimPool<Echo> = SimPool::with_policy(
-            1,
-            8,
-            Arc::new(SchedMetrics::new()),
-            QueuePolicy::new().with_bulk_max_wait(Duration::from_secs(3600)),
-        );
+        let pool: SimPool<Echo> = SimPool::with_capacity(1, 8);
+        pool.set_bulk_max_wait(Duration::from_secs(3600));
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
         let busy = {
             let gate = Arc::clone(&gate);
-            pool.queue()
-                .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
-                    gate.arrive_and_wait()
-                })
-                .unwrap()
+            pool.submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                gate.arrive_and_wait()
+            })
+            .unwrap()
         };
         gate.await_arrivals(1);
         let mut tickets = Vec::new();
@@ -1753,11 +1574,10 @@ mod tests {
         ] {
             let order = Arc::clone(&order);
             tickets.push(
-                pool.queue()
-                    .submit(opts, move |_a: &mut EngineArena<Echo>| {
-                        order.lock().unwrap().push(name);
-                    })
-                    .unwrap(),
+                pool.submit(opts, move |_a: &mut EngineArena<Echo>| {
+                    order.lock().unwrap().push(name);
+                })
+                .unwrap(),
             );
         }
         gate.release();

@@ -26,8 +26,8 @@ use std::time::Duration;
 use dcover_conccheck::{explore, Config};
 use dcover_congest::sync::thread;
 use dcover_congest::{
-    CancelToken, Ctx, EngineArena, Process, QueuePolicy, SchedMetrics, SimPool, Status, TaskClass,
-    TaskError, TaskOptions, TaskTicket, TrySubmitError,
+    CancelToken, Ctx, EngineArena, Process, SchedMetrics, SimPool, Status, TaskClass, TaskError,
+    TaskOptions, TaskTicket, TrySubmitError,
 };
 
 /// Minimal process type to instantiate the pool; the scenarios drive task
@@ -97,12 +97,10 @@ fn assert_identity(metrics: &SchedMetrics, class: TaskClass) {
 #[test]
 fn submit_cancel_race_resolves_exactly_once() {
     let total = explore_at_least(FLOOR, 0xC0FFEE, || {
-        let metrics = Arc::new(SchedMetrics::new());
-        let pool: SimPool<Nop> =
-            SimPool::with_policy(1, 4, Arc::clone(&metrics), QueuePolicy::default());
+        let pool: SimPool<Nop> = SimPool::with_capacity(1, 4);
+        let metrics = pool.metrics();
         let token = CancelToken::new();
         let ticket = pool
-            .queue()
             .submit(
                 TaskOptions::bulk().with_cancel(token.clone()),
                 |_a: &mut EngineArena<Nop>| 7u32,
@@ -131,18 +129,15 @@ fn submit_cancel_race_resolves_exactly_once() {
 #[test]
 fn zero_deadline_expiry_races_dequeue() {
     let total = explore_at_least(FLOOR, 0xDEAD11E, || {
-        let metrics = Arc::new(SchedMetrics::new());
-        let pool: SimPool<Nop> =
-            SimPool::with_policy(1, 4, Arc::clone(&metrics), QueuePolicy::default());
+        let pool: SimPool<Nop> = SimPool::with_capacity(1, 4);
+        let metrics = pool.metrics();
         let doomed = pool
-            .queue()
             .submit(
                 TaskOptions::interactive().deadline_in(Duration::ZERO),
                 |_a: &mut EngineArena<Nop>| 1u32,
             )
             .unwrap();
         let live = pool
-            .queue()
             .submit(
                 TaskOptions::bulk().deadline_in(Duration::from_secs(86_400)),
                 |_a: &mut EngineArena<Nop>| 2u32,
@@ -161,34 +156,33 @@ fn zero_deadline_expiry_races_dequeue() {
     assert!(total >= FLOOR, "explored only {total} interleavings");
 }
 
-/// Shutdown (drop-drain) races an in-flight cancel *and* a late
-/// submitter: the late submission is either accepted (and then must
-/// complete — drains run everything) or refused as `Closed`; the
-/// cancelled ticket resolves exactly once either way.
+/// `SimPool::shutdown` (drain) races an in-flight cancel *and* a late
+/// submitter sharing the pool: the late submission is either accepted
+/// (and then must complete — drains run everything) or refused as
+/// `Closed`; the cancelled ticket resolves exactly once either way.
 #[test]
 fn shutdown_drain_races_in_flight_cancel() {
     let total = explore_at_least(FLOOR, 0x51DE0, || {
-        let metrics = Arc::new(SchedMetrics::new());
-        let pool: SimPool<Nop> =
-            SimPool::with_policy(1, 4, Arc::clone(&metrics), QueuePolicy::default());
-        let queue = pool.queue();
+        let pool: Arc<SimPool<Nop>> = Arc::new(SimPool::with_capacity(1, 4));
+        let metrics = pool.metrics();
         let token = CancelToken::new();
         let victim = pool
-            .queue()
             .submit(
                 TaskOptions::bulk().with_cancel(token.clone()),
                 |_a: &mut EngineArena<Nop>| 1u32,
             )
             .unwrap();
         let bystander = pool
-            .queue()
             .submit(TaskOptions::default(), |_a: &mut EngineArena<Nop>| 2u32)
             .unwrap();
         let canceller = thread::spawn(move || token.cancel());
-        let late = thread::spawn(move || {
-            queue.try_submit(TaskOptions::default(), |_a: &mut EngineArena<Nop>| 3u32)
-        });
-        drop(pool);
+        let late = {
+            let pool = Arc::clone(&pool);
+            thread::spawn(move || {
+                pool.try_submit(TaskOptions::default(), |_a: &mut EngineArena<Nop>| 3u32)
+            })
+        };
+        pool.shutdown();
         canceller.join().unwrap();
         match resolved(victim) {
             Ok(1) => {}

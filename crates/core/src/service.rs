@@ -75,8 +75,7 @@
 //! ([`LatencyHistogram`](crate::LatencyHistogram)), the queue-depth
 //! high-water mark, and total worker busy time. Recording costs a few
 //! relaxed atomic adds per solve — zero allocation on the hot path — and
-//! survives the [`with_bulk_max_wait`](SolveService::with_bulk_max_wait)
-//! pool rebuild and [`shutdown`](SolveService::shutdown).
+//! the counters stay readable after [`shutdown`](SolveService::shutdown).
 //! Per-ticket timings come from [`Ticket::wait_timed`] /
 //! [`Ticket::try_wait_timed`] as [`TaskTiming`] values.
 //!
@@ -121,13 +120,12 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
 
-use dcover_congest::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use dcover_congest::sync::atomic::{AtomicU64, Ordering};
 use dcover_congest::sync::Mutex;
 
 use dcover_congest::{
-    CancelToken, ClassMetrics, EngineArena, Interrupt, InterruptReason, QueuePolicy, SchedMetrics,
-    SimError, SimPool, TaskClass, TaskError, TaskOptions, TaskQueue, TaskTicket, TaskTiming,
-    TrySubmitError,
+    CancelToken, ClassMetrics, EngineArena, Interrupt, InterruptReason, SimError, SimPool,
+    TaskClass, TaskError, TaskOptions, TaskTicket, TaskTiming, TrySubmitError,
 };
 use dcover_hypergraph::{Hypergraph, InstanceDelta};
 
@@ -321,8 +319,8 @@ enum OnFull {
 /// Per-class [`ClassMetrics`] carry
 /// submitted/completed/expired/cancelled/shed/rejected counters plus
 /// queue-wait and solve-time latency histograms (the `run_time` histogram
-/// of a solve task **is** its solve time). Counters accumulate across
-/// pool rebuilds and survive [`shutdown`](SolveService::shutdown).
+/// of a solve task **is** its solve time). Counters accumulate for the
+/// service's lifetime and survive [`shutdown`](SolveService::shutdown).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceMetrics {
     /// Interactive-class counters and histograms.
@@ -549,21 +547,14 @@ impl ResultCache {
 #[derive(Debug)]
 pub struct SolveService {
     base: MwhvcConfig,
-    threads: usize,
-    queue_capacity: usize,
-    /// The pool; `None` only after [`shutdown`](Self::shutdown).
-    pool: Mutex<Option<SimPool<MwhvcNode>>>,
+    /// The worker pool, its queue and its scheduler metrics, for the
+    /// service's whole life.
+    pool: SimPool<MwhvcNode>,
     /// Next sequence id.
     seq: AtomicU64,
-    /// Cleared by [`shutdown`](Self::shutdown): refuse new submissions.
-    open: AtomicBool,
     /// Completed solves retained for delta warm-starts, keyed by seq.
     /// Shared with the in-flight solve tasks (they insert on success).
     cache: Arc<Mutex<ResultCache>>,
-    /// Scheduler metrics, shared with every pool this service builds (the
-    /// initial one and the [`with_bulk_max_wait`](Self::with_bulk_max_wait)
-    /// rebuild) so counters accumulate across pool lifetimes.
-    metrics: Arc<SchedMetrics>,
     /// SLO-driven admission control: when set, bulk submissions are shed
     /// with [`SubmitError::Overloaded`] while the interactive queue-wait
     /// signal (rolling dequeue p99, or the oldest queued interactive
@@ -614,23 +605,12 @@ impl SolveService {
     /// Panics if `threads == 0` or `capacity == 0`.
     #[must_use]
     pub fn with_queue_capacity(config: MwhvcConfig, threads: usize, capacity: usize) -> Self {
-        // `SimPool::with_policy` enforces the `# Panics` preconditions.
-        let metrics = Arc::new(SchedMetrics::new());
-        let pool = SimPool::with_policy(
-            threads,
-            capacity,
-            Arc::clone(&metrics),
-            QueuePolicy::default(),
-        );
         Self {
             base: config,
-            threads,
-            queue_capacity: capacity,
-            pool: Mutex::new(Some(pool)),
+            // `SimPool::with_capacity` enforces the `# Panics` preconditions.
+            pool: SimPool::with_capacity(threads, capacity),
             seq: AtomicU64::new(0),
-            open: AtomicBool::new(true),
             cache: Arc::new(Mutex::new(ResultCache::new(DEFAULT_RESULT_CACHE))),
-            metrics,
             shed_target: None,
             #[cfg(test)]
             pre_solve: Mutex::new(PreSolveHook::default()),
@@ -661,21 +641,11 @@ impl SolveService {
     /// Enables bulk **anti-starvation aging**: a queued bulk submission
     /// that has waited at least `bound` is dequeued ahead of younger
     /// interactive work (strict class priority otherwise — the default,
-    /// equivalent to no bound). Consuming builder style — call before
-    /// submitting: the idle pool is rebuilt on the spot under the new
-    /// policy, recording into the same metrics sink.
+    /// equivalent to no bound). Consuming builder style; the bound applies
+    /// to the live queue, so the running workers keep serving.
     #[must_use]
     pub fn with_bulk_max_wait(self, bound: Duration) -> Self {
-        let rebuilt = SimPool::with_policy(
-            self.threads,
-            self.queue_capacity,
-            Arc::clone(&self.metrics),
-            QueuePolicy::new().with_bulk_max_wait(bound),
-        );
-        // Recover a poisoned slot rather than panic: the slot is a plain
-        // `Option` (coherent after any unwind) and it is being
-        // overwritten wholesale anyway.
-        *self.pool.lock().unwrap_or_else(PoisonError::into_inner) = Some(rebuilt);
+        self.pool.set_bulk_max_wait(bound);
         self
     }
 
@@ -723,48 +693,42 @@ impl SolveService {
     /// Number of persistent worker threads.
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.workers()
     }
 
     /// The submission queue's capacity (waiting instances).
     #[must_use]
     pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
+        self.pool.capacity()
     }
 
     /// Number of submissions currently waiting in the queue (excludes
     /// solves a worker has already started; 0 after shutdown).
     #[must_use]
     pub fn queued(&self) -> usize {
-        // Observability must not amplify a failure: a poisoned pool
-        // mutex reads as an empty queue instead of a second panic.
-        self.pool
-            .lock()
-            .map(|slot| slot.as_ref().map_or(0, |pool| pool.queue().queued()))
-            .unwrap_or(0)
+        self.pool.queued()
     }
 
     /// Whether the service still accepts submissions.
     #[must_use]
     pub fn is_open(&self) -> bool {
-        self.open.load(Ordering::Acquire)
+        self.pool.is_open()
     }
 
     /// A point-in-time snapshot of the service's scheduling metrics:
     /// per-class counters and queue-wait/solve-time latency histograms,
     /// the queue-depth high-water mark, and total worker busy time.
-    /// Counters accumulate for the lifetime of the service (across the
-    /// [`with_bulk_max_wait`](Self::with_bulk_max_wait) pool rebuild) and
-    /// remain readable after
-    /// [`shutdown`](Self::shutdown).
+    /// Counters accumulate for the lifetime of the service and remain
+    /// readable after [`shutdown`](Self::shutdown).
     #[must_use]
     pub fn metrics(&self) -> ServiceMetrics {
+        let metrics = self.pool.metrics();
         ServiceMetrics {
-            interactive: self.metrics.class(TaskClass::Interactive),
-            bulk: self.metrics.class(TaskClass::Bulk),
-            queue_depth_high_water: self.metrics.queue_depth_high_water(),
-            worker_busy: self.metrics.busy(),
-            interactive_wait_p99: self.metrics.interactive_wait_p99(),
+            interactive: metrics.class(TaskClass::Interactive),
+            bulk: metrics.class(TaskClass::Bulk),
+            queue_depth_high_water: metrics.queue_depth_high_water(),
+            worker_busy: metrics.busy(),
+            interactive_wait_p99: metrics.interactive_wait_p99(),
         }
     }
 
@@ -792,14 +756,12 @@ impl SolveService {
         let Some(target) = self.shed_target else {
             return Ok(solver);
         };
-        let rolling = self.metrics.interactive_wait_p99();
-        let queued_head = self
-            .current_queue()
-            .ok()
-            .and_then(|q| q.oldest_queued_wait(TaskClass::Interactive));
+        let metrics = self.pool.metrics();
+        let rolling = metrics.interactive_wait_p99();
+        let queued_head = self.pool.oldest_queued_wait(TaskClass::Interactive);
         match rolling.into_iter().chain(queued_head).max() {
             Some(signal) if signal > target => {
-                self.metrics.record_shed(class);
+                metrics.record_shed(class);
                 Err(SubmitError::Overloaded {
                     interactive_wait_p99: signal,
                 })
@@ -923,32 +885,7 @@ impl SolveService {
     /// issued before this call resolves by the time `shutdown` returns.
     /// Idempotent.
     pub fn shutdown(&self) {
-        self.open.store(false, Ordering::Release);
-        // Recover a poisoned slot rather than panic: shutdown must always
-        // complete, and the slot (`Option<SimPool>`) is coherent after
-        // any unwind — taking the pool still drains and joins it.
-        let pool = self
-            .pool
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        // Dropping the pool performs the drain-and-join.
-        drop(pool);
-    }
-
-    /// A submission handle to the pool's queue, cloned out under the lock
-    /// so the potentially-blocking submit itself runs with no service lock
-    /// held. The slot is empty only after [`shutdown`](Self::shutdown).
-    fn current_queue(&self) -> Result<TaskQueue<MwhvcNode>, SubmitError> {
-        // A poisoned pool mutex refuses the submission with the typed
-        // `ShutDown` instead of propagating the panic to every subsequent
-        // submitter.
-        self.pool
-            .lock()
-            .map_err(|_| SubmitError::ShutDown)?
-            .as_ref()
-            .map(SimPool::queue)
-            .ok_or(SubmitError::ShutDown)
+        self.pool.shutdown();
     }
 
     /// The steps every admitted submission shares: draw the seq, anchor
@@ -966,17 +903,20 @@ impl SolveService {
         let seq = self.next_seq();
         let envelope = opts.envelope();
         let task = self.recorded_solve(seq, g, solver, warm, &envelope);
-        let queue = self.current_queue()?;
         let inner = match on_full {
-            OnFull::Wait => queue
+            OnFull::Wait => self
+                .pool
                 .submit(envelope.task, task)
                 .map_err(|_| SubmitError::ShutDown)?,
-            OnFull::Refuse => queue.try_submit(envelope.task, task).map_err(|e| match e {
-                TrySubmitError::Full => SubmitError::Backpressure {
-                    capacity: self.queue_capacity,
-                },
-                TrySubmitError::Closed => SubmitError::ShutDown,
-            })?,
+            OnFull::Refuse => self
+                .pool
+                .try_submit(envelope.task, task)
+                .map_err(|e| match e {
+                    TrySubmitError::Full => SubmitError::Backpressure {
+                        capacity: self.pool.capacity(),
+                    },
+                    TrySubmitError::Closed => SubmitError::ShutDown,
+                })?,
         };
         Ok(Ticket {
             seq,
@@ -1087,7 +1027,7 @@ impl SolveService {
         let seq = self.next_seq();
         let envelope = opts.envelope();
         let inner = self
-            .current_queue()?
+            .pool
             .submit(envelope.task, f)
             .map_err(|_| SubmitError::ShutDown)?;
         Ok(Ticket {
@@ -1935,22 +1875,21 @@ mod tests {
 
     #[test]
     fn metrics_accumulate_across_pool_rebuild() {
-        // `with_bulk_max_wait` rebuilds the idle pool under the new
-        // policy; the rebuilt pool must keep recording into the same
-        // shared SchedMetrics sink, and every counter recorded before the
-        // rebuild — including the cancellation and shedding counters —
-        // must survive it.
+        // `with_bulk_max_wait` sets the aging bound on the live pool:
+        // every counter recorded before the call — including the
+        // cancellation and shedding counters — must survive it, and later
+        // solves must keep accumulating into the same sink.
         let gate = Gate::new();
         let service = SolveService::with_epsilon(0.5, 2).unwrap();
         let g = tiny();
         service.submit(Arc::clone(&g), 0.5).unwrap().wait().unwrap();
-        // A queued interactive cancel and a shed, recorded pre-rebuild.
+        // A queued interactive cancel and a shed, recorded before the call.
         let busy = occupy_workers(&service, &gate);
         let doomed = service
             .submit_with(Arc::clone(&g), 0.5, SubmitOptions::interactive())
             .unwrap();
         doomed.cancel();
-        service.metrics.record_shed(TaskClass::Bulk);
+        service.pool.metrics().record_shed(TaskClass::Bulk);
         gate.release();
         for t in busy {
             t.wait().unwrap();
@@ -1968,6 +1907,30 @@ mod tests {
         assert_eq!(m.interactive.submitted, 1);
         assert_eq!(m.interactive.cancelled, 1);
         assert_eq!(m.interactive.completed, 0);
+    }
+
+    #[test]
+    fn with_bulk_max_wait_keeps_the_running_workers() {
+        let service = SolveService::with_epsilon(0.5, 1).unwrap();
+        let worker_of = |service: &SolveService| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            service
+                .submit_task(move |_arena| {
+                    tx.send(std::thread::current().id()).unwrap();
+                    Ok(CoverResult::empty())
+                })
+                .unwrap()
+                .wait()
+                .unwrap();
+            rx.recv().unwrap()
+        };
+        let before = worker_of(&service);
+        let service = service.with_bulk_max_wait(std::time::Duration::from_secs(3600));
+        assert_eq!(
+            worker_of(&service),
+            before,
+            "the aging bound respawned the worker"
+        );
     }
 
     #[test]

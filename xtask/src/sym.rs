@@ -1168,6 +1168,16 @@ fn receiver_text(ch: &[(char, Pos)], dot: usize, start: usize) -> String {
     let mut rev = Vec::new();
     let mut depth = 0i32;
     while k > start {
+        // rustfmt breaks a chain before its `.` (`self⏎.pool⏎.lock()`):
+        // whitespace ahead of a `.` does not end the receiver.
+        if ch[k].0 == '.' {
+            while k > start && ch[k - 1].0.is_whitespace() {
+                k -= 1;
+            }
+        }
+        if k == start {
+            break;
+        }
         let c = ch[k - 1].0;
         let ok = match c {
             ')' | ']' => {

@@ -23,7 +23,10 @@ impl A {
 
     fn f3(&self) {
         let g3 = self.l3.lock().unwrap();
-        let g1 = self.l1.lock().unwrap();
+        let g1 = self
+            .l1
+            .lock()
+            .unwrap();
         drop(g1);
         drop(g3);
     }
