@@ -68,6 +68,9 @@ pub enum DoublingMsg {
 }
 
 impl Message for DoublingMsg {
+    /// `WeightDeg` with both fields at `u64::MAX`.
+    const MAX_BITS: u64 = 3 + 64 + 64;
+
     fn bit_size(&self) -> u64 {
         3 + match *self {
             DoublingMsg::WeightDeg { weight, degree } => {
@@ -333,6 +336,42 @@ mod tests {
     use dcover_hypergraph::generators::{random_uniform, star, RandomUniform, WeightDist};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn max_bits_is_the_widest_variant_at_its_field_maxima() {
+        let all = [
+            DoublingMsg::WeightDeg {
+                weight: u64::MAX,
+                degree: u64::MAX,
+            },
+            DoublingMsg::InitBid {
+                local_delta: u64::MAX,
+            },
+            DoublingMsg::Join,
+            DoublingMsg::Vote {
+                allow: true,
+                theta: f64::MAX,
+            },
+            DoublingMsg::Covered,
+            DoublingMsg::Apply {
+                doubled: true,
+                theta: f64::MAX,
+            },
+        ];
+        // No wildcard arm: a new variant fails to compile until it is
+        // listed above.
+        let variant = |m: &DoublingMsg| match m {
+            DoublingMsg::WeightDeg { .. } => 0,
+            DoublingMsg::InitBid { .. } => 1,
+            DoublingMsg::Join => 2,
+            DoublingMsg::Vote { .. } => 3,
+            DoublingMsg::Covered => 4,
+            DoublingMsg::Apply { .. } => 5,
+        };
+        assert!(all.iter().map(variant).eq(0..6), "every variant, once");
+        let widest = all.iter().map(Message::bit_size).max();
+        assert_eq!(widest, Some(DoublingMsg::MAX_BITS));
+    }
 
     #[test]
     fn covers_triangle() {

@@ -50,6 +50,9 @@ pub enum KvyMsg {
 }
 
 impl Message for KvyMsg {
+    /// `State` with a full-width `live_degree`.
+    const MAX_BITS: u64 = 2 + 64 + 64;
+
     fn bit_size(&self) -> u64 {
         2 + match *self {
             KvyMsg::Join | KvyMsg::Covered => 0,
@@ -258,6 +261,30 @@ mod tests {
     use dcover_hypergraph::{from_edge_lists, from_weighted_edge_lists};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn max_bits_is_the_widest_variant_at_its_field_maxima() {
+        let all = [
+            KvyMsg::Join,
+            KvyMsg::State {
+                slack: f64::MAX,
+                live_degree: u64::MAX,
+            },
+            KvyMsg::Covered,
+            KvyMsg::Raise { amount: f64::MAX },
+        ];
+        // No wildcard arm: a new variant fails to compile until it is
+        // listed above.
+        let variant = |m: &KvyMsg| match m {
+            KvyMsg::Join => 0,
+            KvyMsg::State { .. } => 1,
+            KvyMsg::Covered => 2,
+            KvyMsg::Raise { .. } => 3,
+        };
+        assert!(all.iter().map(variant).eq(0..4), "every variant, once");
+        let widest = all.iter().map(Message::bit_size).max();
+        assert_eq!(widest, Some(KvyMsg::MAX_BITS));
+    }
 
     #[test]
     fn covers_triangle() {

@@ -76,6 +76,8 @@ pub enum MatchMsg {
 }
 
 impl Message for MatchMsg {
+    const MAX_BITS: u64 = 2;
+
     fn bit_size(&self) -> u64 {
         2
     }
@@ -253,6 +255,27 @@ mod tests {
     use super::*;
     use dcover_hypergraph::from_edge_lists;
     use dcover_hypergraph::generators::{clique, cycle, random_uniform, RandomUniform, WeightDist};
+
+    #[test]
+    fn max_bits_is_the_widest_variant_at_its_field_maxima() {
+        let all = [
+            MatchMsg::Propose,
+            MatchMsg::Accept,
+            MatchMsg::Confirm,
+            MatchMsg::Matched,
+        ];
+        // No wildcard arm: a new variant fails to compile until it is
+        // listed above.
+        let variant = |m: &MatchMsg| match m {
+            MatchMsg::Propose => 0,
+            MatchMsg::Accept => 1,
+            MatchMsg::Confirm => 2,
+            MatchMsg::Matched => 3,
+        };
+        assert!(all.iter().map(variant).eq(0..4), "every variant, once");
+        let widest = all.iter().map(Message::bit_size).max();
+        assert_eq!(widest, Some(MatchMsg::MAX_BITS));
+    }
 
     #[test]
     fn covers_cycle() {

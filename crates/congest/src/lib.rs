@@ -15,10 +15,12 @@
 //! * [`Simulator`] — the deterministic round scheduler, on one chunk or
 //!   split into chunks on persistent worker threads
 //!   ([`Simulator::with_partition`]) with bit-identical results;
-//! * bit accounting — every [`Message`] reports its encoded size; the
-//!   simulator tracks per-link per-round maxima and can enforce a
-//!   [`BitBudget`], turning the `O(log n)` CONGEST constraint into a
-//!   checkable runtime property.
+//! * bit accounting — every [`Message`] is `Copy`, declares its widest
+//!   encoding in [`Message::MAX_BITS`] (checked against a 256-bit budget
+//!   at compile time) and reports its encoded size; the simulator tracks
+//!   per-link per-round maxima and can enforce a [`BitBudget`], turning
+//!   the `O(log n)` CONGEST constraint into a checkable runtime
+//!   property.
 //!
 //! # The round engine
 //!

@@ -1110,6 +1110,51 @@ mod tests {
     }
 
     #[test]
+    fn a_guard_dropped_by_unwinding_is_released_on_its_worker() {
+        // Task 1 panics holding a facade lock. Unwinding drops the guard,
+        // and its token must uncount it: otherwise the worker's next
+        // facade lock (the slot fill, then the queue lock in `pop`) trips
+        // the leaf-lock check and the worker dies, so the waits below are
+        // bounded instead of blocking.
+        fn resolve<T: Send + 'static>(mut ticket: TaskTicket<T>) -> Result<T, TaskError> {
+            let give_up = Instant::now() + Duration::from_secs(30);
+            loop {
+                match ticket.try_wait() {
+                    Ok(result) => return result,
+                    Err(pending) => ticket = pending,
+                }
+                assert!(Instant::now() < give_up, "the worker stopped serving");
+                // wall-clock: polling interval of a bounded wait; the
+                // ticket state is read under its lock, not ordered by
+                // this sleep.
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let pool: SimPool<Echo> = SimPool::new(1);
+        let shared = Arc::new(Mutex::new(0u32));
+        let held = Arc::clone(&shared);
+        let panicked = pool
+            .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                let _guard = held.lock().expect("fresh lock");
+                panic!("task 1 panics holding the lock");
+            })
+            .unwrap();
+        let recovered = pool
+            .submit(TaskOptions::default(), move |_a: &mut EngineArena<Echo>| {
+                let mut guard = shared.lock().unwrap_or_else(|p| p.into_inner());
+                *guard += 1;
+                *guard
+            })
+            .unwrap();
+        let after = pool
+            .submit(TaskOptions::default(), |_a: &mut EngineArena<Echo>| 3u32)
+            .unwrap();
+        assert!(matches!(resolve(panicked), Err(TaskError::Panicked(_))));
+        assert_eq!(resolve(recovered).unwrap(), 1);
+        assert_eq!(resolve(after).unwrap(), 3);
+    }
+
+    #[test]
     fn panic_fails_only_its_own_ticket() {
         let pool: SimPool<Echo> = SimPool::new(2);
         let boom = pool

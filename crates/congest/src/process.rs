@@ -1,6 +1,6 @@
 //! The node-program abstraction: what runs at each network node.
 
-use crate::message::Message;
+use crate::message::{Message, MAX_MESSAGE_BITS};
 use crate::metrics::BitBudget;
 use crate::topology::Port;
 
@@ -18,7 +18,7 @@ pub enum Status {
 ///
 /// The round engine stores mail in a flat port-indexed slot arena, so this
 /// type no longer appears in storage; inbox iteration *yields* `Incoming`
-/// values (cheap — message types are small and `Clone`), and slices of
+/// values (cheap — message types are small and `Copy`), and slices of
 /// `Incoming` are still accepted by [`Ctx::new`] for round-by-round unit
 /// tests of [`Process`] implementations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -175,10 +175,7 @@ impl<M: Message> Iterator for InboxIter<'_, M> {
                     let port = self.next;
                     self.next += 1;
                     if let Some(msg) = &slots[port] {
-                        return Some(Incoming {
-                            port,
-                            msg: msg.clone(),
-                        });
+                        return Some(Incoming { port, msg: *msg });
                     }
                 }
                 None
@@ -355,10 +352,15 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// [`SimError::DuplicateSend`](crate::SimError::DuplicateSend) when the
     /// duplicate is delivered.
     ///
+    /// A message type whose [`Message::MAX_BITS`] exceeds the 256-bit
+    /// budget fails to compile here.
+    ///
     /// # Panics
     ///
-    /// Panics if `port >= degree()`.
+    /// Panics if `port >= degree()`, and in a debug build if the message's
+    /// [`bit_size`](Message::bit_size) exceeds its type's `MAX_BITS`.
     pub fn send(&mut self, port: Port, msg: M) {
+        const { assert!(M::MAX_BITS <= MAX_MESSAGE_BITS) };
         assert!(
             port < self.degree,
             "send on port {port} but node {} has degree {}",
@@ -368,6 +370,7 @@ impl<'a, M: Message> Ctx<'a, M> {
         match &mut self.outbox {
             OutboxRepr::Staged(sends) => {
                 let bits = msg.bit_size();
+                debug_assert!(bits <= M::MAX_BITS, "{msg:?} is wider than MAX_BITS");
                 sends.tally.messages += 1;
                 sends.tally.bits += bits;
                 sends.tally.max_link_bits = sends.tally.max_link_bits.max(bits);
@@ -406,7 +409,7 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// Sends a copy of `msg` on every port.
     pub fn broadcast(&mut self, msg: M) {
         for port in 0..self.degree {
-            self.send(port, msg.clone());
+            self.send(port, msg);
         }
     }
 }

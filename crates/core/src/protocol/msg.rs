@@ -94,6 +94,9 @@ pub enum MwhvcMsg {
 }
 
 impl Message for MwhvcMsg {
+    /// `MinNormWarm` with every field at its type's maximum.
+    const MAX_BITS: u64 = TAG_BITS + 64 + 3 * 32;
+
     fn bit_size(&self) -> u64 {
         TAG_BITS
             + match *self {
@@ -141,6 +144,58 @@ impl Message for MwhvcMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn max_bits_is_the_widest_variant_at_its_field_maxima() {
+        let (w, d) = (u64::MAX, u32::MAX);
+        let all = [
+            MwhvcMsg::WeightDeg {
+                weight: w,
+                degree: d,
+            },
+            MwhvcMsg::MinNorm {
+                weight: w,
+                degree: d,
+                alpha: d,
+            },
+            MwhvcMsg::WeightDegWarm {
+                weight: w,
+                degree: d,
+                level: d,
+            },
+            MwhvcMsg::MinNormWarm {
+                weight: w,
+                degree: d,
+                alpha: d,
+                halvings: d,
+            },
+            MwhvcMsg::Join,
+            MwhvcMsg::LevelInc { count: d },
+            MwhvcMsg::Covered,
+            MwhvcMsg::Halved { count: d },
+            MwhvcMsg::Raise,
+            MwhvcMsg::Stuck,
+            MwhvcMsg::RaiseApplied { raised: true },
+        ];
+        // No wildcard arm: a new variant fails to compile until it is
+        // listed above.
+        let variant = |m: &MwhvcMsg| match m {
+            MwhvcMsg::WeightDeg { .. } => 0,
+            MwhvcMsg::MinNorm { .. } => 1,
+            MwhvcMsg::WeightDegWarm { .. } => 2,
+            MwhvcMsg::MinNormWarm { .. } => 3,
+            MwhvcMsg::Join => 4,
+            MwhvcMsg::LevelInc { .. } => 5,
+            MwhvcMsg::Covered => 6,
+            MwhvcMsg::Halved { .. } => 7,
+            MwhvcMsg::Raise => 8,
+            MwhvcMsg::Stuck => 9,
+            MwhvcMsg::RaiseApplied { .. } => 10,
+        };
+        assert!(all.iter().map(variant).eq(0..11), "every variant, once");
+        let widest = all.iter().map(Message::bit_size).max();
+        assert_eq!(widest, Some(MwhvcMsg::MAX_BITS));
+    }
 
     #[test]
     fn sizes_scale_with_payload() {

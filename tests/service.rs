@@ -364,6 +364,12 @@ fn concurrent_mixed_class_submitters_every_ticket_resolves_exactly_once() {
     // Accounting must close exactly: every attempt either yielded a
     // ticket (which resolves exactly once — completed, expired, or
     // cancelled) or was refused (backpressure / shed / shutdown).
+    //
+    // Submitter 0's first plain attempt blocks for a slot instead, and
+    // the main thread waits for that ticket before shutting down:
+    // interactive work is never shed and a blocking submit never reports
+    // backpressure, so the ticket is issued, and with no deadline and no
+    // cancel it resolves Ok once shutdown drains the queue.
     let mut rng = StdRng::seed_from_u64(42);
     let g = Arc::new(random_uniform(
         &RandomUniform {
@@ -392,10 +398,12 @@ fn concurrent_mixed_class_submitters_every_ticket_resolves_exactly_once() {
         zero_deadline_issued: usize,
     }
 
+    let (issued_tx, issued_rx) = std::sync::mpsc::channel();
     let handles: Vec<_> = (0..4)
         .map(|worker: usize| {
             let service = Arc::clone(&service);
             let g = Arc::clone(&g);
+            let issued = issued_tx.clone();
             std::thread::spawn(move || {
                 let class = if worker.is_multiple_of(2) {
                     RequestClass::Interactive
@@ -416,7 +424,16 @@ fn concurrent_mixed_class_submitters_every_ticket_resolves_exactly_once() {
                     if doomed {
                         opts = opts.with_deadline(Duration::ZERO);
                     }
-                    match service.try_submit_with(&g, 0.5, opts) {
+                    let submitted = if worker == 0 && attempt == 1 {
+                        let blocking = service.submit_with(Arc::clone(&g), 0.5, opts);
+                        if blocking.is_ok() {
+                            issued.send(()).expect("the main thread waits for it");
+                        }
+                        blocking
+                    } else {
+                        service.try_submit_with(&g, 0.5, opts)
+                    };
+                    match submitted {
                         Ok(t) => {
                             if doomed {
                                 tally.zero_deadline_issued += 1;
@@ -447,6 +464,10 @@ fn concurrent_mixed_class_submitters_every_ticket_resolves_exactly_once() {
             })
         })
         .collect();
+    drop(issued_tx);
+    issued_rx
+        .recv()
+        .expect("submitter 0's blocking submission is issued");
 
     // wall-clock: let the submitter threads generate ~25 ms of real
     // traffic before shutdown; the exact overlap is the point of the test,

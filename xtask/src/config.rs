@@ -21,17 +21,6 @@ pub struct LintConfig {
     pub shim_prefixes: Vec<String>,
     /// Directory *names* never scanned anywhere in the tree.
     pub skip_dir_names: Vec<String>,
-    /// Files whose lock sites feed the static lock model (rules
-    /// `lock-order` and `blocking-in-worker`).
-    pub lock_order_files: Vec<String>,
-    /// Names of pool-worker run-loop fns: roots of the
-    /// `blocking-in-worker` reachability pass.
-    pub worker_entry_fns: Vec<String>,
-    /// CONGEST budget: the worst-case bit-width every `impl Message`
-    /// type must stay under (rule `message-bits`). 256 = comfortable
-    /// O(log n) headroom for the n this repo simulates, while still
-    /// catching any accidentally-unbounded payload.
-    pub max_message_bits: u64,
 }
 
 impl LintConfig {
@@ -65,14 +54,6 @@ impl LintConfig {
                 ".github".into(),
                 "fixtures".into(),
             ],
-            lock_order_files: vec![
-                "crates/congest/src/pool.rs".into(),
-                "crates/congest/src/cancel.rs".into(),
-                "crates/congest/src/metrics.rs".into(),
-                "crates/core/src/service.rs".into(),
-            ],
-            worker_entry_fns: vec!["worker_loop".into()],
-            max_message_bits: 256,
         }
     }
 

@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 pub enum Severity {
     /// Inventory only — printed with `--verbose`, never fails the build
     /// (growth is caught by the ratchet in [`crate::baseline`]). Used for
-    /// the slice-indexing and message-width inventories.
+    /// the slice-indexing inventory.
     Info,
     /// Should be fixed but does not fail the build.
     Warning,
@@ -77,25 +77,11 @@ impl Diagnostic {
     }
 }
 
-/// One entry of the per-type message-width inventory produced by the
-/// `message-bits` pass (and checked by the ratchet in [`crate::baseline`]).
-#[derive(Debug, Clone)]
-pub struct MessageWidth {
-    pub type_name: String,
-    /// Worst-case payload width in bits.
-    pub bits: u64,
-}
-
 /// Aggregate result of a lint run.
 #[derive(Debug, Default)]
 pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     pub files_scanned: usize,
-    /// Per-type worst-case widths (sorted by type name by the runner).
-    pub message_bits: Vec<MessageWidth>,
-    /// DOT rendering of the static lock acquisition graph, written to
-    /// disk by `lint --lock-graph <path>`.
-    pub lock_graph_dot: Option<String>,
 }
 
 impl Report {

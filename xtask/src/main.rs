@@ -1,11 +1,10 @@
-//! `cargo run -p xtask -- lint [--verbose] [--rule <id>] [--lock-graph <path>]`
+//! `cargo run -p xtask -- lint [--verbose] [--rule <id>]`
 //!
 //! Thin CLI over the [`xtask`] library: exit code 1 iff any
 //! Error-severity diagnostic was produced. `--verbose` includes the
-//! Info-severity inventories in the output; `--rule` restricts to one
-//! pass for focused runs. `--lock-graph` writes the static lock
-//! acquisition graph as GraphViz DOT. A full run (no `--rule`) also
-//! checks the inventories against the ratchet in [`xtask::baseline`].
+//! Info-severity inventory in the output; `--rule` restricts to one
+//! pass for focused runs. A full run (no `--rule`) also checks the
+//! inventory against the ratchet in [`xtask::baseline`].
 
 #![forbid(unsafe_code)]
 
@@ -20,9 +19,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
         _ => {
-            eprintln!(
-                "usage: cargo run -p xtask -- lint [--verbose] [--rule <id>] [--lock-graph <path>]"
-            );
+            eprintln!("usage: cargo run -p xtask -- lint [--verbose] [--rule <id>]");
             ExitCode::FAILURE
         }
     }
@@ -31,7 +28,6 @@ fn main() -> ExitCode {
 fn lint(args: &[String]) -> ExitCode {
     let mut verbose = false;
     let mut only_rule = None;
-    let mut lock_graph: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -40,13 +36,6 @@ fn lint(args: &[String]) -> ExitCode {
                 Some(r) => only_rule = Some(r.clone()),
                 None => {
                     eprintln!("--rule needs an argument (a rule id; see ANALYSIS.md)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--lock-graph" => match it.next() {
-                Some(p) => lock_graph = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--lock-graph needs a path (e.g. lock-graph.dot)");
                     return ExitCode::FAILURE;
                 }
             },
@@ -71,24 +60,8 @@ fn lint(args: &[String]) -> ExitCode {
     let full_run = only_rule.is_none();
     let mut report = run(&root, &cfg, &LintOptions { only_rule });
 
-    if let Some(path) = &lock_graph {
-        match &report.lock_graph_dot {
-            Some(dot) => {
-                if let Err(e) = std::fs::write(path, dot) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("lock graph written to {}", path.display());
-            }
-            None => {
-                eprintln!("--lock-graph: no graph produced (did --rule exclude lock-order?)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    // A focused run sees partial inventories, so only a full run can
-    // compare them against the pinned values.
+    // A focused run sees a partial inventory, so only a full run can
+    // compare it against the pinned value.
     if full_run {
         let findings = xtask::baseline::check(&report);
         report.diagnostics.extend(findings);

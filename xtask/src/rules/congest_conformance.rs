@@ -11,7 +11,7 @@
 //!
 //! The rest of the model contract is checked elsewhere: hash collections
 //! by `clippy.toml`, `static mut` by the `unsafe_code` lint (every access
-//! needs `unsafe`), and unbounded payloads by `message-bits`.
+//! needs `unsafe`), and unbounded payloads by the `Message: Copy` bound.
 
 use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Severity};

@@ -1,15 +1,17 @@
 //! `sync-facade`: modules ported to the `dcover_congest::sync` facade must
 //! route every sync primitive through it, so the conccheck model checker
-//! can interpose under `--cfg conc_check`. `std::sync::Arc`,
-//! `std::sync::mpsc`, and `std::sync::atomic::Ordering` stay allowed —
-//! they are either state-free or re-exported unchanged by the facade.
+//! can interpose under `--cfg conc_check`. `std::sync::Arc` and
+//! `std::sync::atomic::Ordering` stay allowed — they are either
+//! state-free or re-exported unchanged by the facade. `std::sync::mpsc`
+//! is forbidden outside test code, so the only ways a ported module can
+//! block are facade condvar waits and joins.
 //!
 //! A primitive is caught however it is named: by full path, through a
 //! grouped or renamed import (flagged at the import), or through an
 //! imported module (`use std::thread;` then `thread::spawn`, flagged at
-//! the use). Clippy's `disallowed-types` cannot do this job: in a normal
-//! build the facade's `Mutex` *is* `std::sync::Mutex`, so it would flag
-//! every facade use too.
+//! the use). Clippy's `disallowed-types` cannot do this job: it has no
+//! per-file scope, and the conccheck backend and the test harnesses use
+//! std's primitives legitimately.
 
 use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Severity};
@@ -33,12 +35,16 @@ const FORBIDDEN: &[&str] = &[
     "std::thread::Builder",
 ];
 
-fn forbidden(path: &str) -> bool {
+/// Forbidden outside test code only: a test may block on a channel.
+const FORBIDDEN_OUTSIDE_TESTS: &str = "std::sync::mpsc";
+
+fn forbidden(path: &str, in_test: bool) -> bool {
     let under = |item: &str| {
         path.strip_prefix(item)
             .is_some_and(|r| r.is_empty() || r.starts_with("::"))
     };
     FORBIDDEN.iter().any(|f| under(f))
+        || (!in_test && under(FORBIDDEN_OUTSIDE_TESTS))
         || path
             .strip_prefix("std::sync::atomic::")
             .is_some_and(|r| r.starts_with("Atomic"))
@@ -60,7 +66,11 @@ pub fn check(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
         ));
     };
     let uses = uses(sf);
-    for leaf in uses.leaves.iter().filter(|l| forbidden(&l.path)) {
+    for leaf in uses
+        .leaves
+        .iter()
+        .filter(|l| forbidden(&l.path, sf.test_lines[l.line]))
+    {
         flag(leaf.line, leaf.col, &leaf.path);
     }
     for (i, code) in sf.masked.iter().enumerate() {
@@ -71,11 +81,11 @@ pub fn check(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
             let (head, rest) = path.split_once("::").unwrap_or((&path, ""));
             let full = match uses.leaves.iter().find(|l| l.local == head) {
                 // A forbidden import is already flagged where it is made.
-                Some(leaf) if forbidden(&leaf.path) => continue,
+                Some(leaf) if forbidden(&leaf.path, sf.test_lines[leaf.line]) => continue,
                 Some(leaf) => format!("{}::{rest}", leaf.path),
                 None => normalize(&path),
             };
-            if forbidden(&full) {
+            if forbidden(&full, sf.test_lines[i]) {
                 flag(i, at, &full);
             }
         }

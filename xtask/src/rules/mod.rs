@@ -1,36 +1,28 @@
-//! The rule registry: eight passes over classified source files.
+//! The rule registry: five per-file passes over classified source files.
 //!
 //! Every rule has a stable kebab-case id, used in diagnostics and for
-//! `--rule` filtering. Two shapes:
-//!
-//! * **Per-file rules** ([`PER_FILE`]) see one classified file at a time
-//!   through the masked (code-only) view, so tokens inside strings and
-//!   comments can never trigger them.
-//! * **Global rules** ([`GLOBAL`]) run after every file is parsed and see
-//!   the whole-workspace symbol table of [`crate::sym`] — call graph, lock
-//!   model, type definitions.
+//! `--rule` filtering, and sees one classified file at a time through the
+//! masked (code-only) view, so tokens inside strings and comments can
+//! never trigger it.
 //!
 //! Checks that rustc or clippy make with the same verdicts (`unsafe`,
 //! hash collections, suppression hygiene) live in the workspace lints
-//! table and `clippy.toml` instead. See `ANALYSIS.md` at the repo root
-//! for the full catalog.
+//! table and `clippy.toml` instead; lock discipline and message widths
+//! are checked by the code they guard (the `dcover_congest::sync` facade
+//! and the `Message` trait). See `ANALYSIS.md` at the repo root for the
+//! full catalog.
 
-mod blocking_in_worker;
 mod congest_conformance;
 mod facade;
-mod lock_order;
-mod message_bits;
 mod panic_surface;
 mod relaxed;
 mod wallclock;
 
 use crate::config::LintConfig;
-use crate::diag::{Diagnostic, Report};
-use crate::scan::{find_tokens, SourceFile};
-use crate::sym::{split_top_commas, Workspace};
+use crate::diag::Diagnostic;
+use crate::scan::{find_tokens, split_top_commas, SourceFile};
 
 pub type FileCheck = fn(&SourceFile, &LintConfig, &mut Vec<Diagnostic>);
-pub type GlobalCheck = fn(&Workspace<'_>, &LintConfig, &mut Report);
 
 /// The per-file passes, in execution order: `(id, check)`.
 pub const PER_FILE: &[(&str, FileCheck)] = &[
@@ -41,20 +33,9 @@ pub const PER_FILE: &[(&str, FileCheck)] = &[
     (congest_conformance::ID, congest_conformance::check),
 ];
 
-/// The cross-function passes, run once the whole workspace is parsed.
-pub const GLOBAL: &[(&str, GlobalCheck)] = &[
-    (lock_order::ID, lock_order::check),
-    (message_bits::ID, message_bits::check),
-    (blocking_in_worker::ID, blocking_in_worker::check),
-];
-
 /// Every rule id, for `--rule` validation.
 pub fn known_ids() -> Vec<&'static str> {
-    PER_FILE
-        .iter()
-        .map(|r| r.0)
-        .chain(GLOBAL.iter().map(|r| r.0))
-        .collect()
+    PER_FILE.iter().map(|r| r.0).collect()
 }
 
 /// One name a `use` declaration binds in a file.

@@ -1,9 +1,5 @@
-//! Lint orchestration: collect files, parse, run passes.
-//!
-//! Two phases. First, every `.rs` file is read, classified, and run
-//! through the per-file rules. Then the parsed set is assembled into a
-//! [`Workspace`] symbol table and the global (cross-function) rules run
-//! over it.
+//! Lint orchestration: collect files, parse, run passes. Every `.rs` file
+//! is read, classified once, and run through the per-file rules.
 
 use std::path::{Path, PathBuf};
 
@@ -11,7 +7,6 @@ use crate::config::LintConfig;
 use crate::diag::{Report, Severity};
 use crate::rules;
 use crate::scan::SourceFile;
-use crate::sym::Workspace;
 
 /// Options for one lint run.
 #[derive(Debug, Default)]
@@ -33,8 +28,6 @@ pub fn run(root: &Path, cfg: &LintConfig, opts: &LintOptions) -> Report {
     };
     let selected = |id: &str| opts.only_rule.as_deref().is_none_or(|only| only == id);
 
-    // Phase 1: parse everything, run the per-file rules.
-    let mut parsed: Vec<SourceFile> = Vec::with_capacity(files.len());
     for rel in &files {
         let path = root.join(rel);
         let text = match std::fs::read_to_string(&path) {
@@ -56,13 +49,6 @@ pub fn run(root: &Path, cfg: &LintConfig, opts: &LintOptions) -> Report {
         for (_, check) in rules::PER_FILE.iter().filter(|r| selected(r.0)) {
             check(&sf, cfg, &mut report.diagnostics);
         }
-        parsed.push(sf);
-    }
-
-    // Phase 2: whole-workspace symbol table, global rules.
-    let ws = Workspace::build(&parsed);
-    for (_, check) in rules::GLOBAL.iter().filter(|r| selected(r.0)) {
-        check(&ws, cfg, &mut report);
     }
     report.sort();
     report

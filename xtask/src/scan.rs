@@ -403,6 +403,34 @@ pub fn find_tokens(line: &str, pat: &str) -> Vec<usize> {
     out
 }
 
+/// Split on `,` at bracket depth 0 (`<>`, `()`, `[]`, `{}`; `->` is not
+/// a bracket).
+pub(crate) fn split_top_commas(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut buf = String::new();
+    let mut depth = 0i32;
+    let mut prev = ' ';
+    for c in text.chars() {
+        match c {
+            '<' | '(' | '[' | '{' => depth += 1,
+            '>' if prev != '-' => depth -= 1,
+            ')' | ']' | '}' => depth -= 1,
+            ',' if depth == 0 => {
+                out.push(std::mem::take(&mut buf));
+                prev = c;
+                continue;
+            }
+            _ => {}
+        }
+        buf.push(c);
+        prev = c;
+    }
+    if !buf.trim().is_empty() {
+        out.push(buf);
+    }
+    out
+}
+
 /// Lines covered by a marker comment on `line` (0-based): the line itself,
 /// plus the statement cluster it heads — the following lines until the
 /// cluster closes. Scanning forward with bracket depth relative to the

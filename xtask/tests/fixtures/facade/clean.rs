@@ -6,3 +6,15 @@ fn guarded(m: &Mutex<u32>, cv: &Condvar) {
     drop(g);
     cv.notify_all();
 }
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+
+    #[test]
+    fn hand_off() {
+        let (tx, rx) = mpsc::channel();
+        tx.send(1).unwrap();
+        assert_eq!(rx.recv(), Ok(1));
+    }
+}

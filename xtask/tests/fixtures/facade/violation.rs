@@ -15,3 +15,8 @@ fn start() {
 }
 
 static FLAG: raw_atomic::AtomicBool = raw_atomic::AtomicBool::new(false);
+
+fn drain() -> Option<u32> {
+    let (_tx, rx) = std::sync::mpsc::channel();
+    rx.recv().ok()
+}
