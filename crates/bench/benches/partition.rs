@@ -2,14 +2,18 @@
 //! chunking on the parallel round engine.
 //!
 //! The parallel scheduler splits the bipartite incidence network into one
-//! contiguous slot-range chunk per worker. `PartitionPolicy::Contiguous`
-//! cuts the input order; `PartitionPolicy::Locality` first computes a
-//! BFS-clustered arrangement so connected nodes land in the same chunk,
-//! then cuts the arrangement. Messages staying inside a chunk take the
-//! intra-chunk fast path (a direct mailbox write); messages crossing the
-//! cut go through per-destination staging buckets and a delivery phase.
-//! This benchmark measures, for each instance family and thread count,
-//! the **cross-chunk message fraction** and the round throughput of both
+//! contiguous slot-range chunk per worker. Each side of the network (the
+//! vertices, the hyperedges) is cut separately into port-balanced
+//! ranges, and chunk `c` holds range `c` of both, so every worker has a
+//! share of the vertex rounds and of the hyperedge rounds.
+//! `PartitionPolicy::Contiguous` cuts each side in id order;
+//! `PartitionPolicy::Locality` cuts each side in a BFS-clustered order of
+//! the whole network, so a vertex range lands beside the hyperedges it
+//! touches. Messages staying inside a chunk take the intra-chunk fast
+//! path (a direct mailbox write); messages crossing the cut go through
+//! per-destination staging buckets and a delivery phase. This benchmark
+//! measures, for each instance family and thread count, the
+//! **cross-chunk message fraction** and the round throughput of both
 //! policies on the full MWHVC protocol.
 //!
 //! Results are **bit-identical by construction** — the benchmark asserts

@@ -66,10 +66,14 @@ USAGE:
     from the duals/levels of a previous `--json` report of a (revision of
     the) same instance instead of starting cold; without --eps the
     report's epsilon is inherited. `solve --partition` picks the parallel
-    scheduler's chunk placement (default `contiguous`; `locality`
-    clusters connected nodes so most messages stay inside one worker's
-    chunk — results are bit-identical either way, and the JSON reports
-    the intra/cross-chunk message split). `serve` reads a stream of records from
+    scheduler's chunk placement. Either way every worker gets a balanced
+    share of the vertices and of the hyperedges, so both kinds of round
+    keep all workers busy; `contiguous` (the default) cuts each side in
+    id order, and `locality` cuts each side in a breadth-first order
+    that keeps a vertex and its hyperedges on one worker, so more
+    messages stay inside one worker's chunk. Results are bit-identical
+    either way, and the JSON reports the intra/cross-chunk message
+    split. `serve` reads a stream of records from
     stdin, each starting at its `p` header: `p mwhvc n m` starts a full
     instance, `p delta BASE R A W [EPS]` a revision of the earlier record
     whose seq is BASE (R `r` edge-removal ids, A `a` edge-insertion

@@ -21,9 +21,11 @@
 //! Nodes are partitioned into chunks (one per thread; a single chunk by
 //! default): a contiguous range of
 //! *positions* in the arrangement chosen by a
-//! [`Partition`](crate::partition::Partition) — the original id order
-//! under `PartitionPolicy::Contiguous`, a breadth-first locality
-//! arrangement under `PartitionPolicy::Locality`. The chunk remembers the
+//! [`Partition`](crate::partition::Partition). On a two-sided network
+//! chunk `c` is range `c` of the vertex side followed by range `c` of the
+//! hyperedge side, each side in id order under
+//! `PartitionPolicy::Contiguous` or in breadth-first order under
+//! `PartitionPolicy::Locality`. The chunk remembers the
 //! original id of every node it hosts (`global_ids`), so node programs
 //! observe their true ids regardless of placement. Each round runs two
 //! phases:
@@ -91,9 +93,9 @@ pub(crate) struct ChunkState<P: Process> {
     /// back to.
     pub chunk_index: usize,
     /// Original (global) node id per local node. Under the identity
-    /// arrangement this is just `first_position + lu`; under a locality
-    /// arrangement it is the permutation restricted to this chunk. Node
-    /// programs, error reports, and result scatter all use it.
+    /// arrangement this is just `first_position + lu`; otherwise it is the
+    /// arrangement restricted to this chunk. Node programs, error reports,
+    /// and result scatter all use it.
     pub global_ids: Vec<u32>,
     /// Node programs, indexed by local id.
     pub nodes: Vec<P>,
@@ -470,7 +472,7 @@ mod tests {
     #[test]
     fn single_chunk_routes_everything_through_the_fast_path() {
         let topo = crate::builders::grid(3, 4);
-        let part = Partition::contiguous(&topo, 1);
+        let part = Partition::new(&topo, 1, PartitionPolicy::Contiguous);
         let c: ChunkState<DummyProc> = ChunkState::build(&topo, &part, 0);
         assert!(c.dest_chunk.iter().all(|&d| d == LOCAL_CHUNK));
         assert_eq!(c.global_ids, (0..topo.len() as u32).collect::<Vec<_>>());

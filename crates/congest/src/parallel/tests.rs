@@ -393,14 +393,13 @@ fn the_first_error_is_the_same_at_every_chunk_count() {
     }
 }
 
-/// On the paper's bipartite incidence, the locality arrangement must
-/// (a) stay bit-identical to the single-chunk run, (b) hand nodes back
-/// in original id order, and (c) actually shrink the cross-chunk message
-/// volume relative to the contiguous split.
+/// On the paper's bipartite incidence of a geometric instance, the
+/// locality arrangement must (a) stay bit-identical to the single-chunk
+/// run, (b) hand nodes back in original id order, and (c) actually shrink
+/// the cross-chunk message volume relative to the id-order split.
 #[test]
 fn locality_policy_is_bit_identical_and_cuts_cross_chunk_traffic() {
-    let g = dcover_hypergraph::generators::path(24);
-    let topo = || Topology::bipartite_incidence(&g);
+    let topo = crate::partition::geometric_incidence;
     let n = topo().len();
     let make_nodes = || -> Vec<Gossip> {
         (0..n)

@@ -5,7 +5,15 @@
 //! [`PartitionPolicy`] ([`Simulator::with_partition`]). Chunk 0 runs on
 //! the caller's thread; chunks `1..k` run on `k − 1` worker threads that
 //! the simulator spawns once, one chunk pinned to each, and joins when it
-//! is dropped. A round is two phases, each ending in a barrier:
+//! is dropped.
+//!
+//! Construction derives each chunk's routing tables from the topology and
+//! the partition's arrangement, which on a two-sided network is a
+//! permutation of the id order. Chunks `1..k` derive theirs on `k − 1`
+//! scoped threads while the caller derives chunk 0's and moves the node
+//! programs into arrangement order; the scope joins them all before the
+//! constructor returns, so set-up leaves no thread behind but the
+//! workers. A round is two phases, each ending in a barrier:
 //!
 //! 1. [`phase_step`](crate::engine::phase_step) on every chunk: active
 //!    nodes step; sends to the chunk's own nodes land straight in its
@@ -133,7 +141,7 @@ impl<P: Process + 'static> Simulator<P> {
     /// Panics if `nodes.len() != topo.len()`.
     #[must_use]
     pub fn with_arena(topo: Topology, nodes: Vec<P>, arena: EngineArena<P>) -> Self {
-        let part = Partition::contiguous(&topo, 1);
+        let part = Partition::new(&topo, 1, PartitionPolicy::Contiguous);
         Self::build(topo, nodes, part, arena)
     }
 
@@ -161,27 +169,34 @@ impl<P: Process + 'static> Simulator<P> {
     }
 
     /// Places `nodes` in `part`'s chunks, chunk 0 on `arena`'s buffers,
-    /// and spawns a worker for every further chunk.
-    fn build(topo: Topology, nodes: Vec<P>, part: Partition, arena: EngineArena<P>) -> Self {
+    /// and spawns a worker for every further chunk. Chunks `1..k` derive
+    /// their tables on scoped threads while this thread derives chunk 0's.
+    fn build(topo: Topology, mut nodes: Vec<P>, part: Partition, arena: EngineArena<P>) -> Self {
         // invariant: documented construction-time precondition (see
         // `# Panics`) tying the caller's program vector to its topology —
         // checked before any engine state exists.
         assert_eq!(nodes.len(), topo.len(), "need exactly one program per node");
         let n = nodes.len();
         let k = part.num_chunks();
-        let mut nodes = if part.is_identity() {
-            nodes
-        } else {
-            permuted(nodes, |pos| part.node_at(pos))
-        };
-        // Chunk ranges are position ranges: chunk 0 keeps the caller's
-        // vector and the others split off its tail, so chunk 0's programs
-        // never move (`into_arena` appends the others back to it).
         let mut chunks = Vec::with_capacity(k);
         chunks.push(arena.chunk);
         chunks.extend((1..k).map(|_| Box::new(ChunkState::empty())));
+        let (topo_ref, part_ref) = (&topo, &part);
+        std::thread::scope(|scope| {
+            let mut rest = chunks.iter_mut().enumerate();
+            let first = rest.next();
+            for (index, chunk) in rest {
+                scope.spawn(move || chunk.rebuild(topo_ref, part_ref, index));
+            }
+            if let Some((_, chunk)) = first {
+                chunk.rebuild(topo_ref, part_ref, 0);
+            }
+            part_ref.to_positions(&mut nodes);
+        });
+        // Chunk ranges are position ranges: chunk 0 keeps the caller's
+        // vector and the others split off its tail, so chunk 0's programs
+        // never move again (`into_arena` appends the others back to it).
         for (index, chunk) in chunks.iter_mut().enumerate().rev() {
-            chunk.rebuild(&topo, &part, index);
             chunk.nodes = if index == 0 {
                 std::mem::take(&mut nodes)
             } else {
@@ -303,9 +318,7 @@ impl<P: Process + 'static> Simulator<P> {
         for mut chunk in chunks {
             nodes.append(&mut chunk.nodes);
         }
-        if !self.part.is_identity() {
-            nodes = permuted(nodes, |id| self.part.position(id));
-        }
+        self.part.to_ids(&mut nodes);
         let mut report = self.report;
         report.all_halted = self.active == 0;
         (nodes, report, EngineArena { chunk: first })
@@ -432,17 +445,6 @@ impl<P: Process + 'static> Simulator<P> {
         report.all_halted = true;
         Ok(report)
     }
-}
-
-/// Reorders `items` so that entry `i` is the old entry `at(i)`.
-fn permuted<T>(items: Vec<T>, at: impl Fn(usize) -> usize) -> Vec<T> {
-    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    // invariant: the callers pass a partition's position/id maps, which
-    // are mutually inverse permutations of `0..n` — each slot is taken
-    // exactly once.
-    (0..slots.len())
-        .map(|i| slots[at(i)].take().expect("a permutation"))
-        .collect()
 }
 
 /// Which half of a round a chunk runs.

@@ -36,6 +36,10 @@ pub struct Topology {
     offsets: Vec<u32>,
     peers: Vec<u32>,
     peer_ports: Vec<u32>,
+    /// First node of the second side of a two-sided network
+    /// ([`bipartite_incidence`](Self::bipartite_incidence)); `len()` for a
+    /// one-sided one. Chunk partitions cut each side separately.
+    second_side: usize,
 }
 
 impl Topology {
@@ -82,6 +86,7 @@ impl Topology {
             offsets,
             peers,
             peer_ports,
+            second_side: n,
         }
     }
 
@@ -93,7 +98,9 @@ impl Topology {
     /// `v`'s port `i` is its `i`-th incident edge
     /// ([`Hypergraph::incident_edges`]), and edge `e`'s port `j` is its
     /// `j`-th member vertex ([`Hypergraph::edge`]). Protocol code relies on
-    /// this alignment.
+    /// this alignment. The topology remembers that its second side starts
+    /// at node `n`, so a multi-chunk simulator cuts each side separately
+    /// and every worker holds a share of both.
     ///
     /// Built in one pass over the edge CSR: walking the edges in ascending
     /// id order hands every vertex its incident edges in ascending order,
@@ -150,6 +157,7 @@ impl Topology {
             offsets,
             peers,
             peer_ports,
+            second_side: n,
         }
     }
 
@@ -216,6 +224,13 @@ impl Topology {
     #[must_use]
     pub fn max_degree(&self) -> usize {
         (0..self.len()).map(|u| self.degree(u)).max().unwrap_or(0)
+    }
+
+    /// First node id of the second side: the hyperedges `n..n+m` of a
+    /// [`bipartite_incidence`](Self::bipartite_incidence), or `len()` for a
+    /// one-sided [`from_links`](Self::from_links) topology.
+    pub(crate) fn second_side(&self) -> usize {
+        self.second_side
     }
 
     /// Total number of directed link endpoints (`Σ degree = 2 · num_links`).
