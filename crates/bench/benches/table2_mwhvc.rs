@@ -6,7 +6,7 @@
 //! stand-in [18], Bar-Yehuda–Even sequential f-approx. Rows of Table 2 not
 //! reimplemented: [2] (`O(f²Δ² + fΔlog*W)` — dominated on every axis and
 //! anonymous-network-specific) and [9] (unweighted-only; its weighted rows
-//! here are this work's). See EXPERIMENTS.md.
+//! here are this work's).
 
 use dcover_baselines::doubling::solve_doubling;
 use dcover_baselines::kvy::solve_kvy;

@@ -1,7 +1,7 @@
 //! Shared harness for the paper-reproduction benchmarks.
 //!
-//! Each bench target (one per table/figure of the paper — see `DESIGN.md`
-//! §3 for the experiment index) uses these helpers to build seeded
+//! Each paper bench target (one per table or figure of the paper; its
+//! header documents the experiment) uses these helpers to build seeded
 //! workloads, run the algorithm plus baselines, render markdown tables, and
 //! fit measured round counts against the theoretical complexity shapes.
 

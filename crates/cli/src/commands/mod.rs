@@ -236,11 +236,15 @@ fn solve_inner(parsed: &args::Parsed) -> Result<(), Failure> {
             parsed.positional.len()
         )));
     };
+    let threads: usize = parsed.value_or("threads", 1).map_err(usage)?;
+    if threads == 0 {
+        return Err(usage("--threads must be at least 1".to_string()));
+    }
     let warm = match parsed.value("warm-from") {
         Some(report_path) => Some(warm_from_report(report_path)?),
         None => None,
     };
-    if warm.is_some() && parsed.value_or("threads", 0).map_err(usage)? > 1 {
+    if warm.is_some() && threads > 1 {
         return Err(usage(
             "--warm-from runs on the sequential scheduler; drop --threads (or use a cold solve \
              for chunk parallelism)"
@@ -258,13 +262,12 @@ fn solve_inner(parsed: &args::Parsed) -> Result<(), Failure> {
         }
     }
     let eps = config.epsilon();
-    let threads: usize = parsed.value_or("threads", 0).map_err(usage)?;
     let g = read_instance(file)?;
     let solver = MwhvcSolver::new(config);
     let start = Instant::now();
     let result = match &warm {
         Some((state, _)) => solver.solve_warm(&g, state),
-        None if threads <= 1 => solver.solve(&g),
+        None if threads == 1 => solver.solve(&g),
         None => solver.solve_parallel(&g, threads),
     }
     .map_err(|e| runtime(format!("{file}: {e}")))?;
@@ -274,7 +277,7 @@ fn solve_inner(parsed: &args::Parsed) -> Result<(), Failure> {
         let report = Obj::new()
             .raw("instance", &instance_json(file, &g))
             .float("epsilon", eps)
-            .num("threads", threads.max(1))
+            .num("threads", threads)
             .bool("warm", warm.is_some())
             .raw("result", &result_json(&result))
             .float("wall_ms", wall_ms)

@@ -737,9 +737,13 @@ fn usage_errors_exit_2() {
     assert_eq!(dcover(&["solve"]).status.code(), Some(2));
     assert_eq!(dcover(&["gen", "uniform"]).status.code(), Some(2));
     assert_eq!(dcover(&["solve", "x", "--nope"]).status.code(), Some(2));
+    let sample = sample_path();
+    // `solve` refuses a zero thread count as `batch` and `serve` do.
+    let zero = dcover(&["solve", &sample, "--threads", "0"]);
+    assert_eq!(zero.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&zero.stderr).contains("--threads must be at least 1"));
     // `--partition` only shapes the chunk-parallel `solve`; the serving
     // commands solve each instance sequentially and refuse it.
-    let sample = sample_path();
     assert_eq!(
         dcover(&["batch", &sample, "--partition", "locality"])
             .status

@@ -413,7 +413,7 @@ fn locality_policy_is_bit_identical_and_cuts_cross_chunk_traffic() {
     let mut seq = Simulator::new(topo(), make_nodes()).with_trace(true);
     let seq_report = seq.run(100).unwrap();
     assert_eq!(seq_report.cross_chunk_messages, 0, "one chunk, all intra");
-    for threads in [2usize, 4] {
+    for threads in [2usize, 4, 8] {
         let mut cont =
             Simulator::with_partition(topo(), make_nodes(), threads, PartitionPolicy::Contiguous)
                 .with_trace(true);

@@ -314,7 +314,7 @@ fn gather_in_place<T>(items: &mut [T], from: &[u32]) {
     }
 }
 
-/// The partition bench's smoke-sized geometric coverage instance as a
+/// A small geometric coverage instance (200 points, 110 stations) as a
 /// bipartite incidence: spatial clusters give the breadth-first order
 /// something to find.
 #[cfg(test)]

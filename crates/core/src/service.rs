@@ -482,8 +482,8 @@ struct CacheEntry {
 /// oldest-inserted entry at capacity. Workers insert on completion;
 /// [`SolveService::submit_delta_with`] resolves predecessors out of it.
 /// A `BTreeMap` rather than a hash map: eviction order comes from the
-/// explicit `order` deque either way, but the determinism lint bans hash
-/// collections in result-producing crates outright — deterministic
+/// explicit `order` deque either way, but clippy's `disallowed_types`
+/// (the root `clippy.toml`) bans hash collections outright — deterministic
 /// iteration is then a structural property, not a promise that nobody
 /// ever iterates `map`.
 #[derive(Debug)]

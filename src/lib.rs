@@ -38,9 +38,9 @@
 //! # }
 //! ```
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the
-//! system inventory and per-experiment index, and `EXPERIMENTS.md` for the
-//! paper-vs-measured record.
+//! See `README.md` for the architecture overview. Each paper-reproduction
+//! bench in `crates/bench/benches/` (`fig_*`, `table*`, `ilp_reduction`)
+//! documents its own experiment in its header.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

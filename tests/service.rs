@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use dcover_core::{
     CoverResult, MwhvcConfig, MwhvcSolver, RequestClass, SolveError, SolveService, SubmitError,
-    SubmitOptions, Variant,
+    SubmitOptions, Ticket, Variant,
 };
 use dcover_hypergraph::generators::{
     random_mixed_rank, random_uniform, structured, RandomUniform, WeightDist,
@@ -321,23 +321,28 @@ fn interactive_class_jumps_the_bulk_backlog_fifo_within_class() {
                 .unwrap()
         })
         .collect();
-    gate.wait().unwrap();
-    let interactive_waits: Vec<Duration> = interactive
-        .into_iter()
-        .map(|t| {
-            let (result, timing) = t.wait_timed();
-            result.unwrap();
-            timing.queue
-        })
-        .collect();
-    let bulk_waits: Vec<Duration> = bulk
-        .into_iter()
-        .map(|t| {
-            let (result, timing) = t.wait_timed();
-            result.unwrap();
-            timing.queue
-        })
-        .collect();
+    // Every class is served bit-identically to a per-instance solve.
+    let solver = MwhvcSolver::with_epsilon(0.5).unwrap();
+    assert_bit_identical(
+        &gate.wait().unwrap(),
+        &solver.solve(&blocker).unwrap(),
+        "blocker",
+    );
+    let redeem = |tickets: Vec<Ticket>, instances: &[Arc<Hypergraph>], class| {
+        tickets
+            .into_iter()
+            .zip(instances)
+            .enumerate()
+            .map(|(i, (t, g))| {
+                let (result, timing) = t.wait_timed();
+                let solo = solver.solve(g).unwrap();
+                assert_bit_identical(&result.unwrap(), &solo, &format!("{class} {i}"));
+                timing.queue
+            })
+            .collect::<Vec<Duration>>()
+    };
+    let interactive_waits = redeem(interactive, &small[6..], "interactive");
+    let bulk_waits = redeem(bulk, &small[..6], "bulk");
     let max_interactive = interactive_waits.iter().max().unwrap();
     let min_bulk = bulk_waits.iter().min().unwrap();
     assert!(

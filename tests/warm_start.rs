@@ -25,7 +25,9 @@ const EPSILON: f64 = 0.5;
 const DELTAS_PER_FAMILY: usize = 8;
 
 /// One instance per `dcover gen` family (small enough to keep the stream
-/// fast, structured enough to exercise each family's shape).
+/// fast, structured enough to exercise each family's shape), then one
+/// larger uniform instance, drawn from its own seed so that it does not
+/// shift the draws of the others.
 fn family_instances(rng: &mut StdRng) -> Vec<(&'static str, Hypergraph)> {
     let w = WeightDist::Uniform { min: 1, max: 30 };
     vec![
@@ -59,6 +61,18 @@ fn family_instances(rng: &mut StdRng) -> Vec<(&'static str, Hypergraph)> {
         ("sunflower", sunflower(6, 2, 3, 4, 1)),
         ("f-partite", complete_f_partite(3, 3)),
         ("hyper-star", hyper_star(3, 8, 7)),
+        (
+            "uniform-400",
+            random_uniform(
+                &RandomUniform {
+                    n: 400,
+                    m: 1100,
+                    rank: 3,
+                    weights: WeightDist::Uniform { min: 1, max: 100 },
+                },
+                &mut StdRng::seed_from_u64(0x3A97),
+            ),
+        ),
     ]
 }
 
