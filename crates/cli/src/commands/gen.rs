@@ -20,6 +20,7 @@ use rand::SeedableRng;
 use super::{runtime, usage};
 use crate::args;
 use crate::json::Obj;
+use crate::out::Stdout;
 use crate::Failure;
 
 /// The families `dcover gen` knows, with their options (beyond the shared
@@ -333,10 +334,10 @@ pub fn gen(raw: &[String]) -> Result<(), Failure> {
             .raw("instance", &stats)
             .str("out", path)
             .build();
-        println!("{report}");
+        Stdout::default().line(report)?;
     } else {
         match out {
-            None | Some("-") => print!("{text}"),
+            None | Some("-") => Stdout::default().print(text)?,
             Some(path) => {
                 std::fs::write(path, text).map_err(|e| runtime(format!("{path}: {e}")))?;
                 eprintln!(

@@ -18,6 +18,7 @@ use dcover_hypergraph::{format, Hypergraph};
 
 use crate::args;
 use crate::json::{array, Obj, Value};
+use crate::out::Stdout;
 use crate::Failure;
 
 pub(crate) fn usage(msg: String) -> Failure {
@@ -107,38 +108,45 @@ pub(crate) fn result_json(r: &CoverResult) -> String {
         .build()
 }
 
-fn print_result_human(file: &str, g: &Hypergraph, r: &CoverResult, eps: f64, wall_ms: f64) {
-    println!(
+fn print_result_human(
+    out: &mut Stdout,
+    file: &str,
+    g: &Hypergraph,
+    r: &CoverResult,
+    eps: f64,
+    wall_ms: f64,
+) -> Result<(), Failure> {
+    out.line(format_args!(
         "instance  : {file} (n={} m={} rank={} max_degree={})",
         g.n(),
         g.m(),
         g.rank(),
         g.max_degree()
-    );
-    println!(
+    ))?;
+    out.line(format_args!(
         "epsilon   : {eps} (guarantee f+eps = {})",
         g.rank() as f64 + eps
-    );
-    println!(
+    ))?;
+    out.line(format_args!(
         "cover     : weight {}, {} of {} vertices",
         r.weight,
         r.cover.len(),
         g.n()
-    );
-    println!(
+    ))?;
+    out.line(format_args!(
         "certified : ratio <= {:.4} (dual lower bound {:.3})",
         r.ratio_upper_bound(),
         r.dual_total
-    );
-    println!(
+    ))?;
+    out.line(format_args!(
         "rounds    : {} ({} iterations), {} messages, {} bits (max {} bits/link/round)",
         r.rounds(),
         r.iterations,
         r.report.total_messages,
         r.report.total_bits,
         r.report.max_link_bits
-    );
-    println!("time      : {wall_ms:.2} ms");
+    ))?;
+    out.line(format_args!("time      : {wall_ms:.2} ms"))
 }
 
 /// Reads the dual vector out of a report's `result` (must be all finite
@@ -207,29 +215,28 @@ pub fn solve(raw: &[String]) -> Result<(), Failure> {
         &["eps", "threads", "variant", "partition", "warm-from"],
     )
     .map_err(usage)?;
-    let json = parsed.switch("json");
-    solve_inner(&parsed).inspect_err(|failure| {
-        // With --json, failures become machine-readable error objects on
-        // stdout (the exit code still signals them), so a pipeline driving
-        // many solves can parse every outcome uniformly.
-        if json {
-            let (kind, msg) = match failure {
-                Failure::Usage(m) => ("usage", m),
-                Failure::Runtime(m) => ("runtime", m),
-            };
-            println!(
-                "{}",
-                Obj::new()
-                    .bool("ok", false)
-                    .str("kind", kind)
-                    .str("error", msg)
-                    .build()
-            );
-        }
-    })
+    let mut out = Stdout::default();
+    let outcome = solve_inner(&parsed, &mut out);
+    // With --json, failures become machine-readable error objects on
+    // stdout (the exit code still signals them), so a pipeline driving
+    // many solves can parse every outcome uniformly.
+    if let (Err(failure), true) = (&outcome, parsed.switch("json")) {
+        let (kind, msg) = match failure {
+            Failure::Usage(m) => ("usage", m),
+            Failure::Runtime(m) => ("runtime", m),
+        };
+        out.line(
+            Obj::new()
+                .bool("ok", false)
+                .str("kind", kind)
+                .str("error", msg)
+                .build(),
+        )?;
+    }
+    outcome
 }
 
-fn solve_inner(parsed: &args::Parsed) -> Result<(), Failure> {
+fn solve_inner(parsed: &args::Parsed, out: &mut Stdout) -> Result<(), Failure> {
     let [file] = parsed.positional.as_slice() else {
         return Err(usage(format!(
             "solve takes exactly one instance file, got {}",
@@ -282,17 +289,16 @@ fn solve_inner(parsed: &args::Parsed) -> Result<(), Failure> {
             .raw("result", &result_json(&result))
             .float("wall_ms", wall_ms)
             .build();
-        println!("{report}");
+        out.line(report)
     } else {
         if warm.is_some() {
-            println!(
+            out.line(format_args!(
                 "warm-start: seeded from {}",
                 parsed.value("warm-from").unwrap_or("-")
-            );
+            ))?;
         }
-        print_result_human(file, &g, &result, eps, wall_ms);
+        print_result_human(out, file, &g, &result, eps, wall_ms)
     }
-    Ok(())
 }
 
 /// `dcover batch FILE... [--eps E] [--threads N] [--variant V] [--json]`
@@ -354,6 +360,7 @@ pub fn batch(raw: &[String]) -> Result<(), Failure> {
     } else {
         f64::INFINITY
     };
+    let mut out = Stdout::default();
 
     if parsed.switch("json") {
         let items = array(entries.iter().map(|(file, outcome)| {
@@ -381,23 +388,23 @@ pub fn batch(raw: &[String]) -> Result<(), Failure> {
             .float("instances_per_sec", throughput)
             .raw("results", &items)
             .build();
-        println!("{report}");
+        out.line(report)?;
     } else {
         for (i, (file, outcome)) in entries.iter().enumerate() {
             match outcome {
-                Ok(r) => println!(
+                Ok(r) => out.line(format_args!(
                     "[{i}] {file}: weight {}, {} rounds, ratio <= {:.4}",
                     r.weight,
                     r.rounds(),
                     r.ratio_upper_bound()
-                ),
-                Err(msg) => println!("[{i}] {file}: FAILED ({msg})"),
+                ))?,
+                Err(msg) => out.line(format_args!("[{i}] {file}: FAILED ({msg})"))?,
             }
         }
-        println!(
+        out.line(format_args!(
             "batch     : {} instances, {ok} ok, {failed} failed, {wall_ms:.2} ms, {throughput:.1} instances/sec, {threads} threads",
             entries.len()
-        );
+        ))?;
     }
     if failed > 0 {
         return Err(runtime(format!(

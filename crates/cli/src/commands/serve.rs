@@ -105,6 +105,7 @@ use dcover_hypergraph::{format, Hypergraph};
 use super::{default_threads, result_json, runtime, usage};
 use crate::args;
 use crate::json::Obj;
+use crate::out::Stdout;
 use crate::Failure;
 
 /// One submitted record awaiting completion.
@@ -180,6 +181,7 @@ struct Stream {
     outcomes: BTreeMap<u64, Outcome>,
     outcome_log: VecDeque<u64>,
     totals: Totals,
+    out: Stdout,
 }
 
 /// Recognizes a `c @cancel SEQ` directive line, returning the raw seq
@@ -273,6 +275,7 @@ pub fn serve(raw: &[String]) -> Result<(), Failure> {
         outcomes: BTreeMap::new(),
         outcome_log: VecDeque::new(),
         totals: Totals::default(),
+        out: Stdout::default(),
     };
 
     let stdin = std::io::stdin();
@@ -285,12 +288,12 @@ pub fn serve(raw: &[String]) -> Result<(), Failure> {
         // never buffered into a record body.
         if let Some(target) = cancel_directive(&line) {
             stream.cancel(target);
-            stream.poll_completed();
+            stream.poll_completed()?;
             continue;
         }
         let is_header = line.split_whitespace().next() == Some("p");
         if is_header && have_header {
-            stream.submit(&buffer);
+            stream.submit(&buffer)?;
             buffer.clear();
             have_header = false;
         }
@@ -299,19 +302,30 @@ pub fn serve(raw: &[String]) -> Result<(), Failure> {
         have_header |= is_header;
         // Emit whatever has completed since the last line (completion
         // order), without blocking the reader.
-        stream.poll_completed();
+        stream.poll_completed()?;
+        if stream.out.closed() {
+            break; // nobody reads the results any more
+        }
     }
-    if buffer.lines().any(|l| {
-        let t = l.trim();
-        !t.is_empty() && !t.starts_with('c')
-    }) {
-        stream.submit(&buffer);
+    if !stream.out.closed()
+        && buffer.lines().any(|l| {
+            let t = l.trim();
+            !t.is_empty() && !t.starts_with('c')
+        })
+    {
+        stream.submit(&buffer)?;
     }
 
-    // Stdin is exhausted: drain the in-flight solves, still emitting in
-    // completion order.
+    // Stdin is exhausted (or stdout closed): drain the in-flight solves,
+    // still emitting in completion order.
     while !stream.pending.is_empty() {
-        stream.poll_completed();
+        if stream.out.closed() {
+            // Nobody reads the results: abandon what is still in flight.
+            for p in &stream.pending {
+                p.ticket.cancel();
+            }
+        }
+        stream.poll_completed()?;
         if !stream.pending.is_empty() {
             // wall-clock: poll backoff — tickets expose only non-blocking
             // try_wait, so the drain loop naps between sweeps instead of
@@ -322,10 +336,8 @@ pub fn serve(raw: &[String]) -> Result<(), Failure> {
     stream.service.shutdown();
 
     if emit_metrics {
-        println!(
-            "{}",
-            metrics_json(&stream.service.metrics(), &stream.totals)
-        );
+        let metrics = metrics_json(&stream.service.metrics(), &stream.totals);
+        stream.out.line(metrics)?;
     }
 
     let totals = &stream.totals;
@@ -352,7 +364,7 @@ impl Stream {
     /// Parses one framed chunk (instance or delta record) and submits it;
     /// a parse or submit failure emits its error line immediately (it
     /// never occupies a queue slot).
-    fn submit(&mut self, text: &str) {
+    fn submit(&mut self, text: &str) -> Result<(), Failure> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let opts = match self.record_options(text) {
@@ -364,9 +376,9 @@ impl Stream {
             .find(|l| l.split_whitespace().next() == Some("p"))
             .is_some_and(format::is_delta_header);
         if header_is_delta {
-            self.submit_delta(seq, text, opts);
+            self.submit_delta(seq, text, opts)
         } else {
-            self.submit_instance(seq, text, opts);
+            self.submit_instance(seq, text, opts)
         }
     }
 
@@ -416,7 +428,12 @@ impl Stream {
         Ok(opts)
     }
 
-    fn submit_instance(&mut self, seq: u64, text: &str, opts: SubmitOptions) {
+    fn submit_instance(
+        &mut self,
+        seq: u64,
+        text: &str,
+        opts: SubmitOptions,
+    ) -> Result<(), Failure> {
         let parse_start = Instant::now();
         let parsed = format::parse(text);
         let parse_ms = parse_start.elapsed().as_secs_f64() * 1e3;
@@ -424,16 +441,19 @@ impl Stream {
             Ok(g) => {
                 let g = Arc::new(g);
                 match self.service.submit_with(Arc::clone(&g), self.eps, opts) {
-                    Ok(ticket) => self.pending.push(Pending {
-                        seq,
-                        service_seq: ticket.seq(),
-                        base: None,
-                        eps: self.eps,
-                        class: opts.class,
-                        parse_ms,
-                        ticket,
-                        g,
-                    }),
+                    Ok(ticket) => {
+                        self.pending.push(Pending {
+                            seq,
+                            service_seq: ticket.seq(),
+                            base: None,
+                            eps: self.eps,
+                            class: opts.class,
+                            parse_ms,
+                            ticket,
+                            g,
+                        });
+                        Ok(())
+                    }
                     Err(SubmitError::Overloaded { .. }) => self.emit_shed(seq, opts.class),
                     Err(e) => self.emit_error(seq, &e.to_string()),
                 }
@@ -445,7 +465,7 @@ impl Stream {
     /// A delta record: resolve the base (waiting out its solve if it is
     /// still in flight — a revision needs its predecessor's duals), then
     /// hand the delta to the service for a warm-started re-solve.
-    fn submit_delta(&mut self, seq: u64, text: &str, opts: SubmitOptions) {
+    fn submit_delta(&mut self, seq: u64, text: &str, opts: SubmitOptions) -> Result<(), Failure> {
         let parse_start = Instant::now();
         let record = match format::parse_delta(text) {
             Ok(record) => record,
@@ -468,7 +488,7 @@ impl Stream {
                 // outcome map would have it; this is a stream bug guard.
                 break;
             }
-            self.poll_completed();
+            self.poll_completed()?;
             // wall-clock: poll backoff between try_wait sweeps while the
             // base solve is still in flight (see the drain loop above).
             std::thread::sleep(std::time::Duration::from_micros(200));
@@ -498,23 +518,26 @@ impl Stream {
             .service
             .submit_delta_with(service_seq, &record.delta, Some(eps), opts)
         {
-            Ok((ticket, g)) => self.pending.push(Pending {
-                seq,
-                service_seq: ticket.seq(),
-                base: Some(base),
-                eps,
-                class: opts.class,
-                parse_ms,
-                ticket,
-                g,
-            }),
+            Ok((ticket, g)) => {
+                self.pending.push(Pending {
+                    seq,
+                    service_seq: ticket.seq(),
+                    base: Some(base),
+                    eps,
+                    class: opts.class,
+                    parse_ms,
+                    ticket,
+                    g,
+                });
+                Ok(())
+            }
             Err(SubmitError::Overloaded { .. }) => self.emit_shed(seq, opts.class),
             Err(e) => self.emit_error(seq, &e.to_string()),
         }
     }
 
     /// Emits every finished solve (non-blocking); unfinished tickets stay.
-    fn poll_completed(&mut self) {
+    fn poll_completed(&mut self) -> Result<(), Failure> {
         let drained: Vec<Pending> = self.pending.drain(..).collect();
         let mut still = Vec::with_capacity(drained.len());
         for entry in drained {
@@ -556,7 +579,7 @@ impl Stream {
                                 .float("latency_ms", queue_ms + solve_ms)
                                 .float("parse_ms", parse_ms)
                                 .build();
-                            println!("{line}");
+                            self.out.line(line)?;
                             self.totals.ok += 1;
                             if base.is_some() {
                                 self.totals.warm += 1;
@@ -564,13 +587,13 @@ impl Stream {
                             self.record_outcome(seq, Outcome::Solved { service_seq, eps });
                         }
                         Err(SolveError::Expired { .. }) => {
-                            self.emit_expired(seq, class, queue_ms);
+                            self.emit_expired(seq, class, queue_ms)?;
                         }
                         Err(SolveError::Cancelled) => {
-                            self.emit_cancelled(seq, class, queue_ms);
+                            self.emit_cancelled(seq, class, queue_ms)?;
                         }
                         Err(e) => {
-                            self.emit_error(seq, &e.to_string());
+                            self.emit_error(seq, &e.to_string())?;
                         }
                     }
                 }
@@ -587,23 +610,29 @@ impl Stream {
             }
         }
         self.pending = still;
+        Ok(())
     }
 
-    fn emit_error(&mut self, seq: u64, message: &str) {
+    fn emit_error(&mut self, seq: u64, message: &str) -> Result<(), Failure> {
         let line = Obj::new()
             .num("seq", seq)
             .bool("ok", false)
             .str("error", message)
             .build();
-        println!("{line}");
         self.totals.failed += 1;
         self.record_outcome(seq, Outcome::Failed);
+        self.out.line(line)
     }
 
     /// A deadline miss: typed load management, reported with its own
     /// field (and counted apart from failures — it does not fail the
     /// exit code).
-    fn emit_expired(&mut self, seq: u64, class: RequestClass, queue_ms: f64) {
+    fn emit_expired(
+        &mut self,
+        seq: u64,
+        class: RequestClass,
+        queue_ms: f64,
+    ) -> Result<(), Failure> {
         let line = Obj::new()
             .num("seq", seq)
             .bool("ok", false)
@@ -615,14 +644,19 @@ impl Stream {
                 "deadline expired (discarded while queued, or stopped at a round boundary)",
             )
             .build();
-        println!("{line}");
         self.totals.expired += 1;
         self.record_outcome(seq, Outcome::Failed);
+        self.out.line(line)
     }
 
     /// A `c @cancel` that landed: caller-requested abandonment, counted
     /// apart from failures — it does not fail the exit code.
-    fn emit_cancelled(&mut self, seq: u64, class: RequestClass, queue_ms: f64) {
+    fn emit_cancelled(
+        &mut self,
+        seq: u64,
+        class: RequestClass,
+        queue_ms: f64,
+    ) -> Result<(), Failure> {
         let line = Obj::new()
             .num("seq", seq)
             .bool("ok", false)
@@ -631,15 +665,15 @@ impl Stream {
             .float("queue_ms", queue_ms)
             .str("error", "cancelled by `c @cancel` directive")
             .build();
-        println!("{line}");
         self.totals.cancelled += 1;
         self.record_outcome(seq, Outcome::Failed);
+        self.out.line(line)
     }
 
     /// A bulk record refused at the door by SLO shedding: overload
     /// protection, counted apart from failures — it does not fail the
     /// exit code.
-    fn emit_shed(&mut self, seq: u64, class: RequestClass) {
+    fn emit_shed(&mut self, seq: u64, class: RequestClass) -> Result<(), Failure> {
         let line = Obj::new()
             .num("seq", seq)
             .bool("ok", false)
@@ -650,9 +684,9 @@ impl Stream {
                 "shed at admission: interactive queue-wait p99 over the shed target",
             )
             .build();
-        println!("{line}");
         self.totals.shed += 1;
         self.record_outcome(seq, Outcome::Failed);
+        self.out.line(line)
     }
 
     /// Records a record's outcome, evicting the oldest beyond

@@ -14,6 +14,7 @@ use dcover_hypergraph::{Cover, VertexId};
 use super::{extract_duals, read_instance, runtime, usage};
 use crate::args;
 use crate::json::{self, Obj, Value};
+use crate::out::Stdout;
 use crate::Failure;
 
 /// `dcover verify INSTANCE REPORT [--eps E] [--json]`
@@ -72,6 +73,7 @@ pub fn verify(raw: &[String]) -> Result<(), Failure> {
     // whose accumulated-rounding dual total sits a few ULPs past the
     // guarantee.
     let guarantee_slack = f_plus_eps * dcover_core::DEFAULT_TOLERANCE;
+    let mut stdout = Stdout::default();
     match certificate.verify(&g) {
         Ok(bound) => {
             if parsed.switch("json") {
@@ -81,11 +83,12 @@ pub fn verify(raw: &[String]) -> Result<(), Failure> {
                     .float("f_plus_eps", f_plus_eps)
                     .bool("within_guarantee", bound <= f_plus_eps + guarantee_slack)
                     .build();
-                println!("{out}");
+                stdout.line(out)
             } else {
-                println!("certificate OK: ratio <= {bound:.6} (guarantee f+eps = {f_plus_eps})");
+                stdout.line(format_args!(
+                    "certificate OK: ratio <= {bound:.6} (guarantee f+eps = {f_plus_eps})"
+                ))
             }
-            Ok(())
         }
         Err(e) => {
             if parsed.switch("json") {
@@ -93,7 +96,7 @@ pub fn verify(raw: &[String]) -> Result<(), Failure> {
                     .bool("ok", false)
                     .str("error", &e.to_string())
                     .build();
-                println!("{out}");
+                stdout.line(out)?;
             }
             Err(runtime(format!("certificate INVALID: {e}")))
         }

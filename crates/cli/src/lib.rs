@@ -37,6 +37,7 @@
 pub mod args;
 mod commands;
 pub mod json;
+mod out;
 
 /// Why a command did not succeed: a usage error (exit code 2) or a runtime
 /// failure (exit code 1).
@@ -100,10 +101,7 @@ USAGE:
 #[must_use]
 pub fn run(args: &[String]) -> i32 {
     let outcome = match args.first().map(String::as_str) {
-        None | Some("help" | "--help" | "-h") => {
-            print!("{USAGE}");
-            Ok(())
-        }
+        None | Some("help" | "--help" | "-h") => out::Stdout::default().print(USAGE),
         Some("solve") => commands::solve(&args[1..]),
         Some("serve") => commands::serve::serve(&args[1..]),
         Some("batch") => commands::batch(&args[1..]),

@@ -731,6 +731,61 @@ fn warm_from_refuses_thread_parallelism() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs `dcover args` with `input` on stdin, reads a few bytes of its
+/// stdout and closes the pipe, as `dcover … | head -c 20` does.
+fn dcover_until_reader_leaves(args: &[&str], input: &str) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dcover"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dcover binary");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let input = input.to_string();
+    // A writer thread, so a command that stops reading cannot block us.
+    let feeder = std::thread::spawn(move || stdin.write_all(input.as_bytes()).is_ok());
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    let mut head = [0u8; 20];
+    std::io::Read::read_exact(&mut stdout, &mut head).expect("the command writes output");
+    drop(stdout);
+    let out = child.wait_with_output().expect("run dcover binary");
+    feeder.join().expect("stdin feeder");
+    out
+}
+
+#[test]
+fn a_reader_that_closes_stdout_early_ends_the_command_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("dcover-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("g.mwhvc").to_string_lossy().into_owned();
+    let gen = [
+        "gen", "uniform", "--n", "2000", "--m", "6000", "--seed", "9",
+    ];
+    let made = dcover(&[&gen[..], &["--out", &path]].concat());
+    assert!(made.status.success(), "{made:?}");
+    let instance = std::fs::read_to_string(&path).unwrap();
+    // Each output is larger than a pipe's buffer, so the command is still
+    // writing when the reader goes away.
+    let cases: [(&[&str], &str); 4] = [
+        (&["solve", &path, "--json"], ""),
+        (&gen, ""),
+        (&["batch", &path, &path, "--json", "--threads", "1"], ""),
+        (&["serve", "--threads", "1"], &instance.repeat(3)),
+    ];
+    for (args, input) in cases {
+        let out = dcover_until_reader_leaves(args, input);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let code = out.status.code();
+        assert!(
+            matches!(code, Some(0..=2)),
+            "{args:?}: exit code {code:?} is outside 0/1/2: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn usage_errors_exit_2() {
     assert_eq!(dcover(&["frobnicate"]).status.code(), Some(2));

@@ -9,17 +9,46 @@ use dcover_congest::{Ctx, Status};
 
 use super::msg::MwhvcMsg;
 use super::{norm_weight_less, Phase};
-use crate::params::AlphaPolicy;
+use crate::params::{theorem9_alpha, AlphaPolicy};
+
+/// How an edge fixes `α(e)` in round 1. `Fixed` and `Theorem9` read only
+/// the whole instance's f, ε and Δ, so the network resolves them once and
+/// every edge carries the value; `LocalTheorem9` needs the edge's own
+/// `Δ(e)`, which round 1 collects.
+#[derive(Copy, Clone, Debug)]
+pub(crate) enum EdgeAlpha {
+    /// One α for every edge of the network.
+    Global(u32),
+    /// Theorem 9 on the edge's local maximum degree.
+    Local { gamma: f64, f: u32, eps: f64 },
+}
+
+impl EdgeAlpha {
+    /// Resolves `policy` once for a network of rank `f` and maximum
+    /// degree `global_delta`.
+    pub(crate) fn for_network(policy: AlphaPolicy, f: u32, eps: f64, global_delta: u32) -> Self {
+        match policy {
+            AlphaPolicy::LocalTheorem9 { gamma } => EdgeAlpha::Local { gamma, f, eps },
+            global => EdgeAlpha::Global(global.resolve(f, eps, global_delta, global_delta)),
+        }
+    }
+
+    /// `α(e)`; `local_delta` yields the edge's `Δ(e)`, read only by
+    /// `Local`.
+    fn resolve(self, local_delta: impl FnOnce() -> u32) -> u32 {
+        match self {
+            EdgeAlpha::Global(alpha) => alpha,
+            EdgeAlpha::Local { gamma, f, eps } => theorem9_alpha(f, eps, local_delta(), gamma),
+        }
+    }
+}
 
 /// Per-edge program state.
 #[derive(Clone, Debug)]
 pub(crate) struct EdgeNode {
     size: usize,
-    policy: AlphaPolicy,
-    f: u32,
-    eps: f64,
-    global_delta: u32,
-    /// Resolved at round 1; 0 until then.
+    rule: EdgeAlpha,
+    /// Resolved at round 1, or when settled; 0 until then.
     alpha: u32,
     covered: bool,
     /// Warm-started runs receive seeded levels in round 0 and ship the
@@ -28,20 +57,11 @@ pub(crate) struct EdgeNode {
 }
 
 impl EdgeNode {
-    pub(crate) fn new(
-        size: usize,
-        policy: AlphaPolicy,
-        f: u32,
-        eps: f64,
-        global_delta: u32,
-    ) -> Self {
+    pub(crate) fn new(size: usize, rule: EdgeAlpha) -> Self {
         debug_assert!(size > 0, "hyperedges are never empty");
         Self {
             size,
-            policy,
-            f,
-            eps,
-            global_delta,
+            rule,
             alpha: 0,
             covered: false,
             warm: false,
@@ -50,17 +70,20 @@ impl EdgeNode {
 
     /// An edge of a warm-started network (identical coordination role; the
     /// only difference is the init-round message vocabulary).
-    pub(crate) fn new_warm(
-        size: usize,
-        policy: AlphaPolicy,
-        f: u32,
-        eps: f64,
-        global_delta: u32,
-    ) -> Self {
+    pub(crate) fn new_warm(size: usize, rule: EdgeAlpha) -> Self {
         Self {
             warm: true,
-            ..Self::new(size, policy, f, eps, global_delta)
+            ..Self::new(size, rule)
         }
+    }
+
+    /// Settles the edge covered before the run: a member is β-tight on
+    /// its seeded duals, so warm iteration 0 would cover the edge at E1.
+    /// The edge keeps the α round 1 would have resolved and halts at
+    /// round 0 without sending. `local_delta` yields `Δ(e)`.
+    pub(crate) fn settle_covered(&mut self, local_delta: impl FnOnce() -> u32) {
+        self.alpha = self.rule.resolve(local_delta);
+        self.covered = true;
     }
 
     /// Whether the edge terminated covered (always true after a completed
@@ -77,6 +100,9 @@ impl EdgeNode {
     pub(crate) fn on_round(&mut self, ctx: &mut Ctx<'_, MwhvcMsg>) -> Status {
         let round = ctx.round();
         if round == 0 {
+            if self.covered {
+                return Status::Halted; // settled before the run
+            }
             return Status::Running; // vertices are broadcasting
         }
         if round == 1 {
@@ -130,9 +156,7 @@ impl EdgeNode {
             }
         }
         let (weight, degree) = best.expect("edges have at least one member");
-        self.alpha = self
-            .policy
-            .resolve(self.f, self.eps, local_delta, self.global_delta);
+        self.alpha = self.rule.resolve(|| local_delta);
         if self.warm {
             ctx.broadcast(MwhvcMsg::MinNormWarm {
                 weight,
@@ -214,7 +238,7 @@ mod tests {
 
     #[test]
     fn round1_picks_min_normalized_weight() {
-        let mut e = EdgeNode::new(3, AlphaPolicy::Fixed(2), 3, 0.5, 100);
+        let mut e = EdgeNode::new(3, EdgeAlpha::Global(2));
         // Normalized: 6/2 = 3, 5/5 = 1, 9/3 = 3 -> v* = port 1.
         let inbox = vec![
             weight_deg(0, 6, 2),
@@ -238,7 +262,7 @@ mod tests {
 
     #[test]
     fn round1_tie_breaks_to_lowest_port() {
-        let mut e = EdgeNode::new(2, AlphaPolicy::Fixed(2), 2, 0.5, 10);
+        let mut e = EdgeNode::new(2, EdgeAlpha::Global(2));
         // 2/4 == 1/2 exactly; port 0 must win.
         let inbox = vec![weight_deg(0, 2, 4), weight_deg(1, 1, 2)];
         let (_, out) = run_round(&mut e, 1, inbox);
@@ -254,7 +278,8 @@ mod tests {
 
     #[test]
     fn round1_local_alpha_uses_local_max_degree() {
-        let mut e = EdgeNode::new(2, AlphaPolicy::LocalTheorem9 { gamma: 0.001 }, 1, 1.0, 3);
+        let rule = EdgeAlpha::for_network(AlphaPolicy::LocalTheorem9 { gamma: 0.001 }, 1, 1.0, 3);
+        let mut e = EdgeNode::new(2, rule);
         let inbox = vec![weight_deg(0, 1, 1 << 20), weight_deg(1, 1, 2)];
         let (_, out) = run_round(&mut e, 1, inbox);
         let MwhvcMsg::MinNorm { alpha, .. } = out[0].1 else {
@@ -266,7 +291,7 @@ mod tests {
 
     #[test]
     fn e1_join_covers_and_halts() {
-        let mut e = EdgeNode::new(2, AlphaPolicy::Fixed(2), 2, 0.5, 10);
+        let mut e = EdgeNode::new(2, EdgeAlpha::Global(2));
         let inbox = vec![
             Incoming {
                 port: 0,
@@ -286,7 +311,7 @@ mod tests {
 
     #[test]
     fn e1_sums_halvings() {
-        let mut e = EdgeNode::new(3, AlphaPolicy::Fixed(2), 3, 0.5, 10);
+        let mut e = EdgeNode::new(3, EdgeAlpha::Global(2));
         let inbox = vec![
             Incoming {
                 port: 0,
@@ -308,7 +333,7 @@ mod tests {
 
     #[test]
     fn e2_requires_unanimity() {
-        let mut e = EdgeNode::new(2, AlphaPolicy::Fixed(2), 2, 0.5, 10);
+        let mut e = EdgeNode::new(2, EdgeAlpha::Global(2));
         let inbox = vec![
             Incoming {
                 port: 0,

@@ -9,7 +9,7 @@
 use dcover_congest::{Ctx, Process, Status, Topology};
 use dcover_hypergraph::Hypergraph;
 
-use super::edge::EdgeNode;
+use super::edge::{EdgeAlpha, EdgeNode};
 use super::msg::MwhvcMsg;
 use super::vertex::VertexNode;
 use crate::params::{beta, z_levels, MwhvcConfig};
@@ -84,7 +84,8 @@ impl MwhvcNode {
         }
     }
 
-    /// For edge nodes: the resolved α(e) (0 before round 1).
+    /// For edge nodes: the resolved α(e) (0 until round 1, unless the
+    /// edge was settled before the run).
     #[must_use]
     pub fn edge_alpha(&self) -> Option<u32> {
         match &self.0 {
@@ -131,6 +132,7 @@ pub fn build_network(g: &Hypergraph, config: &MwhvcConfig) -> (Topology, Vec<Mwh
     let eps = config.epsilon();
     let b = beta(f, eps);
     let z = z_levels(f, eps);
+    let alpha = EdgeAlpha::for_network(config.alpha(), f, eps, g.max_degree());
     let mut nodes = Vec::with_capacity(g.n() + g.m());
     for v in g.vertices() {
         nodes.push(MwhvcNode(Inner::Vertex(VertexNode::new(
@@ -142,26 +144,40 @@ pub fn build_network(g: &Hypergraph, config: &MwhvcConfig) -> (Topology, Vec<Mwh
         ))));
     }
     for e in g.edges() {
-        nodes.push(MwhvcNode(Inner::Edge(EdgeNode::new(
-            g.edge_size(e),
-            config.alpha(),
-            f,
-            eps,
-            g.max_degree(),
-        ))));
+        nodes.push(MwhvcNode(Inner::Edge(EdgeNode::new(g.edge_size(e), alpha))));
     }
     (topo, nodes)
 }
 
 /// Like [`build_network`], but seeds every vertex with a previous solve's
 /// dual packing and level (see
-/// [`MwhvcSolver::solve_warm`](crate::MwhvcSolver::solve_warm)).
+/// [`MwhvcSolver::solve_warm`](crate::MwhvcSolver::solve_warm)), and
+/// settles before the run every node that warm iteration 0 would halt.
 ///
 /// `duals` holds one seeded dual per hyperedge of `g` (0 for edges with no
 /// predecessor) and `levels` one level per vertex; the caller must already
-/// have clamped the duals to a feasible packing and the levels to `≤ z` —
-/// this function only distributes the per-edge values to the members'
-/// port-aligned replicas.
+/// have clamped the duals to a feasible packing and the levels to `≤ z`.
+/// Each member gets the per-edge values on its port-aligned replicas and
+/// sums them in port order.
+///
+/// Warm iteration 0 depends on nothing a node receives: a vertex's step
+/// 3a reads only its seeded sum. So the settle pass predicts it exactly,
+/// with the same step 3a and 3d code the vertex program runs:
+///
+/// * a vertex with ports that is β-tight on its seeded duals is settled
+///   in the cover, with its seeded duals and level;
+/// * an edge with such a member is settled covered, holding the α round 1
+///   would have resolved;
+/// * a vertex that is not tight but whose edges are all settled covered
+///   is settled outside the cover, at the level its step 3d climb
+///   reaches.
+///
+/// Settled nodes halt at round 0 without sending. Every other node runs,
+/// and a running vertex starts with the ports of its settled edges dead.
+/// No member of a running edge is tight, so running nodes never wait on
+/// settled ones: cover, duals, levels and rounds are those of running
+/// every node (an instance that settles completely takes one round),
+/// while messages flow only where the seed is not already final.
 ///
 /// # Panics
 ///
@@ -174,6 +190,30 @@ pub fn build_network_warm(
     duals: &[f64],
     levels: &[u32],
 ) -> (Topology, Vec<MwhvcNode>) {
+    warm_network(g, config, duals, levels, true)
+}
+
+/// The warm network with every node running: [`build_network_warm`]
+/// without its settle pass.
+#[cfg(test)]
+pub(crate) fn build_network_warm_unsettled(
+    g: &Hypergraph,
+    config: &MwhvcConfig,
+    duals: &[f64],
+    levels: &[u32],
+) -> (Topology, Vec<MwhvcNode>) {
+    warm_network(g, config, duals, levels, false)
+}
+
+/// Builds the seeded warm network; with `settle`, settles each node as it
+/// is built, then kills the ports of settled edges at running vertices.
+fn warm_network(
+    g: &Hypergraph,
+    config: &MwhvcConfig,
+    duals: &[f64],
+    levels: &[u32],
+    settle: bool,
+) -> (Topology, Vec<MwhvcNode>) {
     assert_eq!(duals.len(), g.m(), "one seeded dual per hyperedge");
     assert_eq!(levels.len(), g.n(), "one seeded level per vertex");
     let topo = Topology::bipartite_incidence(g);
@@ -181,25 +221,40 @@ pub fn build_network_warm(
     let eps = config.epsilon();
     let b = beta(f, eps);
     let z = z_levels(f, eps);
+    let alpha = EdgeAlpha::for_network(config.alpha(), f, eps, g.max_degree());
     let mut nodes = Vec::with_capacity(g.n() + g.m());
+    let mut joined = Vec::with_capacity(g.n());
     for v in g.vertices() {
-        nodes.push(MwhvcNode(Inner::Vertex(VertexNode::new_warm(
+        let mut vertex = VertexNode::new_warm(
             g.weight(v),
             b,
             z,
             config.variant(),
             levels[v.index()],
             g.incident_edges(v).iter().map(|&e| duals[e.index()]),
-        ))));
+        );
+        joined.push(settle && vertex.settle_if_tight());
+        nodes.push(MwhvcNode(Inner::Vertex(vertex)));
     }
+    let mut covered = Vec::with_capacity(g.m());
     for e in g.edges() {
-        nodes.push(MwhvcNode(Inner::Edge(EdgeNode::new_warm(
-            g.edge_size(e),
-            config.alpha(),
-            f,
-            eps,
-            g.max_degree(),
-        ))));
+        let mut edge = EdgeNode::new_warm(g.edge_size(e), alpha);
+        // A fold, not `any`: which member joined first is unpredictable,
+        // and an early exit would mispredict on most edges.
+        let is_covered = g.edge(e).iter().fold(false, |c, v| c | joined[v.index()]);
+        if is_covered {
+            edge.settle_covered(|| g.local_max_degree(e));
+        }
+        covered.push(is_covered);
+        nodes.push(MwhvcNode(Inner::Edge(edge)));
+    }
+    if settle {
+        for (v, node) in g.vertices().zip(&mut nodes) {
+            let Inner::Vertex(vertex) = &mut node.0 else {
+                unreachable!("nodes 0..n are vertices");
+            };
+            vertex.settle_ports(g.incident_edges(v).iter().map(|e| covered[e.index()]));
+        }
     }
     (topo, nodes)
 }

@@ -149,9 +149,45 @@ impl VertexNode {
         self.dual_sum
     }
 
+    /// Settles warm iteration 0's step 3a before the run: a vertex with
+    /// ports that is β-tight on its seeded duals joins the cover, as it
+    /// would at round 2, keeping its seeded duals and level. Returns
+    /// whether it joined.
+    pub(crate) fn settle_if_tight(&mut self) -> bool {
+        let joins = !self.ports.is_empty() && self.is_tight();
+        if joins {
+            self.outcome = VertexOutcome::InCover;
+        }
+        joins
+    }
+
+    /// Settles the rest of warm iteration 0 for a vertex that did not
+    /// join: the port of every edge another member covers goes dead, as at
+    /// round 4. A vertex left with no live port climbs its levels (step
+    /// 3d, as at round 2) and terminates outside the cover.
+    /// `covered` yields one flag per port, in `E(v)` order.
+    pub(crate) fn settle_ports(&mut self, covered: impl Iterator<Item = bool>) {
+        if self.outcome != VertexOutcome::Undecided || self.ports.is_empty() {
+            return;
+        }
+        for (port, covered) in self.ports.iter_mut().zip(covered) {
+            if covered {
+                port.live = false;
+                self.live_count -= 1;
+            }
+        }
+        if self.live_count == 0 {
+            self.climb_levels();
+            self.outcome = VertexOutcome::AllCovered;
+        }
+    }
+
     pub(crate) fn on_round(&mut self, ctx: &mut Ctx<'_, MwhvcMsg>) -> Status {
         let round = ctx.round();
         if round == 0 {
+            if self.outcome != VertexOutcome::Undecided {
+                return Status::Halted; // settled before the run
+            }
             if self.ports.is_empty() {
                 // Isolated vertex: nothing to cover, never in C.
                 self.outcome = VertexOutcome::AllCovered;
@@ -159,11 +195,15 @@ impl VertexNode {
             }
             let degree = self.ports.len() as u32;
             if self.warm {
-                ctx.broadcast(MwhvcMsg::WeightDegWarm {
-                    weight: self.weight,
-                    degree,
-                    level: self.level,
-                });
+                // Edges settled covered before the run are already dead.
+                self.send_live(
+                    ctx,
+                    MwhvcMsg::WeightDegWarm {
+                        weight: self.weight,
+                        degree,
+                        level: self.level,
+                    },
+                );
             } else {
                 ctx.broadcast(MwhvcMsg::WeightDeg {
                     weight: self.weight,
@@ -195,7 +235,7 @@ impl VertexNode {
             // seeded value IS the dual, and freshly inserted edges start
             // at δ = 0 and earn their first increment through the regular
             // raise cycle — keeping every replica in exact agreement.
-            debug_assert_eq!(ctx.inbox().len(), self.ports.len());
+            debug_assert_eq!(ctx.inbox().len(), self.live_count as usize);
             for item in ctx.inbox() {
                 let MwhvcMsg::MinNormWarm {
                     weight,
@@ -251,15 +291,25 @@ impl VertexNode {
             }
         }
 
-        // Step 3a: β-tightness.
-        let weight = self.weight as f64;
-        if self.dual_sum >= (1.0 - self.beta) * weight {
+        if self.is_tight() {
             self.outcome = VertexOutcome::InCover;
             self.send_live(ctx, MwhvcMsg::Join);
             return Status::Halted;
         }
+        let increments = self.climb_levels();
+        self.send_live(ctx, MwhvcMsg::LevelInc { count: increments });
+        Status::Running
+    }
 
-        // Step 3d: climb levels while the slack has more than halved.
+    /// Step 3a: whether the vertex is β-tight on its dual sum.
+    fn is_tight(&self) -> bool {
+        self.dual_sum >= (1.0 - self.beta) * self.weight as f64
+    }
+
+    /// Step 3d: climbs levels while the slack has more than halved, and
+    /// returns the number of increments.
+    fn climb_levels(&mut self) -> u32 {
+        let weight = self.weight as f64;
         let mut increments = 0u32;
         while should_level_up(self.dual_sum, weight, self.level) {
             self.level += 1;
@@ -274,8 +324,7 @@ impl VertexNode {
                 break; // float-slop safety valve; unreachable in practice
             }
         }
-        self.send_live(ctx, MwhvcMsg::LevelInc { count: increments });
-        Status::Running
+        increments
     }
 
     /// V2: prune covered edges (3b/3c), apply halvings, raise/stuck (3e).

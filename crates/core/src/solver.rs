@@ -195,8 +195,13 @@ impl MwhvcSolver {
     ///   feasibility first (see [`WarmState`]);
     /// * a warm solve of an **unchanged** instance reproduces the cold
     ///   result bit-for-bit (cover, duals, levels, weight, dual total) in
-    ///   a handful of rounds: every previous cover member is still tight
-    ///   and re-joins immediately, which covers every edge;
+    ///   one round with no messages: every previous cover member is still
+    ///   tight, so every node settles before the run (see
+    ///   [`build_network_warm`](crate::build_network_warm));
+    /// * a revision spends messages only where its delta lands: nodes the
+    ///   first warm iteration would halt are settled before the run, and
+    ///   only the rest exchange messages, with the same results and
+    ///   rounds as running every node;
     /// * freshly inserted edges can legitimately end with `δ(e) = 0`
     ///   (covered by an already-tight member before ever bidding), so
     ///   unlike cold results, warm duals are only guaranteed
@@ -418,6 +423,9 @@ impl MwhvcSolver {
         }
     }
 }
+
+#[cfg(test)]
+mod warm_oracle;
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,8 @@
 //!
 //! while a warm solve with an **empty** delta must be bit-identical to
 //! re-solving the unchanged instance cold (cover, duals, levels, weight,
-//! dual total).
+//! dual total), and a 1% revision must spend messages only where its
+//! delta lands.
 
 use dcover_core::{approximation_holds, Certificate, MwhvcSolver, WarmState, DEFAULT_TOLERANCE};
 use dcover_hypergraph::generators::{
@@ -19,6 +20,7 @@ use dcover_hypergraph::generators::{
 };
 use dcover_hypergraph::{EdgeId, Hypergraph, InstanceDelta, VertexId};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 const EPSILON: f64 = 0.5;
@@ -188,12 +190,75 @@ fn empty_delta_warm_solve_is_bit_identical_to_cold_across_every_family() {
         assert_eq!(warm.duals, cold.duals, "{family}: duals (from_result)");
         assert_eq!(warm.levels, cold.levels, "{family}: levels (from_result)");
 
-        // The warm run is a constant number of rounds: previous cover
-        // members re-join immediately and cover everything.
-        assert!(
-            warm.rounds() <= 6,
-            "{family}: unchanged-instance warm solve took {} rounds",
-            warm.rounds()
+        // Previous cover members are still tight and cover every edge, so
+        // every node settles before the run: one round, no messages.
+        assert_eq!(warm.rounds(), 1, "{family}: unchanged-instance rounds");
+        assert_eq!(
+            warm.report.total_messages, 0,
+            "{family}: unchanged-instance messages"
         );
+    }
+}
+
+/// A 1% revision, as perfbench's `warm_revisions` draws them: remove 1% of
+/// the edges, insert as many rank-3 edges, re-weight 5 vertices.
+fn one_percent_revision(g: &Hypergraph, rng: &mut StdRng) -> InstanceDelta {
+    let churn = (g.m() / 100).max(1);
+    let mut edges: Vec<usize> = (0..g.m()).collect();
+    let mut vertices: Vec<usize> = (0..g.n()).collect();
+    let remove_edges = edges
+        .partial_shuffle(rng, churn)
+        .0
+        .iter()
+        .map(|&e| EdgeId::new(e))
+        .collect();
+    let add_edges = (0..churn)
+        .map(|_| {
+            let members = vertices.partial_shuffle(rng, 3).0;
+            members.iter().map(|&v| VertexId::new(v)).collect()
+        })
+        .collect();
+    let set_weights = vertices
+        .partial_shuffle(rng, 5)
+        .0
+        .iter()
+        .map(|&v| (VertexId::new(v), rng.gen_range(1..=100u64)))
+        .collect();
+    InstanceDelta {
+        remove_edges,
+        add_edges,
+        set_weights,
+    }
+}
+
+#[test]
+fn one_percent_revisions_send_a_fraction_of_a_cold_solves_messages() {
+    // `dcover gen uniform --n 2000 --m 6000 --seed 9`.
+    let mut g = random_uniform(
+        &RandomUniform {
+            n: 2000,
+            m: 6000,
+            rank: 3,
+            weights: WeightDist::Uniform { min: 1, max: 100 },
+        },
+        &mut StdRng::seed_from_u64(9),
+    );
+    let solver = MwhvcSolver::with_epsilon(EPSILON).unwrap();
+    let mut prev = solver.solve(&g).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x1C4A);
+    for step in 0..4 {
+        let out = one_percent_revision(&g, &mut rng).apply(&g).unwrap();
+        let warm = solver
+            .solve_warm(&out.graph, &WarmState::for_delta(&prev, &out))
+            .unwrap();
+        let cold = solver.solve(&out.graph).unwrap();
+        let (warm_msgs, cold_msgs) = (warm.report.total_messages, cold.report.total_messages);
+        assert!(
+            warm_msgs * 100 <= cold_msgs * 15,
+            "step {step}: a warm 1% revision sent {warm_msgs} messages, over 15% of the \
+             cold solve's {cold_msgs}"
+        );
+        g = out.graph;
+        prev = warm;
     }
 }
