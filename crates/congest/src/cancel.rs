@@ -21,9 +21,9 @@ use std::time::Instant;
 ///
 /// Cancellation is **cooperative and sticky**: [`cancel`](Self::cancel)
 /// sets the flag once (there is no un-cancel), and whoever polls
-/// [`is_cancelled`](Self::is_cancelled) — the pool at dequeue time, the
-/// schedulers at round boundaries — stops at its next safe point. All
-/// clones observe the same flag.
+/// [`is_cancelled`](Self::is_cancelled) — a serving queue at dequeue
+/// time, the simulator at round boundaries — stops at its next safe
+/// point. All clones observe the same flag.
 ///
 /// # Examples
 ///

@@ -249,7 +249,7 @@ impl<P: Process> ChunkState<P> {
 /// with [`Simulator::into_arena`](crate::Simulator::into_arena): every
 /// buffer keeps its capacity across solves, so a stream of solves on
 /// same-sized instances performs no steady-state arena allocations. A
-/// [`SimPool`](crate::SimPool) worker owns one arena for batch serving.
+/// serving worker owns one arena and lends it to every solve it runs.
 #[derive(Debug)]
 pub struct EngineArena<P: Process> {
     pub(crate) chunk: Box<ChunkState<P>>,

@@ -54,31 +54,16 @@
 //!
 //! # Serving many instances
 //!
-//! For workloads of many independent instances, a [`SimPool`] keeps one
-//! set of worker threads, each owning a reusable [`EngineArena`], pulling
-//! from one **shared bounded multi-class task queue** alive across
-//! solves: submit whole-instance closures to the pool as requests arrive
-//! — each submission yields a [`TaskTicket`], a full queue blocks
-//! [`SimPool::submit`] and makes [`SimPool::try_submit`] report
-//! backpressure ([`TrySubmitError::Full`]), and each task runs a
-//! single-chunk [`Simulator::with_arena`] solve against its worker's
-//! arena. Submissions carry a [`TaskClass`] (interactive tasks dequeue
-//! before bulk, FIFO within a class — with optional bulk **aging** via
-//! [`SimPool::set_bulk_max_wait`] so sustained interactive load cannot
-//! starve bulk traffic), an optional deadline after which a still-queued
-//! task resolves as the typed [`TaskError::Expired`], and an optional
-//! [`CancelToken`] ([`TaskOptions`]) that resolves a still-queued task as
-//! [`TaskError::Cancelled`]. In-flight solves cooperate too: hand the
-//! same token (and/or deadline) to a simulator as an [`Interrupt`] and
-//! the run stops at its next round boundary with the typed
-//! [`SimError::Interrupted`]. Every pool records per-class
-//! queue-wait/run-time [`LatencyHistogram`]s, counters (including
-//! cancelled and shed), queue-depth high-water, worker busy time, and a
-//! rolling interactive queue-wait window
-//! ([`SchedMetrics::interactive_wait_p99`] — the SLO signal for admission
-//! control) into its own [`SchedMetrics`] with zero allocation on the
-//! hot path. [`SimPool::shutdown`] drains the queue and joins the
-//! workers; every issued ticket still resolves.
+//! A caller that solves many independent instances keeps one
+//! [`EngineArena`] per thread and hands it to every single-chunk
+//! [`Simulator::with_arena`] run, so mailbox, worklist and staging
+//! capacity carries over from instance to instance. A run can be
+//! stopped from outside: hand the simulator an [`Interrupt`] (a
+//! [`CancelToken`] and/or a deadline) and it stops at its next round
+//! boundary with the typed [`SimError::Interrupted`]. The queue, the
+//! workers and the metrics of a serving layer are not part of this
+//! crate: `dcover_core::SolveService` builds them on these two pieces
+//! and on the [`sync`] facade.
 //!
 //! # Example: broadcast-and-halt
 //!
@@ -117,7 +102,6 @@ mod error;
 mod message;
 mod metrics;
 mod partition;
-mod pool;
 mod process;
 mod sim;
 pub mod sync;
@@ -127,13 +111,8 @@ pub use cancel::{CancelToken, Interrupt, InterruptReason};
 pub use engine::EngineArena;
 pub use error::SimError;
 pub use message::{bits_for_range, bits_for_value, Message};
-pub use metrics::{
-    BitBudget, ClassMetrics, LatencyHistogram, RoundMetrics, SchedMetrics, SimReport,
-};
+pub use metrics::{BitBudget, RoundMetrics, SimReport};
 pub use partition::PartitionPolicy;
-pub use pool::{
-    QueueClosed, SimPool, TaskClass, TaskError, TaskOptions, TaskTicket, TaskTiming, TrySubmitError,
-};
 pub use process::{Ctx, Inbox, InboxIter, Incoming, Process, Status};
 pub use sim::{ParallelSimulator, Simulator};
 pub use topology::{NodeId, Port, Topology};

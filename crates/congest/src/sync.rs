@@ -1,9 +1,9 @@
 //! Synchronization facade for the scheduler/service stack.
 //!
-//! Every module in the serving path (`pool`, `cancel`, `metrics`, and
-//! `dcover_core::service`) takes its `Mutex`/`Condvar`, atomics, and
-//! thread spawning from here instead of `std` directly (`xtask lint`
-//! enforces this). [`Mutex`], [`MutexGuard`] and [`Condvar`] are thin
+//! Every module in the serving path (`cancel` here, and `service`,
+//! `pool` and `metrics` in `dcover_core`) takes its `Mutex`/`Condvar`,
+//! atomics, and thread spawning from here instead of `std` directly
+//! (`xtask lint` enforces this). [`Mutex`], [`MutexGuard`] and [`Condvar`] are thin
 //! newtypes over a backend: `std::sync` in a normal build, or under
 //! `RUSTFLAGS="--cfg conc_check"` the model primitives of the
 //! `dcover-conccheck` crate, whose scheduler can then drive every

@@ -64,8 +64,10 @@ pub mod analysis;
 mod certificate;
 mod error;
 mod invariants;
+mod metrics;
 mod observer;
 mod params;
+mod pool;
 pub mod protocol;
 mod reference;
 mod service;
@@ -73,16 +75,10 @@ mod solver;
 mod warm;
 
 pub use certificate::{Certificate, CertificateError};
-/// The scheduling class of a service submission (re-exported from the
-/// pool layer): `Interactive` requests dequeue before `Bulk` ones, FIFO
-/// within a class. See [`SubmitOptions`].
-pub use dcover_congest::TaskClass as RequestClass;
-pub use dcover_congest::{
-    CancelToken, ClassMetrics, Interrupt, InterruptReason, LatencyHistogram, PartitionPolicy,
-    TaskTiming,
-};
+pub use dcover_congest::{CancelToken, Interrupt, InterruptReason, PartitionPolicy};
 pub use error::SolveError;
 pub use invariants::{approximation_holds, InvariantChecker, DEFAULT_TOLERANCE};
+pub use metrics::{ClassMetrics, LatencyHistogram, ServiceMetrics};
 pub use observer::{HistoryObserver, IterationSnapshot, IterationStats, NullObserver, Observer};
 pub use params::{
     beta, theorem9_alpha, try_beta, try_theorem9_alpha, try_z_levels, z_levels, AlphaPolicy,
@@ -93,6 +89,6 @@ pub use protocol::{
     MwhvcNode, NodeRole,
 };
 pub use reference::{solve_reference, ReferenceResult};
-pub use service::{ServiceMetrics, SolveService, SubmitError, SubmitOptions, Ticket};
+pub use service::{RequestClass, SolveService, SubmitError, SubmitOptions, TaskTiming, Ticket};
 pub use solver::{CoverResult, MwhvcSolver};
 pub use warm::WarmState;

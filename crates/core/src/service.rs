@@ -1,16 +1,16 @@
-//! The asynchronous solve service: a submission queue with backpressure
-//! in front of one persistent worker pool.
+//! The asynchronous solve service: a bounded submission queue with
+//! backpressure in front of a fixed set of persistent workers.
 //!
 //! A real server receives instances **as they arrive**; [`SolveService`]
-//! is that front door. Each instance is solved sequentially on one pool
+//! is that front door. Each instance is solved sequentially on one
 //! worker — chunk parallelism within one instance belongs to
 //! [`MwhvcSolver::solve_parallel`](crate::MwhvcSolver::solve_parallel):
 //!
 //! * [`submit`](SolveService::submit) hands in one shared read-only
 //!   instance (`Arc<Hypergraph>` — **never deep-copied**, see below) and
-//!   returns a [`Ticket`] immediately; the solve runs on whichever pool
-//!   worker frees up first. When the bounded queue is full, `submit`
-//!   blocks until a slot opens.
+//!   returns a [`Ticket`] immediately; the solve runs on whichever worker
+//!   frees up first. When the bounded queue is full, `submit` blocks
+//!   until a slot opens.
 //! * [`try_submit_with`](SolveService::try_submit_with) never blocks: a
 //!   full queue is reported as [`SubmitError::Backpressure`], so an
 //!   ingestion loop can shed or defer load instead of stalling.
@@ -29,7 +29,8 @@
 //! * [`shutdown`](SolveService::shutdown) closes the queue (subsequent
 //!   submissions fail with [`SubmitError::ShutDown`]), **drains** every
 //!   queued and in-flight solve, and joins the workers — every ticket
-//!   issued before the shutdown still resolves.
+//!   issued before the shutdown still resolves. Dropping the service
+//!   shuts it down.
 //!
 //! # Request classes, deadlines, and cancellation
 //!
@@ -37,7 +38,7 @@
 //! FIFO: [`submit_with`](SolveService::submit_with) /
 //! [`try_submit_with`](SolveService::try_submit_with) /
 //! [`submit_delta_with`](SolveService::submit_delta_with) take
-//! [`SubmitOptions`] carrying a [`RequestClass`](crate::RequestClass)
+//! [`SubmitOptions`] carrying a [`RequestClass`]
 //! (`Interactive` submissions dequeue before every queued `Bulk` one,
 //! FIFO within a class) and an optional **full-lifecycle deadline**: a
 //! submission still queued when its deadline passes resolves its ticket
@@ -77,7 +78,9 @@
 //! relaxed atomic adds per solve — zero allocation on the hot path — and
 //! the counters stay readable after [`shutdown`](SolveService::shutdown).
 //! Per-ticket timings come from [`Ticket::wait_timed`] /
-//! [`Ticket::try_wait_timed`] as [`TaskTiming`] values.
+//! [`Ticket::try_wait_timed`] as [`TaskTiming`] values. Queue time starts
+//! when a submission enters the queue, not at the submit call: a blocking
+//! submit that waits for room is not counted as queued.
 //!
 //! # Zero-copy instances
 //!
@@ -91,19 +94,19 @@
 //! # Error isolation
 //!
 //! A bad instance (oversized weights, tightened limits) resolves its own
-//! ticket with an `Err` and nothing else; even a *panicking* solve task is
-//! confined to its ticket ([`SolveError::Panicked`]) — the pool worker
+//! ticket with an `Err` and nothing else; even a *panicking* solve is
+//! confined to its ticket ([`SolveError::Panicked`]) — the worker
 //! survives and every other submission proceeds.
 //!
 //! # Examples
 //!
 //! ```
 //! use std::sync::Arc;
-//! use dcover_core::SolveService;
+//! use dcover_core::{MwhvcConfig, SolveService};
 //! use dcover_hypergraph::from_weighted_edge_lists;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let service = SolveService::with_epsilon(0.5, 2)?;
+//! let service = SolveService::new(MwhvcConfig::new(0.5)?, 2);
 //! let g = Arc::new(from_weighted_edge_lists(&[10, 1, 10], &[&[0, 1], &[1, 2]])?);
 //! // Submit as requests arrive; redeem tickets whenever convenient.
 //! let a = service.submit(Arc::clone(&g), 0.5)?;
@@ -117,28 +120,26 @@
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dcover_congest::sync::atomic::{AtomicU64, Ordering};
+#[cfg(test)]
 use dcover_congest::sync::Mutex;
-
-use dcover_congest::{
-    CancelToken, ClassMetrics, EngineArena, Interrupt, InterruptReason, SimError, SimPool,
-    TaskClass, TaskError, TaskOptions, TaskTicket, TaskTiming, TrySubmitError,
-};
+use dcover_congest::{CancelToken, Interrupt};
 use dcover_hypergraph::{Hypergraph, InstanceDelta};
 
 use crate::error::SolveError;
+use crate::metrics::ServiceMetrics;
 use crate::params::MwhvcConfig;
-use crate::protocol::MwhvcNode;
+use crate::pool::{Entry, OnFull, Pool, Slot};
 use crate::solver::{CoverResult, MwhvcSolver};
 use crate::warm::WarmState;
 
-/// Default number of completed solves the service retains for
+/// Number of completed solves the service retains for
 /// [`submit_delta_with`](SolveService::submit_delta_with) to warm-start
 /// against.
-const DEFAULT_RESULT_CACHE: usize = 256;
+const RESULT_CACHE: usize = 256;
 
 /// Why a submission was refused at the service door. (Problems *inside*
 /// the solve — bad weights, limit violations — are not submission errors;
@@ -215,6 +216,49 @@ impl std::error::Error for SubmitError {
     }
 }
 
+/// The scheduling class of a submission: every queued `Interactive`
+/// request dequeues before any `Bulk` one (FIFO within a class); the
+/// queue's capacity bound is shared across both. See [`SubmitOptions`].
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
+pub enum RequestClass {
+    /// Latency-sensitive traffic: dequeues before every queued bulk
+    /// request.
+    Interactive,
+    /// Throughput traffic (the default): FIFO behind interactive
+    /// requests.
+    #[default]
+    Bulk,
+}
+
+impl RequestClass {
+    /// Number of request classes.
+    pub(crate) const COUNT: usize = 2;
+
+    /// Dense index of this class (`Interactive` = 0, `Bulk` = 1), which
+    /// is also its dequeue priority.
+    pub(crate) const fn index(self) -> usize {
+        match self {
+            RequestClass::Interactive => 0,
+            RequestClass::Bulk => 1,
+        }
+    }
+
+    /// Lower-case display name (`"interactive"` / `"bulk"`).
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            RequestClass::Interactive => "interactive",
+            RequestClass::Bulk => "bulk",
+        }
+    }
+}
+
+impl std::fmt::Display for RequestClass {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 /// Scheduling options for one submission
 /// ([`SolveService::submit_with`] and friends).
 ///
@@ -229,9 +273,9 @@ impl std::error::Error for SubmitError {
 /// ```
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SubmitOptions {
-    /// The request class ([`RequestClass::Bulk`](crate::RequestClass) by
-    /// default — what the plain `submit` uses).
-    pub class: TaskClass,
+    /// The request class ([`RequestClass::Bulk`] by default — what the
+    /// plain `submit` uses).
+    pub class: RequestClass,
     /// If set, the submission's **full-lifecycle** deadline, measured
     /// from the submit call. A solve still queued past it is discarded
     /// without running; a solve a worker already started stops
@@ -245,7 +289,7 @@ impl SubmitOptions {
     #[must_use]
     pub fn interactive() -> Self {
         SubmitOptions {
-            class: TaskClass::Interactive,
+            class: RequestClass::Interactive,
             ..SubmitOptions::default()
         }
     }
@@ -256,98 +300,24 @@ impl SubmitOptions {
         SubmitOptions::default()
     }
 
-    /// Returns the options with the queue deadline set.
+    /// Returns the options with the deadline set.
     #[must_use]
     pub fn with_deadline(mut self, from_submit: Duration) -> Self {
         self.deadline = Some(from_submit);
         self
     }
-
-    /// The submission's full scheduling envelope, anchored at "now" (the
-    /// submit call): the pool-level [`TaskOptions`] (queue class, absolute
-    /// deadline, cancel token) plus the in-run [`Interrupt`] carrying the
-    /// **same** token and deadline, so a cancel or an expiry is honoured
-    /// both while queued (discarded at dequeue) and mid-run (stopped at
-    /// the next round boundary).
-    fn envelope(self) -> SubmissionEnvelope {
-        let submitted = Instant::now();
-        let token = CancelToken::new();
-        let deadline = self.deadline.map(|d| submitted + d);
-        let mut interrupt = Interrupt::new().with_token(token.clone());
-        if let Some(d) = deadline {
-            interrupt = interrupt.with_deadline(d);
-        }
-        SubmissionEnvelope {
-            task: TaskOptions {
-                class: self.class,
-                deadline,
-                cancel: Some(token.clone()),
-            },
-            interrupt,
-            token,
-            submitted,
-        }
-    }
 }
 
-/// Everything one submission needs to be schedulable, cancellable, and
-/// deadline-bounded across its whole lifecycle (see
-/// [`SubmitOptions::envelope`]).
-struct SubmissionEnvelope {
-    /// Pool-level scheduling options (class, absolute deadline, token).
-    task: TaskOptions,
-    /// The in-run interrupt checked once per round by the simulator.
-    interrupt: Interrupt,
-    /// The shared cancel token, kept by the [`Ticket`].
-    token: CancelToken,
-    /// When the submit call happened (anchors `Expired::waited`).
-    submitted: Instant,
-}
-
-/// What a submission does when the bounded queue is full.
-#[derive(Copy, Clone)]
-enum OnFull {
-    /// Block until a worker frees a slot.
-    Wait,
-    /// Refuse with [`SubmitError::Backpressure`].
-    Refuse,
-}
-
-/// A point-in-time snapshot of the service's scheduling metrics, from
-/// [`SolveService::metrics`].
-///
-/// Per-class [`ClassMetrics`] carry
-/// submitted/completed/expired/cancelled/shed/rejected counters plus
-/// queue-wait and solve-time latency histograms (the `run_time` histogram
-/// of a solve task **is** its solve time). Counters accumulate for the
-/// service's lifetime and survive [`shutdown`](SolveService::shutdown).
+/// Per-ticket timings, reported by [`Ticket::wait_timed`] /
+/// [`Ticket::try_wait_timed`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServiceMetrics {
-    /// Interactive-class counters and histograms.
-    pub interactive: ClassMetrics,
-    /// Bulk-class counters and histograms.
-    pub bulk: ClassMetrics,
-    /// Highest number of submissions ever waiting in the queue at once
-    /// (both classes combined).
-    pub queue_depth_high_water: u64,
-    /// Total time workers spent running solve tasks.
-    pub worker_busy: Duration,
-    /// Rolling p99 of recent interactive queue waits — the SLO signal
-    /// admission control sheds on
-    /// ([`SolveService::with_shed_target`]). `None` until an
-    /// interactive submission has been dequeued.
-    pub interactive_wait_p99: Option<Duration>,
-}
-
-impl ServiceMetrics {
-    /// The snapshot for one request class.
-    #[must_use]
-    pub fn class(&self, class: TaskClass) -> &ClassMetrics {
-        match class {
-            TaskClass::Interactive => &self.interactive,
-            TaskClass::Bulk => &self.bulk,
-        }
-    }
+pub struct TaskTiming {
+    /// Time between entering the queue and leaving it (for a submission
+    /// discarded as cancelled or expired: between entering the queue and
+    /// the discard). A blocking submit's wait for room comes before it.
+    pub queue: Duration,
+    /// The solve time on the worker (zero for a discarded submission).
+    pub run: Duration,
 }
 
 /// A pending solve: redeem with [`wait`](Ticket::wait) (blocking) or
@@ -355,13 +325,21 @@ impl ServiceMetrics {
 /// additionally report the per-ticket queue-wait and solve time. Tickets
 /// outlive the service — shutdown drains the queue, so every issued
 /// ticket resolves.
-#[derive(Debug)]
 pub struct Ticket {
     seq: u64,
-    inner: TaskTicket<Result<CoverResult, SolveError>>,
-    /// Shared with the queued task and the in-run interrupt; see
+    slot: Arc<Slot>,
+    /// Shared with the queued entry and its in-run interrupt; see
     /// [`cancel`](Self::cancel).
     cancel: CancelToken,
+}
+
+impl std::fmt::Debug for Ticket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ticket")
+            .field("seq", &self.seq)
+            .field("done", &self.is_done())
+            .finish()
+    }
 }
 
 impl Ticket {
@@ -374,8 +352,8 @@ impl Ticket {
     /// [`submit_delta_with`](SolveService::submit_delta_with) resolves a revision's
     /// predecessor by. When several threads submit concurrently, ids stay
     /// unique but the interleaving between threads is unspecified. The id
-    /// is drawn from an atomic counter *before* the enqueue (the solve
-    /// task must know it to register its result for warm-starting), so a
+    /// is drawn from an atomic counter *before* the enqueue (the queued
+    /// entry must know it to register its result for warm-starting), so a
     /// refused non-blocking submission leaves a gap in the sequence.
     #[must_use]
     pub fn seq(&self) -> u64 {
@@ -385,7 +363,7 @@ impl Ticket {
     /// Whether the solve has finished (a `wait` would not block).
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.inner.is_done()
+        self.slot.is_done()
     }
 
     /// Abandons the submission **cooperatively**: a solve still queued is
@@ -403,7 +381,7 @@ impl Ticket {
     /// # Errors
     ///
     /// Whatever [`MwhvcSolver::solve`] would return for this instance,
-    /// [`SolveError::Panicked`] if the solve task panicked on its worker,
+    /// [`SolveError::Panicked`] if the solve panicked on its worker,
     /// [`SolveError::Expired`] if the submission's deadline passed
     /// (queued or mid-run), or [`SolveError::Cancelled`] if
     /// [`cancel`](Self::cancel) landed before the solve finished.
@@ -413,11 +391,10 @@ impl Ticket {
 
     /// Like [`wait`](Self::wait), additionally reporting the ticket's
     /// [`TaskTiming`]: `queue` is the time spent waiting in the
-    /// submission queue, `run` the solve time on the worker (zero for an
-    /// expired ticket).
+    /// submission queue, `run` the solve time on the worker (zero for a
+    /// discarded ticket).
     pub fn wait_timed(self) -> (Result<CoverResult, SolveError>, TaskTiming) {
-        let (result, timing) = self.inner.wait_timed();
-        (flatten(result), timing)
+        self.slot.wait()
     }
 
     /// Non-blocking redemption: `Ok(result)` if the solve has finished,
@@ -438,77 +415,37 @@ impl Ticket {
         reason = "Err is \"not ready\", not a failure"
     )]
     pub fn try_wait_timed(self) -> Result<(Result<CoverResult, SolveError>, TaskTiming), Ticket> {
-        let seq = self.seq;
-        let cancel = self.cancel.clone();
-        match self.inner.try_wait_timed() {
-            Ok((result, timing)) => Ok((flatten(result), timing)),
-            Err(inner) => Err(Ticket { seq, inner, cancel }),
-        }
+        self.slot.take().ok_or(self)
     }
-}
-
-/// Collapses the pool-level task outcome into the service's error type.
-fn flatten(
-    result: Result<Result<CoverResult, SolveError>, TaskError>,
-) -> Result<CoverResult, SolveError> {
-    match result {
-        Ok(inner) => inner,
-        Err(TaskError::Panicked(payload)) => Err(SolveError::Panicked {
-            message: panic_message(payload.as_ref()),
-        }),
-        Err(TaskError::Expired { waited }) => Err(SolveError::Expired { waited }),
-        Err(TaskError::Cancelled { .. }) => Err(SolveError::Cancelled),
-    }
-}
-
-/// Best-effort rendering of a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// One completed solve retained so later deltas can warm-start from it.
 #[derive(Clone, Debug)]
-struct CacheEntry {
-    graph: Arc<Hypergraph>,
-    result: Arc<CoverResult>,
-    epsilon: f64,
+pub(crate) struct CacheEntry {
+    pub(crate) graph: Arc<Hypergraph>,
+    pub(crate) result: Arc<CoverResult>,
+    pub(crate) epsilon: f64,
 }
 
 /// Bounded seq-keyed store of completed solves, evicting the
-/// oldest-inserted entry at capacity. Workers insert on completion;
-/// [`SolveService::submit_delta_with`] resolves predecessors out of it.
-/// A `BTreeMap` rather than a hash map: eviction order comes from the
-/// explicit `order` deque either way, but clippy's `disallowed_types`
-/// (the root `clippy.toml`) bans hash collections outright — deterministic
-/// iteration is then a structural property, not a promise that nobody
-/// ever iterates `map`.
-#[derive(Debug)]
-struct ResultCache {
-    capacity: usize,
+/// oldest-inserted entry beyond [`RESULT_CACHE`] entries. Workers insert
+/// on completion; [`SolveService::submit_delta_with`] resolves
+/// predecessors out of it. A `BTreeMap` rather than a hash map: eviction
+/// order comes from the explicit `order` deque either way, but clippy's
+/// `disallowed_types` (the root `clippy.toml`) bans hash collections
+/// outright — deterministic iteration is then a structural property, not
+/// a promise that nobody ever iterates `map`.
+#[derive(Debug, Default)]
+pub(crate) struct ResultCache {
     map: BTreeMap<u64, CacheEntry>,
     order: VecDeque<u64>,
 }
 
 impl ResultCache {
-    fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            map: BTreeMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    fn insert(&mut self, seq: u64, entry: CacheEntry) {
-        if self.capacity == 0 {
-            return;
-        }
+    pub(crate) fn insert(&mut self, seq: u64, entry: CacheEntry) {
         if self.map.insert(seq, entry).is_none() {
             self.order.push_back(seq);
-            while self.map.len() > self.capacity {
+            while self.map.len() > RESULT_CACHE {
                 if let Some(old) = self.order.pop_front() {
                     self.map.remove(&old);
                 }
@@ -519,66 +456,38 @@ impl ResultCache {
     fn get(&self, seq: u64) -> Option<CacheEntry> {
         self.map.get(&seq).cloned()
     }
-
-    /// Rebounds the cache, evicting oldest-inserted entries down to the
-    /// new capacity (0 clears it entirely). Merely reassigning `capacity`
-    /// would leave already-inserted entries resident and resolvable past
-    /// the new bound.
-    fn resize(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        if capacity == 0 {
-            self.map.clear();
-            self.order.clear();
-            return;
-        }
-        while self.map.len() > capacity {
-            match self.order.pop_front() {
-                Some(old) => {
-                    self.map.remove(&old);
-                }
-                None => break,
-            }
-        }
-    }
 }
 
-/// An asynchronous MWHVC solve service: one persistent worker pool behind
-/// a bounded submission queue. See the module docs for the serving model.
-#[derive(Debug)]
+/// An asynchronous MWHVC solve service: persistent workers behind a
+/// bounded submission queue. See the module docs for the serving model.
 pub struct SolveService {
     base: MwhvcConfig,
-    /// The worker pool, its queue and its scheduler metrics, for the
-    /// service's whole life.
-    pool: SimPool<MwhvcNode>,
+    /// The queue, its metrics and the result cache, shared with the
+    /// workers for the service's whole life.
+    pool: Arc<Pool>,
+    threads: usize,
     /// Next sequence id.
     seq: AtomicU64,
-    /// Completed solves retained for delta warm-starts, keyed by seq.
-    /// Shared with the in-flight solve tasks (they insert on success).
-    cache: Arc<Mutex<ResultCache>>,
     /// SLO-driven admission control: when set, bulk submissions are shed
     /// with [`SubmitError::Overloaded`] while the interactive queue-wait
     /// signal (rolling dequeue p99, or the oldest queued interactive
     /// submission's age) is above this target.
     shed_target: Option<Duration>,
-    /// Test-only fault-injection seam: runs on the worker after the task
-    /// was dequeued, immediately before the solve starts — used to pin
-    /// mid-run cancel/expiry states deterministically.
+    /// Test-only fault-injection seam: every later submission carries
+    /// this hook, and its worker runs it right before the solve — used
+    /// to gate, order or panic solves deterministically.
     #[cfg(test)]
-    pre_solve: Mutex<PreSolveHook>,
+    pre_solve: Mutex<Option<crate::pool::PreSolve>>,
 }
 
-/// Test-only fault-injection hook storage (newtype so the service can
-/// keep deriving `Debug`).
-#[cfg(test)]
-#[derive(Clone, Default)]
-struct PreSolveHook(Option<Arc<dyn Fn() + Send + Sync>>);
-
-#[cfg(test)]
-impl std::fmt::Debug for PreSolveHook {
+impl std::fmt::Debug for SolveService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("PreSolveHook")
-            .field(&self.0.as_ref().map(|_| "..."))
-            .finish()
+        f.debug_struct("SolveService")
+            .field("base", &self.base)
+            .field("threads", &self.threads)
+            .field("queue_capacity", &self.pool.capacity)
+            .field("shed_target", &self.shed_target)
+            .finish_non_exhaustive()
     }
 }
 
@@ -607,35 +516,13 @@ impl SolveService {
     pub fn with_queue_capacity(config: MwhvcConfig, threads: usize, capacity: usize) -> Self {
         Self {
             base: config,
-            // `SimPool::with_capacity` enforces the `# Panics` preconditions.
-            pool: SimPool::with_capacity(threads, capacity),
+            pool: Pool::spawn(threads, capacity),
+            threads,
             seq: AtomicU64::new(0),
-            cache: Arc::new(Mutex::new(ResultCache::new(DEFAULT_RESULT_CACHE))),
             shed_target: None,
             #[cfg(test)]
-            pre_solve: Mutex::new(PreSolveHook::default()),
+            pre_solve: Mutex::new(None),
         }
-    }
-
-    /// Resizes the result cache backing
-    /// [`submit_delta_with`](Self::submit_delta_with) (default:
-    /// 256 completed solves; 0 disables retention entirely, making every
-    /// delta submission fail with [`SubmitError::UnknownBase`]).
-    /// Shrinking below the current population evicts the oldest-inserted
-    /// entries down to the new bound, and 0 clears every retained entry.
-    /// Consuming builder style — usually called right after construction,
-    /// but safe at any point.
-    #[must_use]
-    pub fn with_result_cache(self, capacity: usize) -> Self {
-        // A poisoned cache mutex (a worker panicked mid-record) must not
-        // turn a resize into a second panic: the cache's own state is
-        // a plain map plus its insertion-order queue, coherent after any
-        // interrupted insert, so recover the guard and resize anyway.
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .resize(capacity);
-        self
     }
 
     /// Enables bulk **anti-starvation aging**: a queued bulk submission
@@ -669,19 +556,6 @@ impl SolveService {
         self
     }
 
-    /// Starts a service with the given base ε and default settings.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::InvalidEpsilon`] unless `0 < epsilon ≤ 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn with_epsilon(epsilon: f64, threads: usize) -> Result<Self, SolveError> {
-        Ok(Self::new(MwhvcConfig::new(epsilon)?, threads))
-    }
-
     /// The service's base configuration (per-submission ε overrides it;
     /// every other setting — α policy, variant, budget, trace, round
     /// limit — is inherited by every solve).
@@ -693,13 +567,13 @@ impl SolveService {
     /// Number of persistent worker threads.
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.pool.workers()
+        self.threads
     }
 
     /// The submission queue's capacity (waiting instances).
     #[must_use]
     pub fn queue_capacity(&self) -> usize {
-        self.pool.capacity()
+        self.pool.capacity
     }
 
     /// Number of submissions currently waiting in the queue (excludes
@@ -722,14 +596,7 @@ impl SolveService {
     /// readable after [`shutdown`](Self::shutdown).
     #[must_use]
     pub fn metrics(&self) -> ServiceMetrics {
-        let metrics = self.pool.metrics();
-        ServiceMetrics {
-            interactive: metrics.class(TaskClass::Interactive),
-            bulk: metrics.class(TaskClass::Bulk),
-            queue_depth_high_water: metrics.queue_depth_high_water(),
-            worker_busy: metrics.busy(),
-            interactive_wait_p99: metrics.interactive_wait_p99(),
-        }
+        self.pool.metrics.snapshot()
     }
 
     /// The door every submission passes through: builds the per-request
@@ -743,25 +610,21 @@ impl SolveService {
     /// age of the oldest still-queued interactive submission — the
     /// rolling view alone stalls under starvation (nothing dequeues, so
     /// nothing is recorded) precisely when shedding is most needed.
-    fn admit(&self, epsilon: f64, class: TaskClass) -> Result<MwhvcSolver, SubmitError> {
+    fn admit(&self, epsilon: f64, class: RequestClass) -> Result<MwhvcSolver, SubmitError> {
         let config = self
             .base
             .clone()
             .with_epsilon(epsilon)
             .map_err(SubmitError::Invalid)?;
         let solver = MwhvcSolver::new(config);
-        if class != TaskClass::Bulk {
-            return Ok(solver);
-        }
-        let Some(target) = self.shed_target else {
+        let Some(target) = self.shed_target.filter(|_| class == RequestClass::Bulk) else {
             return Ok(solver);
         };
-        let metrics = self.pool.metrics();
-        let rolling = metrics.interactive_wait_p99();
-        let queued_head = self.pool.oldest_queued_wait(TaskClass::Interactive);
+        let rolling = self.pool.metrics.interactive_wait_p99();
+        let queued_head = self.pool.oldest_queued_wait(RequestClass::Interactive);
         match rolling.into_iter().chain(queued_head).max() {
             Some(signal) if signal > target => {
-                metrics.record_shed(class);
+                self.pool.metrics.record_shed(class);
                 Err(SubmitError::Overloaded {
                     interactive_wait_p99: signal,
                 })
@@ -835,10 +698,10 @@ impl SolveService {
     /// be chained by referencing this submission's seq in turn).
     ///
     /// `base_seq` is the [`Ticket::seq`] of any earlier submission whose
-    /// solve has **completed successfully** and is still in the bounded
-    /// result cache (see [`with_result_cache`](Self::with_result_cache)).
-    /// `epsilon` defaults to the base submission's ε, preserving the
-    /// `(f + ε)` guarantee across a revision chain.
+    /// solve has **completed successfully** and is still among the last
+    /// 256 completed solves the service retains. `epsilon` defaults to
+    /// the base submission's ε, preserving the `(f + ε)` guarantee across
+    /// a revision chain.
     ///
     /// Blocks while the queue is at capacity, like
     /// [`submit_with`](Self::submit_with).
@@ -864,6 +727,7 @@ impl SolveService {
         // the caller's recovery — resubmit from scratch via `submit` —
         // is the same as for an evicted base.
         let entry = self
+            .pool
             .cache
             .lock()
             .map_err(|_| SubmitError::UnknownBase { seq: base_seq })?
@@ -883,206 +747,108 @@ impl SolveService {
     /// submissions fail with [`SubmitError::ShutDown`]), **drain** every
     /// queued and in-flight solve, and join the workers. Every ticket
     /// issued before this call resolves by the time `shutdown` returns.
-    /// Idempotent.
+    /// Idempotent; dropping the service calls it.
     pub fn shutdown(&self) {
         self.pool.shutdown();
     }
 
     /// The steps every admitted submission shares: draw the seq, anchor
-    /// the envelope, build the solve task, enqueue it — waiting for or
-    /// refusing on a full queue, per `on_full` — and hand out the
-    /// [`Ticket`].
+    /// the deadline at the submit call, attach the in-run interrupt (the
+    /// same token and deadline the queue checks at dequeue), enqueue the
+    /// entry — waiting for or refusing on a full queue, per `on_full` —
+    /// and hand out the [`Ticket`].
     fn enqueue(
         &self,
         solver: MwhvcSolver,
-        g: Arc<Hypergraph>,
+        graph: Arc<Hypergraph>,
         warm: Option<WarmState>,
         opts: SubmitOptions,
         on_full: OnFull,
     ) -> Result<Ticket, SubmitError> {
-        let seq = self.next_seq();
-        let envelope = opts.envelope();
-        let task = self.recorded_solve(seq, g, solver, warm, &envelope);
-        let inner = match on_full {
-            OnFull::Wait => self
-                .pool
-                .submit(envelope.task, task)
-                .map_err(|_| SubmitError::ShutDown)?,
-            OnFull::Refuse => self
-                .pool
-                .try_submit(envelope.task, task)
-                .map_err(|e| match e {
-                    TrySubmitError::Full => SubmitError::Backpressure {
-                        capacity: self.pool.capacity(),
-                    },
-                    TrySubmitError::Closed => SubmitError::ShutDown,
-                })?,
-        };
-        Ok(Ticket {
-            seq,
-            inner,
-            cancel: envelope.token,
-        })
-    }
-
-    /// Draws the next sequence id. Ids are allocated before the enqueue so
-    /// the solve task knows the key to record its result under.
-    fn next_seq(&self) -> u64 {
         // relaxed: only uniqueness/atomicity of the counter matters; the
-        // id is handed to the solve task through the queue's mutex, which
-        // provides the happens-before edge.
-        self.seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// The solve task for one submission: runs the (cold or warm) solve
-    /// on the worker's arena — under the submission's [`Interrupt`], so a
-    /// cancel or a deadline miss stops it cooperatively at the next round
-    /// boundary and resolves as the typed [`SolveError::Cancelled`] /
-    /// [`SolveError::Expired`] — and, on success, records the result in
-    /// the delta cache under `seq` before the ticket resolves — so once a
-    /// caller has observed a submission's completion, a delta referencing
-    /// its seq is guaranteed to find it (bounded-cache eviction aside).
-    fn recorded_solve(
-        &self,
-        seq: u64,
-        g: Arc<Hypergraph>,
-        solver: MwhvcSolver,
-        warm: Option<WarmState>,
-        envelope: &SubmissionEnvelope,
-    ) -> impl FnOnce(&mut EngineArena<MwhvcNode>) -> Result<CoverResult, SolveError> + Send + 'static
-    {
-        let cache = Arc::clone(&self.cache);
-        let epsilon = solver.config().epsilon();
-        let solver = solver.with_interrupt(envelope.interrupt.clone());
-        let submitted = envelope.submitted;
-        #[cfg(test)]
-        let hook = self
-            .pre_solve
-            .lock()
-            .expect("pre-solve hook mutex")
-            .0
-            .clone();
-        move |arena| {
-            #[cfg(test)]
-            if let Some(hook) = &hook {
-                hook();
-            }
-            let result = match &warm {
-                None => solver.solve_with_arena(&g, arena),
-                Some(warm) => solver.solve_warm_with_arena(&g, warm, arena),
-            };
-            let result = match result {
-                Err(SolveError::Sim(SimError::Interrupted { reason, .. })) => match reason {
-                    InterruptReason::Cancelled => Err(SolveError::Cancelled),
-                    InterruptReason::DeadlinePassed => Err(SolveError::Expired {
-                        waited: submitted.elapsed(),
-                    }),
-                },
-                other => other,
-            };
-            if let Ok(r) = &result {
-                // Check the capacity before paying for the result copy, so
-                // a service with retention disabled (`with_result_cache(0)`)
-                // adds nothing to the pure-streaming hot path beyond one
-                // uncontended lock.
-                // On a poisoned cache mutex, skip recording instead of
-                // panicking the worker: the solve itself succeeded and
-                // its ticket must still resolve `Ok`; only future
-                // delta-warm-starts against this seq are lost (they fail
-                // with the typed `UnknownBase`).
-                let enabled = cache.lock().is_ok_and(|c| c.capacity > 0);
-                if enabled {
-                    let entry = CacheEntry {
-                        graph: Arc::clone(&g),
-                        result: Arc::new(r.clone()),
-                        epsilon,
-                    };
-                    if let Ok(mut cache) = cache.lock() {
-                        cache.insert(seq, entry);
-                    }
-                }
-            }
-            result
+        // id reaches the worker inside the entry, through the queue's
+        // mutex, which provides the happens-before edge.
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let submitted = Instant::now();
+        let deadline = opts.deadline.map(|d| submitted + d);
+        let cancel = CancelToken::new();
+        let mut interrupt = Interrupt::new().with_token(cancel.clone());
+        if let Some(d) = deadline {
+            interrupt = interrupt.with_deadline(d);
         }
-    }
-
-    /// Blocking enqueue of an arbitrary solve task (the typed `submit` is
-    /// a wrapper that additionally records its result for delta
-    /// warm-starts; tests inject gated or panicking tasks here).
-    #[cfg(test)]
-    fn submit_task<F>(&self, f: F) -> Result<Ticket, SubmitError>
-    where
-        F: FnOnce(&mut EngineArena<MwhvcNode>) -> Result<CoverResult, SolveError> + Send + 'static,
-    {
-        self.submit_task_with(SubmitOptions::default(), f)
-    }
-
-    /// [`submit_task`](Self::submit_task) under explicit options, for
-    /// deterministic class-scheduling tests.
-    #[cfg(test)]
-    fn submit_task_with<F>(&self, opts: SubmitOptions, f: F) -> Result<Ticket, SubmitError>
-    where
-        F: FnOnce(&mut EngineArena<MwhvcNode>) -> Result<CoverResult, SolveError> + Send + 'static,
-    {
-        let seq = self.next_seq();
-        let envelope = opts.envelope();
-        let inner = self
-            .pool
-            .submit(envelope.task, f)
-            .map_err(|_| SubmitError::ShutDown)?;
-        Ok(Ticket {
+        let slot = Slot::new();
+        let entry = Entry {
+            graph,
+            warm,
+            solver: solver.with_interrupt(interrupt),
             seq,
-            inner,
-            cancel: envelope.token,
-        })
+            class: opts.class,
+            deadline,
+            cancel: cancel.clone(),
+            submitted,
+            enqueued: submitted,
+            slot: Arc::clone(&slot),
+            #[cfg(test)]
+            pre_solve: self.pre_solve.lock().expect("pre-solve hook mutex").clone(),
+        };
+        self.pool.push(entry, on_full)?;
+        Ok(Ticket { seq, slot, cancel })
     }
 
-    /// Installs the test-only fault-injection hook: runs on the worker
-    /// after a task is dequeued, right before its solve starts. Applies
-    /// to submissions made *after* this call.
+    /// Installs the test-only fault-injection hook: the worker runs it
+    /// right before the solve of every submission made *after* this call.
     #[cfg(test)]
-    fn set_pre_solve(&self, hook: impl Fn() + Send + Sync + 'static) {
-        self.pre_solve.lock().expect("pre-solve hook mutex").0 = Some(Arc::new(hook));
+    pub(crate) fn set_pre_solve(&self, hook: impl Fn() + Send + Sync + 'static) {
+        *self.pre_solve.lock().expect("pre-solve hook mutex") = Some(Arc::new(hook));
     }
 }
 
+impl Drop for SolveService {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+/// Helpers shared by the service and pool unit tests: a tiny instance, a
+/// gate to pin queue states, and hooked submissions.
 #[cfg(test)]
-mod tests {
+pub(crate) mod testkit {
     use super::*;
     use dcover_congest::sync::Condvar;
     use dcover_hypergraph::from_weighted_edge_lists;
-    use dcover_hypergraph::generators::{random_uniform, RandomUniform, WeightDist};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn tiny() -> Arc<Hypergraph> {
+    /// A path a - b - c whose optimum is the light middle vertex.
+    pub(crate) fn tiny() -> Arc<Hypergraph> {
         Arc::new(from_weighted_edge_lists(&[10, 1, 10], &[&[0, 1], &[1, 2]]).unwrap())
     }
 
-    /// A two-phase gate the injected tasks block on, to pin queue states
-    /// deterministically: a task calls [`Gate::arrive_and_wait`]
-    /// (signalling that a worker picked it up, then blocking until
+    pub(crate) fn config() -> MwhvcConfig {
+        MwhvcConfig::new(0.5).unwrap()
+    }
+
+    /// A two-phase gate the hooked solves block on, to pin queue states
+    /// deterministically: a hook calls [`Gate::arrive_and_wait`]
+    /// (signalling that a worker picked its entry up, then blocking until
     /// release), the test thread waits for a given arrival count on the
     /// condvar — no spinning, no burned core on 1-CPU CI.
-    struct Gate {
+    pub(crate) struct Gate {
         /// (arrived count, open flag).
         state: Mutex<(usize, bool)>,
         cv: Condvar,
     }
 
     impl Gate {
-        fn new() -> Arc<Self> {
+        pub(crate) fn new() -> Arc<Self> {
             Arc::new(Gate {
                 state: Mutex::new((0, false)),
                 cv: Condvar::new(),
             })
         }
-        fn release(&self) {
+        pub(crate) fn release(&self) {
             let mut state = self.state.lock().unwrap();
             state.1 = true;
             self.cv.notify_all();
         }
-        fn arrive_and_wait(&self) {
+        pub(crate) fn arrive_and_wait(&self) {
             let mut state = self.state.lock().unwrap();
             state.0 += 1;
             self.cv.notify_all();
@@ -1090,7 +856,7 @@ mod tests {
                 state = self.cv.wait(state).unwrap();
             }
         }
-        fn await_arrivals(&self, n: usize) {
+        pub(crate) fn await_arrivals(&self, n: usize) {
             let mut state = self.state.lock().unwrap();
             while state.0 < n {
                 state = self.cv.wait(state).unwrap();
@@ -1098,30 +864,51 @@ mod tests {
         }
     }
 
-    /// Occupies every worker with a gated task and waits (condvar-based —
-    /// the tasks themselves signal pickup) until all of them have been
-    /// *dequeued*, so subsequent submissions fill the queue
-    /// deterministically.
-    fn occupy_workers(service: &SolveService, gate: &Arc<Gate>) -> Vec<Ticket> {
+    /// Submits [`tiny`] under `opts`; its worker runs `hook` right before
+    /// the solve. Later submissions carry no hook.
+    pub(crate) fn hooked(
+        service: &SolveService,
+        opts: SubmitOptions,
+        hook: impl Fn() + Send + Sync + 'static,
+    ) -> Ticket {
+        service.set_pre_solve(hook);
+        let ticket = service.submit_with(tiny(), 0.5, opts).unwrap();
+        *service.pre_solve.lock().unwrap() = None;
+        ticket
+    }
+
+    /// Occupies every worker with a gated bulk solve and waits
+    /// (condvar-based — the hooks themselves signal pickup) until all of
+    /// them have been *dequeued*, so subsequent submissions fill the
+    /// queue deterministically.
+    pub(crate) fn occupy_workers(service: &SolveService, gate: &Arc<Gate>) -> Vec<Ticket> {
         let tickets: Vec<Ticket> = (0..service.threads())
             .map(|_| {
                 let gate = Arc::clone(gate);
-                service
-                    .submit_task(move |_arena| {
-                        gate.arrive_and_wait();
-                        Ok(CoverResult::empty())
-                    })
-                    .unwrap()
+                hooked(service, SubmitOptions::bulk(), move || {
+                    gate.arrive_and_wait()
+                })
             })
             .collect();
         gate.await_arrivals(service.threads());
         tickets
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testkit::{config, hooked, occupy_workers, tiny, Gate};
+    use super::*;
+    use crate::LatencyHistogram;
+    use dcover_hypergraph::from_weighted_edge_lists;
+    use dcover_hypergraph::generators::{random_uniform, RandomUniform, WeightDist};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn backpressure_is_reported_without_blocking() {
         let gate = Gate::new();
-        let service = SolveService::with_queue_capacity(MwhvcConfig::new(0.5).unwrap(), 1, 2);
+        let service = SolveService::with_queue_capacity(config(), 1, 2);
         let busy = occupy_workers(&service, &gate);
         let g = tiny();
         let q1 = service
@@ -1152,7 +939,7 @@ mod tests {
     #[test]
     fn shutdown_drains_in_flight_tickets() {
         let gate = Gate::new();
-        let service = SolveService::with_queue_capacity(MwhvcConfig::new(0.5).unwrap(), 1, 8);
+        let service = SolveService::with_queue_capacity(config(), 1, 8);
         let busy = occupy_workers(&service, &gate);
         let g = tiny();
         let queued: Vec<Ticket> = (0..3)
@@ -1195,12 +982,12 @@ mod tests {
 
     #[test]
     fn panicking_task_fails_only_its_own_ticket() {
-        let service = SolveService::with_epsilon(0.5, 2).unwrap();
+        let service = SolveService::new(config(), 2);
         let g = tiny();
         let before = service.submit(Arc::clone(&g), 0.5).unwrap();
-        let bomb = service
-            .submit_task(|_arena| panic!("instance 7 exploded"))
-            .unwrap();
+        let bomb = hooked(&service, SubmitOptions::default(), || {
+            panic!("instance 7 exploded")
+        });
         let after = service.submit(Arc::clone(&g), 0.5).unwrap();
         let err = bomb.wait().expect_err("panic surfaces as SolveError");
         match err {
@@ -1218,7 +1005,7 @@ mod tests {
     #[test]
     fn results_are_bit_identical_to_standalone_solver() {
         let mut rng = StdRng::seed_from_u64(77);
-        let service = SolveService::with_epsilon(0.5, 3).unwrap();
+        let service = SolveService::new(config(), 3);
         for i in 0..10 {
             let g = Arc::new(random_uniform(
                 &RandomUniform {
@@ -1242,7 +1029,7 @@ mod tests {
 
     #[test]
     fn per_submission_epsilon_overrides_base() {
-        let service = SolveService::with_epsilon(1.0, 2).unwrap();
+        let service = SolveService::new(MwhvcConfig::new(1.0).unwrap(), 2);
         let g = tiny();
         let tight = service
             .submit(Arc::clone(&g), 0.05)
@@ -1265,7 +1052,7 @@ mod tests {
 
     #[test]
     fn bad_instance_resolves_its_own_ticket_only() {
-        let service = SolveService::with_epsilon(0.5, 2).unwrap();
+        let service = SolveService::new(config(), 2);
         let good = tiny();
         let oversized = Arc::new(from_weighted_edge_lists(&[1 << 60, 1], &[&[0, 1]]).unwrap());
         let a = service.submit(Arc::clone(&good), 0.5).unwrap();
@@ -1282,7 +1069,7 @@ mod tests {
     #[test]
     fn sequence_ids_are_unique_and_monotone() {
         let gate = Gate::new();
-        let service = SolveService::with_queue_capacity(MwhvcConfig::new(0.5).unwrap(), 1, 1);
+        let service = SolveService::with_queue_capacity(config(), 1, 1);
         let busy = occupy_workers(&service, &gate);
         let g = tiny();
         let t1 = service
@@ -1319,7 +1106,7 @@ mod tests {
             },
             &mut rng,
         ));
-        let service = SolveService::with_epsilon(0.5, 2).unwrap();
+        let service = SolveService::new(config(), 2);
         let base = service.submit(Arc::clone(&g), 0.5).unwrap();
         let base_seq = base.seq();
         let base_result = base.wait().unwrap();
@@ -1362,7 +1149,7 @@ mod tests {
     #[test]
     fn submit_delta_error_paths() {
         use dcover_hypergraph::{EdgeId, InstanceDelta};
-        let service = SolveService::with_epsilon(0.5, 1).unwrap();
+        let service = SolveService::new(config(), 1);
         let g = tiny();
 
         // Unknown base: never submitted.
@@ -1426,11 +1213,9 @@ mod tests {
     #[test]
     fn result_cache_is_bounded_and_evicts_oldest() {
         use dcover_hypergraph::InstanceDelta;
-        let service = SolveService::with_epsilon(0.5, 1)
-            .unwrap()
-            .with_result_cache(2);
+        let service = SolveService::new(config(), 1);
         let g = tiny();
-        let seqs: Vec<u64> = (0..3)
+        let seqs: Vec<u64> = (0..=RESULT_CACHE)
             .map(|_| {
                 let t = service.submit(Arc::clone(&g), 0.5).unwrap();
                 let seq = t.seq();
@@ -1438,7 +1223,8 @@ mod tests {
                 seq
             })
             .collect();
-        // Oldest entry evicted; the two newest still resolve.
+        // Oldest entry evicted; the next oldest and the newest still
+        // resolve.
         assert_eq!(
             service
                 .submit_delta_with(
@@ -1450,7 +1236,7 @@ mod tests {
                 .unwrap_err(),
             SubmitError::UnknownBase { seq: seqs[0] }
         );
-        for &seq in &seqs[1..] {
+        for seq in [seqs[1], seqs[RESULT_CACHE]] {
             let (t, _) = service
                 .submit_delta_with(seq, &InstanceDelta::empty(), None, SubmitOptions::default())
                 .unwrap();
@@ -1461,7 +1247,7 @@ mod tests {
     #[test]
     fn delta_epsilon_defaults_to_the_base_submissions_epsilon() {
         use dcover_hypergraph::InstanceDelta;
-        let service = SolveService::with_epsilon(1.0, 2).unwrap();
+        let service = SolveService::new(MwhvcConfig::new(1.0).unwrap(), 2);
         let g = tiny();
         let base = service.submit(Arc::clone(&g), 0.25).unwrap();
         let seq = base.seq();
@@ -1481,7 +1267,7 @@ mod tests {
     #[test]
     fn try_wait_polls_until_done() {
         let gate = Gate::new();
-        let service = SolveService::with_epsilon(0.5, 1).unwrap();
+        let service = SolveService::new(config(), 1);
         let busy = occupy_workers(&service, &gate);
         let g = tiny();
         let mut ticket = service.submit(Arc::clone(&g), 0.5).unwrap();
@@ -1511,31 +1297,20 @@ mod tests {
     #[test]
     fn interactive_submissions_dequeue_before_bulk_fifo_within_class() {
         let gate = Gate::new();
-        let service = SolveService::with_queue_capacity(MwhvcConfig::new(0.5).unwrap(), 1, 8);
+        let service = SolveService::with_queue_capacity(config(), 1, 8);
         let busy = occupy_workers(&service, &gate);
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
         let mut tickets = Vec::new();
-        for name in ["b1", "b2"] {
+        for (name, opts) in [
+            ("b1", SubmitOptions::bulk()),
+            ("b2", SubmitOptions::bulk()),
+            ("i1", SubmitOptions::interactive()),
+            ("i2", SubmitOptions::interactive()),
+        ] {
             let order = Arc::clone(&order);
-            tickets.push(
-                service
-                    .submit_task_with(SubmitOptions::bulk(), move |_arena| {
-                        order.lock().unwrap().push(name);
-                        Ok(CoverResult::empty())
-                    })
-                    .unwrap(),
-            );
-        }
-        for name in ["i1", "i2"] {
-            let order = Arc::clone(&order);
-            tickets.push(
-                service
-                    .submit_task_with(SubmitOptions::interactive(), move |_arena| {
-                        order.lock().unwrap().push(name);
-                        Ok(CoverResult::empty())
-                    })
-                    .unwrap(),
-            );
+            tickets.push(hooked(&service, opts, move || {
+                order.lock().unwrap().push(name)
+            }));
         }
         gate.release();
         for t in busy.into_iter().chain(tickets) {
@@ -1548,7 +1323,7 @@ mod tests {
     #[test]
     fn queued_submission_past_its_deadline_resolves_as_expired() {
         let gate = Gate::new();
-        let service = SolveService::with_queue_capacity(MwhvcConfig::new(0.5).unwrap(), 1, 8);
+        let service = SolveService::with_queue_capacity(config(), 1, 8);
         let busy = occupy_workers(&service, &gate);
         let g = tiny();
         let doomed = service
@@ -1565,7 +1340,9 @@ mod tests {
         }
         let (result, timing) = doomed.wait_timed();
         match result {
-            Err(SolveError::Expired { waited }) => assert_eq!(waited, timing.queue),
+            // `waited` counts from the submit call, the queue wait from
+            // entering the queue.
+            Err(SolveError::Expired { waited }) => assert!(waited >= timing.queue),
             other => panic!("expected Expired, got {other:?}"),
         }
         assert_eq!(timing.run, std::time::Duration::ZERO, "solve never ran");
@@ -1579,7 +1356,7 @@ mod tests {
     #[test]
     fn cancelling_a_queued_submission_resolves_as_cancelled_without_running() {
         let gate = Gate::new();
-        let service = SolveService::with_queue_capacity(MwhvcConfig::new(0.5).unwrap(), 1, 8);
+        let service = SolveService::with_queue_capacity(config(), 1, 8);
         let busy = occupy_workers(&service, &gate);
         let g = tiny();
         let doomed = service
@@ -1605,7 +1382,7 @@ mod tests {
     #[test]
     fn cancelling_a_running_solve_stops_it_at_a_round_boundary() {
         let gate = Gate::new();
-        let service = SolveService::with_epsilon(0.5, 1).unwrap();
+        let service = SolveService::new(config(), 1);
         {
             let gate = Arc::clone(&gate);
             service.set_pre_solve(move || gate.arrive_and_wait());
@@ -1634,7 +1411,7 @@ mod tests {
         // deadline passes; it must stop at the next round boundary and
         // resolve as Expired — not run to completion, not panic.
         let gate = Gate::new();
-        let service = SolveService::with_epsilon(0.5, 1).unwrap();
+        let service = SolveService::new(config(), 1);
         {
             let gate = Arc::clone(&gate);
             service.set_pre_solve(move || gate.arrive_and_wait());
@@ -1673,7 +1450,7 @@ mod tests {
 
     #[test]
     fn a_cancel_that_loses_the_race_resolves_with_the_finished_result() {
-        let service = SolveService::with_epsilon(0.5, 1).unwrap();
+        let service = SolveService::new(config(), 1);
         let g = tiny();
         let t = service.submit(Arc::clone(&g), 0.5).unwrap();
         while !t.is_done() {
@@ -1689,7 +1466,7 @@ mod tests {
     fn bulk_submissions_are_shed_while_interactive_p99_exceeds_target() {
         use dcover_hypergraph::InstanceDelta;
         let gate = Gate::new();
-        let service = SolveService::with_queue_capacity(MwhvcConfig::new(0.5).unwrap(), 1, 8)
+        let service = SolveService::with_queue_capacity(config(), 1, 8)
             .with_shed_target(std::time::Duration::from_millis(1));
         let g = tiny();
         // Solve one instance before the overload so a delta base exists.
@@ -1747,7 +1524,7 @@ mod tests {
         // age of the oldest *queued* interactive submission must carry
         // the signal on its own.
         let gate = Gate::new();
-        let service = SolveService::with_queue_capacity(MwhvcConfig::new(0.5).unwrap(), 1, 8)
+        let service = SolveService::with_queue_capacity(config(), 1, 8)
             .with_shed_target(std::time::Duration::from_millis(5));
         let g = tiny();
         let busy = occupy_workers(&service, &gate);
@@ -1782,7 +1559,7 @@ mod tests {
     #[test]
     fn without_a_shed_target_bulk_is_never_shed() {
         let gate = Gate::new();
-        let service = SolveService::with_queue_capacity(MwhvcConfig::new(0.5).unwrap(), 1, 8);
+        let service = SolveService::with_queue_capacity(config(), 1, 8);
         let g = tiny();
         let busy = occupy_workers(&service, &gate);
         let slow = service
@@ -1806,7 +1583,7 @@ mod tests {
     #[test]
     fn bulk_aging_promotes_starved_bulk_work_over_interactive() {
         let gate = Gate::new();
-        let service = SolveService::with_queue_capacity(MwhvcConfig::new(0.5).unwrap(), 1, 8)
+        let service = SolveService::with_queue_capacity(config(), 1, 8)
             .with_bulk_max_wait(std::time::Duration::ZERO);
         let busy = occupy_workers(&service, &gate);
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
@@ -1816,14 +1593,9 @@ mod tests {
             ("i1", SubmitOptions::interactive()),
         ] {
             let order = Arc::clone(&order);
-            tickets.push(
-                service
-                    .submit_task_with(opts, move |_arena| {
-                        order.lock().unwrap().push(name);
-                        Ok(CoverResult::empty())
-                    })
-                    .unwrap(),
-            );
+            tickets.push(hooked(&service, opts, move || {
+                order.lock().unwrap().push(name)
+            }));
         }
         gate.release();
         for t in busy.into_iter().chain(tickets) {
@@ -1838,7 +1610,7 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_counts_classes_histograms_and_busy_time() {
-        let service = SolveService::with_epsilon(0.5, 2).unwrap();
+        let service = SolveService::new(config(), 2);
         let g = tiny();
         let mut tickets = Vec::new();
         for _ in 0..3 {
@@ -1867,7 +1639,7 @@ mod tests {
         assert_eq!(m.interactive.expired + m.bulk.expired, 0);
         assert!(m.queue_depth_high_water >= 1);
         assert!(m.worker_busy > std::time::Duration::ZERO);
-        assert_eq!(m.class(TaskClass::Bulk).completed, 3);
+        assert_eq!(m.class(RequestClass::Bulk).completed, 3);
         // The snapshot stays readable after shutdown.
         service.shutdown();
         assert_eq!(service.metrics().bulk.completed, 3);
@@ -1880,7 +1652,7 @@ mod tests {
         // cancellation and shedding counters — must survive it, and later
         // solves must keep accumulating into the same sink.
         let gate = Gate::new();
-        let service = SolveService::with_epsilon(0.5, 2).unwrap();
+        let service = SolveService::new(config(), 2);
         let g = tiny();
         service.submit(Arc::clone(&g), 0.5).unwrap().wait().unwrap();
         // A queued interactive cancel and a shed, recorded before the call.
@@ -1889,7 +1661,7 @@ mod tests {
             .submit_with(Arc::clone(&g), 0.5, SubmitOptions::interactive())
             .unwrap();
         doomed.cancel();
-        service.pool.metrics().record_shed(TaskClass::Bulk);
+        service.pool.metrics.record_shed(RequestClass::Bulk);
         gate.release();
         for t in busy {
             t.wait().unwrap();
@@ -1911,17 +1683,14 @@ mod tests {
 
     #[test]
     fn with_bulk_max_wait_keeps_the_running_workers() {
-        let service = SolveService::with_epsilon(0.5, 1).unwrap();
+        let service = SolveService::new(config(), 1);
         let worker_of = |service: &SolveService| {
             let (tx, rx) = std::sync::mpsc::channel();
-            service
-                .submit_task(move |_arena| {
-                    tx.send(std::thread::current().id()).unwrap();
-                    Ok(CoverResult::empty())
-                })
-                .unwrap()
-                .wait()
-                .unwrap();
+            hooked(service, SubmitOptions::default(), move || {
+                tx.send(std::thread::current().id()).unwrap()
+            })
+            .wait()
+            .unwrap();
             rx.recv().unwrap()
         };
         let before = worker_of(&service);
@@ -1936,7 +1705,7 @@ mod tests {
     #[test]
     fn backpressure_rejections_show_up_in_metrics() {
         let gate = Gate::new();
-        let service = SolveService::with_queue_capacity(MwhvcConfig::new(0.5).unwrap(), 1, 1);
+        let service = SolveService::with_queue_capacity(config(), 1, 1);
         let busy = occupy_workers(&service, &gate);
         let g = tiny();
         let q = service
@@ -1957,87 +1726,57 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_the_result_cache_evicts_resident_entries() {
-        // Regression: with_result_cache used to only reassign `capacity`,
-        // leaving already-inserted entries resident and resolvable past
-        // the new bound (and capacity 0 left everything behind).
-        use dcover_hypergraph::InstanceDelta;
-        let service = SolveService::with_epsilon(0.5, 1).unwrap();
-        let g = tiny();
-        let seqs: Vec<u64> = (0..3)
-            .map(|_| {
-                let t = service.submit(Arc::clone(&g), 0.5).unwrap();
-                let seq = t.seq();
-                t.wait().unwrap();
-                seq
+    fn a_blocked_submit_is_not_counted_as_queue_wait() {
+        // One worker, room for one waiting entry: with the worker gated
+        // and the queue full, a third submit blocks until a slot frees.
+        let gate = Gate::new();
+        let service = Arc::new(SolveService::with_queue_capacity(config(), 1, 1));
+        let busy = occupy_workers(&service, &gate);
+        let queued = service.submit(tiny(), 0.5).unwrap();
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let blocked = {
+            let service = Arc::clone(&service);
+            dcover_congest::sync::thread::spawn(move || {
+                ready_tx.send(()).unwrap();
+                let start = Instant::now();
+                let ticket = service.submit(tiny(), 0.5).unwrap();
+                (start.elapsed(), ticket)
             })
-            .collect();
-        // Shrink below the population: only the newest entry survives.
-        let service = service.with_result_cache(1);
-        for &seq in &seqs[..2] {
-            assert_eq!(
-                service
-                    .submit_delta_with(seq, &InstanceDelta::empty(), None, SubmitOptions::default())
-                    .unwrap_err(),
-                SubmitError::UnknownBase { seq },
-                "entry {seq} must have been evicted by the shrink"
-            );
-        }
-        let (t, _) = service
-            .submit_delta_with(
-                seqs[2],
-                &InstanceDelta::empty(),
-                None,
-                SubmitOptions::default(),
-            )
-            .unwrap();
-        let delta_seq = t.seq();
-        t.wait().unwrap();
-        // Capacity 0 clears the survivors (including the delta's own
-        // freshly recorded result) and disables retention entirely.
-        let service = service.with_result_cache(0);
-        for seq in [seqs[2], delta_seq] {
-            assert_eq!(
-                service
-                    .submit_delta_with(seq, &InstanceDelta::empty(), None, SubmitOptions::default())
-                    .unwrap_err(),
-                SubmitError::UnknownBase { seq }
-            );
-        }
-        let t = service.submit(Arc::clone(&g), 0.5).unwrap();
-        let seq = t.seq();
-        t.wait().unwrap();
-        assert_eq!(
-            service
-                .submit_delta_with(seq, &InstanceDelta::empty(), None, SubmitOptions::default())
-                .unwrap_err(),
-            SubmitError::UnknownBase { seq },
-            "capacity 0 retains nothing"
+        };
+        ready_rx.recv().unwrap();
+        // wall-clock: the submitter must stay blocked on the full queue
+        // for real time; not a synchronization point.
+        std::thread::sleep(Duration::from_millis(250));
+        gate.release();
+        let (held, ticket) = blocked.join().unwrap();
+        assert!(held >= Duration::from_millis(200), "submit held {held:?}");
+        let (result, timing) = ticket.wait_timed();
+        assert!(result.unwrap().cover.is_cover_of(&tiny()));
+        // It entered the queue when the worker took `queued`, and waited
+        // only for that one tiny solve.
+        assert!(
+            timing.queue < Duration::from_millis(100),
+            "queue wait {:?} counts the blocked submit",
+            timing.queue
         );
-    }
-
-    #[test]
-    fn growing_the_result_cache_keeps_resident_entries() {
-        use dcover_hypergraph::InstanceDelta;
-        let service = SolveService::with_epsilon(0.5, 1)
-            .unwrap()
-            .with_result_cache(2);
-        let g = tiny();
-        let t = service.submit(Arc::clone(&g), 0.5).unwrap();
-        let seq = t.seq();
-        t.wait().unwrap();
-        let service = service.with_result_cache(64);
-        let (t, _) = service
-            .submit_delta_with(seq, &InstanceDelta::empty(), None, SubmitOptions::default())
-            .unwrap();
-        t.wait().unwrap();
+        // The class histogram holds one long wait — `queued`'s, behind
+        // the gate — not two.
+        let waits = service.metrics().bulk.queue_wait;
+        let long: u64 = (0..waits.buckets.len())
+            .filter(|&i| LatencyHistogram::bucket_upper_bound(i) > Duration::from_millis(200))
+            .map(|i| waits.buckets[i])
+            .sum();
+        assert_eq!(long, 1);
+        for t in busy.into_iter().chain([queued]) {
+            t.wait().unwrap();
+        }
     }
 
     #[test]
     fn delta_submissions_carry_class_and_deadline() {
         use dcover_hypergraph::InstanceDelta;
         let gate = Gate::new();
-        let service = SolveService::with_queue_capacity(MwhvcConfig::new(0.5).unwrap(), 1, 8);
+        let service = SolveService::with_queue_capacity(config(), 1, 8);
         let g = tiny();
         let base = service.submit(Arc::clone(&g), 0.5).unwrap();
         let base_seq = base.seq();
@@ -2060,11 +1799,18 @@ mod tests {
     }
 }
 
-/// Model-checked interleaving scenarios for the service layer, compiled
-/// only under `RUSTFLAGS="--cfg conc_check"` (the `dcover_congest::sync`
-/// facade then routes every sync operation through the `dcover_conccheck`
-/// scheduler). They live in a unit-test module because they inject faults
-/// through the test-only [`SolveService::set_pre_solve`] hook.
+/// Model-checked interleaving scenarios for the service and its worker
+/// pool, compiled only under `RUSTFLAGS="--cfg conc_check"` (the
+/// `dcover_congest::sync` facade then routes every sync operation through
+/// the `dcover_conccheck` scheduler). They live in a unit-test module
+/// because one of them injects a fault through the test-only
+/// [`SolveService::set_pre_solve`] hook.
+///
+/// Every scenario asserts the **exactly-once ticket ledger** (each issued
+/// ticket resolves exactly one way — the hard assert in the slot fill
+/// turns a double resolution into a model failure) and, once the service
+/// has drained, the per-class counter identity `submitted == completed +
+/// expired + cancelled + panicked`.
 ///
 /// Run with:
 ///
@@ -2073,20 +1819,16 @@ mod tests {
 /// ```
 #[cfg(all(test, conc_check))]
 mod conc_check_tests {
+    use super::testkit::{config, tiny};
     use super::*;
+    use crate::metrics::ClassMetrics;
     use dcover_conccheck::{explore, Config};
     use dcover_congest::sync::atomic::AtomicBool;
     use dcover_congest::sync::thread;
-    use dcover_hypergraph::from_weighted_edge_lists;
 
-    fn tiny() -> Arc<Hypergraph> {
-        Arc::new(from_weighted_edge_lists(&[10, 1, 10], &[&[0, 1], &[1, 2]]).unwrap())
-    }
-
-    /// Per-scenario exploration floor; together with the three pool
-    /// scenarios in `dcover-congest` the suite sums past the
-    /// 10 000-interleaving acceptance bar.
-    const FLOOR: usize = 1500;
+    /// Per-scenario exploration floor; the five scenarios sum to the
+    /// 10 500-interleaving acceptance bar.
+    const FLOOR: usize = 2100;
 
     /// Extra seeded random iterations per scenario, on top of the floor —
     /// CI's conc-check job sets this to 5000.
@@ -2117,12 +1859,122 @@ mod conc_check_tests {
     /// Ledger identity for one class snapshot: every accepted submission
     /// resolved exactly one way (`rejected`/`shed` never enter the queue
     /// and sit outside the sum).
-    fn assert_identity(c: &ClassMetrics, class: TaskClass) {
+    fn assert_identity(c: &ClassMetrics, class: RequestClass) {
         assert_eq!(
             c.submitted,
             c.completed + c.expired + c.cancelled + c.panicked,
             "ledger identity violated for {class:?}"
         );
+    }
+
+    /// Redeems a ticket the drained service must have resolved.
+    fn resolved(ticket: Ticket) -> Result<CoverResult, SolveError> {
+        match ticket.try_wait() {
+            Ok(outcome) => outcome,
+            Err(_) => panic!("ticket unresolved after the service drained"),
+        }
+    }
+
+    /// A valid cover of [`tiny`], or the cancellation a racing cancel
+    /// may turn it into (discarded while queued, or stopped mid-run).
+    fn solved_or_cancelled(result: Result<CoverResult, SolveError>) {
+        match result {
+            Ok(r) => assert!(r.cover.is_cover_of(&tiny())),
+            Err(e) => assert!(matches!(e, SolveError::Cancelled), "unexpected error: {e}"),
+        }
+    }
+
+    /// A queued submission is cancelled from a second thread while the
+    /// service drains on the first: whichever side wins, the ticket
+    /// resolves exactly once — as the result or as `Cancelled`.
+    #[test]
+    fn submit_cancel_race_resolves_exactly_once() {
+        let total = explore_at_least(FLOOR, 0xC0FFEE, || {
+            let service = SolveService::with_queue_capacity(config(), 1, 4);
+            let ticket = service.submit(tiny(), 0.5).unwrap();
+            let canceller = thread::spawn(move || {
+                ticket.cancel();
+                ticket
+            });
+            service.shutdown();
+            solved_or_cancelled(resolved(canceller.join().unwrap()));
+            let m = service.metrics();
+            assert_eq!(m.bulk.submitted, 1);
+            assert_eq!(m.bulk.expired + m.bulk.panicked, 0);
+            assert_identity(&m.bulk, RequestClass::Bulk);
+        });
+        assert!(total >= FLOOR, "explored only {total} interleavings");
+    }
+
+    /// A submission with a zero deadline races the worker's dequeue and
+    /// the drain: it resolves as `Expired` on every path, while a
+    /// day-long deadline never fires.
+    #[test]
+    fn zero_deadline_expiry_races_dequeue() {
+        let total = explore_at_least(FLOOR, 0xDEAD11E, || {
+            let service = SolveService::with_queue_capacity(config(), 1, 4);
+            let zero = SubmitOptions::interactive().with_deadline(Duration::ZERO);
+            let doomed = service.submit_with(tiny(), 0.5, zero).unwrap();
+            let day = SubmitOptions::bulk().with_deadline(Duration::from_secs(86_400));
+            let live = service.submit_with(tiny(), 0.5, day).unwrap();
+            service.shutdown();
+            let expired = resolved(doomed).expect_err("zero deadline is past at every dequeue");
+            assert!(matches!(expired, SolveError::Expired { .. }), "{expired}");
+            assert!(resolved(live)
+                .expect("day-long deadline")
+                .cover
+                .is_cover_of(&tiny()));
+            let m = service.metrics();
+            assert_eq!(m.interactive.submitted, 1);
+            assert_eq!(m.interactive.expired, 1);
+            assert_identity(&m.interactive, RequestClass::Interactive);
+            assert_identity(&m.bulk, RequestClass::Bulk);
+        });
+        assert!(total >= FLOOR, "explored only {total} interleavings");
+    }
+
+    /// The drain races an in-flight cancel *and* a late non-blocking
+    /// submitter: the late submission is either accepted (and then
+    /// completes — the drain runs everything) or refused as `ShutDown`;
+    /// the cancelled ticket resolves exactly once either way.
+    #[test]
+    fn shutdown_drain_races_in_flight_cancel() {
+        let total = explore_at_least(FLOOR, 0x51DE0, || {
+            let service = Arc::new(SolveService::with_queue_capacity(config(), 1, 4));
+            let victim = service.submit(tiny(), 0.5).unwrap();
+            let bystander = service.submit(tiny(), 0.5).unwrap();
+            let canceller = thread::spawn(move || {
+                victim.cancel();
+                victim
+            });
+            let late = {
+                let service = Arc::clone(&service);
+                thread::spawn(move || service.try_submit_with(&tiny(), 0.5, SubmitOptions::bulk()))
+            };
+            service.shutdown();
+            solved_or_cancelled(resolved(canceller.join().unwrap()));
+            assert!(resolved(bystander)
+                .expect("no deadline, no cancel")
+                .cover
+                .is_cover_of(&tiny()));
+            let mut accepted = 2;
+            match late.join().unwrap() {
+                Ok(ticket) => {
+                    accepted += 1;
+                    assert!(resolved(ticket)
+                        .expect("accepted work drains")
+                        .cover
+                        .is_cover_of(&tiny()));
+                }
+                Err(SubmitError::ShutDown) => {}
+                Err(other) => panic!("unexpected refusal: {other}"),
+            }
+            let m = service.metrics();
+            assert_eq!(m.bulk.submitted, accepted);
+            assert_identity(&m.bulk, RequestClass::Bulk);
+            assert_identity(&m.interactive, RequestClass::Interactive);
+        });
+        assert!(total >= FLOOR, "explored only {total} interleavings");
     }
 
     /// One injected solve panic races two concurrent submitters on a
@@ -2132,11 +1984,7 @@ mod conc_check_tests {
     #[test]
     fn panic_revival_under_concurrent_submitters() {
         let total = explore_at_least(FLOOR, 0xBADCA11, || {
-            let service = Arc::new(SolveService::with_queue_capacity(
-                MwhvcConfig::new(0.5).unwrap(),
-                1,
-                8,
-            ));
+            let service = Arc::new(SolveService::with_queue_capacity(config(), 1, 8));
             let poison = Arc::new(AtomicBool::new(true));
             {
                 let poison = Arc::clone(&poison);
@@ -2176,8 +2024,8 @@ mod conc_check_tests {
             assert_eq!(m.bulk.submitted, 3);
             assert_eq!(m.bulk.panicked, 1);
             assert_eq!(m.bulk.completed, 2);
-            assert_identity(&m.bulk, TaskClass::Bulk);
-            assert_identity(&m.interactive, TaskClass::Interactive);
+            assert_identity(&m.bulk, RequestClass::Bulk);
+            assert_identity(&m.interactive, RequestClass::Interactive);
         });
         assert!(total >= FLOOR, "explored only {total} interleavings");
     }
@@ -2194,7 +2042,7 @@ mod conc_check_tests {
             Config::random(0x5EDA6E, FLOOR + extra_random_iters()),
             || {
                 let service = Arc::new(
-                    SolveService::with_queue_capacity(MwhvcConfig::new(0.5).unwrap(), 1, 8)
+                    SolveService::with_queue_capacity(config(), 1, 8)
                         .with_shed_target(Duration::from_nanos(1))
                         .with_bulk_max_wait(Duration::ZERO),
                 );
@@ -2226,8 +2074,8 @@ mod conc_check_tests {
                     Err(other) => panic!("unexpected submit error: {other:?}"),
                 }
                 let m = service.metrics();
-                assert_identity(&m.bulk, TaskClass::Bulk);
-                assert_identity(&m.interactive, TaskClass::Interactive);
+                assert_identity(&m.bulk, RequestClass::Bulk);
+                assert_identity(&m.interactive, RequestClass::Interactive);
                 assert_eq!(m.interactive.submitted, 1);
                 assert_eq!(m.bulk.submitted + m.bulk.shed, 1);
             },

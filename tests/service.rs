@@ -4,8 +4,8 @@
 //! configurations, workload families and repeated rounds on one service.
 //!
 //! (Deterministic queue-state tests — gated workers, panic injection —
-//! live in `crates/core/src/service.rs` where tasks can be fabricated;
-//! these tests drive real solves only.)
+//! live in `crates/core/src/{service,pool}.rs`, where a test-only hook
+//! runs before a solve; these tests use the public API only.)
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -118,7 +118,7 @@ fn serve_in_order(
 #[test]
 fn streamed_submissions_are_bit_identical_to_sequential_solves() {
     let instances = mixed_instances(24, 1);
-    let service = SolveService::with_epsilon(0.5, 4).unwrap();
+    let service = SolveService::new(MwhvcConfig::new(0.5).unwrap(), 4);
     let solver = MwhvcSolver::with_epsilon(0.5).unwrap();
     // Submit everything up front (queue capacity 16 < 24: the blocking
     // submit absorbs the overflow), then redeem in submission order.
@@ -140,7 +140,7 @@ fn streamed_submissions_are_bit_identical_to_sequential_solves() {
     let instances = workload(24, 42);
     for (eps, threads) in [(1.0, 1usize), (0.5, 4), (0.25, 8)] {
         let solver = MwhvcSolver::with_epsilon(eps).unwrap();
-        let service = SolveService::with_epsilon(eps, threads).unwrap();
+        let service = SolveService::new(MwhvcConfig::new(eps).unwrap(), threads);
         let served = serve_in_order(&service, &instances, eps);
         for (i, (g, s)) in instances.iter().zip(&served).enumerate() {
             let ctx = format!("eps={eps} t={threads} i={i}");
@@ -166,7 +166,7 @@ fn streamed_submissions_are_bit_identical_to_sequential_solves() {
     // Repeated rounds on one service: the worker arenas carry capacity
     // from earlier rounds, never state.
     let solver = MwhvcSolver::with_epsilon(0.5).unwrap();
-    let service = SolveService::with_epsilon(0.5, 4).unwrap();
+    let service = SolveService::new(MwhvcConfig::new(0.5).unwrap(), 4);
     for round in 0..3 {
         let instances = workload(10, 7_000 + round);
         let served = serve_in_order(&service, &instances, 0.5);
@@ -182,7 +182,7 @@ fn completion_order_redemption_covers_every_submission() {
     // Redeem with try_wait polling (the `dcover serve` loop shape): every
     // seq id must come back exactly once, whatever order solves finish.
     let instances = mixed_instances(12, 2);
-    let service = SolveService::with_epsilon(1.0, 3).unwrap();
+    let service = SolveService::new(MwhvcConfig::new(1.0).unwrap(), 3);
     let mut pending: Vec<_> = instances
         .iter()
         .map(|g| service.submit(Arc::clone(g), 1.0).unwrap())
@@ -210,7 +210,7 @@ fn completion_order_redemption_covers_every_submission() {
 #[test]
 fn shutdown_resolves_every_outstanding_ticket_then_refuses_work() {
     let instances = mixed_instances(10, 3);
-    let service = SolveService::with_epsilon(0.5, 2).unwrap();
+    let service = SolveService::new(MwhvcConfig::new(0.5).unwrap(), 2);
     let tickets: Vec<_> = instances
         .iter()
         .map(|g| service.submit(Arc::clone(g), 0.5).unwrap())
@@ -556,7 +556,7 @@ fn concurrent_mixed_class_submitters_every_ticket_resolves_exactly_once() {
 #[test]
 fn mixed_epsilons_share_one_service() {
     let instances = mixed_instances(9, 6);
-    let service = SolveService::with_epsilon(0.5, 3).unwrap();
+    let service = SolveService::new(MwhvcConfig::new(0.5).unwrap(), 3);
     let epsilons = [0.1, 0.5, 1.0];
     let tickets: Vec<_> = instances
         .iter()

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use dcover_core::{MwhvcSolver, SolveService, SubmitOptions};
+use dcover_core::{MwhvcConfig, MwhvcSolver, SolveService, SubmitOptions};
 use dcover_hypergraph::clone_count;
 use dcover_hypergraph::generators::{random_uniform, RandomUniform, WeightDist};
 use rand::rngs::StdRng;
@@ -36,7 +36,7 @@ fn arc_submission_paths_never_clone_the_instance_payload() {
         .expect("reference solve");
 
     // --- SolveService::submit / try_submit_with: zero deep clones. ---
-    let service = SolveService::with_epsilon(0.5, 4).unwrap();
+    let service = SolveService::new(MwhvcConfig::new(0.5).unwrap(), 4);
     let before = clone_count();
     let tickets: Vec<_> = (0..16)
         .map(|i| {
@@ -62,7 +62,7 @@ fn arc_submission_paths_never_clone_the_instance_payload() {
 
     // --- The caller's shared handles, submitted and redeemed in input
     // order (the `dcover batch` shape): zero deep clones. ---
-    let batch_service = SolveService::with_epsilon(0.5, 4).unwrap();
+    let batch_service = SolveService::new(MwhvcConfig::new(0.5).unwrap(), 4);
     let shared: Vec<Arc<dcover_hypergraph::Hypergraph>> = (0..8).map(|_| Arc::clone(&g)).collect();
     let before = clone_count();
     let tickets: Vec<_> = shared
@@ -88,7 +88,7 @@ fn arc_submission_paths_never_clone_the_instance_payload() {
 
     // A borrowed instance is zero-copy too: it reaches the service as a
     // fresh shared handle around the same payload.
-    let slice_service = SolveService::with_epsilon(0.5, 2).unwrap();
+    let slice_service = SolveService::new(MwhvcConfig::new(0.5).unwrap(), 2);
     let slice = [Arc::try_unwrap(g).expect("sole owner")];
     let before = clone_count();
     let ticket = slice_service

@@ -28,17 +28,18 @@ impl LintConfig {
     pub fn repo() -> Self {
         LintConfig {
             facade_files: vec![
-                "crates/congest/src/pool.rs".into(),
                 "crates/congest/src/cancel.rs".into(),
-                "crates/congest/src/metrics.rs".into(),
+                "crates/core/src/metrics.rs".into(),
+                "crates/core/src/pool.rs".into(),
                 "crates/core/src/service.rs".into(),
             ],
             serving_files: vec![
                 "crates/congest/src/engine.rs".into(),
                 "crates/congest/src/sim.rs".into(),
-                "crates/congest/src/pool.rs".into(),
                 "crates/congest/src/cancel.rs".into(),
                 "crates/congest/src/metrics.rs".into(),
+                "crates/core/src/metrics.rs".into(),
+                "crates/core/src/pool.rs".into(),
                 "crates/core/src/service.rs".into(),
             ],
             conformance_dirs: vec![

@@ -7,7 +7,7 @@
 //! * carry a scoped `// invariant: <why this cannot fire>` justification
 //!   (for true invariants: a slot filled exactly once, a chunk returned to
 //!   its home index, a lock whose poisoning implies a prior panic), or
-//! * be converted to a typed error (`SimError`/`SolveError`/`TaskError`)
+//! * be converted to a typed error (`SimError`/`SolveError`/`SubmitError`)
 //!   when it can fire on user input or queue state.
 //!
 //! Detected: `.unwrap()`, `.expect(`, `panic!`, `unreachable!`, `todo!`,

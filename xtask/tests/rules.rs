@@ -250,3 +250,24 @@ fn production_config_skips_the_fixture_tree() {
         "fixtures must never be scanned by the workspace lint"
     );
 }
+
+/// A moved or renamed module must not silently drop out of the passes
+/// that name it: every file and directory the production config lists
+/// exists.
+#[test]
+fn production_config_names_only_existing_paths() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..");
+    let cfg = LintConfig::repo();
+    for file in cfg.facade_files.iter().chain(&cfg.serving_files) {
+        assert!(
+            root.join(file).is_file(),
+            "configured file {file} is missing"
+        );
+    }
+    for dir in cfg.conformance_dirs.iter().chain(&cfg.shim_prefixes) {
+        assert!(
+            root.join(dir).is_dir(),
+            "configured directory {dir} is missing"
+        );
+    }
+}
