@@ -78,13 +78,6 @@ impl LatencyHistogram {
         }
         None
     }
-
-    /// Merges another histogram into this one (bucket-wise sum).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-    }
 }
 
 /// Lock-free histogram recorder backing [`Recorder`].
@@ -420,10 +413,6 @@ mod sched_tests {
         assert_eq!(h.quantile(0.5), Some(Duration::from_micros(2)));
         assert_eq!(h.quantile(0.99), Some(Duration::from_micros(2)));
         assert_eq!(h.quantile(1.0), Some(Duration::from_micros(2048)));
-        let mut other = LatencyHistogram::default();
-        other.buckets[1] = 1;
-        h.merge(&other);
-        assert_eq!(h.count(), 101);
     }
 
     #[test]

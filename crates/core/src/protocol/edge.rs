@@ -48,7 +48,7 @@ impl EdgeAlpha {
 pub(crate) struct EdgeNode {
     size: usize,
     rule: EdgeAlpha,
-    /// Resolved at round 1, or when settled; 0 until then.
+    /// Resolved at round 1; 0 until then.
     alpha: u32,
     covered: bool,
     /// Warm-started runs receive seeded levels in round 0 and ship the
@@ -77,15 +77,6 @@ impl EdgeNode {
         }
     }
 
-    /// Settles the edge covered before the run: a member is β-tight on
-    /// its seeded duals, so warm iteration 0 would cover the edge at E1.
-    /// The edge keeps the α round 1 would have resolved and halts at
-    /// round 0 without sending. `local_delta` yields `Δ(e)`.
-    pub(crate) fn settle_covered(&mut self, local_delta: impl FnOnce() -> u32) {
-        self.alpha = self.rule.resolve(local_delta);
-        self.covered = true;
-    }
-
     /// Whether the edge terminated covered (always true after a completed
     /// run).
     pub(crate) fn is_covered(&self) -> bool {
@@ -100,9 +91,6 @@ impl EdgeNode {
     pub(crate) fn on_round(&mut self, ctx: &mut Ctx<'_, MwhvcMsg>) -> Status {
         let round = ctx.round();
         if round == 0 {
-            if self.covered {
-                return Status::Halted; // settled before the run
-            }
             return Status::Running; // vertices are broadcasting
         }
         if round == 1 {

@@ -6,12 +6,12 @@
 //! machines behind one [`Process`] implementation so a single simulator runs
 //! both sides.
 
-use dcover_congest::{Ctx, Process, Status, Topology};
-use dcover_hypergraph::Hypergraph;
+use dcover_congest::{Ctx, Process, SimError, Status, Topology};
+use dcover_hypergraph::{Cover, EdgeId, Hypergraph, HypergraphBuilder, VertexId};
 
 use super::edge::{EdgeAlpha, EdgeNode};
 use super::msg::MwhvcMsg;
-use super::vertex::VertexNode;
+use super::vertex::{climb_levels, is_tight, VertexNode};
 use crate::params::{beta, z_levels, MwhvcConfig};
 
 /// Which side of the bipartite communication network a node is on.
@@ -74,8 +74,12 @@ impl MwhvcNode {
         }
     }
 
-    /// For vertex nodes: the per-port duals, in
-    /// [`Hypergraph::incident_edges`] order.
+    /// For vertex nodes: the per-port duals, one per edge of `E(v)`, in
+    /// port order. A cold network's ports follow
+    /// [`Hypergraph::incident_edges`]; a warm network
+    /// ([`build_network_warm`]) puts the vertex's uncovered edges first
+    /// and its settled ones after, each group in `E(v)` order, so the
+    /// first ports are the vertex's sub-network ports.
     #[must_use]
     pub fn port_duals(&self) -> Option<impl ExactSizeIterator<Item = f64> + '_> {
         match &self.0 {
@@ -84,8 +88,7 @@ impl MwhvcNode {
         }
     }
 
-    /// For edge nodes: the resolved α(e) (0 until round 1, unless the
-    /// edge was settled before the run).
+    /// For edge nodes: the resolved α(e) (0 until round 1).
     #[must_use]
     pub fn edge_alpha(&self) -> Option<u32> {
         match &self.0 {
@@ -115,6 +118,15 @@ impl Process for MwhvcNode {
     }
 }
 
+/// The whole instance's protocol constants: β, `z` and the α rule. A
+/// warm sub-network carries these, not its own.
+fn network_params(g: &Hypergraph, config: &MwhvcConfig) -> (f64, u32, EdgeAlpha) {
+    let f = g.rank().max(1);
+    let eps = config.epsilon();
+    let alpha = EdgeAlpha::for_network(config.alpha(), f, eps, g.max_degree());
+    (beta(f, eps), z_levels(f, eps), alpha)
+}
+
 /// Builds the communication network and the node programs for an instance.
 ///
 /// Returns the bipartite topology (vertices `0..n`, edges `n..n+m`) and one
@@ -128,11 +140,7 @@ impl Process for MwhvcNode {
 #[must_use]
 pub fn build_network(g: &Hypergraph, config: &MwhvcConfig) -> (Topology, Vec<MwhvcNode>) {
     let topo = Topology::bipartite_incidence(g);
-    let f = g.rank().max(1);
-    let eps = config.epsilon();
-    let b = beta(f, eps);
-    let z = z_levels(f, eps);
-    let alpha = EdgeAlpha::for_network(config.alpha(), f, eps, g.max_degree());
+    let (b, z, alpha) = network_params(g, config);
     let mut nodes = Vec::with_capacity(g.n() + g.m());
     for v in g.vertices() {
         nodes.push(MwhvcNode(Inner::Vertex(VertexNode::new(
@@ -149,35 +157,42 @@ pub fn build_network(g: &Hypergraph, config: &MwhvcConfig) -> (Topology, Vec<Mwh
     (topo, nodes)
 }
 
-/// Like [`build_network`], but seeds every vertex with a previous solve's
-/// dual packing and level (see
-/// [`MwhvcSolver::solve_warm`](crate::MwhvcSolver::solve_warm)), and
-/// settles before the run every node that warm iteration 0 would halt.
+/// Builds the warm network of a seeded solve (see
+/// [`MwhvcSolver::solve_warm`](crate::MwhvcSolver::solve_warm)): only the
+/// nodes that warm iteration 0 leaves running, seeded with a previous
+/// solve's dual packing and levels.
 ///
 /// `duals` holds one seeded dual per hyperedge of `g` (0 for edges with no
 /// predecessor) and `levels` one level per vertex; the caller must already
 /// have clamped the duals to a feasible packing and the levels to `≤ z`.
-/// Each member gets the per-edge values on its port-aligned replicas and
-/// sums them in port order.
 ///
 /// Warm iteration 0 depends on nothing a node receives: a vertex's step
-/// 3a reads only its seeded sum. So the settle pass predicts it exactly,
-/// with the same step 3a and 3d code the vertex program runs:
+/// 3a reads only its seeded sum. So a settle pass decides it first, from
+/// each vertex's seeded sum (taken in `E(v)` order), weight, level, β and
+/// `z`, with the vertex program's own step 3a and 3d functions:
 ///
 /// * a vertex with ports that is β-tight on its seeded duals is settled
 ///   in the cover, with its seeded duals and level;
-/// * an edge with such a member is settled covered, holding the α round 1
-///   would have resolved;
+/// * an edge with such a member is settled covered;
 /// * a vertex that is not tight but whose edges are all settled covered
 ///   is settled outside the cover, at the level its step 3d climb
-///   reaches.
+///   reaches; an isolated vertex is settled outside the cover at its
+///   seeded level.
 ///
-/// Settled nodes halt at round 0 without sending. Every other node runs,
-/// and a running vertex starts with the ports of its settled edges dead.
-/// No member of a running edge is tight, so running nodes never wait on
-/// settled ones: cover, duals, levels and rounds are those of running
-/// every node (an instance that settles completely takes one round),
-/// while messages flow only where the seed is not already final.
+/// Settled nodes get no program. The rest run: the uncovered edges and
+/// their members. No member of an uncovered edge is tight or out of live
+/// ports, so the running set is closed, and running nodes never wait on
+/// settled ones. The returned network is the running sub-network:
+/// the running vertices are nodes `0..n'` and the running edges nodes
+/// `n'..n'+m'`, each side in ascending instance id, with the topology of
+/// [`Topology::bipartite_incidence`] over that order-preserving
+/// sub-hypergraph. A running vertex stores its live ports first, so its
+/// sub-network port `k` is its `k`-th uncovered edge in `E(v)` order, and
+/// it still ships its full degree `|E(v)|`. β, `z`, α, the bit budget and
+/// the round limit stay the whole instance's. Cover, duals, levels and
+/// rounds are those of running every node (an instance that settles
+/// completely takes one round), while only the running nodes are built,
+/// set up and stepped.
 ///
 /// # Panics
 ///
@@ -190,11 +205,191 @@ pub fn build_network_warm(
     duals: &[f64],
     levels: &[u32],
 ) -> (Topology, Vec<MwhvcNode>) {
-    warm_network(g, config, duals, levels, true)
+    let net = WarmNetwork::settle(g, config, duals, levels.to_vec());
+    (Topology::bipartite_incidence(&net.sub), net.nodes)
 }
 
-/// The warm network with every node running: [`build_network_warm`]
-/// without its settle pass.
+/// The outcome of the warm settle pass: the settled part of the result
+/// and the running sub-network (see [`build_network_warm`]).
+pub(crate) struct WarmNetwork {
+    /// The running sub-hypergraph, in ascending instance-id order on both
+    /// sides.
+    pub(crate) sub: Hypergraph,
+    /// The instance vertex of each running vertex.
+    pub(crate) vertices: Vec<VertexId>,
+    /// The instance edge of each running edge.
+    pub(crate) edges: Vec<EdgeId>,
+    /// One program per node of `sub`'s bipartite network.
+    pub(crate) nodes: Vec<MwhvcNode>,
+    /// The vertices settled in the cover.
+    pub(crate) cover: Cover,
+    /// One level per instance vertex: the seeded level, or the climbed
+    /// one for vertices settled outside the cover.
+    pub(crate) levels: Vec<u32>,
+}
+
+impl WarmNetwork {
+    /// Runs the settle pass over `g` and builds the running sub-network
+    /// (see [`build_network_warm`]); `levels` is the seeded level vector.
+    pub(crate) fn settle(
+        g: &Hypergraph,
+        config: &MwhvcConfig,
+        duals: &[f64],
+        mut levels: Vec<u32>,
+    ) -> Self {
+        assert_eq!(duals.len(), g.m(), "one seeded dual per hyperedge");
+        assert_eq!(levels.len(), g.n(), "one seeded level per vertex");
+        let (b, z, alpha) = network_params(g, config);
+        let mut sums = Vec::with_capacity(g.n());
+        let mut cover = Cover::empty(g.n());
+        for v in g.vertices() {
+            // Summed in `E(v)` order, as the cold protocol accumulates.
+            let sum: f64 = g.incident_edges(v).iter().map(|e| duals[e.index()]).sum();
+            if g.degree(v) > 0 && is_tight(sum, g.weight(v), b) {
+                cover.insert(v);
+            }
+            sums.push(sum);
+        }
+        // The members of the uncovered edges are the running vertices.
+        let mut edges = Vec::new();
+        let mut covered = Vec::with_capacity(g.m());
+        let mut runs = vec![false; g.n()];
+        for e in g.edges() {
+            // A fold, not `any`: which member joined first is unpredictable,
+            // and an early exit would mispredict on most edges.
+            let is_covered = g.edge(e).iter().fold(false, |c, &v| c | cover.contains(v));
+            if !is_covered {
+                edges.push(e);
+                for v in g.edge(e) {
+                    runs[v.index()] = true;
+                }
+            }
+            covered.push(is_covered);
+        }
+        // `NOT_RUNNING` marks settled vertices in the instance-to-sub map.
+        const NOT_RUNNING: u32 = u32::MAX;
+        let mut sub_id = vec![NOT_RUNNING; g.n()];
+        let mut vertices = Vec::new();
+        let mut nodes = Vec::new();
+        for v in g.vertices() {
+            let level = levels[v.index()];
+            if !runs[v.index()] {
+                if !cover.contains(v) && g.degree(v) > 0 {
+                    // Every edge is covered by another member.
+                    levels[v.index()] = climb_levels(sums[v.index()], g.weight(v), level, z);
+                }
+                continue;
+            }
+            sub_id[v.index()] = vertices.len() as u32;
+            vertices.push(v);
+            let incident = g.incident_edges(v).iter();
+            let live = incident.clone().filter(|e| !covered[e.index()]);
+            let dead = incident.filter(|e| covered[e.index()]);
+            let ports = live
+                .map(|e| (duals[e.index()], true))
+                .chain(dead.map(|e| (duals[e.index()], false)));
+            nodes.push(MwhvcNode(Inner::Vertex(VertexNode::new_warm(
+                g.weight(v),
+                b,
+                z,
+                config.variant(),
+                level,
+                sums[v.index()],
+                ports,
+            ))));
+        }
+        let mut builder = HypergraphBuilder::with_capacity(vertices.len(), edges.len());
+        for &v in &vertices {
+            builder.add_vertex(g.weight(v));
+        }
+        for &e in &edges {
+            // invariant: every member of an uncovered edge runs (the
+            // running set is closed), so each maps to a sub-vertex.
+            let members = g
+                .edge(e)
+                .iter()
+                .map(|v| VertexId::from_raw(sub_id[v.index()]));
+            builder
+                .add_edge(members)
+                .expect("members of a running edge are running vertices");
+            nodes.push(MwhvcNode(Inner::Edge(EdgeNode::new_warm(
+                g.edge_size(e),
+                alpha,
+            ))));
+        }
+        // invariant: sub-vertices keep their positive instance weights.
+        let sub = builder
+            .build()
+            .expect("sub-vertices keep their instance weights");
+        Self {
+            sub,
+            vertices,
+            edges,
+            nodes,
+            cover,
+            levels,
+        }
+    }
+
+    /// Renames the links a simulator error names from the running
+    /// sub-network's ids to the instance network's: vertex `v` is node
+    /// `v`, edge `e` node `n + e`, and a vertex port is its place in
+    /// `E(v)`.
+    pub(crate) fn instance_error(&self, g: &Hypergraph, err: SimError) -> SimError {
+        match err {
+            SimError::DuplicateSend {
+                round,
+                receiver,
+                port,
+            } => {
+                let (receiver, port) = self.instance_link(g, receiver, port);
+                SimError::DuplicateSend {
+                    round,
+                    receiver,
+                    port,
+                }
+            }
+            SimError::BudgetExceeded {
+                round,
+                receiver,
+                port,
+                bits,
+                budget,
+            } => {
+                let (receiver, port) = self.instance_link(g, receiver, port);
+                SimError::BudgetExceeded {
+                    round,
+                    receiver,
+                    port,
+                    bits,
+                    budget,
+                }
+            }
+            other => other,
+        }
+    }
+
+    /// The instance network's node and port for port `port` of
+    /// sub-network node `node`. An edge's ports are its members in both
+    /// networks.
+    fn instance_link(&self, g: &Hypergraph, node: usize, port: usize) -> (usize, usize) {
+        let Some(&v) = self.vertices.get(node) else {
+            let e = self.edges[node - self.vertices.len()];
+            return (g.n() + e.index(), port);
+        };
+        let e = self.edges[self.sub.incident_edges(VertexId::new(node))[port].index()];
+        let port = g.incident_edges(v).iter().position(|&x| x == e);
+        // invariant: a running vertex's edges in the sub-network are
+        // among its edges in the instance.
+        (
+            v.index(),
+            port.expect("a sub-network edge is an instance edge"),
+        )
+    }
+}
+
+/// The warm network with every node running and every port live, in
+/// `E(v)` order: [`build_network_warm`] without its settle pass.
 #[cfg(test)]
 pub(crate) fn build_network_warm_unsettled(
     g: &Hypergraph,
@@ -202,59 +397,28 @@ pub(crate) fn build_network_warm_unsettled(
     duals: &[f64],
     levels: &[u32],
 ) -> (Topology, Vec<MwhvcNode>) {
-    warm_network(g, config, duals, levels, false)
-}
-
-/// Builds the seeded warm network; with `settle`, settles each node as it
-/// is built, then kills the ports of settled edges at running vertices.
-fn warm_network(
-    g: &Hypergraph,
-    config: &MwhvcConfig,
-    duals: &[f64],
-    levels: &[u32],
-    settle: bool,
-) -> (Topology, Vec<MwhvcNode>) {
     assert_eq!(duals.len(), g.m(), "one seeded dual per hyperedge");
     assert_eq!(levels.len(), g.n(), "one seeded level per vertex");
     let topo = Topology::bipartite_incidence(g);
-    let f = g.rank().max(1);
-    let eps = config.epsilon();
-    let b = beta(f, eps);
-    let z = z_levels(f, eps);
-    let alpha = EdgeAlpha::for_network(config.alpha(), f, eps, g.max_degree());
+    let (b, z, alpha) = network_params(g, config);
     let mut nodes = Vec::with_capacity(g.n() + g.m());
-    let mut joined = Vec::with_capacity(g.n());
     for v in g.vertices() {
-        let mut vertex = VertexNode::new_warm(
+        let seeded = g.incident_edges(v).iter().map(|e| duals[e.index()]);
+        nodes.push(MwhvcNode(Inner::Vertex(VertexNode::new_warm(
             g.weight(v),
             b,
             z,
             config.variant(),
             levels[v.index()],
-            g.incident_edges(v).iter().map(|&e| duals[e.index()]),
-        );
-        joined.push(settle && vertex.settle_if_tight());
-        nodes.push(MwhvcNode(Inner::Vertex(vertex)));
+            seeded.clone().sum(),
+            seeded.map(|d| (d, true)),
+        ))));
     }
-    let mut covered = Vec::with_capacity(g.m());
     for e in g.edges() {
-        let mut edge = EdgeNode::new_warm(g.edge_size(e), alpha);
-        // A fold, not `any`: which member joined first is unpredictable,
-        // and an early exit would mispredict on most edges.
-        let is_covered = g.edge(e).iter().fold(false, |c, v| c | joined[v.index()]);
-        if is_covered {
-            edge.settle_covered(|| g.local_max_degree(e));
-        }
-        covered.push(is_covered);
-        nodes.push(MwhvcNode(Inner::Edge(edge)));
-    }
-    if settle {
-        for (v, node) in g.vertices().zip(&mut nodes) {
-            let Inner::Vertex(vertex) = &mut node.0 else {
-                unreachable!("nodes 0..n are vertices");
-            };
-            vertex.settle_ports(g.incident_edges(v).iter().map(|e| covered[e.index()]));
-        }
+        nodes.push(MwhvcNode(Inner::Edge(EdgeNode::new_warm(
+            g.edge_size(e),
+            alpha,
+        ))));
     }
     (topo, nodes)
 }

@@ -59,7 +59,11 @@ pub(crate) struct VertexNode {
     beta: f64,
     z: u32,
     variant: Variant,
-    // ---- per-port state (index = port = position in E(v)) ----
+    // ---- per-port state (index = port) ----
+    /// One entry per edge of `E(v)`, so `ports.len()` is `|E(v)|`. A cold
+    /// network keeps them in `E(v)` order; a warm one puts the live ports
+    /// first, each group in `E(v)` order, so the running sub-network's
+    /// port `k` is `ports[k]`.
     ports: Box<[PortState]>,
     live_count: u32,
     // ---- scalars ----
@@ -83,23 +87,29 @@ impl VertexNode {
         )
     }
 
-    /// A vertex seeded from a previous solve: per-port duals (in `E(v)`
-    /// order; new edges at 0) and the level carried over. The caller (the
-    /// solver's warm path) has already clamped the duals to a feasible
-    /// packing and the level to `≤ z`.
+    /// A vertex seeded from a previous solve: its seeded dual sum and
+    /// level, and one `(dual, live)` pair per port, in port order. The
+    /// caller (the warm network build) has already clamped the duals to a
+    /// feasible packing and the level to `≤ z`, and summed the duals in
+    /// `E(v)` order, as the cold protocol accumulates.
     pub(crate) fn new_warm(
         weight: u64,
         beta: f64,
         z: u32,
         variant: Variant,
         level: u32,
-        duals: impl Iterator<Item = f64>,
+        dual_sum: f64,
+        ports: impl Iterator<Item = (f64, bool)>,
     ) -> Self {
         debug_assert!(level <= z);
-        let ports: Box<[PortState]> = duals.map(PortState::new).collect();
-        // Summed in port order, as the cold protocol accumulates.
-        let dual_sum = ports.iter().map(|p| p.dual).sum();
+        let ports: Box<[PortState]> = ports
+            .map(|(dual, live)| PortState {
+                live,
+                ..PortState::new(dual)
+            })
+            .collect();
         Self {
+            live_count: ports.iter().filter(|p| p.live).count() as u32,
             dual_sum,
             level,
             warm: true,
@@ -139,7 +149,7 @@ impl VertexNode {
         self.level
     }
 
-    /// The final per-port duals (in `E(v)` order).
+    /// The final per-port duals, in port order.
     pub(crate) fn duals(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
         self.ports.iter().map(|p| p.dual)
     }
@@ -149,45 +159,9 @@ impl VertexNode {
         self.dual_sum
     }
 
-    /// Settles warm iteration 0's step 3a before the run: a vertex with
-    /// ports that is β-tight on its seeded duals joins the cover, as it
-    /// would at round 2, keeping its seeded duals and level. Returns
-    /// whether it joined.
-    pub(crate) fn settle_if_tight(&mut self) -> bool {
-        let joins = !self.ports.is_empty() && self.is_tight();
-        if joins {
-            self.outcome = VertexOutcome::InCover;
-        }
-        joins
-    }
-
-    /// Settles the rest of warm iteration 0 for a vertex that did not
-    /// join: the port of every edge another member covers goes dead, as at
-    /// round 4. A vertex left with no live port climbs its levels (step
-    /// 3d, as at round 2) and terminates outside the cover.
-    /// `covered` yields one flag per port, in `E(v)` order.
-    pub(crate) fn settle_ports(&mut self, covered: impl Iterator<Item = bool>) {
-        if self.outcome != VertexOutcome::Undecided || self.ports.is_empty() {
-            return;
-        }
-        for (port, covered) in self.ports.iter_mut().zip(covered) {
-            if covered {
-                port.live = false;
-                self.live_count -= 1;
-            }
-        }
-        if self.live_count == 0 {
-            self.climb_levels();
-            self.outcome = VertexOutcome::AllCovered;
-        }
-    }
-
     pub(crate) fn on_round(&mut self, ctx: &mut Ctx<'_, MwhvcMsg>) -> Status {
         let round = ctx.round();
         if round == 0 {
-            if self.outcome != VertexOutcome::Undecided {
-                return Status::Halted; // settled before the run
-            }
             if self.ports.is_empty() {
                 // Isolated vertex: nothing to cover, never in C.
                 self.outcome = VertexOutcome::AllCovered;
@@ -195,7 +169,7 @@ impl VertexNode {
             }
             let degree = self.ports.len() as u32;
             if self.warm {
-                // Edges settled covered before the run are already dead.
+                // Ports of edges settled covered before the run are dead.
                 self.send_live(
                     ctx,
                     MwhvcMsg::WeightDegWarm {
@@ -291,40 +265,16 @@ impl VertexNode {
             }
         }
 
-        if self.is_tight() {
+        if is_tight(self.dual_sum, self.weight, self.beta) {
             self.outcome = VertexOutcome::InCover;
             self.send_live(ctx, MwhvcMsg::Join);
             return Status::Halted;
         }
-        let increments = self.climb_levels();
+        let level = climb_levels(self.dual_sum, self.weight, self.level, self.z);
+        let increments = level - self.level;
+        self.level = level;
         self.send_live(ctx, MwhvcMsg::LevelInc { count: increments });
         Status::Running
-    }
-
-    /// Step 3a: whether the vertex is β-tight on its dual sum.
-    fn is_tight(&self) -> bool {
-        self.dual_sum >= (1.0 - self.beta) * self.weight as f64
-    }
-
-    /// Step 3d: climbs levels while the slack has more than halved, and
-    /// returns the number of increments.
-    fn climb_levels(&mut self) -> u32 {
-        let weight = self.weight as f64;
-        let mut increments = 0u32;
-        while should_level_up(self.dual_sum, weight, self.level) {
-            self.level += 1;
-            increments += 1;
-            debug_assert!(
-                self.level <= self.z,
-                "level {} exceeded z = {} (Claim 4 violated)",
-                self.level,
-                self.z
-            );
-            if self.level > self.z {
-                break; // float-slop safety valve; unreachable in practice
-            }
-        }
-        increments
     }
 
     /// V2: prune covered edges (3b/3c), apply halvings, raise/stuck (3e).
@@ -379,6 +329,30 @@ impl VertexNode {
             }
         }
     }
+}
+
+/// Step 3a: whether a vertex of weight `weight` is β-tight on its dual
+/// sum. The vertex program and the warm settle pass both decide with it.
+pub(crate) fn is_tight(dual_sum: f64, weight: u64, beta: f64) -> bool {
+    dual_sum >= (1.0 - beta) * weight as f64
+}
+
+/// Step 3d: the level a vertex of weight `weight` climbs to from `level`
+/// on its dual sum, climbing while the slack has more than halved. The
+/// vertex program and the warm settle pass both climb with it.
+pub(crate) fn climb_levels(dual_sum: f64, weight: u64, mut level: u32, z: u32) -> u32 {
+    let weight = weight as f64;
+    while should_level_up(dual_sum, weight, level) {
+        level += 1;
+        debug_assert!(
+            level <= z,
+            "level {level} exceeded z = {z} (Claim 4 violated)"
+        );
+        if level > z {
+            break; // float-slop safety valve; unreachable in practice
+        }
+    }
+    level
 }
 
 #[cfg(test)]

@@ -1,13 +1,16 @@
 //! The user-facing solver: runs the distributed protocol on the CONGEST
 //! simulator and assembles the result.
 
-use dcover_congest::{BitBudget, EngineArena, Interrupt, SimReport, Simulator};
-use dcover_hypergraph::{Cover, Hypergraph};
+use dcover_congest::{
+    BitBudget, EngineArena, Interrupt, RoundMetrics, SimError, SimReport, Simulator, Topology,
+};
+use dcover_hypergraph::{Cover, Hypergraph, VertexId};
 
 use crate::analysis;
 use crate::error::SolveError;
 use crate::params::{z_levels, AlphaPolicy, MwhvcConfig};
-use crate::protocol::{build_network, build_network_warm, iterations_of_rounds, MwhvcNode};
+use crate::protocol::node::WarmNetwork;
+use crate::protocol::{build_network, iterations_of_rounds, MwhvcNode};
 use crate::warm::{clamped_seed, WarmState};
 
 /// Largest weight for which `f64` represents integers exactly.
@@ -198,10 +201,16 @@ impl MwhvcSolver {
     ///   one round with no messages: every previous cover member is still
     ///   tight, so every node settles before the run (see
     ///   [`build_network_warm`](crate::build_network_warm));
-    /// * a revision spends messages only where its delta lands: nodes the
-    ///   first warm iteration would halt are settled before the run, and
-    ///   only the rest exchange messages, with the same results and
-    ///   rounds as running every node;
+    /// * a revision costs what its delta costs: a settle pass decides
+    ///   every node the first warm iteration would halt, and only the
+    ///   rest — the uncovered edges and their members — are built, set up
+    ///   and stepped, with the same results and rounds as running every
+    ///   node. The result is the clamped seed, overwritten by the running
+    ///   nodes' final state;
+    /// * the report counts the running sub-network: a traced run's
+    ///   `per_round[0].active_nodes` is the number of running nodes, not
+    ///   `n + m`, and a [`SimError`] names instance nodes (vertex `v` is
+    ///   node `v`, edge `e` node `n + e`) and their instance ports;
     /// * freshly inserted edges can legitimately end with `δ(e) = 0`
     ///   (covered by an already-tight member before ever bidding), so
     ///   unlike cold results, warm duals are only guaranteed
@@ -251,10 +260,51 @@ impl MwhvcSolver {
             return Ok(CoverResult::empty());
         }
         let z = z_levels(g.rank().max(1), self.config.epsilon());
-        let (duals, levels) = clamped_seed(g, warm, z);
-        let (topo, nodes) = build_network_warm(g, &self.config, &duals, &levels);
-        let sim = Simulator::with_arena(topo, nodes, std::mem::take(arena));
-        self.run(g, sim, arena)
+        let (mut duals, levels) = clamped_seed(g, warm, z);
+        let mut net = WarmNetwork::settle(g, &self.config, &duals, levels);
+        let (nodes, report) = if net.nodes.is_empty() {
+            (Vec::new(), self.settled_report(g)?)
+        } else {
+            let topo = Topology::bipartite_incidence(&net.sub);
+            let nodes = std::mem::take(&mut net.nodes);
+            let sim = Simulator::with_arena(topo, nodes, std::mem::take(arena));
+            self.simulate(g, sim, arena)
+                .map_err(|e| net.instance_error(g, e))?
+        };
+        let (mut cover, mut levels) = (net.cover, net.levels);
+        let sub_duals = read_nodes(&net.sub, &nodes, |v, in_cover, level| {
+            let v = net.vertices[v.index()];
+            if in_cover {
+                cover.insert(v);
+            }
+            levels[v.index()] = level;
+        });
+        for (e, d) in net.edges.iter().zip(sub_duals) {
+            duals[e.index()] = d;
+        }
+        Ok(finish(g, cover, duals, levels, report))
+    }
+
+    /// The report of a warm run in which every node settled: the one
+    /// round in which the whole network would halt without sending.
+    fn settled_report(&self, g: &Hypergraph) -> Result<SimReport, SimError> {
+        if let Some(reason) = self.interrupt.as_ref().and_then(Interrupt::fired) {
+            return Err(SimError::Interrupted {
+                reason,
+                round: 0,
+                active: 0,
+            });
+        }
+        let limit = self.round_limit(g);
+        if limit == 0 {
+            return Err(SimError::RoundLimit { limit, active: 0 });
+        }
+        Ok(SimReport {
+            rounds: 1,
+            all_halted: true,
+            per_round: self.config.trace().then(|| vec![RoundMetrics::default()]),
+            ..SimReport::default()
+        })
     }
 
     /// Runs the protocol split into `threads` chunks (cut under the
@@ -284,15 +334,37 @@ impl MwhvcSolver {
     }
 
     /// Runs `sim` under this solver's budget, trace, interrupt and round
-    /// limit and assembles the result — the shared tail of every solve.
-    /// Chunk 0's engine buffers go back into `arena`, even when the run
-    /// fails.
+    /// limit and assembles the result — the shared tail of every cold
+    /// solve. Chunk 0's engine buffers go back into `arena`, even when the
+    /// run fails.
     fn run(
         &self,
         g: &Hypergraph,
         sim: Simulator<MwhvcNode>,
         arena: &mut EngineArena<MwhvcNode>,
     ) -> Result<CoverResult, SolveError> {
+        let (nodes, report) = self.simulate(g, sim, arena)?;
+        let mut cover = Cover::empty(g.n());
+        let mut levels = vec![0u32; g.n()];
+        let duals = read_nodes(g, &nodes, |v, in_cover, level| {
+            if in_cover {
+                cover.insert(v);
+            }
+            levels[v.index()] = level;
+        });
+        Ok(finish(g, cover, duals, levels, report))
+    }
+
+    /// Runs `sim` to completion under the budget, trace, interrupt and
+    /// round limit of the instance `g`, and returns the final node
+    /// programs and the report. Chunk 0's engine buffers go back into
+    /// `arena`, even when the run fails.
+    fn simulate(
+        &self,
+        g: &Hypergraph,
+        sim: Simulator<MwhvcNode>,
+        arena: &mut EngineArena<MwhvcNode>,
+    ) -> Result<(Vec<MwhvcNode>, SimReport), SimError> {
         let mut sim = sim
             .with_budget(self.budget_for(g))
             .with_trace(self.config.trace());
@@ -303,7 +375,7 @@ impl MwhvcSolver {
         let (nodes, report, recovered) = sim.into_arena();
         *arena = recovered;
         run?;
-        Ok(self.assemble(g, &nodes, report))
+        Ok((nodes, report))
     }
 
     /// The round limit used for `g` (configured override or the Theorem 8
@@ -380,47 +452,61 @@ impl MwhvcSolver {
             .budget()
             .unwrap_or_else(|| BitBudget::congest(g.n() + g.m(), 32))
     }
+}
 
-    /// Extracts the cover, levels, and per-edge duals from the final node
-    /// states.
-    fn assemble(&self, g: &Hypergraph, nodes: &[MwhvcNode], report: SimReport) -> CoverResult {
-        let n = g.n();
-        let mut cover = Cover::empty(n);
-        let mut levels = vec![0u32; n];
-        let mut duals = vec![f64::NAN; g.m()];
-        for v in g.vertices() {
-            let node = &nodes[v.index()];
-            if node.in_cover().expect("node 0..n is a vertex") {
-                cover.insert(v);
-            }
-            levels[v.index()] = node.level().expect("node 0..n is a vertex");
-            let port_duals = node.port_duals().expect("node 0..n is a vertex");
-            for (&e, d) in g.incident_edges(v).iter().zip(port_duals) {
-                let slot = &mut duals[e.index()];
-                if slot.is_nan() {
-                    *slot = d;
-                } else {
-                    // Replicas are maintained with identical float ops, so
-                    // members agree exactly.
-                    debug_assert_eq!(*slot, d, "dual replicas disagree on edge {e} (member {v})");
-                }
-            }
-        }
-        assert!(
-            cover.is_cover_of(g),
-            "internal error: protocol terminated without a vertex cover"
+/// Reads the final node states of the network over `g`, numbered as
+/// [`build_network`] numbers it: hands each vertex's cover flag and level
+/// to `vertex`, and returns one dual per edge of `g`.
+fn read_nodes(
+    g: &Hypergraph,
+    nodes: &[MwhvcNode],
+    mut vertex: impl FnMut(VertexId, bool, u32),
+) -> Vec<f64> {
+    let mut duals = vec![f64::NAN; g.m()];
+    for v in g.vertices() {
+        let node = &nodes[v.index()];
+        vertex(
+            v,
+            node.in_cover().expect("node 0..n is a vertex"),
+            node.level().expect("node 0..n is a vertex"),
         );
-        let weight = cover.weight(g);
-        let dual_total: f64 = duals.iter().copied().filter(|d| !d.is_nan()).sum();
-        CoverResult {
-            cover,
-            duals,
-            levels,
-            weight,
-            dual_total,
-            iterations: iterations_of_rounds(report.rounds),
-            report,
+        let port_duals = node.port_duals().expect("node 0..n is a vertex");
+        for (&e, d) in g.incident_edges(v).iter().zip(port_duals) {
+            let slot = &mut duals[e.index()];
+            if slot.is_nan() {
+                *slot = d;
+            } else {
+                // Replicas are maintained with identical float ops, so
+                // members agree exactly.
+                debug_assert_eq!(*slot, d, "dual replicas disagree on edge {e} (member {v})");
+            }
         }
+    }
+    duals
+}
+
+/// Assembles a result over `g` from its cover, per-edge duals and levels.
+fn finish(
+    g: &Hypergraph,
+    cover: Cover,
+    duals: Vec<f64>,
+    levels: Vec<u32>,
+    report: SimReport,
+) -> CoverResult {
+    assert!(
+        cover.is_cover_of(g),
+        "internal error: protocol terminated without a vertex cover"
+    );
+    let weight = cover.weight(g);
+    let dual_total: f64 = duals.iter().copied().filter(|d| !d.is_nan()).sum();
+    CoverResult {
+        cover,
+        duals,
+        levels,
+        weight,
+        dual_total,
+        iterations: iterations_of_rounds(report.rounds),
+        report,
     }
 }
 
@@ -431,6 +517,7 @@ mod warm_oracle;
 mod tests {
     use super::*;
     use crate::params::Variant;
+    use crate::warm::WarmState;
     use dcover_hypergraph::generators::{random_uniform, RandomUniform, WeightDist};
     use dcover_hypergraph::{from_edge_lists, from_weighted_edge_lists};
     use rand::rngs::StdRng;
@@ -669,6 +756,90 @@ mod tests {
         let cert = crate::Certificate::from_result(&warm, 0.5);
         let bound = cert.verify(&out.graph).expect("warm result certifies");
         assert!(bound <= out.graph.rank() as f64 + 0.5 + 1e-9);
+    }
+
+    #[test]
+    fn a_fully_settled_warm_solve_runs_one_silent_round() {
+        use dcover_congest::{CancelToken, Interrupt};
+        use dcover_hypergraph::InstanceDelta;
+        let mut rng = StdRng::seed_from_u64(33);
+        let g = random_uniform(
+            &RandomUniform {
+                n: 60,
+                m: 150,
+                rank: 3,
+                weights: WeightDist::Uniform { min: 1, max: 30 },
+            },
+            &mut rng,
+        );
+        let s = MwhvcSolver::new(MwhvcConfig::new(0.5).unwrap().with_trace(true));
+        let cold = s.solve(&g).unwrap();
+        let same = InstanceDelta::empty().apply(&g).unwrap();
+        let seed = WarmState::for_delta(&cold, &same);
+        let warm = s.solve_warm(&same.graph, &seed).unwrap();
+        assert_eq!(warm.rounds(), 1, "an unchanged instance settles completely");
+        assert_eq!(warm.report.total_messages, 0);
+        assert_eq!(warm.report.total_bits, 0);
+        assert!(warm.report.all_halted);
+        assert_eq!(
+            warm.report.per_round.as_deref(),
+            Some(&[RoundMetrics::default()][..]),
+            "round 0 steps no node"
+        );
+        assert!(warm.cover.is_cover_of(&same.graph));
+
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = s.with_interrupt(Interrupt::new().with_token(token));
+        match cancelled.solve_warm(&same.graph, &seed) {
+            Err(SolveError::Sim(SimError::Interrupted { round: 0, .. })) => {}
+            other => panic!("expected Interrupted at round 0, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn warm_run_errors_name_instance_nodes_and_ports() {
+        use crate::protocol::MwhvcMsg;
+        use dcover_congest::Message;
+        // Vertex 0 is tight on its seed and covers edge 0, so only edge 1
+        // and its one member, vertex 1, run. Vertex 1's one sub-network
+        // port is its instance port 1.
+        let g = from_weighted_edge_lists(&[1, 10], &[&[0, 1], &[1]]).unwrap();
+        let seed = WarmState::from_parts(vec![1.0, 0.0], vec![0, 0]);
+        let round0 = MwhvcMsg::WeightDegWarm {
+            weight: 10,
+            degree: 2,
+            level: 0,
+        }
+        .bit_size();
+        let with_budget = |bits| {
+            let cfg = MwhvcConfig::new(0.5)
+                .unwrap()
+                .with_budget(BitBudget::new(bits));
+            MwhvcSolver::new(cfg).solve_warm(&g, &seed)
+        };
+        // Vertex 1's round-0 message overflows the link into edge 1
+        // (node n + 1 = 3), at the edge's port 0.
+        match with_budget(round0 - 1) {
+            Err(SolveError::Sim(SimError::BudgetExceeded {
+                round: 0,
+                receiver: 3,
+                port: 0,
+                ..
+            })) => {}
+            other => panic!("expected the link into edge 1 to overflow, got {other:?}"),
+        }
+        // Edge 1's round-1 reply is wider (it adds α), and overflows the
+        // link into vertex 1 at its instance port 1.
+        match with_budget(round0) {
+            Err(SolveError::Sim(SimError::BudgetExceeded {
+                round: 1,
+                receiver: 1,
+                port: 1,
+                ..
+            })) => {}
+            other => panic!("expected the link into vertex 1 to overflow, got {other:?}"),
+        }
     }
 
     #[test]

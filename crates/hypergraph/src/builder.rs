@@ -28,10 +28,20 @@ use crate::ids::{EdgeId, VertexId};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct HypergraphBuilder {
     weights: Vec<u64>,
-    edges: Vec<Vec<VertexId>>,
+    /// CSR offsets into `edge_vertices`: a leading 0, then one end per
+    /// edge added.
+    edge_offsets: Vec<u32>,
+    /// Concatenated member lists of the edges added.
+    edge_vertices: Vec<VertexId>,
+}
+
+impl Default for HypergraphBuilder {
+    fn default() -> Self {
+        Self::with_capacity(0, 0)
+    }
 }
 
 impl HypergraphBuilder {
@@ -45,9 +55,12 @@ impl HypergraphBuilder {
     /// edges.
     #[must_use]
     pub fn with_capacity(n: usize, m: usize) -> Self {
+        let mut edge_offsets = Vec::with_capacity(m + 1);
+        edge_offsets.push(0);
         Self {
             weights: Vec::with_capacity(n),
-            edges: Vec::with_capacity(m),
+            edge_offsets,
+            edge_vertices: Vec::new(),
         }
     }
 
@@ -82,7 +95,7 @@ impl HypergraphBuilder {
     /// Number of edges added so far.
     #[must_use]
     pub fn m(&self) -> usize {
-        self.edges.len()
+        self.edge_offsets.len() - 1
     }
 
     /// Adds a hyperedge over the given vertices and returns its id.
@@ -93,29 +106,38 @@ impl HypergraphBuilder {
     /// # Errors
     ///
     /// Returns [`BuildError::EmptyEdge`] if the member list is empty and
-    /// [`BuildError::UnknownVertex`] if any id has not been added.
+    /// [`BuildError::UnknownVertex`] if any id has not been added. A
+    /// rejected edge leaves the builder as it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edges would hold `2^32` incidences or more (the
+    /// hypergraph's CSR offsets are `u32`).
     pub fn add_edge<I>(&mut self, vertices: I) -> Result<EdgeId, BuildError>
     where
         I: IntoIterator<Item = VertexId>,
     {
-        let edge_index = self.edges.len();
-        let mut members: Vec<VertexId> = Vec::new();
+        let edge_index = self.m();
+        let start = self.edge_vertices.len();
         for v in vertices {
             if v.index() >= self.weights.len() {
+                self.edge_vertices.truncate(start);
                 return Err(BuildError::UnknownVertex {
                     edge: edge_index,
                     vertex: v.index(),
                     n: self.weights.len(),
                 });
             }
-            if !members.contains(&v) {
-                members.push(v);
+            if !self.edge_vertices[start..].contains(&v) {
+                self.edge_vertices.push(v);
             }
         }
-        if members.is_empty() {
+        if self.edge_vertices.len() == start {
             return Err(BuildError::EmptyEdge { edge: edge_index });
         }
-        self.edges.push(members);
+        let end = u32::try_from(self.edge_vertices.len())
+            .expect("a hypergraph has fewer than 2^32 incidences");
+        self.edge_offsets.push(end);
         Ok(EdgeId::new(edge_index))
     }
 
@@ -130,7 +152,11 @@ impl HypergraphBuilder {
         if let Some(vertex) = self.weights.iter().position(|&w| w == 0) {
             return Err(BuildError::ZeroWeight { vertex });
         }
-        Ok(Hypergraph::from_validated_parts(self.weights, self.edges))
+        Ok(Hypergraph::from_validated_parts(
+            self.weights,
+            self.edge_offsets,
+            self.edge_vertices,
+        ))
     }
 }
 
@@ -209,6 +235,30 @@ mod tests {
                 n: 1
             }
         );
+    }
+
+    #[test]
+    fn a_rejected_edge_leaves_no_members_behind() {
+        let mut b = HypergraphBuilder::new();
+        let u = b.add_vertex(1);
+        let v = b.add_vertex(1);
+        b.add_edge([u]).unwrap();
+        let err = b.add_edge([v, u, VertexId::new(9)]).unwrap_err();
+        assert_eq!(
+            err,
+            BuildError::UnknownVertex {
+                edge: 1,
+                vertex: 9,
+                n: 2
+            }
+        );
+        assert_eq!(b.m(), 1);
+        let e = b.add_edge([v]).unwrap();
+        assert_eq!(e, EdgeId::new(1));
+        let g = b.build().unwrap();
+        assert_eq!(g.edge(EdgeId::new(0)), &[u]);
+        assert_eq!(g.edge(e), &[v]);
+        assert_eq!(g.incidence_size(), 2);
     }
 
     #[test]

@@ -72,7 +72,9 @@ pub fn serialize(g: &Hypergraph) -> String {
 pub fn parse(text: &str) -> Result<Hypergraph, ParseError> {
     let mut header: Option<(usize, usize)> = None;
     let mut weights: Vec<u64> = Vec::new();
-    let mut edges: Vec<Vec<usize>> = Vec::new();
+    // The `e` records' member lists, concatenated, and where each ends.
+    let mut members: Vec<usize> = Vec::new();
+    let mut edge_ends: Vec<usize> = Vec::new();
 
     for (line_no, raw) in text.lines().enumerate() {
         let line_no = line_no + 1;
@@ -116,7 +118,6 @@ pub fn parse(text: &str) -> Result<Hypergraph, ParseError> {
                 if header.is_none() {
                     return Err(ParseError::MissingHeader);
                 }
-                let mut members = Vec::new();
                 for field in fields {
                     let idx: usize = field.parse().map_err(|_| ParseError::Malformed {
                         line: line_no,
@@ -124,7 +125,7 @@ pub fn parse(text: &str) -> Result<Hypergraph, ParseError> {
                     })?;
                     members.push(idx);
                 }
-                edges.push(members);
+                edge_ends.push(members.len());
             }
             Some(other) => {
                 return Err(ParseError::Malformed {
@@ -144,11 +145,11 @@ pub fn parse(text: &str) -> Result<Hypergraph, ParseError> {
             actual: weights.len(),
         });
     }
-    if edges.len() != m {
+    if edge_ends.len() != m {
         return Err(ParseError::CountMismatch {
             what: "edges",
             expected: m,
-            actual: edges.len(),
+            actual: edge_ends.len(),
         });
     }
 
@@ -161,8 +162,10 @@ pub fn parse(text: &str) -> Result<Hypergraph, ParseError> {
         }
         b.add_vertex(w);
     }
-    for members in edges {
-        b.add_edge(members.into_iter().map(VertexId::new))?;
+    let mut start = 0;
+    for end in edge_ends {
+        b.add_edge(members[start..end].iter().map(|&v| VertexId::new(v)))?;
+        start = end;
     }
     Ok(b.build()?)
 }

@@ -142,24 +142,23 @@ impl Hypergraph {
     }
 
     /// Internal constructor used by the builder; assumes inputs were already
-    /// validated (weights positive, vertex ids in range, no empty edge).
-    pub(crate) fn from_validated_parts(weights: Vec<u64>, edges: Vec<Vec<VertexId>>) -> Self {
+    /// validated (weights positive, vertex ids in range, no empty edge)
+    /// and takes the edge CSR as built, without a copy.
+    pub(crate) fn from_validated_parts(
+        weights: Vec<u64>,
+        edge_offsets: Vec<u32>,
+        edge_vertices: Vec<VertexId>,
+    ) -> Self {
         let n = weights.len();
-        let m = edges.len();
-
-        let mut edge_offsets = Vec::with_capacity(m + 1);
-        let mut edge_vertices = Vec::new();
-        edge_offsets.push(0u32);
         let mut degrees = vec![0u32; n];
-        let mut rank = 0u32;
-        for members in &edges {
-            rank = rank.max(members.len() as u32);
-            for &v in members {
-                degrees[v.index()] += 1;
-                edge_vertices.push(v);
-            }
-            edge_offsets.push(edge_vertices.len() as u32);
+        for &v in &edge_vertices {
+            degrees[v.index()] += 1;
         }
+        let rank = edge_offsets
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0);
 
         let mut vertex_offsets = Vec::with_capacity(n + 1);
         let mut acc = 0u32;
@@ -172,8 +171,8 @@ impl Hypergraph {
         let mut vertex_edges = vec![EdgeId::from_raw(0); acc as usize];
         // Filling in edge order keeps every incident-edge list ascending,
         // as `incident_edges` guarantees.
-        for (e, members) in edges.iter().enumerate() {
-            for &v in members {
+        for (e, members) in edge_offsets.windows(2).enumerate() {
+            for &v in &edge_vertices[members[0] as usize..members[1] as usize] {
                 let slot = cursor[v.index()];
                 vertex_edges[slot as usize] = EdgeId::new(e);
                 cursor[v.index()] += 1;

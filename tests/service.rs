@@ -370,11 +370,14 @@ fn concurrent_mixed_class_submitters_every_ticket_resolves_exactly_once() {
     // ticket (which resolves exactly once — completed, expired, or
     // cancelled) or was refused (backpressure / shed / shutdown).
     //
-    // Submitter 0's first plain attempt blocks for a slot instead, and
-    // the main thread waits for that ticket before shutting down:
+    // Submitter 0's first two attempts block for a slot instead, and the
+    // main thread waits for the second ticket before shutting down:
     // interactive work is never shed and a blocking submit never reports
-    // backpressure, so the ticket is issued, and with no deadline and no
-    // cancel it resolves Ok once shutdown drains the queue.
+    // backpressure, so both tickets are issued. The first is a
+    // cancel-at-submit attempt on an instance whose solve far outlasts any
+    // scheduler stall, so its cancel lands while it is queued or running
+    // and it resolves Cancelled. The second, a plain attempt with no
+    // deadline and no cancel, resolves Ok once shutdown drains the queue.
     let mut rng = StdRng::seed_from_u64(42);
     let g = Arc::new(random_uniform(
         &RandomUniform {
@@ -382,6 +385,15 @@ fn concurrent_mixed_class_submitters_every_ticket_resolves_exactly_once() {
             m: 400,
             rank: 3,
             weights: WeightDist::Uniform { min: 1, max: 20 },
+        },
+        &mut rng,
+    ));
+    let slow = Arc::new(random_uniform(
+        &RandomUniform {
+            n: 20_000,
+            m: 60_000,
+            rank: 3,
+            weights: WeightDist::Uniform { min: 1, max: 100 },
         },
         &mut rng,
     ));
@@ -407,7 +419,7 @@ fn concurrent_mixed_class_submitters_every_ticket_resolves_exactly_once() {
     let handles: Vec<_> = (0..4)
         .map(|worker: usize| {
             let service = Arc::clone(&service);
-            let g = Arc::clone(&g);
+            let (g, slow) = (Arc::clone(&g), Arc::clone(&slow));
             let issued = issued_tx.clone();
             std::thread::spawn(move || {
                 let class = if worker.is_multiple_of(2) {
@@ -429,14 +441,19 @@ fn concurrent_mixed_class_submitters_every_ticket_resolves_exactly_once() {
                     if doomed {
                         opts = opts.with_deadline(Duration::ZERO);
                     }
-                    let submitted = if worker == 0 && attempt == 1 {
-                        let blocking = service.submit_with(Arc::clone(&g), 0.5, opts);
-                        if blocking.is_ok() {
+                    let instance = if worker == 0 && attempt == 0 {
+                        &slow
+                    } else {
+                        &g
+                    };
+                    let submitted = if worker == 0 && attempt < 2 {
+                        let blocking = service.submit_with(Arc::clone(instance), 0.5, opts);
+                        if attempt == 1 && blocking.is_ok() {
                             issued.send(()).expect("the main thread waits for it");
                         }
                         blocking
                     } else {
-                        service.try_submit_with(&g, 0.5, opts)
+                        service.try_submit_with(instance, 0.5, opts)
                     };
                     match submitted {
                         Ok(t) => {
@@ -446,7 +463,7 @@ fn concurrent_mixed_class_submitters_every_ticket_resolves_exactly_once() {
                             if cancel_me {
                                 t.cancel();
                             }
-                            tickets.push(t);
+                            tickets.push((t, Arc::clone(instance)));
                         }
                         Err(SubmitError::Backpressure { capacity }) => {
                             assert_eq!(capacity, 2);
@@ -489,13 +506,13 @@ fn concurrent_mixed_class_submitters_every_ticket_resolves_exactly_once() {
         total.shed += tally.shed;
         total.shut_down += tally.shut_down;
         total.zero_deadline_issued += tally.zero_deadline_issued;
-        for t in tickets {
+        for (t, instance) in tickets {
             // Shutdown drained both classes: nothing is left hanging.
             assert!(t.is_done(), "shutdown resolves every issued ticket");
             let (result, timing) = t.wait_timed();
             match result {
                 Ok(result) => {
-                    assert!(result.cover.is_cover_of(&g));
+                    assert!(result.cover.is_cover_of(&instance));
                     total.completed += 1;
                 }
                 Err(SolveError::Expired { .. }) => total.expired += 1,

@@ -9,10 +9,12 @@
 //!
 //! while a warm solve with an **empty** delta must be bit-identical to
 //! re-solving the unchanged instance cold (cover, duals, levels, weight,
-//! dual total), and a 1% revision must spend messages only where its
-//! delta lands.
+//! dual total), and a 1% revision must spend messages, and node steps,
+//! only where its delta lands.
 
-use dcover_core::{approximation_holds, Certificate, MwhvcSolver, WarmState, DEFAULT_TOLERANCE};
+use dcover_core::{
+    approximation_holds, Certificate, MwhvcConfig, MwhvcSolver, WarmState, DEFAULT_TOLERANCE,
+};
 use dcover_hypergraph::generators::{
     calibrated_degree, clique, complete_f_partite, coverage_instance, cycle, hyper_star, path,
     planted_cover, preferential_attachment, random_mixed_rank, random_uniform, star, sunflower,
@@ -257,6 +259,38 @@ fn one_percent_revisions_send_a_fraction_of_a_cold_solves_messages() {
             warm_msgs * 100 <= cold_msgs * 15,
             "step {step}: a warm 1% revision sent {warm_msgs} messages, over 15% of the \
              cold solve's {cold_msgs}"
+        );
+        g = out.graph;
+        prev = warm;
+    }
+}
+
+#[test]
+fn one_percent_revisions_step_only_the_running_sub_network() {
+    // `dcover gen uniform --n 2000 --m 6000 --seed 9`.
+    let mut g = random_uniform(
+        &RandomUniform {
+            n: 2000,
+            m: 6000,
+            rank: 3,
+            weights: WeightDist::Uniform { min: 1, max: 100 },
+        },
+        &mut StdRng::seed_from_u64(9),
+    );
+    let solver = MwhvcSolver::new(MwhvcConfig::new(EPSILON).unwrap().with_trace(true));
+    let mut prev = solver.solve(&g).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x1C4A);
+    for step in 0..4 {
+        let out = one_percent_revision(&g, &mut rng).apply(&g).unwrap();
+        let warm = solver
+            .solve_warm(&out.graph, &WarmState::for_delta(&prev, &out))
+            .unwrap();
+        let network = out.graph.n() + out.graph.m();
+        let per_round = warm.report.per_round.as_ref().expect("traced run");
+        let running = per_round[0].active_nodes;
+        assert!(
+            running * 10 <= network,
+            "step {step}: round 0 stepped {running} of {network} nodes, over 10%"
         );
         g = out.graph;
         prev = warm;
