@@ -11,8 +11,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dcover_core::{
-    CoverResult, MwhvcConfig, MwhvcSolver, PartitionPolicy, SolveService, Ticket, Variant,
-    WarmState,
+    CoverResult, MwhvcConfig, MwhvcSolver, SolveService, Ticket, Variant, WarmState,
 };
 use dcover_hypergraph::{format, Hypergraph};
 
@@ -54,10 +53,6 @@ pub(crate) fn config_from(parsed: &args::Parsed) -> Result<MwhvcConfig, Failure>
                 "unknown variant `{other}` (expected `standard` or `half-bid`)"
             )))
         }
-    }
-    if let Some(raw) = parsed.value("partition") {
-        let policy: PartitionPolicy = raw.parse().map_err(usage)?;
-        config = config.with_partition(policy);
     }
     Ok(config)
 }
@@ -207,14 +202,10 @@ fn prefix_path(path: &str, failure: Failure) -> Failure {
 }
 
 /// `dcover solve FILE [--eps E] [--threads N] [--variant V]
-/// [--partition P] [--warm-from REPORT] [--json]`
+/// [--warm-from REPORT] [--json]`
 pub fn solve(raw: &[String]) -> Result<(), Failure> {
-    let parsed = args::parse(
-        raw,
-        &["json"],
-        &["eps", "threads", "variant", "partition", "warm-from"],
-    )
-    .map_err(usage)?;
+    let parsed =
+        args::parse(raw, &["json"], &["eps", "threads", "variant", "warm-from"]).map_err(usage)?;
     let mut out = Stdout::default();
     let outcome = solve_inner(&parsed, &mut out);
     // With --json, failures become machine-readable error objects on

@@ -797,8 +797,13 @@ fn usage_errors_exit_2() {
     let zero = dcover(&["solve", &sample, "--threads", "0"]);
     assert_eq!(zero.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&zero.stderr).contains("--threads must be at least 1"));
-    // `--partition` only shapes the chunk-parallel `solve`; the serving
-    // commands solve each instance sequentially and refuse it.
+    // Chunk placement is fixed, so no command takes `--partition`.
+    assert_eq!(
+        dcover(&["solve", &sample, "--partition", "locality"])
+            .status
+            .code(),
+        Some(2)
+    );
     assert_eq!(
         dcover(&["batch", &sample, "--partition", "locality"])
             .status

@@ -1,19 +1,6 @@
-//! Standard topology constructors for tests, examples, and protocols that
-//! run on general graphs (e.g. the maximal-matching baseline).
+//! Standard one-sided topologies for the crate's unit tests.
 
 use crate::topology::{NodeId, Topology};
-
-/// Path `P_n`: nodes `0..n` in a line.
-///
-/// # Panics
-///
-/// Panics if `n < 2`.
-#[must_use]
-pub fn path(n: usize) -> Topology {
-    assert!(n >= 2, "a path needs at least two nodes");
-    let links: Vec<(NodeId, NodeId)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-    Topology::from_links(n, &links)
-}
 
 /// Ring `C_n`.
 ///
@@ -21,7 +8,7 @@ pub fn path(n: usize) -> Topology {
 ///
 /// Panics if `n < 3`.
 #[must_use]
-pub fn ring(n: usize) -> Topology {
+pub(crate) fn ring(n: usize) -> Topology {
     assert!(n >= 3, "a ring needs at least three nodes");
     let links: Vec<(NodeId, NodeId)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
     Topology::from_links(n, &links)
@@ -33,7 +20,7 @@ pub fn ring(n: usize) -> Topology {
 ///
 /// Panics if `leaves == 0`.
 #[must_use]
-pub fn star(leaves: usize) -> Topology {
+pub(crate) fn star(leaves: usize) -> Topology {
     assert!(leaves > 0, "a star needs leaves");
     let links: Vec<(NodeId, NodeId)> = (1..=leaves).map(|i| (0, i)).collect();
     Topology::from_links(leaves + 1, &links)
@@ -45,33 +32,12 @@ pub fn star(leaves: usize) -> Topology {
 ///
 /// Panics if `n < 2`.
 #[must_use]
-pub fn complete(n: usize) -> Topology {
+pub(crate) fn complete(n: usize) -> Topology {
     assert!(n >= 2, "a complete graph needs at least two nodes");
     let mut links = Vec::with_capacity(n * (n - 1) / 2);
     for i in 0..n {
         for j in (i + 1)..n {
             links.push((i, j));
-        }
-    }
-    Topology::from_links(n, &links)
-}
-
-/// Hypercube `Q_d` on `2^d` nodes; node ids differ in one bit per link.
-///
-/// # Panics
-///
-/// Panics if `dim == 0` or `dim > 20`.
-#[must_use]
-pub fn hypercube(dim: u32) -> Topology {
-    assert!((1..=20).contains(&dim), "dimension out of range");
-    let n = 1usize << dim;
-    let mut links = Vec::with_capacity(n * dim as usize / 2);
-    for u in 0..n {
-        for b in 0..dim {
-            let v = u ^ (1 << b);
-            if u < v {
-                links.push((u, v));
-            }
         }
     }
     Topology::from_links(n, &links)
@@ -83,7 +49,7 @@ pub fn hypercube(dim: u32) -> Topology {
 ///
 /// Panics if either dimension is 0 or the grid has fewer than 2 nodes.
 #[must_use]
-pub fn grid(rows: usize, cols: usize) -> Topology {
+pub(crate) fn grid(rows: usize, cols: usize) -> Topology {
     assert!(rows > 0 && cols > 0 && rows * cols >= 2, "grid too small");
     let id = |r: usize, c: usize| r * cols + c;
     let mut links = Vec::new();
@@ -114,16 +80,6 @@ mod tests {
     }
 
     #[test]
-    fn path_shape() {
-        let t = path(5);
-        assert_eq!(t.len(), 5);
-        assert_eq!(t.num_links(), 4);
-        assert_eq!(t.degree(0), 1);
-        assert_eq!(t.degree(2), 2);
-        check_reciprocity(&t);
-    }
-
-    #[test]
     fn ring_shape() {
         let t = ring(6);
         assert_eq!(t.num_links(), 6);
@@ -146,21 +102,6 @@ mod tests {
         assert_eq!(t.num_links(), 10);
         assert!((0..5).all(|u| t.degree(u) == 4));
         check_reciprocity(&t);
-    }
-
-    #[test]
-    fn hypercube_shape() {
-        let t = hypercube(4);
-        assert_eq!(t.len(), 16);
-        assert_eq!(t.num_links(), 32);
-        assert!((0..16).all(|u| t.degree(u) == 4));
-        check_reciprocity(&t);
-        // Neighbors differ in exactly one bit.
-        for u in 0..t.len() {
-            for (_, v) in t.neighbors(u) {
-                assert_eq!((u ^ v).count_ones(), 1);
-            }
-        }
     }
 
     #[test]

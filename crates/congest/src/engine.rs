@@ -19,20 +19,15 @@
 //! # Chunks and the two phases
 //!
 //! Nodes are partitioned into chunks (one per thread; a single chunk by
-//! default): a contiguous range of
-//! *positions* in the arrangement chosen by a
-//! [`Partition`](crate::partition::Partition). On a two-sided network
-//! chunk `c` is range `c` of the vertex side followed by range `c` of the
-//! hyperedge side, each side in id order under
-//! `PartitionPolicy::Contiguous` or in breadth-first order under
-//! `PartitionPolicy::Locality`. The chunk remembers the
-//! original id of every node it hosts (`global_ids`), so node programs
-//! observe their true ids regardless of placement. Each round runs two
-//! phases:
+//! default) by a [`Partition`](crate::partition::Partition). On a
+//! two-sided network chunk `c` is id range `c` of the vertex side followed
+//! by id range `c` of the hyperedge side. The chunk remembers the id of
+//! every node it hosts (`global_ids`), so node programs observe their true
+//! ids regardless of placement. Each round runs two phases:
 //!
-//! 1. [`phase_step`] — every chunk steps its active nodes in ascending
-//!    position order. Sends whose destination slot lies in the sender's
-//!    own chunk take the **intra-chunk fast path**: a direct write into
+//! 1. [`phase_step`] — every chunk steps its active nodes in placement
+//!    order. Sends whose destination slot lies in the sender's own chunk
+//!    take the **intra-chunk fast path**: a direct write into
 //!    the chunk's `nxt` mailbox buffer, no staging. Cross-chunk sends are
 //!    *staged* into per-destination-chunk buckets as `(destination slot,
 //!    payload)` pairs. Both are accounted on the send side
@@ -66,7 +61,7 @@
 //! delivers its own mail before the scheduler checks delivery errors and
 //! then the budget. Therefore a `Simulator` produces **bit-identical**
 //! node states, [`RoundMetrics`], [`SimReport`](crate::SimReport)s and
-//! errors for any chunk count and placement — verified by property tests.
+//! errors for any chunk count — verified by property tests.
 //!
 //! # Steady-state allocation
 //!
@@ -83,19 +78,17 @@ use crate::process::{Ctx, Process, SendTally, StagedSends, Status, LOCAL_CHUNK};
 use crate::topology::Topology;
 
 /// Everything one worker needs to run its share of a round: the node
-/// programs of a contiguous position range of the partition arrangement,
-/// their mailbox slots (both buffers), the active worklist, staging
-/// buckets, and the precomputed routing tables. Moves wholesale between
-/// the scheduler and a worker thread.
+/// programs of one chunk of the partition, their mailbox slots (both
+/// buffers), the active worklist, staging buckets, and the precomputed
+/// routing tables. Moves wholesale between the scheduler and a worker
+/// thread.
 #[derive(Debug)]
 pub(crate) struct ChunkState<P: Process> {
     /// This chunk's index — the staging bucket fast-path duplicates fall
     /// back to.
     pub chunk_index: usize,
-    /// Original (global) node id per local node. Under the identity
-    /// arrangement this is just `first_position + lu`; otherwise it is the
-    /// arrangement restricted to this chunk. Node programs, error reports,
-    /// and result scatter all use it.
+    /// Global node id per local node: the chunk's vertex range, then its
+    /// hyperedge range. Node programs and error reports use it.
     pub global_ids: Vec<u32>,
     /// Node programs, indexed by local id.
     pub nodes: Vec<P>,
@@ -174,25 +167,23 @@ impl<P: Process> ChunkState<P> {
     /// topology and partition **in place**, reusing the capacity of every
     /// buffer — mailbox slots, dirty lists, worklist, staging buckets and
     /// routing tables all keep their allocations across solves. `nodes` is
-    /// cleared; the caller refills it *in position order*. The result is
+    /// cleared; the caller refills it *in placement order*. The result is
     /// logically identical to [`ChunkState::build`] for the same arguments.
     pub(crate) fn rebuild(&mut self, topo: &Topology, part: &Partition, index: usize) {
         let num_chunks = part.num_chunks();
-        let bounds = part.bounds();
-        let (start, end) = (bounds[index], bounds[index + 1]);
-        let slot_bases: Vec<usize> = bounds.iter().map(|&b| part.slot_offset(b)).collect();
-        let slot_base = slot_bases[index];
-        let num_slots = slot_bases[index + 1] - slot_base;
+        let ranges = part.ranges(index);
+        let num_nodes = ranges.iter().map(ExactSizeIterator::len).sum();
+        let num_slots = ranges.iter().map(|r| topo.slot_span(r.clone()).len()).sum();
 
         self.chunk_index = index;
         self.global_ids.clear();
         self.global_ids
-            .extend((start..end).map(|pos| part.node_at(pos) as u32));
+            .extend(ranges.iter().cloned().flatten().map(|u| u as u32));
         self.nodes.clear();
         self.halted.clear();
-        self.halted.resize(end - start, false);
+        self.halted.resize(num_nodes, false);
         self.worklist.clear();
-        self.worklist.extend(0..(end - start) as u32);
+        self.worklist.extend(0..num_nodes as u32);
         self.cur.clear();
         self.cur.resize_with(num_slots, || None);
         self.nxt.clear();
@@ -216,27 +207,19 @@ impl<P: Process> ChunkState<P> {
         self.dest_chunk.clear();
         self.dest_local.clear();
         self.local_offsets.push(0);
-        for (lu, pos) in (start..end).enumerate() {
-            let u = part.node_at(pos);
+        for (lu, u) in ranges.into_iter().flatten().enumerate() {
             for p in 0..topo.degree(u) {
                 self.slot_node.push(lu as u32);
-                // The peer's receiving slot, in the *arrangement's* arena
-                // layout: its chunk decides staging vs the fast path.
+                // The peer's receiving slot: its chunk decides staging vs
+                // the fast path.
                 let (v, q) = topo.peer(u, p);
-                let recip = part.slot_offset(part.position(v)) + q;
-                let c = slot_bases[1..=num_chunks].partition_point(|&b| b <= recip);
+                let (c, first) = part.first_slot_of(topo, v);
                 self.dest_chunk
                     .push(if c == index { LOCAL_CHUNK } else { c as u32 });
-                self.dest_local.push((recip - slot_bases[c]) as u32);
+                self.dest_local.push((first + q) as u32);
             }
             self.local_offsets.push(self.slot_node.len() as u32);
         }
-    }
-
-    /// Number of nodes in this chunk.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.halted.len()
     }
 }
 
@@ -413,57 +396,91 @@ pub(crate) fn finish_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::PartitionPolicy;
+    use dcover_hypergraph::from_edge_lists;
+    use dcover_hypergraph::generators::{random_uniform, RandomUniform, WeightDist};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// One-sided networks, and two-sided incidences whose chunks hold a
+    /// range of each side: a uniform instance and one with fewer vertices
+    /// than chunks.
+    fn topologies() -> Vec<Topology> {
+        let uniform = random_uniform(
+            &RandomUniform {
+                n: 60,
+                m: 90,
+                rank: 3,
+                weights: WeightDist::Uniform { min: 1, max: 9 },
+            },
+            &mut StdRng::seed_from_u64(30),
+        );
+        let fewer_vertices_than_chunks =
+            from_edge_lists(2, &[&[0], &[0, 1], &[1], &[0], &[1], &[0, 1]]).unwrap();
+        vec![
+            crate::builders::grid(5, 7),
+            crate::builders::complete(6),
+            Topology::bipartite_incidence(&uniform),
+            Topology::bipartite_incidence(&fewer_vertices_than_chunks),
+        ]
+    }
+
+    fn build_all(topo: &Topology, k: usize) -> Vec<ChunkState<DummyProc>> {
+        let part = Partition::new(topo, k);
+        (0..k).map(|i| ChunkState::build(topo, &part, i)).collect()
+    }
 
     #[test]
     fn chunks_partition_slots() {
-        let topo = crate::builders::grid(5, 7);
-        for policy in [PartitionPolicy::Contiguous, PartitionPolicy::Locality] {
-            let part = Partition::new(&topo, 4, policy);
-            let mut total_nodes = 0;
-            let mut total_slots = 0;
-            for i in 0..4 {
-                let c: ChunkState<DummyProc> = ChunkState::build(&topo, &part, i);
-                total_nodes += c.len();
-                total_slots += c.cur.len();
-                assert_eq!(c.cur.len(), c.slot_node.len());
-                assert_eq!(*c.local_offsets.last().unwrap() as usize, c.cur.len());
+        for topo in topologies() {
+            for k in [2, 3, 4] {
+                let mut hosted = vec![false; topo.len()];
+                let mut total_slots = 0;
+                for c in build_all(&topo, k) {
+                    total_slots += c.cur.len();
+                    assert_eq!(c.cur.len(), c.slot_node.len());
+                    assert_eq!(*c.local_offsets.last().unwrap() as usize, c.cur.len());
+                    for (lu, &u) in c.global_ids.iter().enumerate() {
+                        let u = u as usize;
+                        assert!(!hosted[u], "node {u} hosted twice");
+                        hosted[u] = true;
+                        let slots = c.local_offsets[lu]..c.local_offsets[lu + 1];
+                        assert_eq!(slots.len(), topo.degree(u), "node {u}");
+                    }
+                }
+                assert!(hosted.into_iter().all(|h| h), "{k} chunks miss a node");
+                assert_eq!(total_slots, topo.total_ports());
             }
-            assert_eq!(total_nodes, topo.len());
-            assert_eq!(total_slots, topo.total_ports());
         }
     }
 
     #[test]
     fn routing_tables_invert_reciprocal_slots() {
-        let topo = crate::builders::complete(6);
-        for policy in [PartitionPolicy::Contiguous, PartitionPolicy::Locality] {
-            let part = Partition::new(&topo, 3, policy);
-            let chunks: Vec<ChunkState<DummyProc>> =
-                (0..3).map(|i| ChunkState::build(&topo, &part, i)).collect();
-            let bounds = part.bounds();
-            let slot_bases: Vec<usize> = bounds.iter().map(|&b| part.slot_offset(b)).collect();
-            for (ci, chunk) in chunks.iter().enumerate() {
-                for ls in 0..chunk.cur.len() {
-                    // Recover the owning (node, port) from the arrangement
-                    // layout, then check the routing entry addresses the
-                    // peer's slot in the same layout.
-                    let gslot = slot_bases[ci] + ls;
-                    let pos = (0..part.len())
-                        .find(|&p| part.slot_offset(p) <= gslot && gslot < part.slot_offset(p + 1))
-                        .unwrap();
-                    let u = part.node_at(pos);
-                    let p = gslot - part.slot_offset(pos);
-                    let (v, q) = topo.peer(u, p);
-                    let recip = part.slot_offset(part.position(v)) + q;
-                    let raw = chunk.dest_chunk[ls];
+        for topo in topologies() {
+            for k in [2, 3, 4] {
+                let chunks = build_all(&topo, k);
+                // Where each node is hosted: its chunk and its first slot.
+                let mut home = vec![(0, 0); topo.len()];
+                for (ci, chunk) in chunks.iter().enumerate() {
+                    for (lu, &u) in chunk.global_ids.iter().enumerate() {
+                        home[u as usize] = (ci, chunk.local_offsets[lu] as usize);
+                    }
+                }
+                let route = |ci: usize, ls: usize| {
+                    let raw = chunks[ci].dest_chunk[ls];
                     let dc = if raw == LOCAL_CHUNK { ci } else { raw as usize };
-                    let dl = chunk.dest_local[ls] as usize;
-                    assert_eq!(slot_bases[dc] + dl, recip, "slot ({u}, {p})");
-                    // The sentinel marks exactly the intra-chunk targets.
-                    let target_in_chunk =
-                        bounds[ci] <= part.position(v) && part.position(v) < bounds[ci + 1];
-                    assert_eq!(raw == LOCAL_CHUNK, target_in_chunk, "slot ({u}, {p})");
+                    assert_ne!(raw, ci as u32, "a chunk's own slots take the fast path");
+                    (dc, chunks[ci].dest_local[ls] as usize)
+                };
+                for u in 0..topo.len() {
+                    for p in 0..topo.degree(u) {
+                        let (ci, first) = home[u];
+                        // The entry of (u, p) addresses (v, q)'s slot, and
+                        // the entry of (v, q) addresses (u, p)'s.
+                        let (v, q) = topo.peer(u, p);
+                        let (dc, dl) = route(ci, first + p);
+                        assert_eq!((dc, dl), (home[v].0, home[v].1 + q), "slot ({u}, {p})");
+                        assert_eq!(route(dc, dl), (ci, first + p), "slot ({v}, {q})");
+                    }
                 }
             }
         }
@@ -471,11 +488,13 @@ mod tests {
 
     #[test]
     fn single_chunk_routes_everything_through_the_fast_path() {
-        let topo = crate::builders::grid(3, 4);
-        let part = Partition::new(&topo, 1, PartitionPolicy::Contiguous);
-        let c: ChunkState<DummyProc> = ChunkState::build(&topo, &part, 0);
-        assert!(c.dest_chunk.iter().all(|&d| d == LOCAL_CHUNK));
-        assert_eq!(c.global_ids, (0..topo.len() as u32).collect::<Vec<_>>());
+        for topo in topologies() {
+            let [c] = &build_all(&topo, 1)[..] else {
+                unreachable!("one chunk")
+            };
+            assert!(c.dest_chunk.iter().all(|&d| d == LOCAL_CHUNK));
+            assert_eq!(c.global_ids, (0..topo.len() as u32).collect::<Vec<_>>());
+        }
     }
 
     /// Minimal process for table tests (never stepped).

@@ -40,9 +40,9 @@
 //!
 //! # Determinism contract
 //!
-//! For any protocol, any chunk count and either [`PartitionPolicy`], a
-//! [`Simulator`] produces **bit-identical** node states,
-//! [`RoundMetrics`], and [`SimReport`]s: nodes are stepped against
+//! For any protocol and any chunk count, a [`Simulator`] produces
+//! **bit-identical** node states, [`RoundMetrics`], and [`SimReport`]s:
+//! nodes are stepped against
 //! identical port-indexed inboxes, metrics are sums/maxima merged in
 //! ascending chunk order, and message delivery is structural. One message
 //! per directed link per round is enforced (a duplicate same-port send
@@ -95,7 +95,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod builders;
+#[cfg(test)]
+mod builders;
 mod cancel;
 mod engine;
 mod error;

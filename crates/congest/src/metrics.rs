@@ -22,9 +22,9 @@ pub struct RoundMetrics {
 /// determinism contract. The chunk-placement split
 /// ([`intra_chunk_messages`](Self::intra_chunk_messages) /
 /// [`cross_chunk_messages`](Self::cross_chunk_messages)) is *scheduler
-/// observability*: it depends on the thread count and partition policy by
-/// design (a sequential run is one chunk, so everything is intra-chunk)
-/// and is deliberately excluded from equality.
+/// observability*: it depends on the thread count by design (a sequential
+/// run is one chunk, so everything is intra-chunk) and is deliberately
+/// excluded from equality.
 #[derive(Clone, Debug, Default)]
 pub struct SimReport {
     /// Number of rounds executed.
@@ -42,8 +42,7 @@ pub struct SimReport {
     /// from equality; see the type docs.
     pub intra_chunk_messages: u64,
     /// Messages that crossed a chunk boundary through the staging
-    /// buckets. The quantity the locality partition policy minimizes.
-    /// Excluded from equality; see the type docs.
+    /// buckets. Excluded from equality; see the type docs.
     pub cross_chunk_messages: u64,
     /// Per-round trace; populated only when tracing is enabled on the
     /// simulator (it costs memory on long runs).

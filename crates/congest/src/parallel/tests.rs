@@ -1,5 +1,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use crate::builders::ring;
 use crate::{BitBudget, Ctx, PartitionPolicy, Process, SimError, Simulator, Status, Topology};
 
 /// Gossip sum: every node floods its value; everyone halts after
@@ -26,12 +27,7 @@ impl Process for Gossip {
     }
 }
 
-fn ring(n: usize) -> Topology {
-    let links: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-    Topology::from_links(n, &links)
-}
-
-/// A contiguous split into `threads` chunks.
+/// A split into `threads` chunks.
 fn split<P: Process>(topo: Topology, nodes: Vec<P>, threads: usize) -> Simulator<P> {
     Simulator::with_partition(topo, nodes, threads, PartitionPolicy::Contiguous)
 }
@@ -149,7 +145,7 @@ fn big_pool_small_instance_uses_prefix_of_workers() {
             hops: 2,
         })
         .collect();
-    let mut sim = Simulator::with_partition(ring(n), nodes, 8, PartitionPolicy::Contiguous);
+    let mut sim = split(ring(n), nodes, 8);
     assert_eq!(sim.workers(), 3);
     let report = sim.run(10).unwrap();
     assert!(report.all_halted);
@@ -338,21 +334,20 @@ impl Process for Faulty {
     }
 }
 
-/// Every chunk count and placement reports the same first error, from the
-/// same `step()`: delivery is part of the round that sent the mail, and
+/// Every chunk count reports the same first error, from the same
+/// `step()`: delivery is part of the round that sent the mail, and
 /// delivery errors are checked before the budget.
 #[test]
 fn the_first_error_is_the_same_at_every_chunk_count() {
-    fn first_error(fault: Fault, threads: usize, policy: PartitionPolicy) -> (u64, SimError) {
+    fn first_error(fault: Fault, threads: usize) -> (u64, SimError) {
         let nodes = vec![Faulty { fault }; 9];
-        let mut sim = Simulator::with_partition(ring(9), nodes, threads, policy)
-            .with_budget(BitBudget::new(16));
+        let mut sim = split(ring(9), nodes, threads).with_budget(BitBudget::new(16));
         for step in 1..=5 {
             if let Err(err) = sim.step() {
                 return (step, err);
             }
         }
-        panic!("{fault:?} went unreported at {threads} chunks, {policy}");
+        panic!("{fault:?} went unreported at {threads} chunks");
     }
     // Node 4's port 0 leads to node 3's port 1.
     let duplicate = SimError::DuplicateSend {
@@ -361,7 +356,7 @@ fn the_first_error_is_the_same_at_every_chunk_count() {
         port: 1,
     };
     for fault in [Fault::Duplicate, Fault::Oversized, Fault::Both] {
-        let expected = first_error(fault, 1, PartitionPolicy::Contiguous);
+        let expected = first_error(fault, 1);
         assert_eq!(
             expected.0, 1,
             "{fault:?} is reported by the round that sent it"
@@ -382,84 +377,54 @@ fn the_first_error_is_the_same_at_every_chunk_count() {
             ),
         }
         for threads in [1, 2, 3] {
-            for policy in [PartitionPolicy::Contiguous, PartitionPolicy::Locality] {
-                assert_eq!(
-                    first_error(fault, threads, policy),
-                    expected,
-                    "{fault:?} at {threads} chunks, {policy}"
-                );
-            }
+            assert_eq!(
+                first_error(fault, threads),
+                expected,
+                "{fault:?} at {threads} chunks"
+            );
         }
     }
 }
 
-/// On the paper's bipartite incidence of a geometric instance, the
-/// locality arrangement must (a) stay bit-identical to the single-chunk
-/// run, (b) hand nodes back in original id order, and (c) actually shrink
-/// the cross-chunk message volume relative to the id-order split.
-#[test]
-fn locality_policy_is_bit_identical_and_cuts_cross_chunk_traffic() {
-    let topo = crate::partition::geometric_incidence;
-    let n = topo().len();
-    let make_nodes = || -> Vec<Gossip> {
-        (0..n)
-            .map(|i| Gossip {
-                value: (i * 13) as u64 % 101,
-                acc: 0,
-                hops: 5,
-            })
-            .collect()
-    };
-    let mut seq = Simulator::new(topo(), make_nodes()).with_trace(true);
-    let seq_report = seq.run(100).unwrap();
-    assert_eq!(seq_report.cross_chunk_messages, 0, "one chunk, all intra");
-    for threads in [2usize, 4, 8] {
-        let mut cont =
-            Simulator::with_partition(topo(), make_nodes(), threads, PartitionPolicy::Contiguous)
-                .with_trace(true);
-        let cont_report = cont.run(100).unwrap();
-        let mut loc =
-            Simulator::with_partition(topo(), make_nodes(), threads, PartitionPolicy::Locality)
-                .with_trace(true);
-        let loc_report = loc.run(100).unwrap();
-        assert_eq!(cont_report, seq_report, "contiguous, threads = {threads}");
-        assert_eq!(loc_report, seq_report, "locality, threads = {threads}");
-        for id in 0..n {
-            assert_eq!(loc.node(id).acc, seq.node(id).acc, "node {id}");
-        }
-        assert_eq!(
-            loc_report.intra_chunk_messages + loc_report.cross_chunk_messages,
-            loc_report.total_messages
-        );
-        assert!(
-            loc_report.cross_chunk_messages < cont_report.cross_chunk_messages,
-            "threads = {threads}: locality cut {} not below contiguous {}",
-            loc_report.cross_chunk_messages,
-            cont_report.cross_chunk_messages
-        );
-        let (nodes, _) = loc.into_parts();
-        for (i, node) in nodes.iter().enumerate() {
-            assert_eq!(node.value, (i * 13) as u64 % 101, "id order after scatter");
-        }
-    }
-}
-
+/// Chunks hold a range of each side of a two-sided network, so the
+/// programs go out to the chunks and come back in id order: `node(id)`
+/// and `into_parts` must both see id order, on a ring and on a bipartite
+/// incidence, whose chunks interleave its vertices and hyperedges.
 #[test]
 fn into_parts_concatenates_in_id_order() {
-    let n = 11;
-    let nodes: Vec<Gossip> = (0..n)
-        .map(|i| Gossip {
-            value: i as u64 * 10,
-            acc: 0,
-            hops: 1,
-        })
-        .collect();
-    let mut sim = split(ring(n), nodes, 3);
-    sim.run(10).unwrap();
-    let (nodes, report) = sim.into_parts();
-    assert!(report.all_halted);
-    assert_eq!(nodes.len(), n);
-    for (i, node) in nodes.iter().enumerate() {
-        assert_eq!(node.value, i as u64 * 10, "into_parts order");
+    use dcover_hypergraph::generators::{random_uniform, RandomUniform, WeightDist};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let g = random_uniform(
+        &RandomUniform {
+            n: 30,
+            m: 45,
+            rank: 3,
+            weights: WeightDist::Uniform { min: 1, max: 9 },
+        },
+        &mut StdRng::seed_from_u64(7),
+    );
+    for topo in [ring(11), Topology::bipartite_incidence(&g)] {
+        let n = topo.len();
+        for threads in [1, 2, 3, 4] {
+            let nodes: Vec<Gossip> = (0..n)
+                .map(|i| Gossip {
+                    value: i as u64 * 10,
+                    acc: 0,
+                    hops: 1,
+                })
+                .collect();
+            let mut sim = split(topo.clone(), nodes, threads);
+            sim.run(10).unwrap();
+            for id in 0..n {
+                assert_eq!(sim.node(id).value, id as u64 * 10, "node({id})");
+            }
+            let (nodes, report) = sim.into_parts();
+            assert!(report.all_halted);
+            assert_eq!(nodes.len(), n);
+            for (i, node) in nodes.iter().enumerate() {
+                assert_eq!(node.value, i as u64 * 10, "into_parts order");
+            }
+        }
     }
 }

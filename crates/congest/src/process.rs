@@ -17,10 +17,8 @@ pub enum Status {
 /// An incoming message together with the local port it arrived on.
 ///
 /// The round engine stores mail in a flat port-indexed slot arena, so this
-/// type no longer appears in storage; inbox iteration *yields* `Incoming`
-/// values (cheap — message types are small and `Copy`), and slices of
-/// `Incoming` are still accepted by [`Ctx::new`] for round-by-round unit
-/// tests of [`Process`] implementations.
+/// type does not appear in storage; inbox iteration *yields* `Incoming`
+/// values (cheap — message types are small and `Copy`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Incoming<M> {
     /// The local port (link) the message arrived on.
@@ -45,20 +43,9 @@ pub trait Process: Send {
     fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>) -> Status;
 }
 
-/// How the inbox is represented: arena slots inside the engine, an
-/// `Incoming` list in manual unit-test harnesses.
-#[derive(Debug)]
-enum InboxRepr<'a, M> {
-    /// One optional message per port, port == index (the engine's flat
-    /// mailbox arena view).
-    Slots(&'a [Option<M>]),
-    /// Explicit (port, message) list, as built by hand in protocol unit
-    /// tests via [`Ctx::new`].
-    List(&'a [Incoming<M>]),
-}
-
 /// Read-only view of the messages a node received this round, indexed by
-/// arrival port.
+/// arrival port: one optional message per port (the engine's flat mailbox
+/// arena view).
 ///
 /// Iteration yields [`Incoming`] values in ascending port order — port order
 /// is structural in the mailbox arena, so no sorting ever happens. `Inbox`
@@ -66,17 +53,11 @@ enum InboxRepr<'a, M> {
 /// [`Ctx::inbox`] can be chained freely.
 #[derive(Debug)]
 pub struct Inbox<'a, M> {
-    repr: InboxRepr<'a, M>,
+    slots: &'a [Option<M>],
 }
 
-// Manual impls: `Inbox` is a pair of references, so it is `Copy` for every
-// `M` (a derive would wrongly require `M: Copy`).
-impl<M> Clone for InboxRepr<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M> Copy for InboxRepr<'_, M> {}
+// Manual impls: `Inbox` is a reference, so it is `Copy` for every `M` (a
+// derive would wrongly require `M: Copy`).
 impl<M> Clone for Inbox<'_, M> {
     fn clone(&self) -> Self {
         *self
@@ -89,48 +70,27 @@ impl<'a, M: Message> Inbox<'a, M> {
     /// `p`). Useful for driving [`Process::on_round`] without a simulator.
     #[must_use]
     pub fn from_slots(slots: &'a [Option<M>]) -> Self {
-        Self {
-            repr: InboxRepr::Slots(slots),
-        }
-    }
-
-    /// A view over an explicit message list (must be sorted by port to match
-    /// engine behaviour).
-    #[must_use]
-    pub fn from_list(list: &'a [Incoming<M>]) -> Self {
-        Self {
-            repr: InboxRepr::List(list),
-        }
+        Self { slots }
     }
 
     /// Number of messages received this round.
     ///
-    /// Counts occupied ports, i.e. costs `O(degree)` on the engine's slot
-    /// representation.
+    /// Counts occupied ports, i.e. costs `O(degree)`.
     #[must_use]
     pub fn len(self) -> usize {
-        match self.repr {
-            InboxRepr::Slots(s) => s.iter().filter(|m| m.is_some()).count(),
-            InboxRepr::List(l) => l.len(),
-        }
+        self.slots.iter().filter(|m| m.is_some()).count()
     }
 
     /// Whether no message arrived this round.
     #[must_use]
     pub fn is_empty(self) -> bool {
-        match self.repr {
-            InboxRepr::Slots(s) => s.iter().all(|m| m.is_none()),
-            InboxRepr::List(l) => l.is_empty(),
-        }
+        self.slots.iter().all(Option::is_none)
     }
 
     /// The message that arrived on `port`, if any.
     #[must_use]
     pub fn get(self, port: Port) -> Option<&'a M> {
-        match self.repr {
-            InboxRepr::Slots(s) => s.get(port).and_then(Option::as_ref),
-            InboxRepr::List(l) => l.iter().find(|i| i.port == port).map(|i| &i.msg),
-        }
+        self.slots.get(port).and_then(Option::as_ref)
     }
 
     /// The lowest-port message, if any arrived.
@@ -144,7 +104,7 @@ impl<'a, M: Message> Inbox<'a, M> {
     #[must_use]
     pub fn iter(self) -> InboxIter<'a, M> {
         InboxIter {
-            repr: self.repr,
+            slots: self.slots,
             next: 0,
         }
     }
@@ -161,7 +121,7 @@ impl<'a, M: Message> IntoIterator for Inbox<'a, M> {
 /// Iterator over an [`Inbox`], yielding [`Incoming`] values.
 #[derive(Debug)]
 pub struct InboxIter<'a, M> {
-    repr: InboxRepr<'a, M>,
+    slots: &'a [Option<M>],
     next: usize,
 }
 
@@ -169,23 +129,14 @@ impl<M: Message> Iterator for InboxIter<'_, M> {
     type Item = Incoming<M>;
 
     fn next(&mut self) -> Option<Incoming<M>> {
-        match self.repr {
-            InboxRepr::Slots(slots) => {
-                while self.next < slots.len() {
-                    let port = self.next;
-                    self.next += 1;
-                    if let Some(msg) = &slots[port] {
-                        return Some(Incoming { port, msg: *msg });
-                    }
-                }
-                None
-            }
-            InboxRepr::List(list) => {
-                let item = list.get(self.next)?;
-                self.next += 1;
-                Some(item.clone())
+        while self.next < self.slots.len() {
+            let port = self.next;
+            self.next += 1;
+            if let Some(msg) = &self.slots[port] {
+                return Some(Incoming { port, msg: *msg });
             }
         }
+        None
     }
 }
 
@@ -284,21 +235,21 @@ pub struct Ctx<'a, M> {
 impl<'a, M: Message> Ctx<'a, M> {
     /// Creates a context manually — lets protocol crates unit-test
     /// [`Process`] implementations round-by-round without a simulator.
-    /// `inbox` should be sorted by port to match simulator behaviour; sent
+    /// `inbox` holds one slot per port (`inbox[p]` = the message that
+    /// arrived on port `p`), so its length is the node's degree; sent
     /// messages are collected into `outgoing` as `(port, message)` pairs.
     #[must_use]
     pub fn new(
         round: u64,
         node: usize,
-        degree: usize,
-        inbox: &'a [Incoming<M>],
+        inbox: &'a [Option<M>],
         outgoing: &'a mut Vec<(Port, M)>,
     ) -> Self {
         Self {
             round,
             node,
-            degree,
-            inbox: Inbox::from_list(inbox),
+            degree: inbox.len(),
+            inbox: Inbox::from_slots(inbox),
             outbox: OutboxRepr::Collect(outgoing),
         }
     }
@@ -420,9 +371,9 @@ mod tests {
 
     #[test]
     fn ctx_send_and_broadcast() {
-        let inbox: Vec<Incoming<u64>> = vec![];
+        let inbox: Vec<Option<u64>> = vec![None; 3];
         let mut out = Vec::new();
-        let mut ctx = Ctx::new(3, 1, 3, &inbox, &mut out);
+        let mut ctx = Ctx::new(3, 1, &inbox, &mut out);
         assert_eq!(ctx.round(), 3);
         assert_eq!(ctx.node(), 1);
         assert_eq!(ctx.degree(), 3);
@@ -435,9 +386,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "degree")]
     fn send_out_of_range_panics() {
-        let inbox: Vec<Incoming<u64>> = vec![];
+        let inbox: Vec<Option<u64>> = vec![None];
         let mut out = Vec::new();
-        let mut ctx = Ctx::new(0, 0, 1, &inbox, &mut out);
+        let mut ctx = Ctx::new(0, 0, &inbox, &mut out);
         ctx.send(1, 0);
     }
 
@@ -448,26 +399,23 @@ mod tests {
             Incoming { port: 1, msg: 8u64 },
             Incoming { port: 3, msg: 3 },
         ];
-        let a = Inbox::from_slots(&slots);
-        let b = Inbox::from_list(&list);
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 2);
-        assert!(!a.is_empty() && !b.is_empty());
-        assert_eq!(a.get(1), Some(&8));
-        assert_eq!(b.get(1), Some(&8));
-        assert_eq!(a.get(0), None);
-        assert_eq!(b.get(0), None);
-        assert_eq!(a.first(), Some(Incoming { port: 1, msg: 8 }));
-        let from_slots: Vec<Incoming<u64>> = a.iter().collect();
-        let from_list: Vec<Incoming<u64>> = b.iter().collect();
-        assert_eq!(from_slots, from_list);
-        assert_eq!(from_slots, list);
-        // `for` loops work directly on the view.
-        let mut total = 0;
-        for item in a {
-            total += item.msg + item.port as u64;
+        let mut out = Vec::new();
+        let ctx = Ctx::new(0, 0, &slots, &mut out);
+        for view in [Inbox::from_slots(&slots), ctx.inbox()] {
+            assert_eq!(view.len(), 2);
+            assert!(!view.is_empty());
+            assert_eq!(view.get(1), Some(&8));
+            assert_eq!(view.get(0), None);
+            assert_eq!(view.get(4), None);
+            assert_eq!(view.first(), Some(Incoming { port: 1, msg: 8 }));
+            assert_eq!(view.iter().collect::<Vec<_>>(), list);
+            // `for` loops work directly on the view.
+            let mut total = 0;
+            for item in view {
+                total += item.msg + item.port as u64;
+            }
+            assert_eq!(total, 8 + 1 + 3 + 3);
         }
-        assert_eq!(total, 8 + 1 + 3 + 3);
     }
 
     #[test]

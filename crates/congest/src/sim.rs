@@ -1,19 +1,17 @@
 //! The deterministic round scheduler, for any number of chunks.
 //!
 //! A [`Simulator`] drives the shared [`engine`](crate::engine) over `k`
-//! chunks of its nodes: one by default, or `k` cut by a
-//! [`PartitionPolicy`] ([`Simulator::with_partition`]). Chunk 0 runs on
-//! the caller's thread; chunks `1..k` run on `k − 1` worker threads that
-//! the simulator spawns once, one chunk pinned to each, and joins when it
-//! is dropped.
+//! chunks of its nodes: one by default, or `k`
+//! ([`Simulator::with_partition`]), each holding an id range of each side
+//! of the network. Chunk 0 runs on the caller's thread; chunks `1..k` run
+//! on `k − 1` worker threads that the simulator spawns once, one chunk
+//! pinned to each, and joins when it is dropped.
 //!
 //! Construction derives each chunk's routing tables from the topology and
-//! the partition's arrangement, which on a two-sided network is a
-//! permutation of the id order. Chunks `1..k` derive theirs on `k − 1`
-//! scoped threads while the caller derives chunk 0's and moves the node
-//! programs into arrangement order; the scope joins them all before the
-//! constructor returns, so set-up leaves no thread behind but the
-//! workers. A round is two phases, each ending in a barrier:
+//! the partition's cuts. Chunks `1..k` derive theirs on `k − 1` scoped
+//! threads while the caller derives chunk 0's and splits the node programs
+//! into chunks; the scope joins them all before the constructor returns,
+//! so set-up leaves no thread behind but the workers. A round is two phases, each ending in a barrier:
 //!
 //! 1. [`phase_step`](crate::engine::phase_step) on every chunk: active
 //!    nodes step; sends to the chunk's own nodes land straight in its
@@ -24,8 +22,8 @@
 //!    scatters them into its mailbox and swaps its buffers.
 //!
 //! Delivery errors, the tally merge and the budget check then run on the
-//! caller's thread in ascending chunk order, so every chunk count and
-//! placement yields the same report, and the same error from the same
+//! caller's thread in ascending chunk order, so every chunk count yields
+//! the same report, and the same error from the same
 //! [`step`](Simulator::step). A chunk travels to its worker by value (a
 //! pointer-sized move) and comes back over one shared reply channel: all
 //! mutation is single-owner, with no locks and no `unsafe`, and a
@@ -83,7 +81,7 @@ use crate::topology::{NodeId, Topology};
 #[derive(Debug)]
 pub struct Simulator<P: Process + 'static> {
     topo: Topology,
-    /// The node arrangement and chunk cuts this instance runs under.
+    /// The chunk cuts this instance runs under.
     part: Partition,
     /// One per chunk; `None` only while the chunk is out at its worker.
     chunks: Vec<Option<Box<ChunkState<P>>>>,
@@ -141,14 +139,16 @@ impl<P: Process + 'static> Simulator<P> {
     /// Panics if `nodes.len() != topo.len()`.
     #[must_use]
     pub fn with_arena(topo: Topology, nodes: Vec<P>, arena: EngineArena<P>) -> Self {
-        let part = Partition::new(&topo, 1, PartitionPolicy::Contiguous);
+        let part = Partition::new(&topo, 1);
         Self::build(topo, nodes, part, arena)
     }
 
-    /// Creates a simulator split into `min(threads, nodes.len())` chunks
-    /// cut under `policy`, with one worker thread per chunk after the
-    /// first. Placement never changes results — only which thread steps a
-    /// node and how much mail crosses chunks (see
+    /// Creates a simulator split into `min(threads, nodes.len())` chunks,
+    /// with one worker thread per chunk after the first. Chunk `c` holds
+    /// id range `c` of each side of the network, each side cut into
+    /// port-balanced ranges; `PartitionPolicy` has that one value.
+    /// Placement never changes results — only which thread steps a node
+    /// and how much mail crosses chunks (see
     /// [`SimReport::cross_fraction`]).
     ///
     /// # Panics
@@ -159,12 +159,12 @@ impl<P: Process + 'static> Simulator<P> {
         topo: Topology,
         nodes: Vec<P>,
         threads: usize,
-        policy: PartitionPolicy,
+        _policy: PartitionPolicy,
     ) -> Self {
         // invariant: documented construction-time precondition (see
         // `# Panics`) on a caller-supplied thread count.
         assert!(threads > 0, "need at least one worker thread");
-        let part = Partition::new(&topo, threads.min(nodes.len()).max(1), policy);
+        let part = Partition::new(&topo, threads.min(nodes.len()).max(1));
         Self::build(topo, nodes, part, EngineArena::new())
     }
 
@@ -182,6 +182,13 @@ impl<P: Process + 'static> Simulator<P> {
         chunks.push(arena.chunk);
         chunks.extend((1..k).map(|_| Box::new(ChunkState::empty())));
         let (topo_ref, part_ref) = (&topo, &part);
+        // Chunk c holds vertex range c, then hyperedge range c. While the
+        // chunks derive their tables, this thread takes the later chunks'
+        // programs out of the id-ordered vector, from the last chunk down:
+        // its vertex range, then its hyperedge range, by then the vector's
+        // tail. Chunk 0 keeps what is left, the caller's vector, so one
+        // chunk moves nothing (`into_arena` puts the others back).
+        let mut later = Vec::with_capacity(k - 1);
         std::thread::scope(|scope| {
             let mut rest = chunks.iter_mut().enumerate();
             let first = rest.next();
@@ -191,17 +198,17 @@ impl<P: Process + 'static> Simulator<P> {
             if let Some((_, chunk)) = first {
                 chunk.rebuild(topo_ref, part_ref, 0);
             }
-            part_ref.to_positions(&mut nodes);
+            for index in (1..k).rev() {
+                let [vertices, edges] = part_ref.ranges(index);
+                let mut own = Vec::with_capacity(vertices.len() + edges.len());
+                own.extend(nodes.drain(vertices));
+                own.extend(nodes.drain(nodes.len() - edges.len()..));
+                later.push(own);
+            }
         });
-        // Chunk ranges are position ranges: chunk 0 keeps the caller's
-        // vector and the others split off its tail, so chunk 0's programs
-        // never move again (`into_arena` appends the others back to it).
-        for (index, chunk) in chunks.iter_mut().enumerate().rev() {
-            chunk.nodes = if index == 0 {
-                std::mem::take(&mut nodes)
-            } else {
-                nodes.split_off(part.bounds()[index])
-            };
+        let programs = later.into_iter().chain([nodes]);
+        for (chunk, own) in chunks.iter_mut().rev().zip(programs) {
+            chunk.nodes = own;
         }
         Self {
             topo,
@@ -281,15 +288,13 @@ impl<P: Process + 'static> Simulator<P> {
     /// Panics if `id` is out of range.
     #[must_use]
     pub fn node(&self, id: NodeId) -> &P {
-        let pos = self.part.position(id);
-        let bounds = self.part.bounds();
-        let c = bounds[1..].partition_point(|&b| b <= pos);
-        &home(self.chunks[c].as_ref()).nodes[pos - bounds[c]]
+        let (c, index) = self.part.index_of(id);
+        &home(self.chunks[c].as_ref()).nodes[index]
     }
 
     /// Read access to all node programs, in id order.
     pub fn nodes(&self) -> impl ExactSizeIterator<Item = &P> + '_ {
-        (0..self.part.len()).map(move |id| self.node(id))
+        (0..self.topo.len()).map(move |id| self.node(id))
     }
 
     /// The accumulated report so far.
@@ -314,11 +319,15 @@ impl<P: Process + 'static> Simulator<P> {
         let mut chunks = self.chunks.into_iter().map(home);
         // invariant: a partition has at least one chunk.
         let mut first = chunks.next().expect("chunk 0");
+        // Back into id order: each later chunk's vertex range goes in
+        // after the vertices before it, and its hyperedge range at the end.
         let mut nodes = std::mem::take(&mut first.nodes);
-        for mut chunk in chunks {
+        for (index, mut chunk) in (1..).zip(chunks) {
+            let [vertices, _] = self.part.ranges(index);
+            let at = vertices.start;
+            nodes.splice(at..at, chunk.nodes.drain(..vertices.len()));
             nodes.append(&mut chunk.nodes);
         }
-        self.part.to_ids(&mut nodes);
         let mut report = self.report;
         report.all_halted = self.active == 0;
         (nodes, report, EngineArena { chunk: first })

@@ -258,6 +258,13 @@ impl Topology {
         self.offsets[node] as usize..self.offsets[node + 1] as usize
     }
 
+    /// The contiguous arena slot range owned by the node range `nodes`
+    /// (empty for an empty range, which may start at `len()`).
+    #[inline]
+    pub(crate) fn slot_span(&self, nodes: std::ops::Range<NodeId>) -> std::ops::Range<usize> {
+        self.offsets[nodes.start] as usize..self.offsets[nodes.end] as usize
+    }
+
     /// The slot a message sent on `(node, port)` is delivered to: the
     /// reciprocal endpoint `(peer, peer_port)` of the same link, as a flat
     /// arena index. Port order is structural, so delivery is one indexed

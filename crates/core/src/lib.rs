@@ -75,7 +75,7 @@ mod solver;
 mod warm;
 
 pub use certificate::{Certificate, CertificateError};
-pub use dcover_congest::{CancelToken, Interrupt, InterruptReason, PartitionPolicy};
+pub use dcover_congest::{CancelToken, Interrupt, InterruptReason};
 pub use error::SolveError;
 pub use invariants::{approximation_holds, InvariantChecker, DEFAULT_TOLERANCE};
 pub use metrics::{ClassMetrics, LatencyHistogram, ServiceMetrics};

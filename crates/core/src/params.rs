@@ -230,7 +230,6 @@ pub struct MwhvcConfig {
     budget: Option<BitBudget>,
     trace: bool,
     max_rounds: Option<u64>,
-    partition: PartitionPolicy,
 }
 
 impl MwhvcConfig {
@@ -252,7 +251,6 @@ impl MwhvcConfig {
             budget: None,
             trace: false,
             max_rounds: None,
-            partition: PartitionPolicy::default(),
         })
     }
 
@@ -313,20 +311,6 @@ impl MwhvcConfig {
     #[must_use]
     pub fn with_trace(mut self, on: bool) -> Self {
         self.trace = on;
-        self
-    }
-
-    /// Sets the chunk partition policy for parallel solves:
-    /// [`PartitionPolicy::Locality`] clusters connected nodes into the
-    /// same worker chunk so most messages take the engine's intra-chunk
-    /// fast path. Results are bit-identical either way (and identical to
-    /// sequential solves); the policy only affects scheduling and the
-    /// intra/cross-chunk message split reported in the
-    /// [`SimReport`](dcover_congest::SimReport). Sequential solves ignore
-    /// it (one chunk).
-    #[must_use]
-    pub fn with_partition(mut self, partition: PartitionPolicy) -> Self {
-        self.partition = partition;
         self
     }
 
@@ -396,10 +380,12 @@ impl MwhvcConfig {
         self.max_rounds
     }
 
-    /// The chunk partition policy used by parallel solves.
+    /// The chunk placement of parallel solves, which has one value. It
+    /// stays only because the benchmark harness (`perfbench/`) passes it
+    /// to [`Simulator::with_partition`](dcover_congest::Simulator::with_partition).
     #[must_use]
     pub fn partition(&self) -> PartitionPolicy {
-        self.partition
+        PartitionPolicy::Contiguous
     }
 }
 
@@ -474,18 +460,12 @@ mod tests {
             .with_alpha(AlphaPolicy::Fixed(2))
             .with_variant(Variant::HalfBid)
             .with_trace(true)
-            .with_max_rounds(99)
-            .with_partition(PartitionPolicy::Locality);
+            .with_max_rounds(99);
         assert_eq!(cfg.epsilon(), 0.5);
         assert_eq!(cfg.alpha(), AlphaPolicy::Fixed(2));
         assert_eq!(cfg.variant(), Variant::HalfBid);
         assert!(cfg.trace());
         assert_eq!(cfg.max_rounds(), Some(99));
-        assert_eq!(cfg.partition(), PartitionPolicy::Locality);
-        assert_eq!(
-            MwhvcConfig::new(0.5).unwrap().partition(),
-            PartitionPolicy::Contiguous
-        );
     }
 
     #[test]

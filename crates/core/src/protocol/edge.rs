@@ -211,9 +211,12 @@ mod tests {
         round: u64,
         inbox: Vec<Incoming<MwhvcMsg>>,
     ) -> (Status, Vec<(usize, MwhvcMsg)>) {
+        let mut slots = vec![None; edge.size];
+        for item in inbox {
+            slots[item.port] = Some(item.msg);
+        }
         let mut out = Vec::new();
-        let mut ctx = Ctx::new(round, 9, edge.size, &inbox, &mut out);
-        let status = edge.on_round(&mut ctx);
+        let status = edge.on_round(&mut Ctx::new(round, 9, &slots, &mut out));
         (status, out)
     }
 

@@ -360,32 +360,37 @@ mod tests {
     use super::*;
     use dcover_congest::Incoming;
 
-    fn ctx_at<'a>(
+    /// Steps `v` (of degree `degree`) through `round` with `inbox` laid
+    /// out one slot per port; returns its status and its sends.
+    fn run_round(
+        v: &mut VertexNode,
         round: u64,
         degree: usize,
-        inbox: &'a [Incoming<MwhvcMsg>],
-        out: &'a mut Vec<(usize, MwhvcMsg)>,
-    ) -> Ctx<'a, MwhvcMsg> {
-        Ctx::new(round, 0, degree, inbox, out)
+        inbox: Vec<Incoming<MwhvcMsg>>,
+    ) -> (Status, Vec<(usize, MwhvcMsg)>) {
+        let mut slots = vec![None; degree];
+        for item in inbox {
+            slots[item.port] = Some(item.msg);
+        }
+        let mut out = Vec::new();
+        let status = v.on_round(&mut Ctx::new(round, 0, &slots, &mut out));
+        (status, out)
     }
 
     #[test]
     fn isolated_vertex_halts_immediately() {
         let mut v = VertexNode::new(5, 0, 0.25, 2, Variant::Standard);
-        let inbox = vec![];
-        let mut out = Vec::new();
-        let mut ctx = ctx_at(0, 0, &inbox, &mut out);
-        assert_eq!(v.on_round(&mut ctx), Status::Halted);
+        let (status, out) = run_round(&mut v, 0, 0, vec![]);
+        assert_eq!(status, Status::Halted);
+        assert!(out.is_empty());
         assert!(!v.in_cover());
     }
 
     #[test]
     fn round0_broadcasts_weight_and_degree() {
         let mut v = VertexNode::new(7, 3, 0.25, 2, Variant::Standard);
-        let inbox = vec![];
-        let mut out = Vec::new();
-        let mut ctx = ctx_at(0, 3, &inbox, &mut out);
-        assert_eq!(v.on_round(&mut ctx), Status::Running);
+        let (status, out) = run_round(&mut v, 0, 3, vec![]);
+        assert_eq!(status, Status::Running);
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|(_, m)| matches!(
             m,
@@ -411,9 +416,8 @@ mod tests {
                 alpha: 2,
             },
         }];
-        let mut out = Vec::new();
-        let mut ctx = ctx_at(2, 1, &inbox, &mut out);
-        assert_eq!(v.on_round(&mut ctx), Status::Running);
+        let (status, out) = run_round(&mut v, 2, 1, inbox);
+        assert_eq!(status, Status::Running);
         assert_eq!(out, vec![(0, MwhvcMsg::LevelInc { count: 0 })]);
         assert_eq!(v.dual_sum(), 0.5);
         assert_eq!(v.level(), 0);
@@ -432,9 +436,8 @@ mod tests {
                 alpha: 2,
             },
         }];
-        let mut out = Vec::new();
-        let mut ctx = ctx_at(2, 1, &inbox, &mut out);
-        assert_eq!(v.on_round(&mut ctx), Status::Halted);
+        let (status, out) = run_round(&mut v, 2, 1, inbox);
+        assert_eq!(status, Status::Halted);
         assert!(v.in_cover());
         assert_eq!(out, vec![(0, MwhvcMsg::Join)]);
     }
@@ -461,9 +464,7 @@ mod tests {
                 },
             },
         ];
-        let mut out = Vec::new();
-        let mut ctx = ctx_at(2, 2, &inbox, &mut out);
-        v.on_round(&mut ctx);
+        run_round(&mut v, 2, 2, inbox);
         let dual_before = v.dual_sum();
 
         // V2: edge on port 0 covered, port 1 halved twice.
@@ -477,9 +478,8 @@ mod tests {
                 msg: MwhvcMsg::Halved { count: 2 },
             },
         ];
-        let mut out = Vec::new();
-        let mut ctx = ctx_at(4, 2, &inbox, &mut out);
-        assert_eq!(v.on_round(&mut ctx), Status::Running);
+        let (status, out) = run_round(&mut v, 4, 2, inbox);
+        assert_eq!(status, Status::Running);
         assert_eq!(v.dual_sum(), dual_before, "duals frozen, not removed");
         assert_eq!(v.ports[1].bid, 2.5 * 0.25, "bid halved twice");
         // Only the live port gets the raise/stuck message.
@@ -501,17 +501,13 @@ mod tests {
                 alpha: 2,
             },
         }];
-        let mut out = Vec::new();
-        v.on_round(&mut ctx_at(2, 1, &inbox, &mut out));
+        run_round(&mut v, 2, 1, inbox);
         let inbox = vec![Incoming {
             port: 0,
             msg: MwhvcMsg::Covered,
         }];
-        let mut out = Vec::new();
-        assert_eq!(
-            v.on_round(&mut ctx_at(4, 1, &inbox, &mut out)),
-            Status::Halted
-        );
+        let (status, out) = run_round(&mut v, 4, 1, inbox);
+        assert_eq!(status, Status::Halted);
         assert!(!v.in_cover());
         assert!(out.is_empty());
     }
@@ -527,15 +523,13 @@ mod tests {
                 alpha: 2,
             },
         }];
-        let mut out = Vec::new();
-        v.on_round(&mut ctx_at(2, 1, &inbox, &mut out));
+        run_round(&mut v, 2, 1, inbox);
         assert_eq!(v.dual_sum(), 50.0); // δ0 = bid0 (full, per iteration 0)
         let inbox = vec![Incoming {
             port: 0,
             msg: MwhvcMsg::RaiseApplied { raised: false },
         }];
-        let mut out = Vec::new();
-        v.on_round(&mut ctx_at(6, 1, &inbox, &mut out));
+        run_round(&mut v, 6, 1, inbox);
         // HalfBid: δ += bid/2 = 25.
         assert_eq!(v.dual_sum(), 75.0);
     }

@@ -307,9 +307,9 @@ impl MwhvcSolver {
         })
     }
 
-    /// Runs the protocol split into `threads` chunks (cut under the
-    /// configured [`PartitionPolicy`](dcover_congest::PartitionPolicy)),
-    /// one per thread, with identical results.
+    /// Runs the protocol split into `threads` chunks, one per thread, with
+    /// identical results. Each chunk holds a port-balanced id range of
+    /// the vertices and one of the hyperedges.
     ///
     /// # Errors
     ///

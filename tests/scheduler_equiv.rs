@@ -1,10 +1,10 @@
 //! Scheduler equivalence property tests: a single-chunk `Simulator` and a
-//! chunked one (at 1, 2, and 8 threads, under both chunk partition
-//! policies) must produce bit-identical `SimReport`s, node states, covers,
-//! levels, and duals — on every generator family and on the full MWHVC
-//! protocol stack. This is the determinism contract of the zero-allocation
-//! round engine: node placement may change which worker steps a node and
-//! which messages take the intra-chunk fast path, but never any result.
+//! chunked one (at 1, 2, and 8 threads) must produce bit-identical
+//! `SimReport`s, node states, covers, levels, and duals — on every
+//! generator family and on the full MWHVC protocol stack. This is the
+//! determinism contract of the zero-allocation round engine: node
+//! placement may change which worker steps a node and which messages take
+//! the intra-chunk fast path, but never any result.
 
 use distributed_covering::congest::{
     Ctx, PartitionPolicy, Process, SimReport, Simulator, Status, Topology,
@@ -15,7 +15,6 @@ mod common;
 use common::instances;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-const POLICIES: [PartitionPolicy; 2] = [PartitionPolicy::Contiguous, PartitionPolicy::Locality];
 
 /// A deterministic stateful protocol with data-dependent fan-out, used to
 /// compare raw scheduler behaviour on the bipartite incidence network.
@@ -59,13 +58,10 @@ fn run_seq(topo: &Topology, nodes: Vec<Churn>) -> (SimReport, Vec<u64>) {
     (report, states)
 }
 
-fn run_par(
-    topo: &Topology,
-    nodes: Vec<Churn>,
-    threads: usize,
-    policy: PartitionPolicy,
-) -> (SimReport, Vec<u64>) {
-    let mut sim = Simulator::with_partition(topo.clone(), nodes, threads, policy).with_trace(true);
+fn run_par(topo: &Topology, nodes: Vec<Churn>, threads: usize) -> (SimReport, Vec<u64>) {
+    let mut sim =
+        Simulator::with_partition(topo.clone(), nodes, threads, PartitionPolicy::Contiguous)
+            .with_trace(true);
     let report = sim.run(64).expect("terminates");
     let (nodes, _) = sim.into_parts();
     let states = nodes.iter().map(|n| n.state).collect();
@@ -83,17 +79,15 @@ fn assert_equivalent_on(topo: &Topology, label: &str) {
     };
     let (seq_report, seq_states) = run_seq(topo, make());
     for threads in THREAD_COUNTS {
-        for policy in POLICIES {
-            let (par_report, par_states) = run_par(topo, make(), threads, policy);
-            assert_eq!(
-                seq_report, par_report,
-                "{label}: report at {threads} threads ({policy})"
-            );
-            assert_eq!(
-                seq_states, par_states,
-                "{label}: states at {threads} threads ({policy})"
-            );
-        }
+        let (par_report, par_states) = run_par(topo, make(), threads);
+        assert_eq!(
+            seq_report, par_report,
+            "{label}: report at {threads} threads"
+        );
+        assert_eq!(
+            seq_states, par_states,
+            "{label}: states at {threads} threads"
+        );
     }
 }
 
@@ -111,31 +105,23 @@ fn mwhvc_protocol_identical_across_schedulers() {
         let seq = MwhvcSolver::new(MwhvcConfig::new(0.5).unwrap())
             .solve(&g)
             .expect(&label);
-        for policy in POLICIES {
-            let solver = MwhvcSolver::new(MwhvcConfig::new(0.5).unwrap().with_partition(policy));
-            for threads in THREAD_COUNTS {
-                let par = solver.solve_parallel(&g, threads).expect(&label);
-                assert_eq!(
-                    seq.cover, par.cover,
-                    "{label}: cover at {threads} threads ({policy})"
-                );
-                assert_eq!(
-                    seq.levels, par.levels,
-                    "{label}: levels at {threads} threads ({policy})"
-                );
-                assert_eq!(
-                    seq.duals, par.duals,
-                    "{label}: duals at {threads} threads ({policy})"
-                );
-                assert_eq!(
-                    seq.report, par.report,
-                    "{label}: SimReport at {threads} threads ({policy})"
-                );
-                assert_eq!(
-                    seq.iterations, par.iterations,
-                    "{label}: iterations at {threads} threads ({policy})"
-                );
-            }
+        let solver = MwhvcSolver::new(MwhvcConfig::new(0.5).unwrap());
+        for threads in THREAD_COUNTS {
+            let par = solver.solve_parallel(&g, threads).expect(&label);
+            assert_eq!(seq.cover, par.cover, "{label}: cover at {threads} threads");
+            assert_eq!(
+                seq.levels, par.levels,
+                "{label}: levels at {threads} threads"
+            );
+            assert_eq!(seq.duals, par.duals, "{label}: duals at {threads} threads");
+            assert_eq!(
+                seq.report, par.report,
+                "{label}: SimReport at {threads} threads"
+            );
+            assert_eq!(
+                seq.iterations, par.iterations,
+                "{label}: iterations at {threads} threads"
+            );
         }
     }
 }
