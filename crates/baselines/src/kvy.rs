@@ -14,12 +14,15 @@
 //!    (`Σ_{e∈E'(v)} t(e) ≤ d'(v)·r(v)/d'(v) = r(v)`).
 //!
 //! The increment of an edge is throttled by its most-congested member, so
-//! progress per iteration shrinks as instances grow — unlike Algorithm
-//! MWHVC, whose multiplicative bids make progress degree-independent. The
-//! measured rounds grow with `n` (and with `1/ε`), which is what Tables 1–2
-//! contrast against the `O(log Δ/log log Δ)` bound. Slack values ride in
-//! messages as 64-bit floats; under the paper's `W = poly(n)` assumption
-//! that is `O(log n)` bits.
+//! progress per iteration can shrink where members are congested — unlike
+//! Algorithm MWHVC, whose multiplicative bids make progress
+//! degree-independent. Its rounds are bounded by `O(f·log(f/ε)·log n)`,
+//! which Tables 1–2 contrast against the `O(log Δ/log log Δ)` bound. The
+//! `log n` term is a bound, not a measured trend: on F3's sweep
+//! (`fig_rounds_vs_n`: f = 3, m = 2n, ε = 0.5, n = 2¹⁰…2¹⁴) this baseline
+//! takes 13 rounds at every n, fewer than Algorithm MWHVC's 29–37. Slack
+//! values ride in messages as 64-bit floats; under the paper's
+//! `W = poly(n)` assumption that is `O(log n)` bits.
 
 use dcover_congest::{
     bits_for_value, Ctx, Message, Process, SimError, Simulator, Status, Topology,

@@ -2,10 +2,11 @@
 //! with (roughly) constant degree.
 //!
 //! Sweeping `n` at a fixed edge/vertex ratio keeps Δ nearly constant, so
-//! the paper predicts flat rounds for this work at constant ε, a `~log n`
-//! slope for the `ε = 1/(nW)` f-approximation mode (Cor. 10,
-//! `O(f log n)`), and growth for the KVY-style baseline
-//! (`O(f·log(f/ε)·log n)`).
+//! the paper predicts flat rounds for this work at constant ε and a
+//! `~log n` slope for the `ε = 1/(nW)` f-approximation mode (Cor. 10,
+//! `O(f log n)`). The KVY-style baseline is bounded by
+//! `O(f·log(f/ε)·log n)`, which allows growth in n but does not force
+//! it: on this sweep it measures flat, 13 rounds at every n.
 
 use dcover_baselines::kvy::solve_kvy;
 use dcover_bench::fit::{growth_factor, linear_fit};
@@ -66,7 +67,7 @@ fn main() {
     }
     table.print();
     println!(
-        "\ngrowth n×16: this work ×{} (paper: flat), f-approx ×{} (paper: ~logn), KVY ×{}",
+        "\ngrowth n×16: this work ×{} (paper: flat), f-approx ×{} (paper: ~logn), KVY ×{} (bound: O(f·log(f/ε)·log n))",
         f(growth_factor(&ours_r), 2),
         f(growth_factor(&fapx_r), 2),
         f(growth_factor(&kvy_r), 2),

@@ -86,7 +86,7 @@ fn main() {
         growth_factor(&dbl_r)
     );
     println!(
-        "KVY growth ×{:.2} (scale-free increments; its weakness is n, see F3)",
+        "KVY growth ×{:.2} (scale-free increments; bounded by O(f·log(f/ε)·log n), yet flat in n on F3's sweep)",
         growth_factor(&kvy_r)
     );
 }

@@ -14,13 +14,17 @@
 //!
 //! * `p mwhvc n m` — a full instance, cold-solved as before;
 //! * `p delta <base> <r> <a> <w> [eps]` — a **revision** of the record
-//!   whose `seq` is `<base>`: the service applies the edge/weight delta
-//!   to the cached predecessor and **warm-starts** the re-solve from its
-//!   dual packing ([`SolveService::submit_delta_with`]). Deltas chain — a
-//!   delta may reference an earlier delta's `seq`. If the base is still
-//!   in flight when its delta arrives, the reader waits for it (a
-//!   revision cannot be resolved before its predecessor). Result lines
-//!   for revisions carry `"warm": true` and `"base": <seq>`.
+//!   whose `seq` is `<base>`: the reader applies the edge/weight delta
+//!   to that record's instance, seeds the re-solve with its dual packing
+//!   ([`WarmState::for_delta`]) and hands both to the service, which
+//!   **warm-starts** it ([`SolveService::submit_warm`]). Without its own
+//!   ε a revision inherits its base's. Deltas chain — a delta may
+//!   reference an earlier delta's `seq`. If the base is still in flight
+//!   when its delta arrives, the reader waits for it (a revision cannot
+//!   be resolved before its predecessor). The reader keeps the instance,
+//!   result and ε of its last 256 records; a delta naming an older record
+//!   gets an error line. Result lines for revisions carry `"warm": true`
+//!   and `"base": <seq>`.
 //!
 //! # Scheduling classes and deadlines
 //!
@@ -97,8 +101,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dcover_core::{
-    ClassMetrics, LatencyHistogram, RequestClass, ServiceMetrics, SolveError, SolveService,
-    SubmitError, SubmitOptions, Ticket,
+    ClassMetrics, CoverResult, LatencyHistogram, RequestClass, ServiceMetrics, SolveError,
+    SolveService, SubmitError, SubmitOptions, Ticket, WarmState,
 };
 use dcover_hypergraph::{format, Hypergraph};
 
@@ -111,9 +115,7 @@ use crate::Failure;
 /// One submitted record awaiting completion.
 struct Pending {
     seq: u64,
-    /// The service-side sequence id (what later deltas resolve against).
-    service_seq: u64,
-    /// The revision this record applied to, for warm submissions.
+    /// The record this revision was applied to, for warm submissions.
     base: Option<u64>,
     /// The ε this record was solved with (deltas may override the
     /// stream's ε per record).
@@ -129,21 +131,23 @@ struct Pending {
 /// What became of an already-emitted record, kept so later delta records
 /// can resolve their base `seq`.
 enum Outcome {
-    /// Solved fine; deltas may warm-start against this service seq. `eps`
-    /// is the ε the record was actually solved with (a chained delta
-    /// without its own override inherits it — not the stream default).
-    Solved { service_seq: u64, eps: f64 },
+    /// Solved fine: everything a revision of it needs. `eps` is the ε the
+    /// record was actually solved with (a chained delta without its own
+    /// override inherits it — not the stream default).
+    Solved {
+        g: Arc<Hypergraph>,
+        result: Box<CoverResult>,
+        eps: f64,
+    },
     /// Parse, submit, solve, or deadline failure — deltas against it are
     /// refused.
     Failed,
 }
 
-/// How many record outcomes the reader retains for base resolution. The
-/// service's own result cache (256 entries by default) is the real
-/// warm-start horizon — outcomes past `OUTCOME_RETENTION` could only
-/// ever resolve to `UnknownBase` anyway, and an unbounded map would grow
-/// forever in the long-running server shape this command exists for.
-const OUTCOME_RETENTION: usize = 1024;
+/// How many record outcomes the reader retains: the warm-start horizon.
+/// A delta may name any of the last `OUTCOME_RETENTION` records as its
+/// base; the bound keeps a long-running stream's memory flat.
+const OUTCOME_RETENTION: usize = 256;
 
 /// Running totals for the stderr summary and the exit code. Only
 /// `failed` affects the exit code: expired, cancelled, and shed records
@@ -444,7 +448,6 @@ impl Stream {
                     Ok(ticket) => {
                         self.pending.push(Pending {
                             seq,
-                            service_seq: ticket.seq(),
                             base: None,
                             eps: self.eps,
                             class: opts.class,
@@ -463,8 +466,9 @@ impl Stream {
     }
 
     /// A delta record: resolve the base (waiting out its solve if it is
-    /// still in flight — a revision needs its predecessor's duals), then
-    /// hand the delta to the service for a warm-started re-solve.
+    /// still in flight — a revision needs its predecessor's duals), apply
+    /// the delta to it, and submit the revision warm, seeded from the
+    /// base's result.
     fn submit_delta(&mut self, seq: u64, text: &str, opts: SubmitOptions) -> Result<(), Failure> {
         let parse_start = Instant::now();
         let record = match format::parse_delta(text) {
@@ -484,8 +488,9 @@ impl Stream {
         // Wait until the base record has resolved one way or the other.
         while !self.outcomes.contains_key(&base) {
             if !self.pending.iter().any(|p| p.seq == base) {
-                // Never submitted (its own parse/submit failed) — the
-                // outcome map would have it; this is a stream bug guard.
+                // Neither pending nor kept: every earlier record that is
+                // not pending was given an outcome, so this one has
+                // fallen out of the retention window.
                 break;
             }
             self.poll_completed()?;
@@ -493,35 +498,33 @@ impl Stream {
             // base solve is still in flight (see the drain loop above).
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
-        let (service_seq, base_eps) = match self.outcomes.get(&base) {
-            Some(Outcome::Solved { service_seq, eps }) => (*service_seq, *eps),
-            Some(Outcome::Failed) => {
-                return self.emit_error(
-                    seq,
-                    &format!("base record {base} failed; cannot warm-start from it"),
-                )
-            }
-            None => {
-                return self.emit_error(
-                    seq,
-                    &format!(
-                        "unknown base record {base} (never solved, or past the retention window)"
-                    ),
-                )
-            }
+        let revision = match self.outcomes.get(&base) {
+            // Without an override the revision inherits the ε its *base*
+            // was solved with, so the emitted result line reports the ε
+            // actually used.
+            Some(Outcome::Solved { g, result, eps }) => match record.delta.apply(g) {
+                Ok(applied) => Ok((
+                    WarmState::for_delta(result, &applied),
+                    Arc::new(applied.graph),
+                    record.epsilon.unwrap_or(*eps),
+                )),
+                Err(e) => Err(format!("invalid submission: delta failed to apply: {e}")),
+            },
+            Some(Outcome::Failed) => Err(format!(
+                "base record {base} failed; cannot warm-start from it"
+            )),
+            None => Err(format!(
+                "unknown base record {base} (never solved, or past the retention window)"
+            )),
         };
-        // Without an override the revision inherits the ε its *base* was
-        // solved with — the same resolution the service applies — so the
-        // emitted result line reports the ε actually used.
-        let eps = record.epsilon.unwrap_or(base_eps);
-        match self
-            .service
-            .submit_delta_with(service_seq, &record.delta, Some(eps), opts)
-        {
-            Ok((ticket, g)) => {
+        let (warm, g, eps) = match revision {
+            Ok(revision) => revision,
+            Err(message) => return self.emit_error(seq, &message),
+        };
+        match self.service.submit_warm(Arc::clone(&g), eps, warm, opts) {
+            Ok(ticket) => {
                 self.pending.push(Pending {
                     seq,
-                    service_seq: ticket.seq(),
                     base: Some(base),
                     eps,
                     class: opts.class,
@@ -543,7 +546,6 @@ impl Stream {
         for entry in drained {
             let Pending {
                 seq,
-                service_seq,
                 base,
                 eps,
                 class,
@@ -584,7 +586,14 @@ impl Stream {
                             if base.is_some() {
                                 self.totals.warm += 1;
                             }
-                            self.record_outcome(seq, Outcome::Solved { service_seq, eps });
+                            self.record_outcome(
+                                seq,
+                                Outcome::Solved {
+                                    g,
+                                    result: Box::new(result),
+                                    eps,
+                                },
+                            );
                         }
                         Err(SolveError::Expired { .. }) => {
                             self.emit_expired(seq, class, queue_ms)?;
@@ -599,7 +608,6 @@ impl Stream {
                 }
                 Err(ticket) => still.push(Pending {
                     seq,
-                    service_seq,
                     base,
                     eps,
                     class,

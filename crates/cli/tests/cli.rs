@@ -483,20 +483,22 @@ fn chained_delta_inherits_its_bases_epsilon_not_the_stream_default() {
 #[test]
 fn serve_rejects_bad_delta_records_without_crashing() {
     // Delta referencing an unknown base, a delta with eps 0.0 (invalid),
-    // and a delta whose base record itself failed — each yields an error
-    // JSON line; the good records still solve.
+    // a delta whose base record itself failed, and a delta removing an
+    // edge its one-edge base does not have — each yields an error JSON
+    // line; the good records still solve.
     let stream = "p mwhvc 2 1\nv 2\nv 3\ne 0 1\n\
                   p delta 7 0 0 0\n\
                   p delta 0 0 0 0 0.0\n\
                   p mwhvc 1 1\nv 0\ne 0\n\
                   p delta 3 0 0 0\n\
-                  p delta 0 0 0 0\n";
+                  p delta 0 0 0 0\n\
+                  p delta 0 1 0 0\nr 5\n";
     let out = dcover_stdin(&["serve", "--threads", "1"], stream);
     assert_eq!(out.status.code(), Some(1), "failed records exit 1");
     let text = stdout_of(&out);
-    assert_eq!(text.lines().count(), 6, "{text}");
+    assert_eq!(text.lines().count(), 7, "{text}");
     assert_eq!(text.matches("\"ok\": true").count(), 2, "{text}");
-    assert_eq!(text.matches("\"ok\": false").count(), 4, "{text}");
+    assert_eq!(text.matches("\"ok\": false").count(), 5, "{text}");
     let eps_line = text
         .lines()
         .find(|l| l.starts_with("{\"seq\": 2,"))
@@ -507,6 +509,35 @@ fn serve_rejects_bad_delta_records_without_crashing() {
         .find(|l| l.starts_with("{\"seq\": 4,"))
         .unwrap();
     assert!(failed_base.contains("cannot warm-start"), "{failed_base}");
+    let misfit = text
+        .lines()
+        .find(|l| l.starts_with("{\"seq\": 6,"))
+        .unwrap();
+    assert!(misfit.contains("delta failed to apply"), "{misfit}");
+}
+
+#[test]
+fn serve_keeps_the_last_256_records_as_delta_bases() {
+    // 300 one-edge records, then a revision of the first (past the
+    // retention horizon) and one of the last (inside it).
+    let mut stream = "p mwhvc 2 1\nv 1\nv 2\ne 0 1\n".repeat(300);
+    stream.push_str("p delta 0 0 0 0\np delta 299 0 0 0\n");
+    let out = dcover_stdin(&["serve", "--threads", "1"], &stream);
+    assert_eq!(out.status.code(), Some(1), "the stale revision fails");
+    let text = stdout_of(&out);
+    let line = |seq: u64| {
+        text.lines()
+            .find(|l| l.starts_with(&format!("{{\"seq\": {seq},")))
+            .unwrap_or_else(|| panic!("no line for seq {seq}: {text}"))
+    };
+    let stale = line(300);
+    assert!(stale.contains("\"ok\": false"), "{stale}");
+    assert!(stale.contains("unknown base record 0"), "{stale}");
+    let fresh = line(301);
+    assert!(fresh.contains("\"ok\": true"), "{fresh}");
+    assert!(fresh.contains("\"warm\": true"), "{fresh}");
+    assert!(fresh.contains("\"base\": 299"), "{fresh}");
+    assert_eq!(text.matches("\"ok\": true").count(), 301, "{text}");
 }
 
 #[test]

@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use dcover_congest::SimError;
-use dcover_hypergraph::DeltaError;
 
 /// Error produced when configuring or running the solver.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,8 +31,6 @@ pub enum SolveError {
         /// Description of what didn't line up.
         what: &'static str,
     },
-    /// An instance delta could not be applied to its base instance.
-    Delta(DeltaError),
     /// A vertex weight exceeds 2⁵³, beyond which `f64` dual arithmetic is no
     /// longer exact on integers. The paper assumes `W = poly(n)`, so this
     /// never binds on sensible instances.
@@ -45,7 +42,7 @@ pub enum SolveError {
     },
     /// The underlying simulation failed: either the CONGEST bit budget was
     /// violated or the Theorem 8 round bound was exceeded — both indicate a
-    /// bug (or a deliberately tightened limit).
+    /// bug (or a deliberately tightened bit budget).
     Sim(SimError),
     /// The solve task panicked on a worker of a
     /// [`SolveService`](crate::SolveService). The panic is confined to the
@@ -91,7 +88,6 @@ impl fmt::Display for SolveError {
             SolveError::WarmMismatch { what } => {
                 write!(f, "warm state does not fit the instance: {what}")
             }
-            SolveError::Delta(e) => write!(f, "delta failed to apply: {e}"),
             SolveError::WeightTooLarge { vertex, weight } => write!(
                 f,
                 "vertex {vertex} has weight {weight} which exceeds 2^53; dual arithmetic would lose exactness"
@@ -119,7 +115,6 @@ impl Error for SolveError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SolveError::Sim(e) => Some(e),
-            SolveError::Delta(e) => Some(e),
             _ => None,
         }
     }
@@ -128,12 +123,6 @@ impl Error for SolveError {
 impl From<SimError> for SolveError {
     fn from(e: SimError) -> Self {
         SolveError::Sim(e)
-    }
-}
-
-impl From<DeltaError> for SolveError {
-    fn from(e: DeltaError) -> Self {
-        SolveError::Delta(e)
     }
 }
 

@@ -33,7 +33,9 @@
 //!   [`SolveService::submit`] takes a shared `Arc<Hypergraph>`
 //!   (zero-copy) and returns a [`Ticket`] to redeem for the result;
 //!   [`SolveService::try_submit_with`] sheds load instead of blocking;
-//!   [`SolveService::shutdown`] drains gracefully.
+//!   [`SolveService::submit_warm`] solves a revision from the
+//!   [`WarmState`] its caller hands in (the service keeps no finished
+//!   solves); [`SolveService::shutdown`] drains gracefully.
 //!
 //! # Example
 //!
@@ -80,10 +82,7 @@ pub use error::SolveError;
 pub use invariants::{approximation_holds, InvariantChecker, DEFAULT_TOLERANCE};
 pub use metrics::{ClassMetrics, LatencyHistogram, ServiceMetrics};
 pub use observer::{HistoryObserver, IterationSnapshot, IterationStats, NullObserver, Observer};
-pub use params::{
-    beta, theorem9_alpha, try_beta, try_theorem9_alpha, try_z_levels, z_levels, AlphaPolicy,
-    MwhvcConfig, Variant,
-};
+pub use params::{beta, theorem9_alpha, z_levels, AlphaPolicy, MwhvcConfig, Variant};
 pub use protocol::{
     build_network, build_network_warm, iteration_of_round, iterations_of_rounds, MwhvcMsg,
     MwhvcNode, NodeRole,

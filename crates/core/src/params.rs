@@ -23,7 +23,7 @@ use crate::error::SolveError;
 /// Panics if `f == 0` or `eps` is not in `(0, 1]`. User-facing entry
 /// points never reach the panic: every solve path first runs
 /// [`MwhvcConfig::validate`], which turns the same conditions into typed
-/// [`SolveError`]s ([`try_beta`] is the checked form).
+/// [`SolveError`]s.
 #[must_use]
 pub fn beta(f: u32, eps: f64) -> f64 {
     assert!(f > 0, "rank must be positive");
@@ -31,41 +31,18 @@ pub fn beta(f: u32, eps: f64) -> f64 {
     eps / (f as f64 + eps)
 }
 
-/// Checked [`beta`]: rejects a bad ε as a typed error instead of
-/// panicking (`f` is derived from the instance, never user input, and is
-/// still asserted).
-///
-/// # Errors
-///
-/// Returns [`SolveError::InvalidEpsilon`] unless `0 < eps ≤ 1`.
-pub fn try_beta(f: u32, eps: f64) -> Result<f64, SolveError> {
-    if !(eps > 0.0 && eps <= 1.0) {
-        return Err(SolveError::InvalidEpsilon { value: eps });
-    }
-    Ok(beta(f, eps))
-}
-
 /// Computes `z = ⌈log₂(1/β)⌉`, the level bound (paper §4.2). Note
 /// `z = O(log(f/ε))`.
 ///
 /// # Panics
 ///
-/// Panics if `f == 0` or `eps` is not in `(0, 1]` (see [`beta`] on why
-/// solve paths cannot reach this; [`try_z_levels`] is the checked form).
+/// Panics if `f == 0` or `eps` is not in `(0, 1]`. Solve paths never
+/// reach the panic: they run [`MwhvcConfig::validate`] first, as for
+/// [`beta`].
 #[must_use]
 pub fn z_levels(f: u32, eps: f64) -> u32 {
     let b = beta(f, eps);
     (1.0 / b).log2().ceil() as u32
-}
-
-/// Checked [`z_levels`].
-///
-/// # Errors
-///
-/// Returns [`SolveError::InvalidEpsilon`] unless `0 < eps ≤ 1`.
-pub fn try_z_levels(f: u32, eps: f64) -> Result<u32, SolveError> {
-    try_beta(f, eps)?;
-    Ok(z_levels(f, eps))
 }
 
 /// How the bid multiplier `α` is chosen.
@@ -157,26 +134,14 @@ impl Default for AlphaPolicy {
     }
 }
 
-/// Checked [`theorem9_alpha`].
-///
-/// # Errors
-///
-/// Returns [`SolveError::InvalidGamma`] for `γ ≤ 0`, NaN, or infinite γ,
-/// and [`SolveError::InvalidEpsilon`] for ε outside `(0, 1]`.
-pub fn try_theorem9_alpha(f: u32, eps: f64, delta: u32, gamma: f64) -> Result<u32, SolveError> {
-    AlphaPolicy::Theorem9 { gamma }.validate()?;
-    try_beta(f, eps)?;
-    Ok(theorem9_alpha(f, eps, delta, gamma))
-}
-
 /// The α of Theorem 9 for maximum degree `delta`, rank `f`, slack `eps`,
 /// constant `gamma`, rounded to an integer ≥ 2.
 ///
 /// # Panics
 ///
-/// Panics if `gamma <= 0.0`, `f == 0`, or `eps` is outside `(0, 1]` (see
-/// [`beta`] on why solve paths cannot reach this;
-/// [`try_theorem9_alpha`] is the checked form).
+/// Panics if `gamma <= 0.0`, `f == 0`, or `eps` is outside `(0, 1]`.
+/// Solve paths never reach the panic: they run [`MwhvcConfig::validate`]
+/// first, as for [`beta`].
 #[must_use]
 pub fn theorem9_alpha(f: u32, eps: f64, delta: u32, gamma: f64) -> u32 {
     assert!(gamma > 0.0, "gamma must be positive");
@@ -229,13 +194,12 @@ pub struct MwhvcConfig {
     variant: Variant,
     budget: Option<BitBudget>,
     trace: bool,
-    max_rounds: Option<u64>,
 }
 
 impl MwhvcConfig {
     /// Creates a configuration with the given ε and defaults elsewhere
-    /// (Theorem 9 α, standard variant, automatic CONGEST budget, automatic
-    /// round limit from Theorem 8's explicit constants).
+    /// (Theorem 9 α, standard variant, automatic CONGEST budget, no
+    /// tracing).
     ///
     /// # Errors
     ///
@@ -250,7 +214,6 @@ impl MwhvcConfig {
             variant: Variant::default(),
             budget: None,
             trace: false,
-            max_rounds: None,
         })
     }
 
@@ -271,7 +234,7 @@ impl MwhvcConfig {
     }
 
     /// Replaces the ε while keeping every other setting (α policy,
-    /// variant, budget, trace, round limit) — how a serving layer derives
+    /// variant, budget, trace) — how a serving layer derives
     /// a per-request configuration from its base configuration.
     ///
     /// # Errors
@@ -311,16 +274,6 @@ impl MwhvcConfig {
     #[must_use]
     pub fn with_trace(mut self, on: bool) -> Self {
         self.trace = on;
-        self
-    }
-
-    /// Overrides the round limit (default: the explicit Theorem 8 bound
-    /// computed by [`analysis::round_bound`](crate::analysis::round_bound)
-    /// with a safety factor; hitting it is reported as an error because it
-    /// would falsify the paper's bound).
-    #[must_use]
-    pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
-        self.max_rounds = Some(max_rounds);
         self
     }
 
@@ -372,12 +325,6 @@ impl MwhvcConfig {
     #[must_use]
     pub fn trace(&self) -> bool {
         self.trace
-    }
-
-    /// The configured round-limit override, if any.
-    #[must_use]
-    pub fn max_rounds(&self) -> Option<u64> {
-        self.max_rounds
     }
 
     /// The chunk placement of parallel solves, which has one value. It
@@ -459,13 +406,11 @@ mod tests {
             .unwrap()
             .with_alpha(AlphaPolicy::Fixed(2))
             .with_variant(Variant::HalfBid)
-            .with_trace(true)
-            .with_max_rounds(99);
+            .with_trace(true);
         assert_eq!(cfg.epsilon(), 0.5);
         assert_eq!(cfg.alpha(), AlphaPolicy::Fixed(2));
         assert_eq!(cfg.variant(), Variant::HalfBid);
         assert!(cfg.trace());
-        assert_eq!(cfg.max_rounds(), Some(99));
     }
 
     #[test]
@@ -481,33 +426,6 @@ mod tests {
     fn f_approximation_epsilon() {
         let cfg = MwhvcConfig::f_approximation(100, 10).unwrap();
         assert!((cfg.epsilon() - 1e-3).abs() < 1e-15);
-    }
-
-    #[test]
-    fn checked_variants_return_typed_errors() {
-        use crate::SolveError;
-        assert!(matches!(
-            try_beta(2, 0.0),
-            Err(SolveError::InvalidEpsilon { .. })
-        ));
-        assert!(matches!(
-            try_z_levels(2, f64::NAN),
-            Err(SolveError::InvalidEpsilon { .. })
-        ));
-        assert!(matches!(
-            try_theorem9_alpha(2, 0.5, 10, 0.0),
-            Err(SolveError::InvalidGamma { .. })
-        ));
-        assert!(matches!(
-            try_theorem9_alpha(2, 0.5, 10, f64::INFINITY),
-            Err(SolveError::InvalidGamma { .. })
-        ));
-        assert_eq!(try_beta(2, 1.0).unwrap(), beta(2, 1.0));
-        assert_eq!(try_z_levels(2, 0.1).unwrap(), z_levels(2, 0.1));
-        assert_eq!(
-            try_theorem9_alpha(1, 1.0, 1 << 20, 0.001).unwrap(),
-            theorem9_alpha(1, 1.0, 1 << 20, 0.001)
-        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ use dcover_hypergraph::Hypergraph;
 use crate::error::SolveError;
 use crate::metrics::Recorder;
 use crate::protocol::MwhvcNode;
-use crate::service::{CacheEntry, RequestClass, ResultCache, SubmitError, TaskTiming};
+use crate::service::{RequestClass, SubmitError, TaskTiming};
 use crate::solver::{CoverResult, MwhvcSolver};
 use crate::warm::WarmState;
 
@@ -55,13 +55,11 @@ pub(crate) type PreSolve = Arc<dyn Fn() + Send + Sync>;
 /// ticket.
 pub(crate) struct Entry {
     pub(crate) graph: Arc<Hypergraph>,
-    /// The predecessor's dual packing for a warm-started revision.
+    /// The seed of a warm-started revision.
     pub(crate) warm: Option<WarmState>,
     /// The per-request solver, carrying the in-run interrupt (the same
     /// token and deadline as below).
     pub(crate) solver: MwhvcSolver,
-    /// The key the result is cached under for later revisions.
-    pub(crate) seq: u64,
     pub(crate) class: RequestClass,
     pub(crate) deadline: Option<Instant>,
     pub(crate) cancel: CancelToken,
@@ -72,6 +70,17 @@ pub(crate) struct Entry {
     pub(crate) slot: Arc<Slot>,
     #[cfg(test)]
     pub(crate) pre_solve: Option<PreSolve>,
+}
+
+impl Entry {
+    /// Resolves the entry's ticket. The instance, seed and solver are
+    /// dropped first, so once a ticket resolves the service holds no
+    /// handle on its instance.
+    fn resolve(self, result: Result<CoverResult, SolveError>, timing: TaskTiming) {
+        let slot = Arc::clone(&self.slot);
+        drop(self);
+        slot.fill(result, timing);
+    }
 }
 
 /// Mutex-guarded queue state.
@@ -102,8 +111,6 @@ pub(crate) struct Pool {
     /// Maximum number of waiting entries across both lanes.
     pub(crate) capacity: usize,
     pub(crate) metrics: Recorder,
-    /// Completed solves retained for delta warm-starts, keyed by seq.
-    pub(crate) cache: Mutex<ResultCache>,
 }
 
 impl Pool {
@@ -132,7 +139,6 @@ impl Pool {
             not_full: Condvar::new(),
             capacity,
             metrics: Recorder::default(),
-            cache: Mutex::new(ResultCache::default()),
         });
         let handles = (0..threads)
             .map(|w| {
@@ -236,17 +242,16 @@ impl Pool {
             } else {
                 return Some((entry, waited));
             };
-            // Resolve outside the queue lock: the fill takes the slot
-            // mutex and wakes waiters, and dropping the entry frees its
-            // instance — neither may stall the workers and submitters
+            // Resolve outside the queue lock: dropping the entry frees its
+            // instance, and the fill takes the slot mutex and wakes
+            // waiters — neither may stall the workers and submitters
             // parked on the queue.
             drop(state);
             let timing = TaskTiming {
                 queue: waited,
                 run: Duration::ZERO,
             };
-            entry.slot.fill(Err(discard), timing);
-            drop(entry);
+            entry.resolve(Err(discard), timing);
             state = self.locked();
         }
     }
@@ -299,9 +304,8 @@ fn worker_loop(pool: &Pool) {
     let mut arena = EngineArena::new();
     while let Some((entry, waited)) = pool.pop() {
         let started = Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            solve(&entry, &mut arena, pool)
-        }));
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| solve(&entry, &mut arena)));
         let run = started.elapsed();
         pool.metrics.record_ran(entry.class, run, outcome.is_err());
         let result = outcome.unwrap_or_else(|payload| {
@@ -313,21 +317,14 @@ fn worker_loop(pool: &Pool) {
                 .unwrap_or_else(|| "non-string panic payload".into());
             Err(SolveError::Panicked { message })
         });
-        entry.slot.fill(result, TaskTiming { queue: waited, run });
+        entry.resolve(result, TaskTiming { queue: waited, run });
     }
 }
 
 /// Runs one entry's cold or warm solve under its interrupt: a cancel or
 /// a deadline that fires mid-run stops it at the next round boundary as
-/// the typed [`SolveError::Cancelled`] / [`SolveError::Expired`]. A
-/// successful result is cached under the entry's seq before its ticket
-/// resolves, so once a caller has seen a submission complete, a delta
-/// referencing its seq finds it (bounded-cache eviction aside).
-fn solve(
-    entry: &Entry,
-    arena: &mut EngineArena<MwhvcNode>,
-    pool: &Pool,
-) -> Result<CoverResult, SolveError> {
+/// the typed [`SolveError::Cancelled`] / [`SolveError::Expired`].
+fn solve(entry: &Entry, arena: &mut EngineArena<MwhvcNode>) -> Result<CoverResult, SolveError> {
     #[cfg(test)]
     if let Some(hook) = &entry.pre_solve {
         hook();
@@ -338,7 +335,7 @@ fn solve(
             .solver
             .solve_warm_with_arena(&entry.graph, warm, arena),
     };
-    let result = match result {
+    match result {
         Err(SolveError::Sim(SimError::Interrupted { reason, .. })) => Err(match reason {
             InterruptReason::Cancelled => SolveError::Cancelled,
             InterruptReason::DeadlinePassed => SolveError::Expired {
@@ -346,22 +343,7 @@ fn solve(
             },
         }),
         other => other,
-    };
-    if let Ok(r) = &result {
-        let recorded = CacheEntry {
-            graph: Arc::clone(&entry.graph),
-            result: Arc::new(r.clone()),
-            epsilon: entry.solver.config().epsilon(),
-        };
-        // On a poisoned cache mutex, skip recording instead of panicking
-        // the worker: the solve succeeded and its ticket must still
-        // resolve `Ok`; only delta warm-starts against this seq are lost
-        // (they fail with the typed `UnknownBase`).
-        if let Ok(mut cache) = pool.cache.lock() {
-            cache.insert(entry.seq, recorded);
-        }
     }
-    result
 }
 
 /// A solve's outcome and timings, as a ticket redeems them.
@@ -518,7 +500,6 @@ mod tests {
             })
             .collect();
         for (i, (g, t)) in instances.iter().zip(tickets).enumerate() {
-            assert_eq!(t.seq(), i as u64);
             assert_solo(&t.wait().unwrap(), g, i);
         }
     }

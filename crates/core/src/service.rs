@@ -18,14 +18,12 @@
 //!   [`CoverResult`], which is **bit-identical** to what a standalone
 //!   [`MwhvcSolver::solve`](crate::MwhvcSolver::solve) returns for the
 //!   same instance and ε.
-//! * [`submit_delta_with`](SolveService::submit_delta_with) hands in a
-//!   **revision**
-//!   of an earlier submission (an
-//!   [`InstanceDelta`](dcover_hypergraph::InstanceDelta) referencing its
-//!   [`Ticket::seq`]): the service resolves the cached predecessor, applies
-//!   the delta, and **warm-starts** the re-solve from the predecessor's
-//!   dual packing ([`MwhvcSolver::solve_warm`]) instead of solving from
-//!   scratch.
+//! * [`submit_warm`](SolveService::submit_warm) hands in a **revision**
+//!   with its seed: the revised instance and a [`WarmState`], typically
+//!   [`WarmState::for_delta`] of the predecessor's result. The worker
+//!   **warm-starts** the solve from that dual packing
+//!   ([`MwhvcSolver::solve_warm`]). The service keeps no predecessor: the
+//!   caller that holds a result owns its revision chain.
 //! * [`shutdown`](SolveService::shutdown) closes the queue (subsequent
 //!   submissions fail with [`SubmitError::ShutDown`]), **drains** every
 //!   queued and in-flight solve, and joins the workers — every ticket
@@ -37,7 +35,7 @@
 //! The submission queue is a small multi-class scheduler, not a plain
 //! FIFO: [`submit_with`](SolveService::submit_with) /
 //! [`try_submit_with`](SolveService::try_submit_with) /
-//! [`submit_delta_with`](SolveService::submit_delta_with) take
+//! [`submit_warm`](SolveService::submit_warm) take
 //! [`SubmitOptions`] carrying a [`RequestClass`]
 //! (`Interactive` submissions dequeue before every queued `Bulk` one,
 //! FIFO within a class) and an optional **full-lifecycle deadline**: a
@@ -87,13 +85,14 @@
 //! The service threads the `Arc<Hypergraph>` through to the solver layer
 //! untouched: the queue stores the `Arc` handle, the worker borrows
 //! `&Hypergraph` out of it for the solve, and no code path copies the
-//! underlying instance data (the delta result cache retains the handle,
-//! not a copy). `dcover_hypergraph::clone_count()` observes payload
-//! copies process-wide, and `tests/zero_copy.rs` pins this guarantee.
+//! underlying instance data. The worker drops its handle before the
+//! ticket resolves, so a resolved ticket leaves the caller's handles the
+//! only ones. `dcover_hypergraph::clone_count()` observes payload copies
+//! process-wide, and `tests/zero_copy.rs` pins this guarantee.
 //!
 //! # Error isolation
 //!
-//! A bad instance (oversized weights, tightened limits) resolves its own
+//! A bad instance (oversized weights, a tightened budget) resolves its own
 //! ticket with an `Err` and nothing else; even a *panicking* solve is
 //! confined to its ticket ([`SolveError::Panicked`]) — the worker
 //! survives and every other submission proceeds.
@@ -119,15 +118,13 @@
 //! # }
 //! ```
 
-use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dcover_congest::sync::atomic::{AtomicU64, Ordering};
 #[cfg(test)]
 use dcover_congest::sync::Mutex;
 use dcover_congest::{CancelToken, Interrupt};
-use dcover_hypergraph::{Hypergraph, InstanceDelta};
+use dcover_hypergraph::Hypergraph;
 
 use crate::error::SolveError;
 use crate::metrics::ServiceMetrics;
@@ -135,11 +132,6 @@ use crate::params::MwhvcConfig;
 use crate::pool::{Entry, OnFull, Pool, Slot};
 use crate::solver::{CoverResult, MwhvcSolver};
 use crate::warm::WarmState;
-
-/// Number of completed solves the service retains for
-/// [`submit_delta_with`](SolveService::submit_delta_with) to warm-start
-/// against.
-const RESULT_CACHE: usize = 256;
 
 /// Why a submission was refused at the service door. (Problems *inside*
 /// the solve — bad weights, limit violations — are not submission errors;
@@ -174,14 +166,6 @@ pub enum SubmitError {
     /// The request itself is invalid (e.g. ε outside `(0, 1]`); nothing
     /// was enqueued.
     Invalid(SolveError),
-    /// A [`submit_delta_with`](SolveService::submit_delta_with) referenced
-    /// a base revision the service does not hold: the sequence id was never
-    /// issued, its solve failed or has not completed yet, or its entry
-    /// was evicted from the bounded result cache.
-    UnknownBase {
-        /// The sequence id that could not be resolved.
-        seq: u64,
-    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -199,10 +183,6 @@ impl std::fmt::Display for SubmitError {
                 interactive_wait_p99.as_secs_f64() * 1e3
             ),
             SubmitError::Invalid(e) => write!(f, "invalid submission: {e}"),
-            SubmitError::UnknownBase { seq } => write!(
-                f,
-                "no cached result for base revision {seq} (not completed, failed, or evicted)"
-            ),
         }
     }
 }
@@ -324,9 +304,10 @@ pub struct TaskTiming {
 /// [`try_wait`](Ticket::try_wait) (polling); the `_timed` variants
 /// additionally report the per-ticket queue-wait and solve time. Tickets
 /// outlive the service — shutdown drains the queue, so every issued
-/// ticket resolves.
+/// ticket resolves. A ticket carries no id: a caller that redeems out of
+/// order keeps its own key beside each ticket (`dcover serve` keeps its
+/// record seq).
 pub struct Ticket {
-    seq: u64,
     slot: Arc<Slot>,
     /// Shared with the queued entry and its in-run interrupt; see
     /// [`cancel`](Self::cancel).
@@ -336,30 +317,12 @@ pub struct Ticket {
 impl std::fmt::Debug for Ticket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ticket")
-            .field("seq", &self.seq)
             .field("done", &self.is_done())
             .finish()
     }
 }
 
 impl Ticket {
-    /// The submission's sequence id: unique per service, 0-based, and
-    /// monotone in submission order *as observed by each submitting
-    /// thread* — which for a single-threaded ingestion loop (the `dcover
-    /// serve` shape) is exactly arrival order, letting a caller that
-    /// redeems tickets in completion order re-associate results with
-    /// requests. This id is also the handle
-    /// [`submit_delta_with`](SolveService::submit_delta_with) resolves a revision's
-    /// predecessor by. When several threads submit concurrently, ids stay
-    /// unique but the interleaving between threads is unspecified. The id
-    /// is drawn from an atomic counter *before* the enqueue (the queued
-    /// entry must know it to register its result for warm-starting), so a
-    /// refused non-blocking submission leaves a gap in the sequence.
-    #[must_use]
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
     /// Whether the solve has finished (a `wait` would not block).
     #[must_use]
     pub fn is_done(&self) -> bool {
@@ -419,55 +382,14 @@ impl Ticket {
     }
 }
 
-/// One completed solve retained so later deltas can warm-start from it.
-#[derive(Clone, Debug)]
-pub(crate) struct CacheEntry {
-    pub(crate) graph: Arc<Hypergraph>,
-    pub(crate) result: Arc<CoverResult>,
-    pub(crate) epsilon: f64,
-}
-
-/// Bounded seq-keyed store of completed solves, evicting the
-/// oldest-inserted entry beyond [`RESULT_CACHE`] entries. Workers insert
-/// on completion; [`SolveService::submit_delta_with`] resolves
-/// predecessors out of it. A `BTreeMap` rather than a hash map: eviction
-/// order comes from the explicit `order` deque either way, but clippy's
-/// `disallowed_types` (the root `clippy.toml`) bans hash collections
-/// outright — deterministic iteration is then a structural property, not
-/// a promise that nobody ever iterates `map`.
-#[derive(Debug, Default)]
-pub(crate) struct ResultCache {
-    map: BTreeMap<u64, CacheEntry>,
-    order: VecDeque<u64>,
-}
-
-impl ResultCache {
-    pub(crate) fn insert(&mut self, seq: u64, entry: CacheEntry) {
-        if self.map.insert(seq, entry).is_none() {
-            self.order.push_back(seq);
-            while self.map.len() > RESULT_CACHE {
-                if let Some(old) = self.order.pop_front() {
-                    self.map.remove(&old);
-                }
-            }
-        }
-    }
-
-    fn get(&self, seq: u64) -> Option<CacheEntry> {
-        self.map.get(&seq).cloned()
-    }
-}
-
 /// An asynchronous MWHVC solve service: persistent workers behind a
 /// bounded submission queue. See the module docs for the serving model.
 pub struct SolveService {
     base: MwhvcConfig,
-    /// The queue, its metrics and the result cache, shared with the
-    /// workers for the service's whole life.
+    /// The queue and its metrics, shared with the workers for the
+    /// service's whole life.
     pool: Arc<Pool>,
     threads: usize,
-    /// Next sequence id.
-    seq: AtomicU64,
     /// SLO-driven admission control: when set, bulk submissions are shed
     /// with [`SubmitError::Overloaded`] while the interactive queue-wait
     /// signal (rolling dequeue p99, or the oldest queued interactive
@@ -518,7 +440,6 @@ impl SolveService {
             base: config,
             pool: Pool::spawn(threads, capacity),
             threads,
-            seq: AtomicU64::new(0),
             shed_target: None,
             #[cfg(test)]
             pre_solve: Mutex::new(None),
@@ -557,8 +478,8 @@ impl SolveService {
     }
 
     /// The service's base configuration (per-submission ε overrides it;
-    /// every other setting — α policy, variant, budget, trace, round
-    /// limit — is inherited by every solve).
+    /// every other setting — α policy, variant, budget, trace — is
+    /// inherited by every solve).
     #[must_use]
     pub fn config(&self) -> &MwhvcConfig {
         &self.base
@@ -689,58 +610,29 @@ impl SolveService {
         self.enqueue(solver, Arc::clone(g), None, opts, OnFull::Refuse)
     }
 
-    /// Submits a **revision** of an earlier submission under explicit
-    /// [`SubmitOptions`] (request class and optional deadline): the delta
-    /// is applied to the cached base instance and the re-solve is
-    /// **warm-started** from the base's dual packing
-    /// ([`MwhvcSolver::solve_warm`]) instead of solving from scratch.
-    /// Returns the ticket plus the revised instance (shared — deltas can
-    /// be chained by referencing this submission's seq in turn).
-    ///
-    /// `base_seq` is the [`Ticket::seq`] of any earlier submission whose
-    /// solve has **completed successfully** and is still among the last
-    /// 256 completed solves the service retains. `epsilon` defaults to
-    /// the base submission's ε, preserving the `(f + ε)` guarantee across
-    /// a revision chain.
-    ///
-    /// Blocks while the queue is at capacity, like
-    /// [`submit_with`](Self::submit_with).
+    /// Submits a **revision** with its seed under explicit
+    /// [`SubmitOptions`]: `g` is the revised instance and `warm` its seed,
+    /// typically [`WarmState::for_delta`] of the predecessor's result
+    /// through the applied
+    /// [`InstanceDelta`](dcover_hypergraph::InstanceDelta). The worker
+    /// **warm-starts** the solve from that dual packing
+    /// ([`MwhvcSolver::solve_warm`]). Admission, blocking on a full queue,
+    /// class and deadline are those of [`submit_with`](Self::submit_with).
     ///
     /// # Errors
     ///
-    /// [`SubmitError::UnknownBase`] if `base_seq` cannot be resolved,
-    /// [`SubmitError::Invalid`] if the delta does not apply to the base
-    /// instance or the ε override is invalid, [`SubmitError::Overloaded`]
-    /// for a bulk revision shed by admission control, and
-    /// [`SubmitError::ShutDown`] after shutdown. A deadline miss resolves
-    /// the ticket with [`SolveError::Expired`].
-    pub fn submit_delta_with(
+    /// As [`submit_with`](Self::submit_with). A seed that does not fit `g`
+    /// is not a submission error: it resolves the ticket with
+    /// [`SolveError::WarmMismatch`].
+    pub fn submit_warm(
         &self,
-        base_seq: u64,
-        delta: &InstanceDelta,
-        epsilon: Option<f64>,
+        g: Arc<Hypergraph>,
+        epsilon: f64,
+        warm: WarmState,
         opts: SubmitOptions,
-    ) -> Result<(Ticket, Arc<Hypergraph>), SubmitError> {
-        // A poisoned cache mutex (a worker panicked mid-record) resolves
-        // as the typed `UnknownBase` rather than a second panic: the
-        // base entry genuinely cannot be *trusted* to be resolvable, and
-        // the caller's recovery — resubmit from scratch via `submit` —
-        // is the same as for an evicted base.
-        let entry = self
-            .pool
-            .cache
-            .lock()
-            .map_err(|_| SubmitError::UnknownBase { seq: base_seq })?
-            .get(base_seq)
-            .ok_or(SubmitError::UnknownBase { seq: base_seq })?;
-        let solver = self.admit(epsilon.unwrap_or(entry.epsilon), opts.class)?;
-        let outcome = delta
-            .apply(&entry.graph)
-            .map_err(|e| SubmitError::Invalid(SolveError::Delta(e)))?;
-        let warm = WarmState::for_delta(&entry.result, &outcome);
-        let g = Arc::new(outcome.graph);
-        let ticket = self.enqueue(solver, Arc::clone(&g), Some(warm), opts, OnFull::Wait)?;
-        Ok((ticket, g))
+    ) -> Result<Ticket, SubmitError> {
+        let solver = self.admit(epsilon, opts.class)?;
+        self.enqueue(solver, g, Some(warm), opts, OnFull::Wait)
     }
 
     /// Gracefully shuts the service down: close the queue (subsequent
@@ -752,11 +644,11 @@ impl SolveService {
         self.pool.shutdown();
     }
 
-    /// The steps every admitted submission shares: draw the seq, anchor
-    /// the deadline at the submit call, attach the in-run interrupt (the
-    /// same token and deadline the queue checks at dequeue), enqueue the
-    /// entry — waiting for or refusing on a full queue, per `on_full` —
-    /// and hand out the [`Ticket`].
+    /// The steps every admitted submission shares: anchor the deadline
+    /// at the submit call, attach the in-run interrupt (the same token
+    /// and deadline the queue checks at dequeue), enqueue the entry —
+    /// waiting for or refusing on a full queue, per `on_full` — and hand
+    /// out the [`Ticket`].
     fn enqueue(
         &self,
         solver: MwhvcSolver,
@@ -765,10 +657,6 @@ impl SolveService {
         opts: SubmitOptions,
         on_full: OnFull,
     ) -> Result<Ticket, SubmitError> {
-        // relaxed: only uniqueness/atomicity of the counter matters; the
-        // id reaches the worker inside the entry, through the queue's
-        // mutex, which provides the happens-before edge.
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let submitted = Instant::now();
         let deadline = opts.deadline.map(|d| submitted + d);
         let cancel = CancelToken::new();
@@ -781,7 +669,6 @@ impl SolveService {
             graph,
             warm,
             solver: solver.with_interrupt(interrupt),
-            seq,
             class: opts.class,
             deadline,
             cancel: cancel.clone(),
@@ -792,7 +679,7 @@ impl SolveService {
             pre_solve: self.pre_solve.lock().expect("pre-solve hook mutex").clone(),
         };
         self.pool.push(entry, on_full)?;
-        Ok(Ticket { seq, slot, cancel })
+        Ok(Ticket { slot, cancel })
     }
 
     /// Installs the test-only fault-injection hook: the worker runs it
@@ -1066,35 +953,22 @@ mod tests {
         assert!(c.wait().is_ok());
     }
 
-    #[test]
-    fn sequence_ids_are_unique_and_monotone() {
-        let gate = Gate::new();
-        let service = SolveService::with_queue_capacity(config(), 1, 1);
-        let busy = occupy_workers(&service, &gate);
-        let g = tiny();
-        let t1 = service
-            .try_submit_with(&g, 0.5, SubmitOptions::default())
-            .unwrap();
-        // A rejected submission leaves a gap (the id is drawn before the
-        // enqueue so the task can record its result under it), but never
-        // a duplicate.
-        assert!(service
-            .try_submit_with(&g, 0.5, SubmitOptions::default())
-            .is_err());
-        gate.release();
-        let t2 = service.submit(Arc::clone(&g), 0.5).unwrap();
-        assert_eq!(t1.seq(), busy.len() as u64);
-        assert_eq!(t2.seq(), t1.seq() + 2);
-        for t in busy {
-            t.wait().unwrap();
-        }
-        t1.wait().unwrap();
-        t2.wait().unwrap();
+    /// A revision of [`tiny`] and its seed: an added edge `0 – 2` and a
+    /// heavier middle vertex, seeded from `base`'s result.
+    fn revision(g: &Hypergraph, base: &CoverResult) -> (Arc<Hypergraph>, WarmState) {
+        use dcover_hypergraph::{InstanceDelta, VertexId};
+        let delta = InstanceDelta {
+            add_edges: vec![vec![VertexId::new(0), VertexId::new(2)]],
+            set_weights: vec![(VertexId::new(1), 4)],
+            ..InstanceDelta::empty()
+        };
+        let applied = delta.apply(g).unwrap();
+        let warm = WarmState::for_delta(base, &applied);
+        (Arc::new(applied.graph), warm)
     }
 
     #[test]
-    fn submit_delta_warm_starts_against_the_cached_predecessor() {
-        use crate::warm::WarmState;
+    fn submit_warm_is_bit_identical_to_solve_warm() {
         use dcover_hypergraph::{EdgeId, InstanceDelta, VertexId};
         let mut rng = StdRng::seed_from_u64(91);
         let g = Arc::new(random_uniform(
@@ -1107,161 +981,89 @@ mod tests {
             &mut rng,
         ));
         let service = SolveService::new(config(), 2);
-        let base = service.submit(Arc::clone(&g), 0.5).unwrap();
-        let base_seq = base.seq();
-        let base_result = base.wait().unwrap();
-
-        let delta = InstanceDelta {
-            remove_edges: vec![EdgeId::new(5)],
-            add_edges: vec![vec![VertexId::new(1), VertexId::new(4)]],
-            set_weights: vec![(VertexId::new(2), 50)],
-        };
-        let (ticket, revised) = service
-            .submit_delta_with(base_seq, &delta, None, SubmitOptions::default())
-            .unwrap();
-        let revised_seq = ticket.seq();
-        let served = ticket.wait().unwrap();
-
-        // Bit-identical to driving the warm path by hand.
-        let out = delta.apply(&g).unwrap();
-        assert_eq!(*revised, out.graph);
-        let direct = MwhvcSolver::with_epsilon(0.5)
-            .unwrap()
-            .solve_warm(&out.graph, &WarmState::for_delta(&base_result, &out))
-            .unwrap();
-        assert_eq!(served.cover, direct.cover);
-        assert_eq!(served.duals, direct.duals);
-        assert_eq!(served.levels, direct.levels);
-        assert_eq!(served.report, direct.report);
-
-        // Deltas chain: revise the revision.
-        let delta2 = InstanceDelta {
-            set_weights: vec![(VertexId::new(9), 1)],
-            ..InstanceDelta::empty()
-        };
-        let (ticket2, revised2) = service
-            .submit_delta_with(revised_seq, &delta2, None, SubmitOptions::default())
-            .unwrap();
-        let chained = ticket2.wait().unwrap();
-        assert!(chained.cover.is_cover_of(&revised2));
-    }
-
-    #[test]
-    fn submit_delta_error_paths() {
-        use dcover_hypergraph::{EdgeId, InstanceDelta};
-        let service = SolveService::new(config(), 1);
-        let g = tiny();
-
-        // Unknown base: never submitted.
-        assert_eq!(
-            service
-                .submit_delta_with(99, &InstanceDelta::empty(), None, SubmitOptions::default())
-                .unwrap_err(),
-            SubmitError::UnknownBase { seq: 99 }
-        );
-
-        let base = service.submit(Arc::clone(&g), 0.5).unwrap();
-        let seq = base.seq();
-        base.wait().unwrap();
-
-        // A delta that does not apply to the base instance.
-        let bad = InstanceDelta {
-            remove_edges: vec![EdgeId::new(42)],
-            ..InstanceDelta::empty()
-        };
-        assert!(matches!(
-            service.submit_delta_with(seq, &bad, None, SubmitOptions::default()),
-            Err(SubmitError::Invalid(SolveError::Delta(_)))
-        ));
-
-        // A bad ε override is refused at the door, like submit's.
-        assert!(matches!(
-            service.submit_delta_with(
-                seq,
-                &InstanceDelta::empty(),
-                Some(0.0),
-                SubmitOptions::default()
-            ),
-            Err(SubmitError::Invalid(SolveError::InvalidEpsilon { .. }))
-        ));
-
-        // A failed solve is never cached: its seq is not a valid base.
-        let oversized = Arc::new(from_weighted_edge_lists(&[1 << 60, 1], &[&[0, 1]]).unwrap());
-        let bad_ticket = service.submit(oversized, 0.5).unwrap();
-        let bad_seq = bad_ticket.seq();
-        assert!(bad_ticket.wait().is_err());
-        assert_eq!(
-            service
-                .submit_delta_with(
-                    bad_seq,
-                    &InstanceDelta::empty(),
-                    None,
-                    SubmitOptions::default()
+        let solver = MwhvcSolver::with_epsilon(0.5).unwrap();
+        let cold = service.submit(Arc::clone(&g), 0.5).unwrap().wait().unwrap();
+        let mut prev = (g, cold);
+        // A chain of two revisions, each seeded from the served result of
+        // its predecessor.
+        for delta in [
+            InstanceDelta {
+                remove_edges: vec![EdgeId::new(5)],
+                add_edges: vec![vec![VertexId::new(1), VertexId::new(4)]],
+                set_weights: vec![(VertexId::new(2), 50)],
+            },
+            InstanceDelta {
+                set_weights: vec![(VertexId::new(9), 1)],
+                ..InstanceDelta::empty()
+            },
+        ] {
+            let applied = delta.apply(&prev.0).unwrap();
+            let warm = WarmState::for_delta(&prev.1, &applied);
+            let revised = Arc::new(applied.graph);
+            let served = service
+                .submit_warm(
+                    Arc::clone(&revised),
+                    0.5,
+                    warm.clone(),
+                    SubmitOptions::default(),
                 )
-                .unwrap_err(),
-            SubmitError::UnknownBase { seq: bad_seq }
-        );
-
-        // After shutdown the door is closed for deltas too.
-        service.shutdown();
-        assert!(matches!(
-            service.submit_delta_with(seq, &InstanceDelta::empty(), None, SubmitOptions::default()),
-            Err(SubmitError::ShutDown)
-        ));
-    }
-
-    #[test]
-    fn result_cache_is_bounded_and_evicts_oldest() {
-        use dcover_hypergraph::InstanceDelta;
-        let service = SolveService::new(config(), 1);
-        let g = tiny();
-        let seqs: Vec<u64> = (0..=RESULT_CACHE)
-            .map(|_| {
-                let t = service.submit(Arc::clone(&g), 0.5).unwrap();
-                let seq = t.seq();
-                t.wait().unwrap();
-                seq
-            })
-            .collect();
-        // Oldest entry evicted; the next oldest and the newest still
-        // resolve.
-        assert_eq!(
-            service
-                .submit_delta_with(
-                    seqs[0],
-                    &InstanceDelta::empty(),
-                    None,
-                    SubmitOptions::default()
-                )
-                .unwrap_err(),
-            SubmitError::UnknownBase { seq: seqs[0] }
-        );
-        for seq in [seqs[1], seqs[RESULT_CACHE]] {
-            let (t, _) = service
-                .submit_delta_with(seq, &InstanceDelta::empty(), None, SubmitOptions::default())
+                .unwrap()
+                .wait()
                 .unwrap();
-            t.wait().unwrap();
+            let direct = solver.solve_warm(&revised, &warm).unwrap();
+            assert_eq!(served.cover, direct.cover);
+            assert_eq!(served.duals, direct.duals);
+            assert_eq!(served.levels, direct.levels);
+            assert_eq!(served.report, direct.report);
+            prev = (revised, served);
         }
     }
 
     #[test]
-    fn delta_epsilon_defaults_to_the_base_submissions_epsilon() {
-        use dcover_hypergraph::InstanceDelta;
-        let service = SolveService::new(MwhvcConfig::new(1.0).unwrap(), 2);
+    fn submit_warm_is_refused_at_the_door_like_submit() {
+        let service = SolveService::new(config(), 1);
         let g = tiny();
-        let base = service.submit(Arc::clone(&g), 0.25).unwrap();
-        let seq = base.seq();
-        let cold = base.wait().unwrap();
-        let (t, _) = service
-            .submit_delta_with(seq, &InstanceDelta::empty(), None, SubmitOptions::default())
+        let base = service.submit(Arc::clone(&g), 0.5).unwrap().wait().unwrap();
+        let (revised, warm) = revision(&g, &base);
+        assert!(matches!(
+            service.submit_warm(
+                Arc::clone(&revised),
+                0.0,
+                warm.clone(),
+                SubmitOptions::default()
+            ),
+            Err(SubmitError::Invalid(SolveError::InvalidEpsilon { .. }))
+        ));
+        service.shutdown();
+        assert_eq!(
+            service
+                .submit_warm(revised, 0.5, warm, SubmitOptions::default())
+                .unwrap_err(),
+            SubmitError::ShutDown
+        );
+    }
+
+    #[test]
+    fn a_seed_that_does_not_fit_fails_only_its_own_ticket() {
+        let service = SolveService::new(config(), 1);
+        let g = tiny();
+        let before = service.submit(Arc::clone(&g), 0.5).unwrap();
+        let misfit = WarmState::from_parts(vec![0.0; 5], vec![0; 3]);
+        let bad = service
+            .submit_warm(Arc::clone(&g), 0.5, misfit, SubmitOptions::default())
             .unwrap();
-        let warm = t.wait().unwrap();
-        // Same ε as the base (0.25), not the service base ε (1.0): the
-        // empty-delta warm result is bit-identical to the 0.25 cold one.
-        assert_eq!(warm.cover, cold.cover);
-        assert_eq!(warm.duals, cold.duals);
-        assert_eq!(warm.levels, cold.levels);
-        assert_eq!(warm.dual_total, cold.dual_total);
+        let after = service.submit(Arc::clone(&g), 0.5).unwrap();
+        assert!(matches!(bad.wait(), Err(SolveError::WarmMismatch { .. })));
+        let base = before.wait().unwrap();
+        assert!(after.wait().unwrap().cover.is_cover_of(&g));
+        // The service keeps serving, warm submissions included.
+        let (revised, warm) = revision(&g, &base);
+        let served = service
+            .submit_warm(Arc::clone(&revised), 0.5, warm, SubmitOptions::default())
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(served.cover.is_cover_of(&revised));
     }
 
     #[test]
@@ -1464,15 +1266,14 @@ mod tests {
 
     #[test]
     fn bulk_submissions_are_shed_while_interactive_p99_exceeds_target() {
-        use dcover_hypergraph::InstanceDelta;
         let gate = Gate::new();
         let service = SolveService::with_queue_capacity(config(), 1, 8)
             .with_shed_target(std::time::Duration::from_millis(1));
         let g = tiny();
-        // Solve one instance before the overload so a delta base exists.
-        let base = service.submit(Arc::clone(&g), 0.5).unwrap();
-        let base_seq = base.seq();
-        base.wait().unwrap();
+        // Solve one instance before the overload so a revision can be
+        // seeded from it.
+        let base = service.submit(Arc::clone(&g), 0.5).unwrap().wait().unwrap();
+        let (revised, warm) = revision(&g, &base);
         // Manufacture a slow interactive queue wait: the submission sits
         // behind a gated worker for ≥10 ms before being dequeued.
         let busy = occupy_workers(&service, &gate);
@@ -1498,12 +1299,7 @@ mod tests {
             Err(SubmitError::Overloaded { .. })
         ));
         assert!(matches!(
-            service.submit_delta_with(
-                base_seq,
-                &InstanceDelta::empty(),
-                None,
-                SubmitOptions::default()
-            ),
+            service.submit_warm(revised, 0.5, warm, SubmitOptions::default()),
             Err(SubmitError::Overloaded { .. })
         ));
         service
@@ -1774,19 +1570,17 @@ mod tests {
 
     #[test]
     fn delta_submissions_carry_class_and_deadline() {
-        use dcover_hypergraph::InstanceDelta;
         let gate = Gate::new();
         let service = SolveService::with_queue_capacity(config(), 1, 8);
         let g = tiny();
-        let base = service.submit(Arc::clone(&g), 0.5).unwrap();
-        let base_seq = base.seq();
-        base.wait().unwrap();
+        let base = service.submit(Arc::clone(&g), 0.5).unwrap().wait().unwrap();
+        let (revised, warm) = revision(&g, &base);
         let busy = occupy_workers(&service, &gate);
-        let (doomed, _) = service
-            .submit_delta_with(
-                base_seq,
-                &InstanceDelta::empty(),
-                None,
+        let doomed = service
+            .submit_warm(
+                revised,
+                0.5,
+                warm,
                 SubmitOptions::interactive().with_deadline(std::time::Duration::ZERO),
             )
             .unwrap();
@@ -1823,7 +1617,7 @@ mod conc_check_tests {
     use super::*;
     use crate::metrics::ClassMetrics;
     use dcover_conccheck::{explore, Config};
-    use dcover_congest::sync::atomic::AtomicBool;
+    use dcover_congest::sync::atomic::{AtomicBool, Ordering};
     use dcover_congest::sync::thread;
 
     /// Per-scenario exploration floor; the five scenarios sum to the

@@ -146,7 +146,7 @@ impl MwhvcSolver {
     ///
     /// Returns [`SolveError::WeightTooLarge`] if a weight exceeds 2⁵³, or
     /// [`SolveError::Sim`] if the simulation violates the CONGEST bit budget
-    /// or the round limit (both indicate bugs or deliberately tight limits).
+    /// or the round limit (a bug, or a deliberately tight budget).
     pub fn solve(&self, g: &Hypergraph) -> Result<CoverResult, SolveError> {
         let mut arena = EngineArena::new();
         self.solve_with_arena(g, &mut arena)
@@ -263,7 +263,7 @@ impl MwhvcSolver {
         let (mut duals, levels) = clamped_seed(g, warm, z);
         let mut net = WarmNetwork::settle(g, &self.config, &duals, levels);
         let (nodes, report) = if net.nodes.is_empty() {
-            (Vec::new(), self.settled_report(g)?)
+            (Vec::new(), self.settled_report()?)
         } else {
             let topo = Topology::bipartite_incidence(&net.sub);
             let nodes = std::mem::take(&mut net.nodes);
@@ -287,17 +287,13 @@ impl MwhvcSolver {
 
     /// The report of a warm run in which every node settled: the one
     /// round in which the whole network would halt without sending.
-    fn settled_report(&self, g: &Hypergraph) -> Result<SimReport, SimError> {
+    fn settled_report(&self) -> Result<SimReport, SimError> {
         if let Some(reason) = self.interrupt.as_ref().and_then(Interrupt::fired) {
             return Err(SimError::Interrupted {
                 reason,
                 round: 0,
                 active: 0,
             });
-        }
-        let limit = self.round_limit(g);
-        if limit == 0 {
-            return Err(SimError::RoundLimit { limit, active: 0 });
         }
         Ok(SimReport {
             rounds: 1,
@@ -378,15 +374,13 @@ impl MwhvcSolver {
         Ok((nodes, report))
     }
 
-    /// The round limit used for `g` (configured override or the Theorem 8
-    /// bound times a safety factor). Saturates at `u64::MAX` for extreme
-    /// but legal configurations (huge fixed α, tiny ε) instead of
-    /// overflowing.
+    /// The round limit used for `g`: the Theorem 8 bound times a safety
+    /// factor, plus 64, so never 0. Hitting it is reported as an error
+    /// because it would falsify the paper's bound. Saturates at
+    /// `u64::MAX` for extreme but legal configurations (huge fixed α,
+    /// tiny ε) instead of overflowing.
     #[must_use]
     pub fn round_limit(&self, g: &Hypergraph) -> u64 {
-        if let Some(limit) = self.config.max_rounds() {
-            return limit;
-        }
         let f = g.rank().max(1);
         let delta = g.max_degree().max(1);
         let alpha_hi = self.max_alpha(g);

@@ -78,13 +78,14 @@ fn arc_submission_paths_never_clone_the_instance_payload() {
         "in-order submission deep-cloned an Arc'd instance"
     );
     drop(shared);
+
+    // Every ticket has resolved, and the services are still live: every
+    // Arc handle the serving layers took has been released, so the
+    // caller's handle is the only one left (no service retains finished
+    // instances).
+    assert_eq!(Arc::strong_count(&g), 1);
     drop(service);
     drop(batch_service);
-
-    // Every Arc handle the serving layers took has been released: the
-    // caller's handle is the only one left (no hidden retained copies —
-    // including the service's delta result cache, which dies with it).
-    assert_eq!(Arc::strong_count(&g), 1);
 
     // A borrowed instance is zero-copy too: it reaches the service as a
     // fresh shared handle around the same payload.
