@@ -13,6 +13,7 @@ use super::edge::{EdgeAlpha, EdgeNode};
 use super::msg::MwhvcMsg;
 use super::vertex::{climb_levels, is_tight, VertexNode};
 use crate::params::{beta, z_levels, MwhvcConfig};
+use crate::warm::seeded_sum;
 
 /// Which side of the bipartite communication network a node is on.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -205,7 +206,9 @@ pub fn build_network_warm(
     duals: &[f64],
     levels: &[u32],
 ) -> (Topology, Vec<MwhvcNode>) {
-    let net = WarmNetwork::settle(g, config, duals, levels.to_vec());
+    assert_eq!(duals.len(), g.m(), "one seeded dual per hyperedge");
+    let sums: Vec<f64> = g.vertices().map(|v| seeded_sum(g, duals, v)).collect();
+    let net = WarmNetwork::settle(g, config, duals, levels.to_vec(), &sums);
     (Topology::bipartite_incidence(&net.sub), net.nodes)
 }
 
@@ -230,25 +233,28 @@ pub(crate) struct WarmNetwork {
 
 impl WarmNetwork {
     /// Runs the settle pass over `g` and builds the running sub-network
-    /// (see [`build_network_warm`]); `levels` is the seeded level vector.
+    /// (see [`build_network_warm`]); `levels` is the seeded level vector
+    /// and `sums` each vertex's [`seeded_sum`] over `duals`.
     pub(crate) fn settle(
         g: &Hypergraph,
         config: &MwhvcConfig,
         duals: &[f64],
         mut levels: Vec<u32>,
+        sums: &[f64],
     ) -> Self {
         assert_eq!(duals.len(), g.m(), "one seeded dual per hyperedge");
         assert_eq!(levels.len(), g.n(), "one seeded level per vertex");
+        assert_eq!(sums.len(), g.n(), "one seeded sum per vertex");
         let (b, z, alpha) = network_params(g, config);
-        let mut sums = Vec::with_capacity(g.n());
         let mut cover = Cover::empty(g.n());
-        for v in g.vertices() {
-            // Summed in `E(v)` order, as the cold protocol accumulates.
-            let sum: f64 = g.incident_edges(v).iter().map(|e| duals[e.index()]).sum();
-            if g.degree(v) > 0 && is_tight(sum, g.weight(v), b) {
+        // The cover as flags, for the edge pass to read.
+        let mut tight = Vec::with_capacity(g.n());
+        for (v, &sum) in g.vertices().zip(sums) {
+            let joins = is_tight(sum, g.weight(v), b) && g.degree(v) > 0;
+            if joins {
                 cover.insert(v);
             }
-            sums.push(sum);
+            tight.push(joins);
         }
         // The members of the uncovered edges are the running vertices.
         let mut edges = Vec::new();
@@ -257,7 +263,7 @@ impl WarmNetwork {
         for e in g.edges() {
             // A fold, not `any`: which member joined first is unpredictable,
             // and an early exit would mispredict on most edges.
-            let is_covered = g.edge(e).iter().fold(false, |c, &v| c | cover.contains(v));
+            let is_covered = g.edge(e).iter().fold(false, |c, v| c | tight[v.index()]);
             if !is_covered {
                 edges.push(e);
                 for v in g.edge(e) {
@@ -274,7 +280,7 @@ impl WarmNetwork {
         for v in g.vertices() {
             let level = levels[v.index()];
             if !runs[v.index()] {
-                if !cover.contains(v) && g.degree(v) > 0 {
+                if !tight[v.index()] && g.degree(v) > 0 {
                     // Every edge is covered by another member.
                     levels[v.index()] = climb_levels(sums[v.index()], g.weight(v), level, z);
                 }
@@ -295,6 +301,7 @@ impl WarmNetwork {
                 config.variant(),
                 level,
                 sums[v.index()],
+                g.degree(v),
                 ports,
             ))));
         }
@@ -403,15 +410,16 @@ pub(crate) fn build_network_warm_unsettled(
     let (b, z, alpha) = network_params(g, config);
     let mut nodes = Vec::with_capacity(g.n() + g.m());
     for v in g.vertices() {
-        let seeded = g.incident_edges(v).iter().map(|e| duals[e.index()]);
+        let seeded = g.incident_edges(v).iter().map(|e| (duals[e.index()], true));
         nodes.push(MwhvcNode(Inner::Vertex(VertexNode::new_warm(
             g.weight(v),
             b,
             z,
             config.variant(),
             levels[v.index()],
-            seeded.clone().sum(),
-            seeded.map(|d| (d, true)),
+            seeded_sum(g, duals, v),
+            g.degree(v),
+            seeded,
         ))));
     }
     for e in g.edges() {

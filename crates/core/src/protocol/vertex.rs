@@ -88,10 +88,12 @@ impl VertexNode {
     }
 
     /// A vertex seeded from a previous solve: its seeded dual sum and
-    /// level, and one `(dual, live)` pair per port, in port order. The
-    /// caller (the warm network build) has already clamped the duals to a
-    /// feasible packing and the level to `≤ z`, and summed the duals in
-    /// `E(v)` order, as the cold protocol accumulates.
+    /// level, and one `(dual, live)` pair for each of its `degree` ports,
+    /// in port order. The caller (the warm network build) has already
+    /// clamped the duals to a feasible packing and the level to `≤ z`,
+    /// and summed the duals in `E(v)` order, as the cold protocol
+    /// accumulates.
+    #[expect(clippy::too_many_arguments, reason = "one per seeded field")]
     pub(crate) fn new_warm(
         weight: u64,
         beta: f64,
@@ -99,15 +101,19 @@ impl VertexNode {
         variant: Variant,
         level: u32,
         dual_sum: f64,
+        degree: usize,
         ports: impl Iterator<Item = (f64, bool)>,
     ) -> Self {
         debug_assert!(level <= z);
-        let ports: Box<[PortState]> = ports
-            .map(|(dual, live)| PortState {
-                live,
-                ..PortState::new(dual)
-            })
-            .collect();
+        // Allocated once at the degree: the ports come from filters, whose
+        // length a collect cannot know up front.
+        let mut seeded = Vec::with_capacity(degree);
+        seeded.extend(ports.map(|(dual, live)| PortState {
+            live,
+            ..PortState::new(dual)
+        }));
+        debug_assert_eq!(seeded.len(), degree, "one seeded port per incident edge");
+        let ports = seeded.into_boxed_slice();
         Self {
             live_count: ports.iter().filter(|p| p.live).count() as u32,
             dual_sum,

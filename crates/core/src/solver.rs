@@ -201,12 +201,19 @@ impl MwhvcSolver {
     ///   one round with no messages: every previous cover member is still
     ///   tight, so every node settles before the run (see
     ///   [`build_network_warm`](crate::build_network_warm));
-    /// * a revision costs what its delta costs: a settle pass decides
-    ///   every node the first warm iteration would halt, and only the
-    ///   rest — the uncovered edges and their members — are built, set up
-    ///   and stepped, with the same results and rounds as running every
+    /// * a revision steps only what its delta disturbs: a settle pass
+    ///   decides every node the first warm iteration would halt, and only
+    ///   the rest — the uncovered edges and their members — are built, set
+    ///   up and stepped, with the same results and rounds as running every
     ///   node. The result is the clamped seed, overwritten by the running
-    ///   nodes' final state;
+    ///   nodes' final state. What scales with the running set is the
+    ///   sub-network build, the simulator set-up, the rounds and reading
+    ///   the nodes back. Three passes still walk the whole instance: the
+    ///   clamp's seeded-sum pass, the settle pass's fold over every edge,
+    ///   and the final cover check over every edge; the shape checks, the
+    ///   seed's copy, the settle pass's loops over the vertices and the
+    ///   result's dual total are whole-instance too, without walking the
+    ///   incidences;
     /// * the report counts the running sub-network: a traced run's
     ///   `per_round[0].active_nodes` is the number of running nodes, not
     ///   `n + m`, and a [`SimError`] names instance nodes (vertex `v` is
@@ -260,8 +267,8 @@ impl MwhvcSolver {
             return Ok(CoverResult::empty());
         }
         let z = z_levels(g.rank().max(1), self.config.epsilon());
-        let (mut duals, levels) = clamped_seed(g, warm, z);
-        let mut net = WarmNetwork::settle(g, &self.config, &duals, levels);
+        let (mut duals, levels, sums) = clamped_seed(g, warm, z);
+        let mut net = WarmNetwork::settle(g, &self.config, &duals, levels, &sums);
         let (nodes, report) = if net.nodes.is_empty() {
             (Vec::new(), self.settled_report()?)
         } else {

@@ -26,7 +26,7 @@ const DELTAS_PER_FAMILY: usize = 8;
 /// settle pass, run to completion.
 fn solve_warm_whole_network(solver: &MwhvcSolver, g: &Hypergraph, warm: &WarmState) -> CoverResult {
     let z = z_levels(g.rank().max(1), solver.config.epsilon());
-    let (duals, levels) = clamped_seed(g, warm, z);
+    let (duals, levels, _) = clamped_seed(g, warm, z);
     let (topo, nodes) = build_network_warm_unsettled(g, &solver.config, &duals, &levels);
     solver
         .run(g, Simulator::new(topo, nodes), &mut EngineArena::new())

@@ -16,7 +16,7 @@
 //! observation for their sequential primal-dual schemes: dual increments
 //! are monotone, so a feasible prior packing is a valid starting point.
 
-use dcover_hypergraph::{DeltaOutcome, Hypergraph};
+use dcover_hypergraph::{DeltaOutcome, Hypergraph, VertexId};
 
 use crate::solver::CoverResult;
 
@@ -86,6 +86,11 @@ impl WarmState {
     /// their dual (via [`DeltaOutcome::predecessor`]), inserted edges
     /// start at 0, and levels carry over (the vertex set is fixed across
     /// a delta).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prev` is not a result for the delta's base instance: a
+    /// predecessor edge id beyond `prev.duals` indexes out of range.
     #[must_use]
     pub fn for_delta(prev: &CoverResult, outcome: &DeltaOutcome) -> Self {
         Self {
@@ -121,7 +126,15 @@ fn sanitize(d: f64) -> f64 {
     }
 }
 
-/// Clamps a warm seed to the invariants the protocol needs at round 2:
+/// The seeded dual sum of `v`: its incident duals added in `E(v)` order,
+/// as the cold protocol accumulates them.
+pub(crate) fn seeded_sum(g: &Hypergraph, duals: &[f64], v: VertexId) -> f64 {
+    g.incident_edges(v).iter().map(|e| duals[e.index()]).sum()
+}
+
+/// Clamps a warm seed to the invariants the protocol needs at round 2,
+/// and returns the clamped duals and levels with each vertex's
+/// [`seeded_sum`] over the clamped duals:
 ///
 /// * **Packing feasibility** — wherever `Σ_{e∋v} δ(e) > w(v)` (removed
 ///   edges can't cause this, but reduced weights can), every incident
@@ -132,40 +145,45 @@ fn sanitize(d: f64) -> f64 {
 /// * **Claim 4** — levels are clamped to the new instance's `z` (a delta
 ///   can shrink the rank and with it `z`).
 ///
+/// The sums come from the one pass that finds the violations. Only the
+/// members of scaled edges are summed again, over the same values in the
+/// same order as a fresh pass, so every sum is the `f64` a fresh pass
+/// over the clamped duals would give.
+///
 /// Everything else the protocol re-derives itself: the first V1 phase
 /// raises any level made stale by the delta before the first dual
 /// increment happens, exactly as the paper's step 3d would.
-pub(crate) fn clamped_seed(g: &Hypergraph, warm: &WarmState, z: u32) -> (Vec<f64>, Vec<u32>) {
-    let mut scale = vec![1.0f64; g.m()];
-    let mut any = false;
+pub(crate) fn clamped_seed(
+    g: &Hypergraph,
+    warm: &WarmState,
+    z: u32,
+) -> (Vec<f64>, Vec<u32>, Vec<f64>) {
+    let mut duals = warm.duals.clone();
+    let mut sums = Vec::with_capacity(g.n());
+    // `(edge, factor)` for every incident edge of every violating vertex.
+    let mut clamps = Vec::new();
     for v in g.vertices() {
+        let sum = seeded_sum(g, &duals, v);
         let w = g.weight(v) as f64;
-        let sum: f64 = g
-            .incident_edges(v)
-            .iter()
-            .map(|&e| warm.duals[e.index()])
-            .sum();
         if sum > w * (1.0 + PACKING_SLACK) {
-            any = true;
             let t = w / sum;
-            for &e in g.incident_edges(v) {
-                if scale[e.index()] > t {
-                    scale[e.index()] = t;
-                }
-            }
+            clamps.extend(g.incident_edges(v).iter().map(|&e| (e, t)));
+        }
+        sums.push(sum);
+    }
+    // Each edge scales once, by its smallest factor.
+    clamps.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    clamps.dedup_by_key(|c| c.0);
+    for &(e, t) in &clamps {
+        duals[e.index()] *= t;
+    }
+    for &(e, _) in &clamps {
+        for &v in g.edge(e) {
+            sums[v.index()] = seeded_sum(g, &duals, v);
         }
     }
-    let duals = if any {
-        warm.duals
-            .iter()
-            .zip(&scale)
-            .map(|(&d, &t)| if t < 1.0 { d * t } else { d })
-            .collect()
-    } else {
-        warm.duals.clone()
-    };
     let levels = warm.levels.iter().map(|&l| l.min(z)).collect();
-    (duals, levels)
+    (duals, levels, sums)
 }
 
 #[cfg(test)]
@@ -173,32 +191,72 @@ mod tests {
     use super::*;
     use dcover_hypergraph::from_weighted_edge_lists;
 
+    /// Each vertex's incident duals added afresh, in `E(v)` order.
+    fn fresh_sums(g: &Hypergraph, duals: &[f64]) -> Vec<u64> {
+        g.vertices()
+            .map(|v| {
+                let incident = g.incident_edges(v).iter();
+                incident.map(|e| duals[e.index()]).sum::<f64>().to_bits()
+            })
+            .collect()
+    }
+
     #[test]
     fn clamping_restores_packing_feasibility() {
         // Vertex 0 (weight 4) sees duals 3 + 3 = 6 > 4: both incident
         // edges scale by 4/6; vertex 1 (weight 10) stays feasible.
         let g = from_weighted_edge_lists(&[4, 10], &[&[0, 1], &[0, 1]]).unwrap();
         let warm = WarmState::from_parts(vec![3.0, 3.0], vec![0, 0]);
-        let (duals, _) = clamped_seed(&g, &warm, 3);
+        let (duals, _, _) = clamped_seed(&g, &warm, 3);
         let sum: f64 = duals.iter().sum();
         assert!(sum <= 4.0 * (1.0 + 1e-9), "clamped to the tight weight");
         assert!((duals[0] - duals[1]).abs() < 1e-15, "scaled uniformly");
     }
 
     #[test]
+    fn clamped_sums_equal_a_fresh_pass_over_the_clamped_duals() {
+        // Re-weights left three vertices over their weight: 0 (1.3 > 1),
+        // 5 (1.3 > 1) and 6 (2.1 > 2). So edges 0, 1, 3, 4 and 5 scale,
+        // edge 5 by the smaller of its two members' factors. Vertex 4
+        // (weight 50) lies on two scaled edges with different factors;
+        // vertex 2 is reached only through scaled edge 1; vertex 1 has one
+        // scaled and one unscaled edge; vertex 3 only an unscaled one.
+        let g = from_weighted_edge_lists(
+            &[1, 50, 50, 50, 50, 1, 2],
+            &[&[0, 1], &[0, 2], &[1, 3], &[4, 5], &[4, 6], &[5, 6]],
+        )
+        .unwrap();
+        let seeded = vec![0.7, 0.6, 0.1, 0.9, 1.7, 0.4];
+        let before = fresh_sums(&g, &seeded);
+        let warm = WarmState::from_parts(seeded.clone(), vec![0; 7]);
+        let (duals, _, sums) = clamped_seed(&g, &warm, 3);
+        let scaled: Vec<usize> = (0..6).filter(|&e| duals[e] != seeded[e]).collect();
+        assert_eq!(scaled, vec![0, 1, 3, 4, 5]);
+        assert_eq!(duals[5], 0.4 * (1.0 / (0.9 + 0.4)), "the smaller factor");
+        let sums: Vec<u64> = sums.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(sums, fresh_sums(&g, &duals), "bit for bit");
+        for v in [0, 1, 2, 4, 5, 6] {
+            assert_ne!(sums[v], before[v], "vertex {v} was summed again");
+        }
+        assert_eq!(sums[3], before[3], "vertex 3 kept its sum");
+    }
+
+    #[test]
     fn feasible_seeds_pass_through_bit_identically() {
         let g = from_weighted_edge_lists(&[4, 10], &[&[0, 1], &[0, 1]]).unwrap();
         let warm = WarmState::from_parts(vec![1.5, 2.5], vec![2, 1]);
-        let (duals, levels) = clamped_seed(&g, &warm, 5);
+        let (duals, levels, sums) = clamped_seed(&g, &warm, 5);
         assert_eq!(duals, vec![1.5, 2.5]);
         assert_eq!(levels, vec![2, 1]);
+        let sums: Vec<u64> = sums.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(sums, fresh_sums(&g, &duals));
     }
 
     #[test]
     fn levels_clamp_to_z() {
         let g = from_weighted_edge_lists(&[4], &[&[0]]).unwrap();
         let warm = WarmState::from_parts(vec![0.5], vec![9]);
-        let (_, levels) = clamped_seed(&g, &warm, 4);
+        let (_, levels, _) = clamped_seed(&g, &warm, 4);
         assert_eq!(levels, vec![4]);
     }
 }

@@ -117,28 +117,10 @@ impl HypergraphBuilder {
     where
         I: IntoIterator<Item = VertexId>,
     {
-        let edge_index = self.m();
-        let start = self.edge_vertices.len();
-        for v in vertices {
-            if v.index() >= self.weights.len() {
-                self.edge_vertices.truncate(start);
-                return Err(BuildError::UnknownVertex {
-                    edge: edge_index,
-                    vertex: v.index(),
-                    n: self.weights.len(),
-                });
-            }
-            if !self.edge_vertices[start..].contains(&v) {
-                self.edge_vertices.push(v);
-            }
-        }
-        if self.edge_vertices.len() == start {
-            return Err(BuildError::EmptyEdge { edge: edge_index });
-        }
-        let end = u32::try_from(self.edge_vertices.len())
-            .expect("a hypergraph has fewer than 2^32 incidences");
+        let edge = self.m();
+        let end = push_members(&mut self.edge_vertices, vertices, self.weights.len(), edge)?;
         self.edge_offsets.push(end);
-        Ok(EdgeId::new(edge_index))
+        Ok(EdgeId::new(edge))
     }
 
     /// Finalizes the builder into an immutable [`Hypergraph`].
@@ -152,12 +134,74 @@ impl HypergraphBuilder {
         if let Some(vertex) = self.weights.iter().position(|&w| w == 0) {
             return Err(BuildError::ZeroWeight { vertex });
         }
-        Ok(Hypergraph::from_validated_parts(
+        let (vertex_offsets, vertex_edges) =
+            incident_lists(self.weights.len(), &self.edge_offsets, &self.edge_vertices);
+        Ok(Hypergraph::from_csr_parts(
             self.weights,
             self.edge_offsets,
             self.edge_vertices,
+            vertex_offsets,
+            vertex_edges,
         ))
     }
+}
+
+/// Appends the members of edge `edge` to `members`, validated and
+/// de-duplicated as [`HypergraphBuilder::add_edge`] documents, and
+/// returns the new end of `members`. On error `members` is as it was.
+pub(crate) fn push_members<I>(
+    members: &mut Vec<VertexId>,
+    vertices: I,
+    n: usize,
+    edge: usize,
+) -> Result<u32, BuildError>
+where
+    I: IntoIterator<Item = VertexId>,
+{
+    let start = members.len();
+    for v in vertices {
+        if v.index() >= n {
+            members.truncate(start);
+            return Err(BuildError::UnknownVertex {
+                edge,
+                vertex: v.index(),
+                n,
+            });
+        }
+        if !members[start..].contains(&v) {
+            members.push(v);
+        }
+    }
+    if members.len() == start {
+        return Err(BuildError::EmptyEdge { edge });
+    }
+    Ok(u32::try_from(members.len()).expect("a hypergraph has fewer than 2^32 incidences"))
+}
+
+/// The vertex → incident-edge CSR of an edge CSR over `n` vertices.
+/// Filling in edge order keeps every incident-edge list ascending.
+fn incident_lists(
+    n: usize,
+    edge_offsets: &[u32],
+    edge_vertices: &[VertexId],
+) -> (Vec<u32>, Vec<EdgeId>) {
+    let mut vertex_offsets = vec![0u32; n + 1];
+    for &v in edge_vertices {
+        vertex_offsets[v.index() + 1] += 1;
+    }
+    for i in 0..n {
+        vertex_offsets[i + 1] += vertex_offsets[i];
+    }
+    let mut cursor: Vec<u32> = vertex_offsets[..n].to_vec();
+    let mut vertex_edges = vec![EdgeId::from_raw(0); edge_vertices.len()];
+    for (e, members) in edge_offsets.windows(2).enumerate() {
+        for &v in &edge_vertices[members[0] as usize..members[1] as usize] {
+            let slot = &mut cursor[v.index()];
+            vertex_edges[*slot as usize] = EdgeId::new(e);
+            *slot += 1;
+        }
+    }
+    (vertex_offsets, vertex_edges)
 }
 
 /// Convenience constructor for tests and examples: builds a hypergraph from

@@ -84,6 +84,12 @@ impl Cover {
     #[must_use]
     pub fn contains(&self, v: VertexId) -> bool {
         assert!(v.index() < self.n, "vertex {v} out of range");
+        self.bit(v)
+    }
+
+    /// The bit of `v`, unchecked against the universe.
+    #[inline]
+    fn bit(&self, v: VertexId) -> bool {
         self.bits[v.index() / 64] >> (v.index() % 64) & 1 == 1
     }
 
@@ -138,7 +144,8 @@ impl Cover {
         self.iter().map(|v| g.weight(v)).sum()
     }
 
-    /// Whether this set covers every hyperedge of `g` (i.e. `E(C) = E`).
+    /// Whether this set covers every hyperedge of `g` (i.e. `E(C) = E`),
+    /// in one walk over `g`'s edge lists.
     ///
     /// # Panics
     ///
@@ -146,7 +153,16 @@ impl Cover {
     #[must_use]
     pub fn is_cover_of(&self, g: &Hypergraph) -> bool {
         assert_eq!(self.n, g.n(), "cover universe does not match hypergraph");
-        g.covers_all(|v| self.contains(v))
+        // Equal universes put every member in range of `bit`.
+        let (offsets, members) = g.edge_csr();
+        offsets.windows(2).all(|edge| {
+            // A fold, not `any`: which member is in the cover is
+            // unpredictable, and an early exit would mispredict.
+            let members = &members[edge[0] as usize..edge[1] as usize];
+            members
+                .iter()
+                .fold(false, |covered, &v| covered | self.bit(v))
+        })
     }
 
     /// The hyperedges of `g` not covered by this set (empty iff
@@ -259,6 +275,14 @@ mod tests {
         let c = Cover::from_ids(4, [VertexId::new(1), VertexId::new(2)]);
         assert!(c.is_cover_of(&g));
         assert!(c.uncovered_edges(&g).is_empty());
+    }
+
+    #[test]
+    fn is_cover_of_needs_a_member_of_every_edge() {
+        // A triangle: {v1} covers edges (0,1) and (1,2) but not (2,0).
+        let g = from_edge_lists(3, &[&[0, 1], &[1, 2], &[2, 0]]).unwrap();
+        assert!(!Cover::from_ids(3, [VertexId::new(1)]).is_cover_of(&g));
+        assert!(Cover::from_ids(3, [1, 2].map(VertexId::new)).is_cover_of(&g));
     }
 
     #[test]

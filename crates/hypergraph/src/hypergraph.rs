@@ -141,45 +141,24 @@ impl Hypergraph {
         }
     }
 
-    /// Internal constructor used by the builder; assumes inputs were already
-    /// validated (weights positive, vertex ids in range, no empty edge)
-    /// and takes the edge CSR as built, without a copy.
-    pub(crate) fn from_validated_parts(
+    /// The one constructor: takes both CSR directions as built, without a
+    /// copy, and reads the rank and `Δ` off their offsets. The caller has
+    /// validated the parts: weights positive, member ids in range, every
+    /// edge non-empty without repeated members, and each vertex's list
+    /// holding exactly the edges that name it, in ascending id order (see
+    /// [`incident_edges`](Self::incident_edges)).
+    pub(crate) fn from_csr_parts(
         weights: Vec<u64>,
         edge_offsets: Vec<u32>,
         edge_vertices: Vec<VertexId>,
+        vertex_offsets: Vec<u32>,
+        vertex_edges: Vec<EdgeId>,
     ) -> Self {
-        let n = weights.len();
-        let mut degrees = vec![0u32; n];
-        for &v in &edge_vertices {
-            degrees[v.index()] += 1;
-        }
-        let rank = edge_offsets
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .max()
-            .unwrap_or(0);
-
-        let mut vertex_offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        vertex_offsets.push(0u32);
-        for &d in &degrees {
-            acc += d;
-            vertex_offsets.push(acc);
-        }
-        let mut cursor: Vec<u32> = vertex_offsets[..n].to_vec();
-        let mut vertex_edges = vec![EdgeId::from_raw(0); acc as usize];
-        // Filling in edge order keeps every incident-edge list ascending,
-        // as `incident_edges` guarantees.
-        for (e, members) in edge_offsets.windows(2).enumerate() {
-            for &v in &edge_vertices[members[0] as usize..members[1] as usize] {
-                let slot = cursor[v.index()];
-                vertex_edges[slot as usize] = EdgeId::new(e);
-                cursor[v.index()] += 1;
-            }
-        }
-
-        let max_degree = degrees.iter().copied().max().unwrap_or(0);
+        debug_assert_eq!(vertex_offsets.len(), weights.len() + 1);
+        debug_assert_eq!(edge_vertices.len(), vertex_edges.len());
+        let widest = |offsets: &[u32]| offsets.windows(2).map(|w| w[1] - w[0]).max();
+        let rank = widest(&edge_offsets).unwrap_or(0);
+        let max_degree = widest(&vertex_offsets).unwrap_or(0);
         Self {
             inner: Arc::new(Payload {
                 weights,
@@ -191,6 +170,18 @@ impl Hypergraph {
                 max_degree,
             }),
         }
+    }
+
+    /// The edge → member CSR: `m + 1` offsets into the concatenated
+    /// member lists.
+    pub(crate) fn edge_csr(&self) -> (&[u32], &[VertexId]) {
+        (&self.inner.edge_offsets, &self.inner.edge_vertices)
+    }
+
+    /// The vertex → incident-edge CSR: `n + 1` offsets into the
+    /// concatenated incident-edge lists.
+    pub(crate) fn vertex_csr(&self) -> (&[u32], &[EdgeId]) {
+        (&self.inner.vertex_offsets, &self.inner.vertex_edges)
     }
 
     /// Number of vertices `n = |V|`.
@@ -256,10 +247,14 @@ impl Hypergraph {
     /// The hyperedges incident to vertex `v` (the set `E(v)` of the paper),
     /// in ascending edge order.
     ///
-    /// The order is guaranteed: every constructor fills the lists by
-    /// walking the edges in id order. The bipartite communication network
-    /// (`Topology::bipartite_incidence` in `dcover-congest`) relies on it
-    /// to assign vertex ports in one pass over the edges.
+    /// The order is guaranteed. The builder fills the lists by walking the
+    /// edges in id order. [`InstanceDelta::apply`](crate::InstanceDelta::apply)
+    /// splices them: it maps each list through the old-to-new edge ids,
+    /// which keep the survivors' relative order, and appends the inserted
+    /// edges, whose ids are above every survivor's. The bipartite
+    /// communication network (`Topology::bipartite_incidence` in
+    /// `dcover-congest`) relies on the order to assign vertex ports in one
+    /// pass over the edges.
     ///
     /// # Panics
     ///
@@ -359,13 +354,6 @@ impl Hypergraph {
             .map(|&v| self.degree(v) as u32)
             .max()
             .expect("edges are never empty")
-    }
-
-    /// Returns `true` if every hyperedge contains at least one vertex of
-    /// `selected` (predicate form used by [`Cover`](crate::Cover) checking).
-    pub fn covers_all<F: Fn(VertexId) -> bool>(&self, selected: F) -> bool {
-        self.edges()
-            .all(|e| self.edge(e).iter().any(|&v| selected(v)))
     }
 }
 
@@ -479,13 +467,5 @@ mod tests {
         let deep = g.deep_clone();
         assert!(crate::clone_count() > before, "deep_clone is counted");
         assert_eq!(deep, g, "payload equality survives the copy");
-    }
-
-    #[test]
-    fn covers_all_predicate() {
-        let g = triangle();
-        // {v1} covers edges (0,1) and (1,2) but not (2,0).
-        assert!(!g.covers_all(|v| v.index() == 1));
-        assert!(g.covers_all(|v| v.index() == 1 || v.index() == 2));
     }
 }

@@ -3,7 +3,7 @@
 //! followed by its inverse round-trips the instance.
 
 use dcover_hypergraph::generators::{random_uniform, RandomUniform, WeightDist};
-use dcover_hypergraph::{EdgeId, Hypergraph, InstanceDelta, VertexId};
+use dcover_hypergraph::{clone_count, EdgeId, Hypergraph, InstanceDelta, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -127,5 +127,22 @@ fn empty_delta_produces_an_equal_instance_without_copying() {
     for e in g.edges() {
         assert_eq!(out.survivor[e.index()], Some(e));
         assert_eq!(out.predecessor[e.index()], Some(e));
+    }
+}
+
+#[test]
+fn apply_copies_no_instance_payload() {
+    let mut rng = StdRng::seed_from_u64(0xC0B1);
+    for trial in 0..60 {
+        let g = random_instance(&mut rng, trial);
+        let delta = if trial % 4 == 0 {
+            InstanceDelta::empty()
+        } else {
+            random_delta(&g, &mut rng)
+        };
+        let before = clone_count();
+        let out = delta.apply(&g).expect("random deltas are valid");
+        assert_eq!(clone_count(), before, "trial {trial}: apply deep-copied");
+        drop(out);
     }
 }
