@@ -51,7 +51,7 @@ fn is_seeded(family: &str) -> bool {
 
 /// `dcover gen FAMILY [family options] [--seed S] [--min-weight W]
 /// [--max-weight W] [--out FILE] [--json]`
-pub fn gen(raw: &[String]) -> Result<(), Failure> {
+pub(crate) fn gen(raw: &[String]) -> Result<(), Failure> {
     let parsed = args::parse(
         raw,
         &["json"],

@@ -2,9 +2,9 @@
 //! server (`serve`), the certificate checker (`verify`), and the instance
 //! generators (`gen`) have their own submodules.
 
-pub mod gen;
-pub mod serve;
-pub mod verify;
+pub(crate) mod gen;
+pub(crate) mod serve;
+pub(crate) mod verify;
 
 use std::io::Read as _;
 use std::sync::Arc;
@@ -203,7 +203,7 @@ fn prefix_path(path: &str, failure: Failure) -> Failure {
 
 /// `dcover solve FILE [--eps E] [--threads N] [--variant V]
 /// [--warm-from REPORT] [--json]`
-pub fn solve(raw: &[String]) -> Result<(), Failure> {
+pub(crate) fn solve(raw: &[String]) -> Result<(), Failure> {
     let parsed =
         args::parse(raw, &["json"], &["eps", "threads", "variant", "warm-from"]).map_err(usage)?;
     let mut out = Stdout::default();
@@ -265,7 +265,6 @@ fn solve_inner(parsed: &args::Parsed, out: &mut Stdout) -> Result<(), Failure> {
     let start = Instant::now();
     let result = match &warm {
         Some((state, _)) => solver.solve_warm(&g, state),
-        None if threads == 1 => solver.solve(&g),
         None => solver.solve_parallel(&g, threads),
     }
     .map_err(|e| runtime(format!("{file}: {e}")))?;
@@ -293,7 +292,7 @@ fn solve_inner(parsed: &args::Parsed, out: &mut Stdout) -> Result<(), Failure> {
 }
 
 /// `dcover batch FILE... [--eps E] [--threads N] [--variant V] [--json]`
-pub fn batch(raw: &[String]) -> Result<(), Failure> {
+pub(crate) fn batch(raw: &[String]) -> Result<(), Failure> {
     let parsed = args::parse(raw, &["json"], &["eps", "threads", "variant"]).map_err(usage)?;
     if parsed.positional.is_empty() {
         return Err(usage("batch needs at least one instance file".to_string()));

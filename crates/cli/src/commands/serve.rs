@@ -210,7 +210,7 @@ fn parse_class(raw: &str) -> Result<RequestClass, String> {
 /// `dcover serve [--eps E] [--threads N] [--queue C] [--variant V]
 /// [--class interactive|bulk] [--deadline-ms N] [--bulk-max-wait-ms N]
 /// [--shed-target-ms N] [--metrics]`
-pub fn serve(raw: &[String]) -> Result<(), Failure> {
+pub(crate) fn serve(raw: &[String]) -> Result<(), Failure> {
     let parsed = args::parse(
         raw,
         &["metrics"],

@@ -22,7 +22,7 @@ use crate::Failure;
 /// `REPORT` may be `-` for stdin. The report must carry the solution
 /// (`result.cover` + `result.duals`, as every `--json` report does) and
 /// an `epsilon` field (overridable with `--eps`).
-pub fn verify(raw: &[String]) -> Result<(), Failure> {
+pub(crate) fn verify(raw: &[String]) -> Result<(), Failure> {
     let parsed = args::parse(raw, &["json"], &["eps"]).map_err(usage)?;
     let [instance_path, report_path] = parsed.positional.as_slice() else {
         return Err(usage(format!(

@@ -483,22 +483,25 @@ fn chained_delta_inherits_its_bases_epsilon_not_the_stream_default() {
 #[test]
 fn serve_rejects_bad_delta_records_without_crashing() {
     // Delta referencing an unknown base, a delta with eps 0.0 (invalid),
-    // a delta whose base record itself failed, and a delta removing an
-    // edge its one-edge base does not have — each yields an error JSON
-    // line; the good records still solve.
+    // a delta whose base record itself failed, a delta removing an edge
+    // its one-edge base does not have, and a delta naming an edge id
+    // above `u32::MAX` — each yields an error JSON line; the good records,
+    // including the one after the last bad delta, still solve.
     let stream = "p mwhvc 2 1\nv 2\nv 3\ne 0 1\n\
                   p delta 7 0 0 0\n\
                   p delta 0 0 0 0 0.0\n\
                   p mwhvc 1 1\nv 0\ne 0\n\
                   p delta 3 0 0 0\n\
                   p delta 0 0 0 0\n\
-                  p delta 0 1 0 0\nr 5\n";
+                  p delta 0 1 0 0\nr 5\n\
+                  p delta 0 1 0 0\nr 4294967296\n\
+                  p mwhvc 2 1\nv 1\nv 1\ne 0 1\n";
     let out = dcover_stdin(&["serve", "--threads", "1"], stream);
     assert_eq!(out.status.code(), Some(1), "failed records exit 1");
     let text = stdout_of(&out);
-    assert_eq!(text.lines().count(), 7, "{text}");
-    assert_eq!(text.matches("\"ok\": true").count(), 2, "{text}");
-    assert_eq!(text.matches("\"ok\": false").count(), 5, "{text}");
+    assert_eq!(text.lines().count(), 9, "{text}");
+    assert_eq!(text.matches("\"ok\": true").count(), 3, "{text}");
+    assert_eq!(text.matches("\"ok\": false").count(), 6, "{text}");
     let eps_line = text
         .lines()
         .find(|l| l.starts_with("{\"seq\": 2,"))
@@ -514,6 +517,11 @@ fn serve_rejects_bad_delta_records_without_crashing() {
         .find(|l| l.starts_with("{\"seq\": 6,"))
         .unwrap();
     assert!(misfit.contains("delta failed to apply"), "{misfit}");
+    let oversized = text
+        .lines()
+        .find(|l| l.starts_with("{\"seq\": 7,"))
+        .unwrap();
+    assert!(oversized.contains("4294967296"), "{oversized}");
 }
 
 #[test]

@@ -3,12 +3,13 @@
 //! # Mailbox arena
 //!
 //! Mail lives in a **flat port-indexed slot arena**: one `Option<M>` slot
-//! per directed link endpoint `(node, port)`, laid out in the topology's CSR
-//! order ([`Topology::slot_of`]). Because CONGEST permits exactly one
-//! message per directed link per round, a slot holds at most one message;
-//! delivery is a single indexed write, a node's inbox is the contiguous
-//! slot range of its ports, and the per-inbox `sort_by_key` of the old
-//! engine disappears entirely — port order is structural.
+//! per directed link endpoint `(node, port)`. Slots follow the topology's
+//! CSR order: node by node, each node's ports in order. Because CONGEST
+//! permits exactly one message per directed link per round, a slot holds
+//! at most one message; delivery is a single indexed write, a node's inbox
+//! is the contiguous slot range of its ports, and the per-inbox
+//! `sort_by_key` of the old engine disappears entirely — port order is
+//! structural.
 //!
 //! The arena is **double-buffered** (`cur` is read this round, `nxt` is
 //! written for the next) and buffers swap at the end of each round. Slots
@@ -399,12 +400,13 @@ mod tests {
     use dcover_hypergraph::from_edge_lists;
     use dcover_hypergraph::generators::{random_uniform, RandomUniform, WeightDist};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
-    /// One-sided networks, and two-sided incidences whose chunks hold a
-    /// range of each side: a uniform instance and one with fewer vertices
-    /// than chunks.
+    /// One-sided networks, random multigraphs with parallel links, and
+    /// two-sided incidences whose chunks hold a range of each side: a
+    /// uniform instance and one with fewer vertices than chunks.
     fn topologies() -> Vec<Topology> {
+        let mut rng = StdRng::seed_from_u64(30);
         let uniform = random_uniform(
             &RandomUniform {
                 n: 60,
@@ -412,16 +414,25 @@ mod tests {
                 rank: 3,
                 weights: WeightDist::Uniform { min: 1, max: 9 },
             },
-            &mut StdRng::seed_from_u64(30),
+            &mut rng,
         );
         let fewer_vertices_than_chunks =
             from_edge_lists(2, &[&[0], &[0, 1], &[1], &[0], &[1], &[0, 1]]).unwrap();
-        vec![
+        let mut topologies = vec![
             crate::builders::grid(5, 7),
             crate::builders::complete(6),
             Topology::bipartite_incidence(&uniform),
             Topology::bipartite_incidence(&fewer_vertices_than_chunks),
-        ]
+        ];
+        for _ in 0..16 {
+            let n = rng.gen_range(2usize..=30);
+            let links: Vec<(usize, usize)> = (0..rng.gen_range(0usize..60))
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .filter(|(a, b)| a != b)
+                .collect();
+            topologies.push(Topology::from_links(n, &links));
+        }
+        topologies
     }
 
     fn build_all(topo: &Topology, k: usize) -> Vec<ChunkState<DummyProc>> {
@@ -443,8 +454,9 @@ mod tests {
                         let u = u as usize;
                         assert!(!hosted[u], "node {u} hosted twice");
                         hosted[u] = true;
-                        let slots = c.local_offsets[lu]..c.local_offsets[lu + 1];
+                        let slots = c.local_offsets[lu] as usize..c.local_offsets[lu + 1] as usize;
                         assert_eq!(slots.len(), topo.degree(u), "node {u}");
+                        assert!(c.slot_node[slots].iter().all(|&o| o as usize == lu));
                     }
                 }
                 assert!(hosted.into_iter().all(|h| h), "{k} chunks miss a node");

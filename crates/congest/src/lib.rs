@@ -111,7 +111,7 @@ mod topology;
 pub use cancel::{CancelToken, Interrupt, InterruptReason};
 pub use engine::EngineArena;
 pub use error::SimError;
-pub use message::{bits_for_range, bits_for_value, Message};
+pub use message::{bits_for_value, Message};
 pub use metrics::{BitBudget, RoundMetrics, SimReport};
 pub use partition::PartitionPolicy;
 pub use process::{Ctx, Inbox, InboxIter, Incoming, Process, Status};

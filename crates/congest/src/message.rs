@@ -104,26 +104,6 @@ pub fn bits_for_value(x: u64) -> u64 {
     (64 - x.leading_zeros()).max(1) as u64
 }
 
-/// Bits needed to address one of `n` distinct values (⌈log₂ n⌉, at least 1).
-///
-/// # Examples
-///
-/// ```
-/// use dcover_congest::bits_for_range;
-/// assert_eq!(bits_for_range(1), 1);
-/// assert_eq!(bits_for_range(2), 1);
-/// assert_eq!(bits_for_range(3), 2);
-/// assert_eq!(bits_for_range(1024), 10);
-/// ```
-#[must_use]
-pub fn bits_for_range(n: u64) -> u64 {
-    if n <= 2 {
-        1
-    } else {
-        bits_for_value(n - 1)
-    }
-}
-
 impl Message for () {
     const MAX_BITS: u64 = 1;
 
@@ -168,14 +148,6 @@ mod tests {
         assert_eq!(bits_for_value(7), 3);
         assert_eq!(bits_for_value(8), 4);
         assert_eq!(bits_for_value(u64::MAX), 64);
-    }
-
-    #[test]
-    fn range_widths() {
-        assert_eq!(bits_for_range(1), 1);
-        assert_eq!(bits_for_range(2), 1);
-        assert_eq!(bits_for_range(4), 2);
-        assert_eq!(bits_for_range(5), 3);
     }
 
     #[test]

@@ -93,16 +93,6 @@ impl SimReport {
             self.cross_chunk_messages as f64 / total as f64
         }
     }
-
-    /// Average messages per round (0 for empty runs).
-    #[must_use]
-    pub fn avg_messages_per_round(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.total_messages as f64 / self.rounds as f64
-        }
-    }
 }
 
 /// A hard per-link per-round bit budget: the concrete stand-in for the
@@ -190,7 +180,6 @@ mod tests {
         assert_eq!(r.total_bits, 130);
         assert_eq!(r.max_link_bits, 20);
         assert_eq!(r.per_round.as_ref().unwrap().len(), 2);
-        assert!((r.avg_messages_per_round() - 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -50,7 +50,8 @@ pub trait Process: Send {
 /// Iteration yields [`Incoming`] values in ascending port order — port order
 /// is structural in the mailbox arena, so no sorting ever happens. `Inbox`
 /// is `Copy`; methods take `self` by value so views returned from
-/// [`Ctx::inbox`] can be chained freely.
+/// [`Ctx::inbox`] can be chained freely. Only a [`Ctx`] builds one: to
+/// read an inbox without a simulator, build the context with [`Ctx::new`].
 #[derive(Debug)]
 pub struct Inbox<'a, M> {
     slots: &'a [Option<M>],
@@ -67,9 +68,8 @@ impl<M> Copy for Inbox<'_, M> {}
 
 impl<'a, M: Message> Inbox<'a, M> {
     /// A view over per-port slots (`slots[p]` = message arrived on port
-    /// `p`). Useful for driving [`Process::on_round`] without a simulator.
-    #[must_use]
-    pub fn from_slots(slots: &'a [Option<M>]) -> Self {
+    /// `p`); both [`Ctx`] constructors wrap their inbox slots in one.
+    pub(crate) fn from_slots(slots: &'a [Option<M>]) -> Self {
         Self { slots }
     }
 

@@ -206,20 +206,6 @@ impl Topology {
         (self.peers[slot] as usize, self.peer_ports[slot] as usize)
     }
 
-    /// Iterator over `(port, peer)` pairs of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (Port, NodeId)> + '_ {
-        let lo = self.offsets[node] as usize;
-        let hi = self.offsets[node + 1] as usize;
-        self.peers[lo..hi]
-            .iter()
-            .enumerate()
-            .map(|(port, &peer)| (port, peer as usize))
-    }
-
     /// Maximum degree over all nodes (0 if there are no nodes).
     #[must_use]
     pub fn max_degree(&self) -> usize {
@@ -241,62 +227,11 @@ impl Topology {
         self.peers.len()
     }
 
-    /// The arena slot index of `(node, port)`: `offsets[node] + port`. Slots
-    /// are laid out in CSR order, so a node's ports occupy the contiguous
-    /// range [`slot_range`](Self::slot_range).
-    #[inline]
-    #[must_use]
-    pub fn slot_of(&self, node: NodeId, port: Port) -> usize {
-        debug_assert!(port < self.degree(node));
-        self.offsets[node] as usize + port
-    }
-
-    /// The contiguous arena slot range owned by `node` (its ports in order).
-    #[inline]
-    #[must_use]
-    pub fn slot_range(&self, node: NodeId) -> std::ops::Range<usize> {
-        self.offsets[node] as usize..self.offsets[node + 1] as usize
-    }
-
     /// The contiguous arena slot range owned by the node range `nodes`
     /// (empty for an empty range, which may start at `len()`).
     #[inline]
     pub(crate) fn slot_span(&self, nodes: std::ops::Range<NodeId>) -> std::ops::Range<usize> {
         self.offsets[nodes.start] as usize..self.offsets[nodes.end] as usize
-    }
-
-    /// The slot a message sent on `(node, port)` is delivered to: the
-    /// reciprocal endpoint `(peer, peer_port)` of the same link, as a flat
-    /// arena index. Port order is structural, so delivery is one indexed
-    /// write and no per-inbox sorting is ever needed.
-    #[inline]
-    #[must_use]
-    pub fn reciprocal_slot(&self, node: NodeId, port: Port) -> usize {
-        let slot = self.offsets[node] as usize + port;
-        self.offsets[self.peers[slot] as usize] as usize + self.peer_ports[slot] as usize
-    }
-
-    /// The `(node, port)` pair owning arena slot `slot` (inverse of
-    /// [`slot_of`](Self::slot_of); used for error reporting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= total_ports()`.
-    #[must_use]
-    pub fn slot_owner(&self, slot: usize) -> (NodeId, Port) {
-        assert!(slot < self.peers.len(), "slot out of range");
-        let node = match self.offsets.binary_search(&(slot as u32)) {
-            // `offsets` may contain runs of equal values (degree-0 nodes);
-            // pick the last node whose range starts at or before `slot`.
-            Ok(mut i) => {
-                while i + 1 < self.offsets.len() && self.offsets[i + 1] as usize == slot {
-                    i += 1;
-                }
-                i
-            }
-            Err(i) => i - 1,
-        };
-        (node, slot - self.offsets[node] as usize)
     }
 }
 
@@ -376,13 +311,5 @@ mod tests {
         assert_eq!(t.degree(5), 3); // edge 0 has 3 members
         assert_eq!(t.max_degree(), 3);
         assert_eq!(t.num_links(), g.incidence_size());
-    }
-
-    #[test]
-    fn neighbors_iterator() {
-        let t = Topology::from_links(4, &[(0, 1), (0, 2), (0, 3)]);
-        let ns: Vec<(Port, NodeId)> = t.neighbors(0).collect();
-        assert_eq!(ns, vec![(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(t.neighbors(1).count(), 1);
     }
 }

@@ -68,9 +68,6 @@ pub enum SolveError {
     /// still queued, or stopped cooperatively at the next round boundary
     /// if already running. Never a failure — the caller asked for it.
     Cancelled,
-    /// The submission was handed to a [`SolveService`](crate::SolveService)
-    /// that has already been [shut down](crate::SolveService::shutdown).
-    ShutDown,
 }
 
 impl fmt::Display for SolveError {
@@ -106,7 +103,6 @@ impl fmt::Display for SolveError {
             SolveError::Cancelled => {
                 write!(f, "submission was cancelled by its caller")
             }
-            SolveError::ShutDown => write!(f, "solve service has been shut down"),
         }
     }
 }

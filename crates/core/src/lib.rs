@@ -70,7 +70,7 @@ mod metrics;
 mod observer;
 mod params;
 mod pool;
-pub mod protocol;
+mod protocol;
 mod reference;
 mod service;
 mod solver;
@@ -81,12 +81,9 @@ pub use dcover_congest::{CancelToken, Interrupt, InterruptReason};
 pub use error::SolveError;
 pub use invariants::{approximation_holds, InvariantChecker, DEFAULT_TOLERANCE};
 pub use metrics::{ClassMetrics, LatencyHistogram, ServiceMetrics};
-pub use observer::{HistoryObserver, IterationSnapshot, IterationStats, NullObserver, Observer};
+pub use observer::{IterationSnapshot, NullObserver, Observer};
 pub use params::{beta, theorem9_alpha, z_levels, AlphaPolicy, MwhvcConfig, Variant};
-pub use protocol::{
-    build_network, build_network_warm, iteration_of_round, iterations_of_rounds, MwhvcMsg,
-    MwhvcNode, NodeRole,
-};
+pub use protocol::{build_network, build_network_warm, iterations_of_rounds, MwhvcMsg, MwhvcNode};
 pub use reference::{solve_reference, ReferenceResult};
 pub use service::{RequestClass, SolveService, SubmitError, SubmitOptions, TaskTiming, Ticket};
 pub use solver::{CoverResult, MwhvcSolver};

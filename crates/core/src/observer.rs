@@ -49,31 +49,34 @@ impl Observer for NullObserver {
     fn on_iteration(&mut self, _g: &Hypergraph, _snapshot: &IterationSnapshot<'_>) {}
 }
 
-/// An observer that records one row per iteration — handy for convergence
-/// plots and tests.
+/// An observer that records one row per iteration, for tests that check
+/// the reference run's progress.
+#[cfg(test)]
 #[derive(Clone, Debug, Default)]
-pub struct HistoryObserver {
+pub(crate) struct HistoryObserver {
     /// One entry per callback.
-    pub history: Vec<IterationStats>,
+    pub(crate) history: Vec<IterationStats>,
 }
 
 /// Aggregate statistics of one iteration.
+#[cfg(test)]
 #[derive(Copy, Clone, Debug, PartialEq)]
-pub struct IterationStats {
+pub(crate) struct IterationStats {
     /// Iteration number (0 = initialization).
-    pub iteration: u64,
+    pub(crate) iteration: u64,
     /// Edges covered so far.
-    pub covered_edges: usize,
+    pub(crate) covered_edges: usize,
     /// Vertices in the cover so far.
-    pub cover_size: usize,
+    pub(crate) cover_size: usize,
     /// Sum of all duals.
-    pub dual_total: f64,
+    pub(crate) dual_total: f64,
     /// Maximum level over all vertices.
-    pub max_level: u32,
+    pub(crate) max_level: u32,
     /// Vertices still participating.
-    pub active_vertices: usize,
+    pub(crate) active_vertices: usize,
 }
 
+#[cfg(test)]
 impl Observer for HistoryObserver {
     fn on_iteration(&mut self, _g: &Hypergraph, s: &IterationSnapshot<'_>) {
         self.history.push(IterationStats {

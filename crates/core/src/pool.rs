@@ -256,11 +256,6 @@ impl Pool {
         }
     }
 
-    /// Number of entries waiting across both lanes.
-    pub(crate) fn queued(&self) -> usize {
-        self.locked().queued
-    }
-
     /// How long the head of `class`'s lane — its oldest entry — has been
     /// queued; `None` when the lane is empty.
     pub(crate) fn oldest_queued_wait(&self, class: RequestClass) -> Option<Duration> {

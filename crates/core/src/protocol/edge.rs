@@ -48,9 +48,6 @@ impl EdgeAlpha {
 pub(crate) struct EdgeNode {
     size: usize,
     rule: EdgeAlpha,
-    /// Resolved at round 1; 0 until then.
-    alpha: u32,
-    covered: bool,
     /// Warm-started runs receive seeded levels in round 0 and ship the
     /// matching pre-halving count with the initial bid.
     warm: bool,
@@ -62,8 +59,6 @@ impl EdgeNode {
         Self {
             size,
             rule,
-            alpha: 0,
-            covered: false,
             warm: false,
         }
     }
@@ -75,17 +70,6 @@ impl EdgeNode {
             warm: true,
             ..Self::new(size, rule)
         }
-    }
-
-    /// Whether the edge terminated covered (always true after a completed
-    /// run).
-    pub(crate) fn is_covered(&self) -> bool {
-        self.covered
-    }
-
-    /// The multiplier α(e) resolved in round 1 (0 before that).
-    pub(crate) fn alpha(&self) -> u32 {
-        self.alpha
     }
 
     pub(crate) fn on_round(&mut self, ctx: &mut Ctx<'_, MwhvcMsg>) -> Status {
@@ -144,19 +128,19 @@ impl EdgeNode {
             }
         }
         let (weight, degree) = best.expect("edges have at least one member");
-        self.alpha = self.rule.resolve(|| local_delta);
+        let alpha = self.rule.resolve(|| local_delta);
         if self.warm {
             ctx.broadcast(MwhvcMsg::MinNormWarm {
                 weight,
                 degree,
-                alpha: self.alpha,
+                alpha,
                 halvings,
             });
         } else {
             ctx.broadcast(MwhvcMsg::MinNorm {
                 weight,
                 degree,
-                alpha: self.alpha,
+                alpha,
             });
         }
         Status::Running
@@ -179,7 +163,6 @@ impl EdgeNode {
             }
         }
         if covered {
-            self.covered = true;
             ctx.broadcast(MwhvcMsg::Covered);
             return Status::Halted;
         }
@@ -277,7 +260,6 @@ mod tests {
             panic!("expected MinNorm");
         };
         assert!(alpha > 2, "local delta 2^20 should give a large alpha");
-        assert_eq!(e.alpha(), alpha);
     }
 
     #[test]
@@ -295,7 +277,6 @@ mod tests {
         ];
         let (status, out) = run_round(&mut e, 3, inbox);
         assert_eq!(status, Status::Halted);
-        assert!(e.is_covered());
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|(_, m)| *m == MwhvcMsg::Covered));
     }

@@ -28,7 +28,7 @@ pub(crate) mod node;
 pub(crate) mod vertex;
 
 pub use msg::MwhvcMsg;
-pub use node::{build_network, build_network_warm, MwhvcNode, NodeRole};
+pub use node::{build_network, build_network_warm, MwhvcNode};
 
 /// Rounds consumed by initialization (iteration 0).
 pub(crate) const INIT_ROUNDS: u64 = 2;
@@ -58,17 +58,6 @@ impl Phase {
             2 => Phase::V2,
             _ => Phase::E2,
         }
-    }
-}
-
-/// The iteration number executing at simulator round `round` (1-based, as in
-/// the paper; iteration 0 is initialization).
-#[must_use]
-pub fn iteration_of_round(round: u64) -> u64 {
-    if round < INIT_ROUNDS {
-        0
-    } else {
-        (round - INIT_ROUNDS) / ROUNDS_PER_ITERATION + 1
     }
 }
 
@@ -151,15 +140,6 @@ mod tests {
         assert_eq!(Phase::of_round(4), Phase::V2);
         assert_eq!(Phase::of_round(5), Phase::E2);
         assert_eq!(Phase::of_round(6), Phase::V1);
-    }
-
-    #[test]
-    fn iteration_numbering() {
-        assert_eq!(iteration_of_round(0), 0);
-        assert_eq!(iteration_of_round(1), 0);
-        assert_eq!(iteration_of_round(2), 1);
-        assert_eq!(iteration_of_round(5), 1);
-        assert_eq!(iteration_of_round(6), 2);
     }
 
     #[test]

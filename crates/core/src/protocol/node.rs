@@ -15,15 +15,6 @@ use super::vertex::{climb_levels, is_tight, VertexNode};
 use crate::params::{beta, z_levels, MwhvcConfig};
 use crate::warm::seeded_sum;
 
-/// Which side of the bipartite communication network a node is on.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum NodeRole {
-    /// A hypergraph vertex (server).
-    Vertex,
-    /// A hyperedge (client).
-    Edge,
-}
-
 /// One node of the MWHVC protocol (either a vertex or a hyperedge program).
 ///
 /// Most users should call [`MwhvcSolver`](crate::MwhvcSolver) instead; this
@@ -39,15 +30,6 @@ enum Inner {
 }
 
 impl MwhvcNode {
-    /// The node's role.
-    #[must_use]
-    pub fn role(&self) -> NodeRole {
-        match self.0 {
-            Inner::Vertex(_) => NodeRole::Vertex,
-            Inner::Edge(_) => NodeRole::Edge,
-        }
-    }
-
     /// For vertex nodes: whether the vertex ended in the cover.
     #[must_use]
     pub fn in_cover(&self) -> Option<bool> {
@@ -66,15 +48,6 @@ impl MwhvcNode {
         }
     }
 
-    /// For vertex nodes: the final dual sum `Σ_{e∈E(v)} δ(e)`.
-    #[must_use]
-    pub fn dual_sum(&self) -> Option<f64> {
-        match &self.0 {
-            Inner::Vertex(v) => Some(v.dual_sum()),
-            Inner::Edge(_) => None,
-        }
-    }
-
     /// For vertex nodes: the per-port duals, one per edge of `E(v)`, in
     /// port order. A cold network's ports follow
     /// [`Hypergraph::incident_edges`]; a warm network
@@ -86,24 +59,6 @@ impl MwhvcNode {
         match &self.0 {
             Inner::Vertex(v) => Some(v.duals()),
             Inner::Edge(_) => None,
-        }
-    }
-
-    /// For edge nodes: the resolved α(e) (0 until round 1).
-    #[must_use]
-    pub fn edge_alpha(&self) -> Option<u32> {
-        match &self.0 {
-            Inner::Vertex(_) => None,
-            Inner::Edge(e) => Some(e.alpha()),
-        }
-    }
-
-    /// For edge nodes: whether the edge terminated covered.
-    #[must_use]
-    pub fn edge_covered(&self) -> Option<bool> {
-        match &self.0 {
-            Inner::Vertex(_) => None,
-            Inner::Edge(e) => Some(e.is_covered()),
         }
     }
 }
@@ -443,11 +398,8 @@ mod tests {
         let (topo, nodes) = build_network(&g, &cfg);
         assert_eq!(topo.len(), 6);
         assert_eq!(nodes.len(), 6);
-        assert_eq!(nodes[0].role(), NodeRole::Vertex);
-        assert_eq!(nodes[4].role(), NodeRole::Edge);
         assert_eq!(nodes[0].in_cover(), Some(false));
         assert_eq!(nodes[4].in_cover(), None);
-        assert_eq!(nodes[4].edge_covered(), Some(false));
         assert_eq!(nodes[0].level(), Some(0));
     }
 }

@@ -160,11 +160,6 @@ impl VertexNode {
         self.ports.iter().map(|p| p.dual)
     }
 
-    /// The final dual sum `Σ_{e∈E(v)} δ(e)`.
-    pub(crate) fn dual_sum(&self) -> f64 {
-        self.dual_sum
-    }
-
     pub(crate) fn on_round(&mut self, ctx: &mut Ctx<'_, MwhvcMsg>) -> Status {
         let round = ctx.round();
         if round == 0 {
@@ -425,7 +420,7 @@ mod tests {
         let (status, out) = run_round(&mut v, 2, 1, inbox);
         assert_eq!(status, Status::Running);
         assert_eq!(out, vec![(0, MwhvcMsg::LevelInc { count: 0 })]);
-        assert_eq!(v.dual_sum(), 0.5);
+        assert_eq!(v.dual_sum, 0.5);
         assert_eq!(v.level(), 0);
     }
 
@@ -471,7 +466,7 @@ mod tests {
             },
         ];
         run_round(&mut v, 2, 2, inbox);
-        let dual_before = v.dual_sum();
+        let dual_before = v.dual_sum;
 
         // V2: edge on port 0 covered, port 1 halved twice.
         let inbox = vec![
@@ -486,7 +481,7 @@ mod tests {
         ];
         let (status, out) = run_round(&mut v, 4, 2, inbox);
         assert_eq!(status, Status::Running);
-        assert_eq!(v.dual_sum(), dual_before, "duals frozen, not removed");
+        assert_eq!(v.dual_sum, dual_before, "duals frozen, not removed");
         assert_eq!(v.ports[1].bid, 2.5 * 0.25, "bid halved twice");
         // Only the live port gets the raise/stuck message.
         assert_eq!(out.len(), 1);
@@ -530,13 +525,13 @@ mod tests {
             },
         }];
         run_round(&mut v, 2, 1, inbox);
-        assert_eq!(v.dual_sum(), 50.0); // δ0 = bid0 (full, per iteration 0)
+        assert_eq!(v.dual_sum, 50.0); // δ0 = bid0 (full, per iteration 0)
         let inbox = vec![Incoming {
             port: 0,
             msg: MwhvcMsg::RaiseApplied { raised: false },
         }];
         run_round(&mut v, 6, 1, inbox);
         // HalfBid: δ += bid/2 = 25.
-        assert_eq!(v.dual_sum(), 75.0);
+        assert_eq!(v.dual_sum, 75.0);
     }
 }

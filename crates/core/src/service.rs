@@ -477,31 +477,10 @@ impl SolveService {
         self
     }
 
-    /// The service's base configuration (per-submission ε overrides it;
-    /// every other setting — α policy, variant, budget, trace — is
-    /// inherited by every solve).
-    #[must_use]
-    pub fn config(&self) -> &MwhvcConfig {
-        &self.base
-    }
-
     /// Number of persistent worker threads.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The submission queue's capacity (waiting instances).
-    #[must_use]
-    pub fn queue_capacity(&self) -> usize {
-        self.pool.capacity
-    }
-
-    /// Number of submissions currently waiting in the queue (excludes
-    /// solves a worker has already started; 0 after shutdown).
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.pool.queued()
     }
 
     /// Whether the service still accepts submissions.

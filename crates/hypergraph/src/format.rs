@@ -73,7 +73,7 @@ pub fn parse(text: &str) -> Result<Hypergraph, ParseError> {
     let mut header: Option<(usize, usize)> = None;
     let mut weights: Vec<u64> = Vec::new();
     // The `e` records' member lists, concatenated, and where each ends.
-    let mut members: Vec<usize> = Vec::new();
+    let mut members: Vec<VertexId> = Vec::new();
     let mut edge_ends: Vec<usize> = Vec::new();
 
     for (line_no, raw) in text.lines().enumerate() {
@@ -118,12 +118,11 @@ pub fn parse(text: &str) -> Result<Hypergraph, ParseError> {
                 if header.is_none() {
                     return Err(ParseError::MissingHeader);
                 }
+                // Ids are `u32`: an index that does not fit one is a bad
+                // number like any other.
                 for field in fields {
-                    let idx: usize = field.parse().map_err(|_| ParseError::Malformed {
-                        line: line_no,
-                        reason: format!("bad vertex index `{field}`"),
-                    })?;
-                    members.push(idx);
+                    let idx = parse_num(Some(field), line_no, "vertex index")?;
+                    members.push(VertexId::from_raw(idx));
                 }
                 edge_ends.push(members.len());
             }
@@ -164,41 +163,10 @@ pub fn parse(text: &str) -> Result<Hypergraph, ParseError> {
     }
     let mut start = 0;
     for end in edge_ends {
-        b.add_edge(members[start..end].iter().map(|&v| VertexId::new(v)))?;
+        b.add_edge(members[start..end].iter().copied())?;
         start = end;
     }
     Ok(b.build()?)
-}
-
-/// Serializes a delta record against base revision `base`.
-#[must_use]
-pub fn serialize_delta(base: u64, delta: &InstanceDelta) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "p delta {base} {} {} {}",
-        delta.remove_edges.len(),
-        delta.add_edges.len(),
-        delta.set_weights.len()
-    );
-    if !delta.remove_edges.is_empty() {
-        out.push('r');
-        for e in &delta.remove_edges {
-            let _ = write!(out, " {}", e.index());
-        }
-        out.push('\n');
-    }
-    for members in &delta.add_edges {
-        out.push('a');
-        for v in members {
-            let _ = write!(out, " {}", v.index());
-        }
-        out.push('\n');
-    }
-    for &(v, w) in &delta.set_weights {
-        let _ = writeln!(out, "w {} {w}", v.index());
-    }
-    out
 }
 
 /// Whether a record chunk starting at this `p` header line is a delta
@@ -276,12 +244,10 @@ pub fn parse_delta(text: &str) -> Result<DeltaRecord, ParseError> {
                 if header.is_none() {
                     return Err(ParseError::MissingHeader);
                 }
+                // Ids are read as `u32`, as in `parse`'s `e` records.
                 for field in fields {
-                    let idx: usize = field.parse().map_err(|_| ParseError::Malformed {
-                        line: line_no,
-                        reason: format!("bad edge index `{field}`"),
-                    })?;
-                    delta.remove_edges.push(EdgeId::new(idx));
+                    let idx = parse_num(Some(field), line_no, "edge index")?;
+                    delta.remove_edges.push(EdgeId::from_raw(idx));
                 }
             }
             Some("a") => {
@@ -290,11 +256,8 @@ pub fn parse_delta(text: &str) -> Result<DeltaRecord, ParseError> {
                 }
                 let mut members = Vec::new();
                 for field in fields {
-                    let idx: usize = field.parse().map_err(|_| ParseError::Malformed {
-                        line: line_no,
-                        reason: format!("bad vertex index `{field}`"),
-                    })?;
-                    members.push(VertexId::new(idx));
+                    let idx = parse_num(Some(field), line_no, "vertex index")?;
+                    members.push(VertexId::from_raw(idx));
                 }
                 delta.add_edges.push(members);
             }
@@ -302,10 +265,10 @@ pub fn parse_delta(text: &str) -> Result<DeltaRecord, ParseError> {
                 if header.is_none() {
                     return Err(ParseError::MissingHeader);
                 }
-                let vertex: usize = parse_num(fields.next(), line_no, "vertex index")?;
+                let vertex: u32 = parse_num(fields.next(), line_no, "vertex index")?;
                 let weight: u64 = parse_num(fields.next(), line_no, "weight")?;
                 reject_trailing(fields.next(), line_no, "w")?;
-                delta.set_weights.push((VertexId::new(vertex), weight));
+                delta.set_weights.push((VertexId::from_raw(vertex), weight));
             }
             Some(other) => {
                 return Err(ParseError::Malformed {
@@ -419,6 +382,11 @@ mod tests {
             parse("p mwhvc 1 1\nv 1\ne zero\n").unwrap_err(),
             ParseError::Malformed { line: 3, .. }
         ));
+        // A vertex id above `u32::MAX` is a bad number, not a panic.
+        assert!(matches!(
+            parse("p mwhvc 1 1\nv 1\ne 0 4294967296\n").unwrap_err(),
+            ParseError::Malformed { line: 3, .. }
+        ));
     }
 
     #[test]
@@ -475,15 +443,14 @@ mod tests {
             ],
             set_weights: vec![(VertexId::new(2), 42)],
         };
-        let text = serialize_delta(7, &delta);
+        let text = "p delta 7 2 2 1\nr 0 2\na 1 3\na 0\nw 2 42\n";
         assert!(is_delta_header(text.lines().next().unwrap()));
-        let record = parse_delta(&text).unwrap();
+        let record = parse_delta(text).unwrap();
         assert_eq!(record.base, 7);
         assert_eq!(record.epsilon, None);
         assert_eq!(record.delta, delta);
         // An empty delta round-trips too.
-        let empty = InstanceDelta::empty();
-        let record = parse_delta(&serialize_delta(3, &empty)).unwrap();
+        let record = parse_delta("p delta 3 0 0 0\n").unwrap();
         assert_eq!(record.base, 3);
         assert!(record.delta.is_empty());
     }
@@ -536,5 +503,20 @@ mod tests {
         );
         assert_eq!(parse_delta("r 1\n").unwrap_err(), ParseError::MissingHeader);
         assert!(parse_delta("p delta 0 0 0 0\nx 1\n").is_err());
+        // Ids are `u32`: one that does not fit is a bad number on its line,
+        // not a panic in `EdgeId::new` or `VertexId::new`.
+        for text in [
+            "p delta 0 1 0 0\nr 4294967296\n",
+            "p delta 0 0 1 0\na 0 4294967296\n",
+            "p delta 0 0 0 1\nw 4294967296 3\n",
+        ] {
+            let err = parse_delta(text).unwrap_err();
+            assert!(
+                matches!(err, ParseError::Malformed { line: 2, ref reason } if reason.contains("4294967296")),
+                "{text:?}: got {err:?}"
+            );
+        }
+        let record = parse_delta("p delta 0 1 0 0\nr 4294967295\n").unwrap();
+        assert_eq!(record.delta.remove_edges, vec![EdgeId::from_raw(u32::MAX)]);
     }
 }

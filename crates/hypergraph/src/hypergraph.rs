@@ -328,19 +328,6 @@ impl Hypergraph {
         self.inner.edge_vertices.len()
     }
 
-    /// The *normalized weight* `w(v) / |E(v)|` of a vertex, the quantity
-    /// minimized over each edge when setting the first bids (§3.2, iteration
-    /// 0). Returns `f64::INFINITY` for isolated vertices.
-    #[must_use]
-    pub fn normalized_weight(&self, v: VertexId) -> f64 {
-        let d = self.degree(v);
-        if d == 0 {
-            f64::INFINITY
-        } else {
-            self.weight(v) as f64 / d as f64
-        }
-    }
-
     /// The *local maximum degree* `Δ(e) = max_{u ∈ e} |E(u)|` used by the
     /// local-α variant (Theorem 9 discussion / Appendix B item 5).
     ///
@@ -411,25 +398,6 @@ mod tests {
         assert_eq!(g.max_weight(), Some(3));
         assert!((g.weight_ratio() - 3.0).abs() < 1e-12);
         assert_eq!(g.total_weight(), 6);
-    }
-
-    #[test]
-    fn normalized_weight_matches_definition() {
-        let g = triangle();
-        let v = VertexId::new(1); // weight 2, degree 2
-        assert!((g.normalized_weight(v) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn isolated_vertex_has_infinite_normalized_weight() {
-        let mut b = HypergraphBuilder::new();
-        let u = b.add_vertex(1);
-        let _isolated = b.add_vertex(5);
-        let v = b.add_vertex(1);
-        b.add_edge([u, v]).unwrap();
-        let g = b.build().unwrap();
-        assert!(g.normalized_weight(VertexId::new(1)).is_infinite());
-        assert_eq!(g.degree(VertexId::new(1)), 0);
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub mod generators;
 mod hypergraph;
 mod ids;
 mod set_system;
-mod stats;
 
 pub use builder::{from_edge_lists, from_weighted_edge_lists, HypergraphBuilder};
 pub use cover::Cover;
@@ -64,5 +63,4 @@ pub use delta::{DeltaError, DeltaOutcome, InstanceDelta};
 pub use error::{BuildError, ParseError};
 pub use hypergraph::{clone_count, Hypergraph};
 pub use ids::{EdgeId, IdRange, VertexId};
-pub use set_system::{edge_to_element, SetSystem};
-pub use stats::InstanceStats;
+pub use set_system::SetSystem;

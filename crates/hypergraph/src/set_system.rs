@@ -9,7 +9,7 @@
 
 use crate::error::BuildError;
 use crate::hypergraph::Hypergraph;
-use crate::ids::{EdgeId, VertexId};
+use crate::ids::VertexId;
 use crate::HypergraphBuilder;
 
 /// A weighted set-cover instance: `universe` elements `0..universe`, and a
@@ -192,16 +192,10 @@ impl SetSystem {
     }
 }
 
-/// Maps a hyperedge of the reduced hypergraph back to the element it encodes.
-#[must_use]
-pub fn edge_to_element(e: EdgeId) -> usize {
-    e.index()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Cover;
+    use crate::{Cover, EdgeId};
 
     fn sample() -> SetSystem {
         let mut s = SetSystem::new(4);

@@ -23,12 +23,6 @@ pub struct BinaryExpansion {
 }
 
 impl BinaryExpansion {
-    /// Number of variables of the original program.
-    #[must_use]
-    pub fn original_variables(&self) -> usize {
-        self.n_orig
-    }
-
     /// Reassembles an original-space assignment from a binary assignment of
     /// the expanded program: `x_j = Σ_ℓ 2^ℓ·bit_{j,ℓ}`.
     ///

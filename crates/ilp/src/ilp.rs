@@ -247,13 +247,6 @@ impl CoveringIlp {
         }
         Ok(())
     }
-
-    /// Whether every variable is effectively binary (`M == 1`), i.e. the
-    /// program is a *zero-one covering program* as-is.
-    #[must_use]
-    pub fn is_zero_one(&self) -> bool {
-        self.coefficient_box() == 1
-    }
 }
 
 #[cfg(test)]
@@ -312,7 +305,6 @@ mod tests {
         b.add_constraint([(x, 1)], 0).unwrap();
         let ilp = b.build();
         assert_eq!(ilp.num_constraints(), 0);
-        assert!(ilp.is_zero_one());
     }
 
     #[test]
@@ -344,15 +336,5 @@ mod tests {
             ilp.check_feasible().unwrap_err(),
             IlpError::Infeasible { constraint: 0 }
         );
-    }
-
-    #[test]
-    fn zero_one_detection() {
-        let mut b = IlpBuilder::new();
-        let x = b.add_variable(1);
-        let y = b.add_variable(2);
-        b.add_constraint([(x, 3), (y, 5)], 3).unwrap();
-        let ilp = b.build();
-        assert!(ilp.is_zero_one());
     }
 }

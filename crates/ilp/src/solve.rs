@@ -77,7 +77,6 @@ impl IlpOutcome {
 #[derive(Clone, Debug)]
 pub struct IlpSolver {
     config: MwhvcConfig,
-    max_support: usize,
 }
 
 impl IlpSolver {
@@ -85,18 +84,7 @@ impl IlpSolver {
     /// reduced instance.
     #[must_use]
     pub fn new(config: MwhvcConfig) -> Self {
-        Self {
-            config,
-            max_support: DEFAULT_MAX_SUPPORT,
-        }
-    }
-
-    /// Overrides the maximum expanded row support accepted by the zero-one
-    /// reduction (which enumerates `2^support` subsets per constraint).
-    #[must_use]
-    pub fn with_max_support(mut self, max_support: usize) -> Self {
-        self.max_support = max_support;
-        self
+        Self { config }
     }
 
     /// Solves the ILP distributively.
@@ -107,7 +95,7 @@ impl IlpSolver {
     /// the reductions, or a wrapped solve error from the MWHVC run.
     pub fn solve(&self, ilp: &CoveringIlp) -> Result<IlpOutcome, IlpError> {
         let expansion = expand_binary(ilp)?;
-        let reduction = reduce_zero_one(&expansion.zero_one, self.max_support)?;
+        let reduction = reduce_zero_one(&expansion.zero_one, DEFAULT_MAX_SUPPORT)?;
         let mwhvc = MwhvcSolver::new(self.config.clone()).solve(&reduction.hypergraph)?;
         let bits = reduction.assignment_from_cover(&mwhvc.cover);
         let assignment = expansion.lift(&bits);

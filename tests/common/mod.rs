@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The labelled instances, in a fixed order.
-pub fn instances() -> Vec<(String, Hypergraph)> {
+pub(crate) fn instances() -> Vec<(String, Hypergraph)> {
     let mut rng = StdRng::seed_from_u64(0xD15C);
     let mut out = Vec::new();
     for (i, rank) in [2usize, 3, 5].iter().enumerate() {

@@ -17,11 +17,11 @@ use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Severity};
 use crate::scan::SourceFile;
 
-pub const ID: &str = "congest-conformance";
+pub(super) const ID: &str = "congest-conformance";
 
 const WALL_CLOCK: &[&str] = &["Instant::now", "SystemTime"];
 
-pub fn check(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+pub(super) fn check(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
     if !LintConfig::in_dirs(&cfg.conformance_dirs, &sf.rel) {
         return;
     }

@@ -18,7 +18,7 @@ use crate::diag::{Diagnostic, Severity};
 use crate::rules::{normalize, paths, uses};
 use crate::scan::SourceFile;
 
-pub const ID: &str = "sync-facade";
+pub(super) const ID: &str = "sync-facade";
 
 /// Std items the facade replaces; an item counts with anything under it
 /// (`std::sync::Mutex::new`).
@@ -50,7 +50,7 @@ fn forbidden(path: &str, in_test: bool) -> bool {
             .is_some_and(|r| r.starts_with("Atomic"))
 }
 
-pub fn check(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+pub(super) fn check(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
     if !cfg.facade_files.iter().any(|f| f == &sf.rel) {
         return;
     }

@@ -26,7 +26,7 @@ use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Severity};
 use crate::scan::{find_tokens, marker_coverage, SourceFile};
 
-pub const ID: &str = "panic-surface";
+pub(super) const ID: &str = "panic-surface";
 
 /// (pattern, token-delimited?) — token-delimited patterns use
 /// [`find_tokens`] so `assert!` never matches inside `debug_assert!`.
@@ -40,7 +40,7 @@ const PANIC_MACROS: &[&str] = &[
     "assert_ne!",
 ];
 
-pub fn check(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+pub(super) fn check(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
     if !cfg.serving_files.iter().any(|f| f == &sf.rel) {
         return;
     }

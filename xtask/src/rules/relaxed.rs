@@ -15,14 +15,14 @@ use crate::diag::{Diagnostic, Severity};
 use crate::rules::uses;
 use crate::scan::{find_tokens, marker_coverage, SourceFile};
 
-pub const ID: &str = "relaxed-order";
+pub(super) const ID: &str = "relaxed-order";
 
 /// The conccheck crate implements the interposition layer itself: it maps
 /// every ordering to SeqCst by design and documents that, so per-site
 /// justifications there would be noise.
 const EXEMPT_PREFIX: &str = "crates/conccheck/";
 
-pub fn check(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+pub(super) fn check(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
     if cfg.is_shim(&sf.rel) || sf.rel.starts_with(EXEMPT_PREFIX) {
         return;
     }

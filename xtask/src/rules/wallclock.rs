@@ -8,9 +8,9 @@ use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Severity};
 use crate::scan::{marker_coverage, SourceFile};
 
-pub const ID: &str = "wall-clock-sleep";
+pub(super) const ID: &str = "wall-clock-sleep";
 
-pub fn check(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+pub(super) fn check(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
     if cfg.is_shim(&sf.rel) {
         return;
     }
